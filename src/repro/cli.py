@@ -6,10 +6,11 @@ stack.  Subcommands:
 
 * ``repro analyze TRACEFILE``   — post-mortem analysis of a trace file
   (as written by :func:`repro.instrument.write_trace`): full report,
-  optional pattern figures and Lorenz curves.  ``--stream`` analyzes
-  the trace out-of-core in bounded-memory chunks (``--chunk-size``),
-  and ``--jobs J`` fans the file out over J shard workers with a
-  deterministic merge — same report, any trace size.
+  optional pattern figures and Lorenz curves.  The trace is always
+  folded out-of-core in bounded-memory chunks (``--chunk-size``;
+  ``--stream`` is accepted and changes nothing), and ``--jobs J`` fans
+  the file out over J shard workers with a deterministic merge — same
+  report, any trace size.
 * ``repro paper``               — reproduce the paper's §4 example from
   the calibrated reconstruction (tables, figures, narrative).
 * ``repro cfd``                 — run the CFD workload on the simulator,
@@ -22,7 +23,8 @@ stack.  Subcommands:
   imbalance trends, drifting regions, phase detection and threshold
   forecasts; ``--sweep DIR`` fans the analysis out over every trace in
   a directory (multiprocessing, on-disk content-keyed cache);
-  ``--stream`` windows a single trace in two bounded-memory passes.
+  ``--stream`` re-reads the trace for the binning pass instead of
+  holding the first pass's chunks.
 * ``repro self``                — dogfooding: profile the tool's own
   sharded analysis pipeline, print its per-stage timing table and
   imbalance indices, optionally export the spans as a repro trace.
@@ -115,10 +117,11 @@ def _build_parser() -> argparse.ArgumentParser:
                                   "events (e.g. lost from a salvaged "
                                   "trace) from the analysis")
     analyze_cmd.add_argument("--stream", action="store_true",
-                             help="stream the trace in bounded-memory "
-                                  "chunks instead of loading every "
-                                  "event (incompatible with --timeline "
-                                  "and --export-chrome)")
+                             help="accepted for compatibility; no effect, "
+                                  "since analyze always folds the trace "
+                                  "in bounded-memory chunks (still "
+                                  "refused with --timeline and "
+                                  "--export-chrome)")
     analyze_cmd.add_argument("--chunk-size", type=int, default=8192,
                              metavar="N",
                              help="events per streamed chunk "
@@ -127,8 +130,7 @@ def _build_parser() -> argparse.ArgumentParser:
                              metavar="J",
                              help="fan the file out over J worker "
                                   "processes (sharded map-reduce; "
-                                  "implies --stream; default: "
-                                  "sequential)")
+                                  "default: sequential)")
     _add_profile_arguments(analyze_cmd)
 
     commands.add_parser(
@@ -216,9 +218,9 @@ def _build_parser() -> argparse.ArgumentParser:
                               help="refuse damaged trace files instead "
                                    "of salvaging their valid prefix")
     temporal_cmd.add_argument("--stream", action="store_true",
-                              help="two-pass bounded-memory windowed "
-                                   "accumulation instead of loading "
-                                   "every event (single trace only)")
+                              help="re-read the trace for the binning "
+                                   "pass instead of holding the first "
+                                   "pass's chunks (single trace only)")
     temporal_cmd.add_argument("--chunk-size", type=int, default=8192,
                               metavar="N",
                               help="events per streamed chunk "
@@ -417,25 +419,6 @@ def _check_stream_arguments(arguments) -> None:
         raise ReproError("--jobs must be at least 1")
 
 
-def _streamed_measurements(arguments, on_error: str):
-    """Bounded-memory trace aggregation: sequential chunked streaming,
-    or the sharded map-reduce driver when --jobs asks for workers."""
-    _check_stream_arguments(arguments)
-    if arguments.jobs is not None and arguments.jobs > 1:
-        from .shards import shard_accumulate
-        accumulator = shard_accumulate(arguments.tracefile,
-                                       jobs=arguments.jobs,
-                                       chunk_size=arguments.chunk_size,
-                                       on_error=on_error)
-    else:
-        from .core.online import OnlineAccumulator
-        from .instrument.stream import iter_any
-        accumulator = OnlineAccumulator().consume(
-            iter_any(arguments.tracefile,
-                     chunk_size=arguments.chunk_size, on_error=on_error))
-    return accumulator.finalize()
-
-
 def render_analyze_report(measurements, *, index: str = "euclidean",
                           patterns: bool = False,
                           lorenz: Optional[str] = None,
@@ -499,27 +482,26 @@ def render_analyze_report(measurements, *, index: str = "euclidean",
 
 
 def _command_analyze(arguments) -> int:
+    from .instrument.stream import accumulate_trace
     on_error = "raise" if arguments.strict else "salvage"
-    if arguments.jobs is not None and not arguments.stream:
-        arguments.stream = True       # sharding is a streaming mode
+    _check_stream_arguments(arguments)
+    if arguments.stream or arguments.jobs is not None:
+        for flag in ("timeline", "export_chrome"):
+            if getattr(arguments, flag):
+                raise ReproError(
+                    f"--{flag.replace('_', '-')} needs the full "
+                    "event list; drop --stream/--jobs to use it")
     with _Profiled(arguments):
-        if arguments.stream:
-            for flag in ("timeline", "export_chrome"):
-                if getattr(arguments, flag):
-                    raise ReproError(
-                        f"--{flag.replace('_', '-')} needs the full "
-                        "event list; drop --stream/--jobs to use it")
-            tracer = None
-            measurements = _streamed_measurements(arguments, on_error)
+        tracer = None
+        if arguments.timeline or arguments.export_chrome:
+            # The only analysis that needs the events themselves.
+            from .instrument import profile, read_any_tracer
+            tracer = read_any_tracer(arguments.tracefile, on_error=on_error)
+            measurements = profile(tracer)
         else:
-            from .instrument import read_any_tracer, profile
-            from .obs import spans as obspans
-            with obspans.span("read_trace", activity="read",
-                              trace=str(arguments.tracefile)):
-                tracer = read_any_tracer(arguments.tracefile,
-                                         on_error=on_error)
-            with obspans.span("profile", activity="aggregate"):
-                measurements = profile(tracer)
+            measurements = accumulate_trace(
+                arguments.tracefile, chunk_size=arguments.chunk_size,
+                on_error=on_error, jobs=arguments.jobs).finalize()
         preamble = []
         if arguments.drop_missing_ranks:
             missing = measurements.missing_processors()
@@ -570,11 +552,12 @@ def _command_cfd(arguments) -> int:
 
 
 def _command_counters(arguments) -> int:
-    from .instrument import read_any_tracer
     from .instrument.counters import count_profile
+    from .instrument.stream import iter_any
     on_error = "raise" if arguments.strict else "salvage"
-    tracer = read_any_tracer(arguments.tracefile, on_error=on_error)
-    measurements = count_profile(tracer, counter=arguments.counter)
+    measurements = count_profile(
+        iter_any(arguments.tracefile, on_error=on_error),
+        counter=arguments.counter)
     analysis = analyze(measurements, cluster_count=None)
     print(f"counting parameter: {arguments.counter}\n")
     print(render_full_report(analysis))
@@ -633,34 +616,16 @@ def _format_level(value: float) -> str:
 
 
 def _streamed_windows(arguments, on_error: str):
-    """Two-pass streaming windowed accumulation.
-
-    Pass 1 discovers the extent and the (region, activity, rank)
-    layout; pass 2 bins the same stream against the shared equal-slice
-    edges.  Produces the identical window list (and therefore report
-    text) as the in-memory windower.  Salvage warnings are silenced on
-    the second pass — the first already reported them.
-    """
-    import warnings as _warnings
-
-    from .core.online import OnlineAccumulator, WindowedAccumulator
-    from .errors import TraceWarning
-    from .instrument.stream import iter_any
-    from .instrument.windows import equal_edges
+    """``(windows, event count)`` of ``repro temporal``: two passes over
+    the trace's chunks, the second re-reading the file under
+    ``--stream`` instead of reusing the first pass's chunks."""
+    from .instrument.stream import trace_windows
     _check_stream_arguments(arguments)
-    scout = OnlineAccumulator().consume(
-        iter_any(arguments.tracefile, chunk_size=arguments.chunk_size,
-                 on_error=on_error))
-    layout = scout.finalize()
-    edges = equal_edges(scout.begin, scout.elapsed, arguments.windows)
-    binner = WindowedAccumulator(edges, layout.regions, layout.activities,
-                                 scout.n_ranks)
-    with _warnings.catch_warnings():
-        _warnings.simplefilter("ignore", TraceWarning)
-        binner.consume(iter_any(arguments.tracefile,
-                                chunk_size=arguments.chunk_size,
-                                on_error=on_error))
-    return binner.finalize(), binner.n_events
+    windows, scout = trace_windows(
+        arguments.tracefile, arguments.windows,
+        chunk_size=arguments.chunk_size, on_error=on_error,
+        reread=arguments.stream)
+    return windows, scout.n_events
 
 
 def render_temporal_report(windows, n_events: int, *,
@@ -752,19 +717,7 @@ def _command_temporal(arguments) -> int:
 
     on_error = "raise" if arguments.strict else "salvage"
     with _Profiled(arguments):
-        from .obs import spans as obspans
-        if arguments.stream:
-            windows, n_events = _streamed_windows(arguments, on_error)
-        else:
-            from .instrument import read_any_tracer, window_profiles
-            with obspans.span("read_trace", activity="read",
-                              trace=str(arguments.tracefile)):
-                tracer = read_any_tracer(arguments.tracefile,
-                                         on_error=on_error)
-            with obspans.span("window", activity="window",
-                              windows=arguments.windows):
-                windows = window_profiles(tracer, arguments.windows)
-            n_events = len(tracer)
+        windows, n_events = _streamed_windows(arguments, on_error)
         print(render_temporal_report(
             windows, n_events, index=arguments.index,
             phases=arguments.phases,
@@ -788,10 +741,7 @@ def _command_self(arguments) -> int:
     from .obs.selftrace import (render_self_report, self_imbalance,
                                 write_selftrace)
     from .shards import shard_accumulate
-    if arguments.jobs < 1:
-        raise ReproError("--jobs must be at least 1")
-    if arguments.chunk_size < 1:
-        raise ReproError("--chunk-size must be at least 1")
+    _check_stream_arguments(arguments)
 
     with tempfile.TemporaryDirectory(prefix="repro-self-") as workdir:
         if arguments.tracefile:

@@ -1,31 +1,20 @@
-"""One-pass mergeable accumulators: the streaming analysis engine.
+"""One-pass mergeable accumulators: the events→tensor kernel.
 
-The paper's whole methodology — dispersion matrices, the three views
-(``ID_P_ip``, ``ID_A_j``, ``SID_A_j``, ``ID_C_i``, ``SID_C_i``),
-ranking and the efficiency factorization — is a function of the
-``t_ijp`` tensor alone, and ``t_ijp`` is a *sum* of event durations.
-That makes the tensor an exactly mergeable sufficient statistic: it can
-be accumulated one bounded chunk of events at a time, and partial
-accumulations from disjoint shards of a trace can be added together,
-without ever holding the event list.  Per-cell moments (sums, sums of
-squares over processors) and every registered index then derive from
-the finalized tensor exactly as in the in-memory path.
+The paper's whole methodology is a function of the ``t_ijp`` tensor
+alone, and ``t_ijp`` is a *sum* of event durations — an exactly
+mergeable sufficient statistic that can be accumulated one bounded
+chunk at a time, with partial sums from disjoint shards added together.
 
-* :class:`OnlineAccumulator` — ``update(events)`` folds a chunk into
-  the running per-(region, activity, rank) sums; ``merge(other)``
-  combines two accumulators (associative, and order-insensitive up to
-  the first-appearance ordering of labels); ``finalize()`` produces the
-  same :class:`~repro.core.measurements.MeasurementSet` that
-  :func:`repro.instrument.profile` builds from the full event list —
-  bit-identical when chunks arrive in file order, within one float
-  rounding of the summation tree when shards are merged.
-* :class:`WindowedAccumulator` — the windowed counterpart: bins
-  boundary-split events into fixed time windows one chunk at a time,
-  finalizing to the same ``List[Window]`` as
-  :func:`repro.instrument.window_profiles`.
-
-Memory is bounded by the (regions x activities x ranks) layout — and,
-for the windowed form, the window count — never by the event count.
+Both accumulators fold :class:`~repro.instrument.columns.EventColumns`
+chunks (any other event sequence is converted once) with one
+``np.add.at`` scatter over a flat tensor index: ``(cell, rank)`` for
+:class:`OnlineAccumulator` (behind :func:`repro.instrument.profile`),
+``(window, cell, rank)`` for :class:`WindowedAccumulator` (behind
+:func:`repro.instrument.window_profiles`).  ``np.add.at`` applies its
+additions in index order, so per cell they happen in event order and
+the sums are bit-identical however the stream is chunked; merged shards
+agree within one float rounding.  Memory is bounded by the layout (and
+window count), never by the event count.
 """
 
 from __future__ import annotations
@@ -52,6 +41,34 @@ def _ordered_activities(seen: Sequence[str]) -> Tuple[str, ...]:
         [name for name in seen if name not in DEFAULT_ACTIVITIES])
 
 
+def _as_columns(events: Iterable):
+    """A chunk as columns: decoded chunks pass through, any other
+    event sequence is converted once."""
+    from ..instrument.columns import EventColumns
+    if isinstance(events, EventColumns):
+        return events
+    return EventColumns.from_events(events)
+
+
+def _index(ids: Dict[str, int], names: Sequence[str], codes: np.ndarray,
+           grow: bool, skip: Optional[str] = None) -> np.ndarray:
+    """Per event, the tensor index of the label its code names (-1 for
+    ``skip`` and unindexed labels).  With ``grow``, unseen labels are
+    indexed first, in order of first appearance."""
+    if grow:
+        unique, first = np.unique(codes, return_index=True)
+        for code in unique[np.argsort(first)].tolist():
+            if names[code] != skip:
+                ids.setdefault(names[code], len(ids))
+    return np.array([-1 if name == skip else ids.get(name, -1)
+                     for name in names], dtype=np.intp)[codes]
+
+
+def _union(first: Dict[str, int], second: Dict[str, int]) -> Dict[str, int]:
+    return {name: i for i, name in enumerate(dict.fromkeys([*first,
+                                                            *second]))}
+
+
 class OnlineAccumulator:
     """Streaming equivalent of :func:`repro.instrument.profile`.
 
@@ -64,8 +81,8 @@ class OnlineAccumulator:
     activities follow the paper's canonical ordering — exactly the
     labels ``profile`` would produce for the same events.
 
-    The accumulator is picklable (plain dicts and scalars), so shard
-    workers can build one per shard and ship it back for merging.
+    The accumulator is picklable (a tensor, dicts and scalars), so
+    shard workers can build one per shard and ship it back for merging.
     """
 
     def __init__(self, regions: Optional[Sequence[str]] = None,
@@ -77,65 +94,66 @@ class OnlineAccumulator:
                                   if activities is not None else None)
         self._aggregation = aggregation
         self._given_ranks = n_ranks
-        #: (region, activity, rank) -> summed duration.  Insertion
-        #: order is first-appearance order, which merge preserves.
-        self._sums: Dict[Tuple[str, str, int], float] = {}
-        self._region_order: List[str] = []
-        self._region_set = set()
-        self._activity_order: List[str] = []
-        self._activity_set = set()
+        #: Row and column labels of the running tensor -> their index:
+        #: the fixed layout, or labels in order of first appearance.
+        self._region_ids = {name: i for i, name
+                            in enumerate(self._fixed_regions or ())}
+        self._activity_ids = {name: j for j, name
+                              in enumerate(self._fixed_activities or ())}
+        self._tensor = np.zeros((len(self._region_ids),
+                                 len(self._activity_ids), 0))
         self._max_rank = -1
         self._min_begin = float("inf")
-        self._max_end = 0.0
+        self._max_end = float("-inf")
         self._n_events = 0
 
     # ------------------------------------------------------------------
     # Accumulation
     # ------------------------------------------------------------------
-    def update(self, events: Iterable) -> "OnlineAccumulator":
+    def update(self, events: Iterable,
+               weights: Optional[np.ndarray] = None) -> "OnlineAccumulator":
         """Fold one chunk of events into the running sums.
 
-        Per tensor cell the additions happen in event order, so feeding
-        a whole trace chunk by chunk reproduces the eager profile's
-        floating-point sums bit for bit.
+        ``weights`` (one per event) replaces the durations as the
+        summed quantity — how counter tensors are built.
         """
-        fixed_regions = (set(self._fixed_regions)
-                         if self._fixed_regions is not None else None)
-        fixed_activities = (set(self._fixed_activities)
-                            if self._fixed_activities is not None else None)
-        sums = self._sums
-        for event in events:
-            self._n_events += 1
-            if event.begin < self._min_begin:
-                self._min_begin = event.begin
-            if event.end > self._max_end:
-                self._max_end = event.end
-            if event.rank > self._max_rank:
-                self._max_rank = event.rank
-            activity = event.activity
-            # Activity discovery draws on *every* event — like
-            # ``tracer.activities()`` — even those the tensor skips.
-            if fixed_activities is None \
-                    and activity not in self._activity_set:
-                self._activity_set.add(activity)
-                self._activity_order.append(activity)
-            region = event.region
-            if region == OUTSIDE_REGION:
-                continue
-            if fixed_regions is not None:
-                if region not in fixed_regions:
-                    continue    # caller restricted the region set
-            elif region not in self._region_set:
-                self._region_set.add(region)
-                self._region_order.append(region)
-            if fixed_activities is not None \
-                    and activity not in fixed_activities:
-                raise TraceError(
-                    f"trace contains activity {activity!r} not in "
-                    f"{self._fixed_activities}")
-            key = (region, activity, event.rank)
-            sums[key] = sums.get(key, 0.0) + (event.end - event.begin)
+        chunk = _as_columns(events)
+        if not len(chunk):
+            return self
+        self._n_events += len(chunk)
+        self._min_begin = min(self._min_begin, float(chunk.begin.min()))
+        self._max_end = max(self._max_end, float(chunk.end.max()))
+        self._max_rank = max(self._max_rank, int(chunk.rank.max()))
+        # Activity discovery draws on *every* event — like
+        # ``Tracer.activities()`` — even those the tensor skips.
+        columns = _index(self._activity_ids, chunk.names, chunk.activity,
+                         grow=self._fixed_activities is None)
+        rows = _index(self._region_ids, chunk.names, chunk.region,
+                      grow=self._fixed_regions is None, skip=OUTSIDE_REGION)
+        counted = rows >= 0
+        unlisted = counted & (columns < 0)
+        if unlisted.any():
+            activity = chunk.names[chunk.activity[unlisted.argmax()]]
+            raise TraceError(
+                f"trace contains activity {activity!r} not in "
+                f"{self._fixed_activities}")
+        self._grow()
+        _, n_activities, n_ranks = self._tensor.shape
+        index = ((rows[counted] * n_activities + columns[counted]) * n_ranks
+                 + chunk.rank[counted])
+        values = chunk.end - chunk.begin if weights is None else weights
+        np.add.at(self._tensor.reshape(-1), index, values[counted])
         return self
+
+    def _grow(self) -> None:
+        """Widen the tensor to every label and rank seen so far."""
+        shape = (len(self._region_ids), len(self._activity_ids),
+                 self._max_rank + 1)
+        if shape != self._tensor.shape:
+            grown = np.zeros(shape)
+            rows, columns, ranks = self._tensor.shape
+            grown[:rows, :columns, :ranks] = self._tensor
+            self._tensor = grown
 
     def consume(self, chunks: Iterable[Iterable]) -> "OnlineAccumulator":
         """Fold an iterator of chunks (e.g. :func:`iter_any`'s output)."""
@@ -175,25 +193,21 @@ class OnlineAccumulator:
             regions=self._fixed_regions,
             activities=self._fixed_activities,
             aggregation=self._aggregation, n_ranks=ranks)
-        merged._sums = dict(self._sums)
-        for key, value in other._sums.items():
-            merged._sums[key] = merged._sums.get(key, 0.0) + value
-        merged._region_order = list(self._region_order)
-        merged._region_set = set(self._region_set)
-        for region in other._region_order:
-            if region not in merged._region_set:
-                merged._region_set.add(region)
-                merged._region_order.append(region)
-        merged._activity_order = list(self._activity_order)
-        merged._activity_set = set(self._activity_set)
-        for activity in other._activity_order:
-            if activity not in merged._activity_set:
-                merged._activity_set.add(activity)
-                merged._activity_order.append(activity)
+        merged._region_ids = _union(self._region_ids, other._region_ids)
+        merged._activity_ids = _union(self._activity_ids,
+                                      other._activity_ids)
         merged._max_rank = max(self._max_rank, other._max_rank)
         merged._min_begin = min(self._min_begin, other._min_begin)
         merged._max_end = max(self._max_end, other._max_end)
         merged._n_events = self._n_events + other._n_events
+        merged._grow()
+        for part in (self, other):
+            rows = [merged._region_ids[name] for name in part._region_ids]
+            columns = [merged._activity_ids[name]
+                       for name in part._activity_ids]
+            merged._tensor[np.ix_(rows, columns,
+                                  range(part._tensor.shape[2]))] \
+                += part._tensor
         return merged
 
     # ------------------------------------------------------------------
@@ -216,31 +230,37 @@ class OnlineAccumulator:
 
     @property
     def elapsed(self) -> float:
-        """Latest event end seen — the traced wall clock."""
-        return self._max_end
+        """Latest event end seen — the traced wall clock (0 when
+        empty)."""
+        return 0.0 if self._n_events == 0 else self._max_end
 
     def regions(self) -> Tuple[str, ...]:
         """Region order the finalized set will use."""
         if self._fixed_regions is not None:
             return self._fixed_regions
-        return tuple(self._region_order)
+        return tuple(self._region_ids)
 
     def activities(self) -> Tuple[str, ...]:
         """Activity order the finalized set will use."""
         if self._fixed_activities is not None:
             return self._fixed_activities
-        return _ordered_activities(self._activity_order)
+        return _ordered_activities(tuple(self._activity_ids))
+
+    @property
+    def _sums(self) -> Dict[Tuple[str, str, int], float]:
+        """Label-keyed view of the running sums: (region, activity,
+        rank) -> value of every non-zero cell."""
+        regions, activities = list(self._region_ids), list(self._activity_ids)
+        return {(regions[i], activities[j], int(rank)):
+                float(self._tensor[i, j, rank])
+                for i, j, rank in zip(*np.nonzero(self._tensor))}
 
     # ------------------------------------------------------------------
     # Finalization
     # ------------------------------------------------------------------
-    def finalize(self) -> MeasurementSet:
-        """The measurement set of everything folded in so far.
-
-        Matches ``profile(tracer)`` on the same events: same labels,
-        same tensor, same ``T = max(elapsed, covered)`` convention.
-        The accumulator itself is unchanged and can keep accumulating.
-        """
+    def tensor(self) -> np.ndarray:
+        """A copy of the running ``t_ijp`` tensor in the finalized label
+        order (``regions()`` x ``activities()`` x ranks)."""
         if self._n_events == 0:
             raise TraceError("cannot profile an empty trace")
         region_names = self.regions()
@@ -254,20 +274,25 @@ class OnlineAccumulator:
                     f"n_ranks={self._given_ranks} but the trace mentions "
                     f"rank {self._max_rank}")
             n_ranks = self._given_ranks
-        region_index = {name: i for i, name in enumerate(region_names)}
-        activity_index = {name: j for j, name in enumerate(activity_names)}
         tensor = np.zeros((len(region_names), len(activity_names), n_ranks))
-        for (region, activity, rank), value in self._sums.items():
-            tensor[region_index[region],
-                   activity_index[activity], rank] = value
-        preliminary = MeasurementSet(tensor, regions=region_names,
-                                     activities=activity_names,
+        rows = [self._region_ids[name] for name in region_names]
+        columns = [self._activity_ids[name] for name in activity_names]
+        tensor[:, :, :self._tensor.shape[2]] = self._tensor[
+            np.ix_(rows, columns)]
+        return tensor
+
+    def finalize(self) -> MeasurementSet:
+        """The measurement set of everything folded in so far.
+
+        Matches ``profile(tracer)`` on the same events: same labels,
+        same tensor, same ``T = max(elapsed, covered)`` convention.
+        The accumulator itself is unchanged and can keep accumulating.
+        """
+        preliminary = MeasurementSet(self.tensor(), regions=self.regions(),
+                                     activities=self.activities(),
                                      aggregation=self._aggregation)
-        total = max(self._max_end, preliminary.covered_time)
-        return MeasurementSet(tensor, regions=region_names,
-                              activities=activity_names,
-                              total_time=total,
-                              aggregation=self._aggregation)
+        return preliminary.with_total_time(
+            max(self._max_end, preliminary.covered_time))
 
     def session(self):
         """An :class:`~repro.core.batch.AnalysisSession` over the
@@ -281,12 +306,9 @@ class WindowedAccumulator:
     """Streaming counterpart of :func:`repro.instrument.window_profiles`.
 
     Requires the window ``edges`` and the (region, activity, rank)
-    layout up front — the time-resolved CLI discovers both with a first
-    :class:`OnlineAccumulator` pass, then bins the same stream on a
-    second pass.  ``finalize()`` yields the identical ``List[Window]``
-    the in-memory single-pass sweep produces (same occupied-window
-    drops, same boundary splits, same per-window ``T``), bit for bit
-    when chunks arrive in file order.
+    layout up front — :func:`repro.instrument.windows.fold_windows`
+    discovers both with a first :class:`OnlineAccumulator` pass, then
+    bins the same chunks on a second.
     """
 
     def __init__(self, edges: Sequence[float],
@@ -303,6 +325,7 @@ class WindowedAccumulator:
         if n_ranks < 1:
             raise TraceError("need at least one rank")
         n_windows = len(self.edges) - 1
+        self._edge_array = np.asarray(self.edges)
         self._region_ids = {name: i
                             for i, name in enumerate(self.region_names)}
         self._activity_ids = {name: j
@@ -324,50 +347,59 @@ class WindowedAccumulator:
 
     def update(self, events: Iterable) -> "WindowedAccumulator":
         """Bin one chunk, splitting events across window boundaries
-        proportionally (the same clipping arithmetic as the in-memory
-        sweep, applied in the same event order)."""
-        from bisect import bisect_left, bisect_right
-        edges = self.edges
-        last_window = self.n_windows - 1
-        tensors = self._tensors
-        for event in events:
-            self._n_events += 1
-            lo = max(bisect_right(edges, event.begin) - 1, 0)
-            hi = min(bisect_left(edges, event.end) - 1, last_window)
-            cell = self._cell_of(event)
-            rank = event.rank
-            for window in range(lo, hi + 1):
-                clipped_begin = max(event.begin, edges[window])
-                clipped_end = min(event.end, edges[window + 1])
-                if clipped_end - clipped_begin <= 0.0:
-                    continue
-                self._occupied[window] = True
-                if clipped_end > self._last_end[window]:
-                    self._last_end[window] = clipped_end
-                if cell is None:
-                    continue
-                if cell < 0:
-                    self._poisoned[window] = True
-                    continue
-                tensors[window, cell // len(self.activity_names),
-                        cell % len(self.activity_names), rank] += \
-                    clipped_end - clipped_begin
-        return self
+        proportionally.
 
-    def _cell_of(self, event) -> Optional[int]:
-        """Flattened (region, activity) cell; None for events the
-        profile skips, -1 for an indexed region whose activity is
-        missing from the layout (which poisons the window, exactly as
-        the in-memory sweep drops it)."""
-        if event.region == OUTSIDE_REGION:
-            return None
-        i = self._region_ids.get(event.region)
-        if i is None:
-            return None
-        j = self._activity_ids.get(event.activity)
-        if j is None:
-            return -1
-        return i * len(self.activity_names) + j
+        Each event finds the window range it can overlap by binary
+        search on the edges; the (event, window) pieces, events in
+        chunk order, are clipped to their window and scattered.
+        """
+        chunk = _as_columns(events)
+        n_events = len(chunk)
+        self._n_events += n_events
+        if not n_events:
+            return self
+        n_windows, n_regions, n_activities, n_ranks = self._tensors.shape
+        edges = self._edge_array
+        rows = _index(self._region_ids, chunk.names, chunk.region,
+                      grow=False, skip=OUTSIDE_REGION)
+        columns = _index(self._activity_ids, chunk.names, chunk.activity,
+                         grow=False)
+        # Flattened (region, activity) cell per event; -1 marks events
+        # the profile skips, -2 an indexed region with an activity
+        # missing from the layout, which drops every window it touches.
+        cells = np.where(rows < 0, -1,
+                         np.where(columns < 0, -2,
+                                  rows * n_activities + columns))
+
+        lo = np.maximum(np.searchsorted(edges, chunk.begin, side="right")
+                        - 1, 0)
+        hi = np.minimum(np.searchsorted(edges, chunk.end, side="left") - 1,
+                        n_windows - 1)
+        counts = np.maximum(hi - lo + 1, 0)
+        event_of = np.repeat(np.arange(n_events), counts)
+        offsets = np.repeat(counts.cumsum() - counts, counts)
+        window_of = lo[event_of] + (np.arange(event_of.size) - offsets)
+        clipped_end = np.minimum(chunk.end[event_of], edges[window_of + 1])
+        durations = clipped_end - np.maximum(chunk.begin[event_of],
+                                             edges[window_of])
+        overlap = durations > 0.0
+        event_of = event_of[overlap]
+        window_of = window_of[overlap]
+        durations = durations[overlap]
+
+        self._occupied[window_of] = True
+        np.maximum.at(self._last_end, window_of, clipped_end[overlap])
+        cell_of = cells[event_of]
+        self._poisoned[window_of[cell_of == -2]] = True
+        counted = cell_of >= 0
+        ranks = chunk.rank[event_of[counted]]
+        if ranks.size and ranks.max() >= n_ranks:
+            raise TraceError(f"trace mentions rank {ranks.max()} but the "
+                             f"window layout has {n_ranks} rank(s)")
+        targets = ((window_of[counted] * (n_regions * n_activities)
+                    + cell_of[counted]) * n_ranks + ranks)
+        np.add.at(self._tensors.reshape(-1), targets, durations[counted])
+        return self
 
     def consume(self, chunks: Iterable[Iterable]) -> "WindowedAccumulator":
         """Fold an iterator of chunks."""
@@ -397,9 +429,9 @@ class WindowedAccumulator:
         return merged
 
     def finalize(self) -> List:
-        """The windows, exactly as :func:`window_profiles` builds them:
-        unoccupied and poisoned windows dropped, per-window ``T`` the
-        larger of the window's covered time and its last event end."""
+        """The windows: unoccupied and poisoned windows dropped,
+        per-window ``T`` the larger of the window's covered time and
+        its last event end."""
         from ..instrument.windows import Window
         windows = []
         for w in range(self.n_windows):

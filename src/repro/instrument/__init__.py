@@ -7,6 +7,8 @@ This package provides that pipeline for the simulated machine:
 * :class:`Tracer` — collects :class:`TraceEvent` records (plugs into the
   simulator as its trace sink);
 * :func:`write_trace` / :func:`read_trace` — the on-disk trace format;
+* :func:`iter_any` and friends — readers yielding :class:`EventColumns`
+  chunks;
 * :func:`profile` — aggregates a trace into the ``t_ijp``
   :class:`~repro.core.measurements.MeasurementSet` the methodology
   consumes.
@@ -14,6 +16,7 @@ This package provides that pipeline for the simulated machine:
 
 from .binary import (read_any, read_any_tracer, read_binary_trace,
                      sniff_format, write_binary_trace)
+from .columns import EventColumns
 from .events import EVENT_KINDS, OUTSIDE_REGION, TraceEvent
 from .chrome import export_chrome_trace
 from .counters import COUNTERS, count_profile
@@ -28,8 +31,7 @@ from .filters import (filter_activities, filter_events, filter_ranks,
                       relabel_region, shift_time)
 from .stream import (iter_any, iter_binary_span, iter_binary_trace,
                      iter_trace, iter_trace_span)
-from .windows import (Window, equal_edges, rescan_window_profiles,
-                      rescan_window_profiles_at, window_profiles,
+from .windows import (Window, equal_edges, window_profiles,
                       window_profiles_at)
 
 __all__ = [
@@ -38,6 +40,7 @@ __all__ = [
     "read_binary_trace",
     "sniff_format",
     "write_binary_trace",
+    "EventColumns",
     "EVENT_KINDS",
     "OUTSIDE_REGION",
     "TraceEvent",
@@ -64,8 +67,6 @@ __all__ = [
     "iter_trace", "iter_trace_span",
     "Window",
     "equal_edges",
-    "rescan_window_profiles",
-    "rescan_window_profiles_at",
     "window_profiles",
     "window_profiles_at",
 ]

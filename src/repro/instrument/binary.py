@@ -2,8 +2,8 @@
 
 JSONL traces are self-describing but bulky; long simulations produce
 millions of events.  This module provides a second on-disk format with
-fixed-size records (`struct`-packed), a string table for region and
-activity names, and the same validation guarantees as the JSONL reader.
+fixed-size records, a string table for region and activity names, and
+the same validation guarantees as the JSONL reader.
 
 Layout (little-endian):
 
@@ -11,31 +11,41 @@ Layout (little-endian):
   event count ``u64``, string-table length ``u32``;
 * string table — the UTF-8 region and activity names, NUL-separated,
   referenced by index;
-* events — one 38-byte record each:
+* events — one 37-byte :data:`RECORD` each:
   ``u32 rank, u16 region_id, u16 activity_id, f64 begin, f64 end,
   u8 kind_id, u64 nbytes, i32 partner`` (packed without padding).
 
-:func:`sniff_format` detects which reader a file needs;
-:func:`read_any` dispatches, so tools accept either format.
+The readers decode whole blocks of records with one ``np.frombuffer``
+and find the first invalid record with a vectorized mask.
+:func:`sniff_format` detects which reader a file needs; :func:`read_any`
+dispatches, so tools accept either format.
 """
 
 from __future__ import annotations
 
+import os
 import struct
-import warnings
 from pathlib import Path
-from typing import Iterable, List, Union
+from typing import Callable, Iterable, Iterator, List, Optional, Tuple, Union
 
-from ..errors import TraceError, TraceWarning
-from .events import EVENT_KINDS, TraceEvent
-from .tracefile import read_trace as read_jsonl
+import numpy as np
+
+from ..errors import TraceError
+from .columns import (DEFAULT_CHUNK_SIZE, EventColumns, damage, materialize,
+                      reader_source)
+from .events import EVENT_KINDS, TraceEvent, check_event
+from .tracefile import iter_trace
 from .tracer import Tracer
 
 MAGIC = b"RPTB"
 VERSION = 1
 
 _HEADER = struct.Struct("<4sHIQI")
-_RECORD = struct.Struct("<IHHddBQi")
+
+#: One event record, packed without padding (37 bytes).
+RECORD = np.dtype([("rank", "<u4"), ("region", "<u2"), ("activity", "<u2"),
+                   ("begin", "<f8"), ("end", "<f8"), ("kind", "u1"),
+                   ("nbytes", "<u8"), ("partner", "<i4")])
 
 PathLike = Union[str, Path]
 
@@ -43,120 +53,162 @@ PathLike = Union[str, Path]
 def write_binary_trace(path: PathLike,
                        events: Iterable[TraceEvent]) -> int:
     """Write events in the binary format; returns the number written."""
-    event_list = list(events)
-    names: List[str] = []
-    index = {}
-
-    def intern(name: str) -> int:
-        if name not in index:
-            if len(names) >= 0xFFFF:
-                raise TraceError("string table overflow (65535 names)")
-            index[name] = len(names)
-            names.append(name)
-        return index[name]
-
-    records = []
-    for event in event_list:
-        records.append(_RECORD.pack(
-            event.rank, intern(event.region), intern(event.activity),
-            event.begin, event.end, EVENT_KINDS.index(event.kind),
-            event.nbytes, event.partner))
-    table = b"\x00".join(name.encode("utf-8") for name in names)
-    ranks = max((event.rank for event in event_list), default=-1) + 1
+    chunk = EventColumns.from_events(events)
+    if len(chunk.names) > 0xFFFF:
+        raise TraceError("string table overflow (65535 names)")
+    records = np.empty(len(chunk), dtype=RECORD)
+    for field in RECORD.names:
+        records[field] = getattr(chunk, field)
+    table = b"\x00".join(name.encode("utf-8") for name in chunk.names)
+    ranks = int(chunk.rank.max()) + 1 if len(chunk) else 0
     with open(Path(path), "wb") as stream:
-        stream.write(_HEADER.pack(MAGIC, VERSION, ranks,
-                                  len(event_list), len(table)))
+        stream.write(_HEADER.pack(MAGIC, VERSION, ranks, len(chunk),
+                                  len(table)))
         stream.write(table)
-        for record in records:
-            stream.write(record)
-    return len(event_list)
+        stream.write(records.tobytes())
+    return len(chunk)
 
 
-def _salvage(source: Path, events: list, reason: str,
-             on_error: str) -> List[TraceEvent]:
-    if on_error == "raise" or not events:
-        raise TraceError(f"trace {source}: {reason}")
-    warnings.warn(TraceWarning(
-        f"trace {source}: {reason}; salvaged the first "
-        f"{len(events)} event(s)"), stacklevel=3)
-    return events
-
-
-def read_binary_trace(path: PathLike,
-                      on_error: str = "salvage") -> List[TraceEvent]:
-    """Read a binary trace file, validating every record.
-
-    ``on_error="salvage"`` (the default) tolerates a file truncated or
-    corrupted inside the event records — the valid prefix is returned
-    with a :class:`~repro.errors.TraceWarning`.  Damage before the first
-    record (header or string table) leaves nothing decodable and raises
-    :class:`~repro.errors.TraceError` in both modes, as does
-    ``on_error="raise"`` for any damage at all.
-
-    Trailing NUL padding after the promised records (block-padded
-    archival storage) is not damage: it is skipped in both modes, the
-    binary counterpart of the blank lines the JSONL reader skips.
-    """
-    if on_error not in ("salvage", "raise"):
-        raise TraceError(
-            f"on_error must be 'salvage' or 'raise', got {on_error!r}")
-    source = Path(path)
-    if not source.exists():
-        raise TraceError(f"trace file {source} does not exist")
-    data = source.read_bytes()
-    if len(data) < _HEADER.size:
+def _read_header(source: Path, stream) -> Tuple[int, Tuple[str, ...], int]:
+    """The preamble: record count, name table, first record offset."""
+    head = stream.read(_HEADER.size)
+    if len(head) < _HEADER.size:
         raise TraceError(f"{source} is too short to be a binary trace")
-    magic, version, _, count, table_length = _HEADER.unpack_from(data, 0)
+    magic, version, _, count, table_length = _HEADER.unpack(head)
     if magic != MAGIC:
         raise TraceError(f"{source} is not a binary repro trace")
     if version != VERSION:
         raise TraceError(f"unsupported binary trace version {version}")
-    offset = _HEADER.size
-    table_bytes = data[offset:offset + table_length]
+    table_bytes = stream.read(table_length)
     if len(table_bytes) != table_length:
         # Without the full string table no record can be decoded, so
         # there is nothing to salvage.
         raise TraceError(f"{source} truncated inside the string table")
     try:
-        names = ([part.decode("utf-8")
-                  for part in table_bytes.split(b"\x00")]
-                 if table_length else [])
+        names = (tuple(part.decode("utf-8")
+                       for part in table_bytes.split(b"\x00"))
+                 if table_length else ())
     except UnicodeDecodeError as error:
         raise TraceError(f"corrupt string table: {error}") from error
-    offset += table_length
-    expected_bytes = count * _RECORD.size
-    available = len(data) - offset
-    decodable = min(count, available // _RECORD.size)
-    events: List[TraceEvent] = []
-    for record_index in range(decodable):
-        (rank, region_id, activity_id, begin, end, kind_id, nbytes,
-         partner) = _RECORD.unpack_from(offset=offset +
-                                        record_index * _RECORD.size,
-                                        buffer=data)
-        if region_id >= len(names) or activity_id >= len(names):
-            return _salvage(
-                source, events,
-                f"record {record_index}: name index out of range",
-                on_error)
-        if kind_id >= len(EVENT_KINDS):
-            return _salvage(
-                source, events,
-                f"record {record_index}: bad kind {kind_id}", on_error)
+    return count, names, _HEADER.size + table_length
+
+
+#: Column types of a decoded chunk, in :data:`RECORD` field order.
+_COLUMN_TYPES = (np.int64, np.intp, np.intp, float, float, np.uint8,
+                 np.uint64, np.int64)
+
+
+def _decode_block(data: bytes, names: Tuple[str, ...],
+                  first: int) -> Tuple[EventColumns, Optional[str]]:
+    """Decode the whole records in ``data`` (record ``first`` onwards).
+
+    Stops before the first invalid record and returns why it is
+    invalid (its first failing check, in the scalar decoder's order),
+    or ``None`` when every record decoded.
+    """
+    records = np.frombuffer(data, dtype=RECORD,
+                            count=len(data) // RECORD.itemsize)
+    region, activity, kind = (records[field] for field in
+                              ("region", "activity", "kind"))
+    # One slot past the table stands for out-of-range codes.
+    blank = np.array([not name for name in names] + [False])
+    bad = ((region >= len(names)) | (activity >= len(names))
+           | (kind >= len(EVENT_KINDS)) | (records["end"] < records["begin"])
+           | blank[np.minimum(activity, len(names))])
+    reason = None
+    if bad.any():
+        stop = int(bad.argmax())
+        record = records[stop].item()
         try:
-            events.append(TraceEvent(
-                rank=rank, region=names[region_id],
-                activity=names[activity_id], begin=begin, end=end,
-                kind=EVENT_KINDS[kind_id], nbytes=nbytes, partner=partner))
+            if max(record[1], record[2]) >= len(names):
+                raise TraceError("name index out of range")
+            if record[5] >= len(EVENT_KINDS):
+                raise TraceError(f"bad kind {record[5]}")
+            check_event(record[0], names[record[2]], record[3], record[4],
+                        EVENT_KINDS[record[5]])
         except TraceError as error:
-            return _salvage(source, events,
-                            f"record {record_index}: {error}", on_error)
-    trailing = data[offset + expected_bytes:]
-    if available < expected_bytes or trailing.strip(b"\x00"):
-        return _salvage(
-            source, events,
-            f"truncated: header promises {count} events "
-            f"({expected_bytes} bytes), found {available}", on_error)
-    return events
+            reason = f"record {first + stop}: {error}"
+        records = records[:stop]
+    return EventColumns(*(records[field].astype(dtype) for field, dtype
+                          in zip(RECORD.names, _COLUMN_TYPES)),
+                        names=names), reason
+
+
+def iter_binary_trace(path: PathLike,
+                      chunk_size: int = DEFAULT_CHUNK_SIZE,
+                      on_error: str = "salvage") -> Iterator[EventColumns]:
+    """Iterate a binary trace in bounded chunks.
+
+    Damage inside the records salvages the valid prefix with a
+    :class:`~repro.errors.TraceWarning` (``on_error="salvage"``, the
+    default) or raises (``"raise"``); damage before the first record
+    (header or string table) raises in both modes.  Trailing NUL
+    padding after the promised records (block-padded archival storage)
+    is not damage — the binary counterpart of the blank lines the JSONL
+    reader skips.
+    """
+    return iter_binary_span(path, 0, None, chunk_size, on_error)
+
+
+def iter_binary_span(path: PathLike, start: int, stop: Optional[int],
+                     chunk_size: int = DEFAULT_CHUNK_SIZE,
+                     on_error: str = "salvage") -> Iterator[EventColumns]:
+    """Iterate the records ``[start, stop)`` of a binary trace — the
+    format's one parser, decoding blocks of ``chunk_size`` records.
+
+    The shard reader: seeks straight to the first record of the range
+    and never reads outside it (plus the fixed-size preamble).  Ranges
+    beyond the file's promised records are clipped.  Damage is counted
+    in file records, so the span ``[0, count)`` salvages, warns and
+    raises exactly like :func:`iter_binary_trace`, which is the span
+    ``[0, None)``: the whole file, where non-NUL bytes after the
+    promised records are damage too.
+    """
+    source = reader_source(path, chunk_size, on_error)
+    if start < 0 or (stop is not None and stop < start):
+        raise TraceError(f"invalid record span [{start}, {stop})")
+    with open(source, "rb") as stream:
+        count, names, data_offset = _read_header(source, stream)
+        end = count if stop is None else min(stop, count)
+        stream.seek(data_offset + start * RECORD.itemsize)
+        position = start
+        while position < end:
+            want = min(chunk_size, end - position)
+            chunk, reason = _decode_block(
+                stream.read(want * RECORD.itemsize), names, position)
+            if reason is not None:
+                damage(source, position + len(chunk), reason, on_error)
+            if len(chunk):
+                yield chunk
+            if reason is not None:
+                return
+            position += len(chunk)
+            if len(chunk) < want:               # the file ends early
+                break
+        if position < end or (stop is None
+                              and stream.read().strip(b"\x00")):
+            found = os.fstat(stream.fileno()).st_size - data_offset
+            damage(source, position,
+                   f"truncated: header promises {count} events "
+                   f"({count * RECORD.itemsize} bytes), found "
+                   f"{found}", on_error)
+
+
+def read_binary_trace(path: PathLike,
+                      on_error: str = "salvage") -> List[TraceEvent]:
+    """Read a binary trace file, validating every record (see
+    :func:`iter_binary_trace` for the damage semantics)."""
+    return materialize(iter_binary_trace(path, on_error=on_error))
+
+
+def binary_record_count(path: PathLike) -> Tuple[int, int]:
+    """``(record count, data offset)`` of a binary trace, from the
+    preamble alone — what the shard planner needs without reading the
+    records."""
+    source = reader_source(path, 1, "raise")
+    with open(source, "rb") as stream:
+        count, _, data_offset = _read_header(source, stream)
+    return count, data_offset
 
 
 def sniff_format(path: PathLike) -> str:
@@ -175,15 +227,20 @@ def sniff_format(path: PathLike) -> str:
     return "unknown"
 
 
+def format_reader(path: PathLike) -> Callable[..., Iterator[EventColumns]]:
+    """The chunk iterator a trace file needs, chosen by its signature."""
+    kind = sniff_format(path)
+    if kind == "binary":
+        return iter_binary_trace
+    if kind == "jsonl":
+        return iter_trace
+    raise TraceError(f"{path} is in no supported trace format")
+
+
 def read_any(path: PathLike,
              on_error: str = "salvage") -> List[TraceEvent]:
     """Read a trace file in whichever supported format it uses."""
-    kind = sniff_format(path)
-    if kind == "binary":
-        return read_binary_trace(path, on_error=on_error)
-    if kind == "jsonl":
-        return read_jsonl(path, on_error=on_error)
-    raise TraceError(f"{path} is in no supported trace format")
+    return materialize(format_reader(path)(path, on_error=on_error))
 
 
 def read_any_tracer(path: PathLike, on_error: str = "salvage") -> Tracer:

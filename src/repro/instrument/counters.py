@@ -12,7 +12,9 @@ This module un-clutters that restriction: it aggregates a trace into
 activity, processor) — packaged as a :class:`MeasurementSet` so the
 whole dissimilarity machinery (standardization, indices of dispersion,
 views, ranking) applies verbatim.  A program that is time-balanced but
-communication-skewed shows up here and nowhere else.
+communication-skewed shows up here and nowhere else.  The tensor comes
+from the same kernel as the timing profile, summing a weight column
+instead of the durations.
 
 Counters use the ``sum`` aggregation (the total message count of a
 region is the sum over processors, not the maximum).
@@ -24,23 +26,35 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ..core.measurements import DEFAULT_ACTIVITIES, MeasurementSet
+from ..core.measurements import MeasurementSet
+from ..core.online import OnlineAccumulator
 from ..errors import TraceError
-from .events import OUTSIDE_REGION
-from .tracer import Tracer
+from .columns import EventColumns, as_chunks
+from .events import EVENT_KINDS
 
 #: Counters that can be extracted from a trace.
 COUNTERS = ("messages", "bytes", "events")
 
-#: Event kinds that represent an initiated message (receives and waits
+#: Event kind that represents an initiated message (receives and waits
 #: would double-count the same message).
-_MESSAGE_KINDS = ("send",)
+_SEND = EVENT_KINDS.index("send")
 
 
-def count_profile(tracer: Tracer, counter: str = "messages",
+def _weights(chunk: EventColumns, counter: str) -> np.ndarray:
+    """What each event of ``chunk`` adds to its cell."""
+    if counter == "events":
+        return np.ones(len(chunk))
+    sent = chunk.kind == _SEND
+    if counter == "messages":
+        return sent.astype(float)
+    return np.where(sent, chunk.nbytes, 0).astype(float)
+
+
+def count_profile(tracer, counter: str = "messages",
                   regions: Optional[Sequence[str]] = None,
                   activities: Optional[Sequence[str]] = None) -> MeasurementSet:
-    """Aggregate a trace into a counter tensor.
+    """Aggregate a trace (a :class:`~repro.instrument.Tracer` or an
+    iterable of column chunks) into a counter tensor.
 
     ``counter`` selects what is counted per (region, activity, rank):
 
@@ -55,44 +69,15 @@ def count_profile(tracer: Tracer, counter: str = "messages",
     if counter not in COUNTERS:
         raise TraceError(f"counter must be one of {COUNTERS}, "
                          f"got {counter!r}")
-    if len(tracer) == 0:
+    accumulator = OnlineAccumulator(regions, activities, aggregation="sum")
+    for chunk in as_chunks(tracer):
+        accumulator.update(chunk, weights=_weights(chunk, counter))
+    if accumulator.n_events == 0:
         raise TraceError("cannot count an empty trace")
-    region_names = tuple(regions) if regions is not None else tracer.regions()
-    if not region_names:
-        raise TraceError("trace contains no annotated regions")
-    if activities is not None:
-        activity_names = tuple(activities)
-    else:
-        seen = tracer.activities()
-        activity_names = tuple(
-            [name for name in DEFAULT_ACTIVITIES if name in seen] +
-            [name for name in seen if name not in DEFAULT_ACTIVITIES])
-    region_index = {name: i for i, name in enumerate(region_names)}
-    activity_index = {name: j for j, name in enumerate(activity_names)}
-
-    tensor = np.zeros((len(region_names), len(activity_names),
-                       tracer.n_ranks))
-    for event in tracer.events:
-        if event.region == OUTSIDE_REGION:
-            continue
-        i = region_index.get(event.region)
-        if i is None:
-            if regions is None:
-                raise TraceError(
-                    f"internal error: unindexed region {event.region!r}")
-            continue
-        j = activity_index.get(event.activity)
-        if j is None:
-            raise TraceError(
-                f"trace contains activity {event.activity!r} not in "
-                f"{activity_names}")
-        if counter == "events":
-            tensor[i, j, event.rank] += 1
-        elif event.kind in _MESSAGE_KINDS:
-            tensor[i, j, event.rank] += \
-                1 if counter == "messages" else event.nbytes
+    tensor = accumulator.tensor()
     if tensor.sum() <= 0.0:
         raise TraceError(f"trace contains nothing to count for "
                          f"counter {counter!r}")
-    return MeasurementSet(tensor, regions=region_names,
-                          activities=activity_names, aggregation="sum")
+    return MeasurementSet(tensor, regions=accumulator.regions(),
+                          activities=accumulator.activities(),
+                          aggregation="sum")

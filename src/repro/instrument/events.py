@@ -21,6 +21,23 @@ OUTSIDE_REGION = "(outside regions)"
 EVENT_KINDS = ("compute", "send", "recv", "wait")
 
 
+def check_event(rank: int, activity: str, begin: float, end: float,
+                kind: str) -> None:
+    """Raise :class:`TraceError` when the fields make no valid event.
+
+    The one validation every event passes, whether it is built as a
+    :class:`TraceEvent` or decoded straight into columns.
+    """
+    if rank < 0:
+        raise TraceError("rank must be non-negative")
+    if end < begin:
+        raise TraceError(f"event ends before it begins ({begin} > {end})")
+    if kind not in EVENT_KINDS:
+        raise TraceError(f"unknown event kind {kind!r}")
+    if not activity:
+        raise TraceError("activity must be non-empty")
+
+
 @dataclass(frozen=True)
 class TraceEvent:
     """One interval of one rank's execution."""
@@ -35,15 +52,8 @@ class TraceEvent:
     partner: int = -1
 
     def __post_init__(self) -> None:
-        if self.rank < 0:
-            raise TraceError("rank must be non-negative")
-        if self.end < self.begin:
-            raise TraceError(
-                f"event ends before it begins ({self.begin} > {self.end})")
-        if self.kind not in EVENT_KINDS:
-            raise TraceError(f"unknown event kind {self.kind!r}")
-        if not self.activity:
-            raise TraceError("activity must be non-empty")
+        check_event(self.rank, self.activity, self.begin, self.end,
+                    self.kind)
 
     @property
     def duration(self) -> float:

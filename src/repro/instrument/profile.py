@@ -2,7 +2,8 @@
 
 The methodology consumes a :class:`~repro.core.measurements.MeasurementSet`;
 this module builds one from a trace by summing event durations per
-(region, activity, rank).
+(region, activity, rank) — a thin wrapper over the one columnar kernel,
+:class:`~repro.core.online.OnlineAccumulator`.
 
 Conventions:
 
@@ -22,15 +23,12 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-import numpy as np
-
-from ..core.measurements import DEFAULT_ACTIVITIES, MeasurementSet
-from ..errors import TraceError
-from .events import OUTSIDE_REGION
-from .tracer import Tracer
+from ..core.measurements import MeasurementSet
+from ..core.online import OnlineAccumulator
+from .columns import as_chunks
 
 
-def profile(tracer: Tracer,
+def profile(tracer,
             regions: Optional[Sequence[str]] = None,
             activities: Optional[Sequence[str]] = None,
             aggregation: str = "max",
@@ -40,7 +38,9 @@ def profile(tracer: Tracer,
     Parameters
     ----------
     tracer:
-        The recorded trace.
+        The recorded trace: a :class:`~repro.instrument.Tracer`, or an
+        iterable of :class:`~repro.instrument.columns.EventColumns`
+        chunks such as :func:`~repro.instrument.iter_any` yields.
     regions:
         Region order to use; defaults to order of first appearance.
         Regions listed but absent from the trace yield all-zero rows.
@@ -54,48 +54,5 @@ def profile(tracer: Tracer,
         Pass it when the trace is a slice in which some ranks are idle
         (idle ranks still occupy a column of zeros).
     """
-    if len(tracer) == 0:
-        raise TraceError("cannot profile an empty trace")
-    region_names = tuple(regions) if regions is not None else tracer.regions()
-    if not region_names:
-        raise TraceError("trace contains no annotated regions")
-    if activities is not None:
-        activity_names = tuple(activities)
-    else:
-        seen = tracer.activities()
-        activity_names = tuple(
-            [name for name in DEFAULT_ACTIVITIES if name in seen] +
-            [name for name in seen if name not in DEFAULT_ACTIVITIES])
-    if n_ranks is None:
-        n_ranks = tracer.n_ranks
-    elif n_ranks < tracer.n_ranks:
-        raise TraceError(
-            f"n_ranks={n_ranks} but the trace mentions rank "
-            f"{tracer.n_ranks - 1}")
-    region_index = {name: i for i, name in enumerate(region_names)}
-    activity_index = {name: j for j, name in enumerate(activity_names)}
-
-    tensor = np.zeros((len(region_names), len(activity_names), n_ranks))
-    for event in tracer.events:
-        if event.region == OUTSIDE_REGION:
-            continue
-        i = region_index.get(event.region)
-        if i is None:
-            if regions is None:
-                raise TraceError(
-                    f"internal error: unindexed region {event.region!r}")
-            continue    # caller restricted the region set
-        j = activity_index.get(event.activity)
-        if j is None:
-            raise TraceError(
-                f"trace contains activity {event.activity!r} not in "
-                f"{activity_names}")
-        tensor[i, j, event.rank] += event.duration
-
-    preliminary = MeasurementSet(tensor, regions=region_names,
-                                 activities=activity_names,
-                                 aggregation=aggregation)
-    total = max(tracer.elapsed, preliminary.covered_time)
-    return MeasurementSet(tensor, regions=region_names,
-                          activities=activity_names,
-                          total_time=total, aggregation=aggregation)
+    return OnlineAccumulator(regions, activities, aggregation,
+                             n_ranks).consume(as_chunks(tracer)).finalize()

@@ -1,409 +1,39 @@
-"""Chunked, bounded-memory trace iteration (the out-of-core readers).
+"""Chunked trace iteration and the two trace folds every command shares.
 
-:func:`repro.instrument.read_trace` and :func:`read_binary_trace`
-materialize every event before analysis can start — a hard ceiling on
-trace size.  This module provides the streaming counterparts:
-
-* :func:`iter_trace` / :func:`iter_binary_trace` / :func:`iter_any` —
-  generators yielding *chunks* (lists) of :class:`TraceEvent`, at most
-  ``chunk_size`` events each, so peak memory is bounded by the chunk
-  size (plus the fixed-size decoder state) no matter how long the
-  trace is.  ``.gz`` files are decompressed transparently.
-* :func:`iter_trace_span` / :func:`iter_binary_span` — the shard
-  readers: iterate only a byte range (JSONL) or record range (binary)
-  of a file, so :mod:`repro.shards` can fan a single trace out over
-  worker processes.
-
-Salvage semantics match the eager readers event for event: a damaged
-file yields the valid prefix of events and then issues one
-:class:`~repro.errors.TraceWarning` (``on_error="salvage"``, the
-default) or raises :class:`~repro.errors.TraceError`
-(``on_error="raise"``); damage before the first decodable event raises
-in both modes.  The one inherent difference of a generator: in strict
-mode the error surfaces at the chunk that hits the damage, after
-earlier chunks were already yielded — callers that must not observe a
-partial prefix should buffer until exhaustion (which is what
-:func:`read_trace` is for).
-
-Blank lines in JSONL traces and trailing NUL padding in binary traces
-(e.g. from block-padded archival storage) are skipped without being
-counted as damage, identically to the eager readers.
+The readers live with their formats (:mod:`.tracefile`, :mod:`.binary`;
+re-exported here) and yield bounded
+:class:`~repro.instrument.columns.EventColumns` chunks.  On top of
+them, :func:`iter_any` dispatches by format and adds per-chunk decode
+spans, :func:`accumulate_trace` folds a trace into an
+:class:`~repro.core.online.OnlineAccumulator` (sequentially or over
+shard workers), and :func:`trace_windows` windows it in two passes.
+The CLI, the daemon's jobs and ingest, and the sweep workers all go
+through these two folds.
 """
 
 from __future__ import annotations
 
-import json
 import warnings
 from pathlib import Path
 from typing import Iterator, List, Optional, Tuple, Union
 
-from ..errors import TraceError, TraceWarning
+from ..core.online import OnlineAccumulator
+from ..errors import TraceWarning
 from ..obs import spans as obspans
-from .binary import MAGIC, VERSION, _HEADER, _RECORD
-from .events import EVENT_KINDS, TraceEvent
-from .tracefile import FORMAT_NAME, FORMAT_VERSION, _check_on_error, _open
+from .binary import (format_reader, iter_binary_span,  # noqa: F401
+                     iter_binary_trace)
+from .columns import DEFAULT_CHUNK_SIZE, EventColumns
+from .tracefile import iter_trace, iter_trace_span  # noqa: F401
+from .windows import Window, fold_windows
 
 PathLike = Union[str, Path]
 
-#: Default number of events per yielded chunk.
-DEFAULT_CHUNK_SIZE = 8192
 
-EventChunk = List[TraceEvent]
-
-
-def _check_chunk_size(chunk_size: int) -> None:
-    if chunk_size < 1:
-        raise TraceError(f"chunk_size must be >= 1, got {chunk_size}")
-
-
-def _require_file(path: PathLike) -> Path:
-    source = Path(path)
-    if not source.exists():
-        raise TraceError(f"trace file {source} does not exist")
-    return source
-
-
-def _stream_damage(source: Path, salvaged: int, reason: str,
-                   on_error: str) -> None:
-    """Handle damage mid-stream: raise, or warn about the salvaged
-    prefix (raising when there was nothing to salvage, like the eager
-    ``_salvage``)."""
-    if on_error == "raise" or salvaged == 0:
-        raise TraceError(f"trace {source}: {reason}")
-    warnings.warn(TraceWarning(
-        f"trace {source}: {reason}; salvaged the first "
-        f"{salvaged} event(s)"), stacklevel=3)
-
-
-def _event_from_json(record: dict) -> TraceEvent:
-    return TraceEvent(
-        rank=int(record["r"]), region=str(record["g"]),
-        activity=str(record["a"]), begin=float(record["b"]),
-        end=float(record["e"]), kind=str(record["k"]),
-        nbytes=int(record["n"]), partner=int(record["p"]))
-
-
-def _parse_header(source: Path, header_line: str) -> Optional[int]:
-    """Validate the JSONL header; returns the promised event count."""
-    try:
-        header = json.loads(header_line)
-    except json.JSONDecodeError as error:
-        raise TraceError(f"bad trace header: {error}") from error
-    if not isinstance(header, dict) or header.get("format") != FORMAT_NAME:
-        raise TraceError(
-            f"not a {FORMAT_NAME} file (format={header.get('format')!r})"
-            if isinstance(header, dict) else
-            f"not a {FORMAT_NAME} file (header is not an object)")
-    if header.get("version") != FORMAT_VERSION:
-        raise TraceError(
-            f"unsupported trace version {header.get('version')!r}")
-    return header.get("events")
-
-
-def iter_trace(path: PathLike, chunk_size: int = DEFAULT_CHUNK_SIZE,
-               on_error: str = "salvage") -> Iterator[EventChunk]:
-    """Iterate a JSONL trace (optionally gzipped) in bounded chunks.
-
-    Yields lists of at most ``chunk_size`` events, in file order.
-    Concatenating every chunk reproduces :func:`read_trace` exactly,
-    including the salvage/raise behaviour on damaged files.
-    """
-    _check_on_error(on_error)
-    _check_chunk_size(chunk_size)
-    source = _require_file(path)
-
-    chunk: EventChunk = []
-    yielded = 0
-    expected = None
-    damaged = False
-    try:
-        with _open(source, "r") as stream:
-            header_line = stream.readline()
-            if not header_line:
-                raise TraceError(f"trace file {source} is empty")
-            expected = _parse_header(source, header_line)
-            line_number = 1
-            while True:
-                line = stream.readline()
-                if not line:
-                    break
-                line_number += 1
-                if not line.strip():
-                    continue
-                try:
-                    chunk.append(_event_from_json(json.loads(line)))
-                except (json.JSONDecodeError, KeyError, TypeError,
-                        ValueError, TraceError) as error:
-                    _stream_damage(
-                        source, yielded + len(chunk),
-                        f"bad event at line {line_number}: {error}",
-                        on_error)
-                    damaged = True
-                    break
-                if len(chunk) == chunk_size:
-                    yielded += len(chunk)
-                    yield chunk
-                    chunk = []
-    except (EOFError, OSError, UnicodeDecodeError) as error:
-        # Truncated gzip streams surface as EOFError / BadGzipFile;
-        # corrupt bytes can break the UTF-8 decoding itself.
-        _stream_damage(source, yielded + len(chunk),
-                       f"damaged stream: {error}", on_error)
-        damaged = True
-    if chunk:
-        yielded += len(chunk)
-        yield chunk
-    if not damaged and expected is not None and expected != yielded:
-        _stream_damage(
-            source, yielded,
-            f"truncated: header promises {expected} events, "
-            f"found {yielded}", on_error)
-
-
-def iter_trace_span(path: PathLike, start: int, stop: int,
-                    chunk_size: int = DEFAULT_CHUNK_SIZE,
-                    on_error: str = "salvage") -> Iterator[EventChunk]:
-    """Iterate the events of one byte range of an *uncompressed* JSONL
-    trace.
-
-    An event line belongs to the span iff its first byte lies in
-    ``[start, stop)``; spans that tile the file therefore partition the
-    events exactly once, regardless of where the cut points fall inside
-    lines.  ``start == 0`` validates and skips the header line.  An
-    empty span is fine (no events), so the shard planner need not
-    inspect line boundaries.  Gzip members are not seekable mid-stream;
-    use :func:`iter_trace` for ``.gz`` files.
-    """
-    _check_on_error(on_error)
-    _check_chunk_size(chunk_size)
-    source = _require_file(path)
-    if source.suffix == ".gz":
-        raise TraceError(
-            f"trace {source}: byte-range spans require an uncompressed "
-            "trace (gzip streams are not seekable)")
-    if start < 0 or stop < start:
-        raise TraceError(f"invalid byte span [{start}, {stop})")
-
-    chunk: EventChunk = []
-    yielded = 0
-    with open(source, "rb") as stream:
-        if start == 0:
-            header_line = stream.readline()
-            if not header_line:
-                raise TraceError(f"trace file {source} is empty")
-            _parse_header(source, header_line.decode("utf-8",
-                                                     errors="replace"))
-        else:
-            # Discard the (possibly partial) line containing start-1;
-            # the next line starts at the first line boundary >= start.
-            stream.seek(start - 1)
-            stream.readline()
-        while True:
-            offset = stream.tell()
-            if offset >= stop:
-                break
-            line = stream.readline()
-            if not line:
-                break
-            if not line.strip():
-                continue
-            try:
-                chunk.append(_event_from_json(
-                    json.loads(line.decode("utf-8"))))
-            except (json.JSONDecodeError, KeyError, TypeError,
-                    ValueError, UnicodeDecodeError, TraceError) as error:
-                if on_error == "raise":
-                    raise TraceError(
-                        f"trace {source}: bad event at byte {offset}: "
-                        f"{error}") from None
-                warnings.warn(TraceWarning(
-                    f"trace {source}: bad event at byte {offset}: "
-                    f"{error}; salvaged the first "
-                    f"{yielded + len(chunk)} event(s) of the span"),
-                    stacklevel=2)
-                break
-            if len(chunk) == chunk_size:
-                yielded += len(chunk)
-                yield chunk
-                chunk = []
-    if chunk:
-        yield chunk
-
-
-class _BinaryHeader:
-    """Decoded binary-trace preamble: counts, names and offsets."""
-
-    __slots__ = ("count", "names", "data_offset")
-
-    def __init__(self, count: int, names: List[str], data_offset: int):
-        self.count = count
-        self.names = names
-        self.data_offset = data_offset
-
-
-def _read_binary_header(source: Path, stream) -> _BinaryHeader:
-    head = stream.read(_HEADER.size)
-    if len(head) < _HEADER.size:
-        raise TraceError(f"{source} is too short to be a binary trace")
-    magic, version, _, count, table_length = _HEADER.unpack(head)
-    if magic != MAGIC:
-        raise TraceError(f"{source} is not a binary repro trace")
-    if version != VERSION:
-        raise TraceError(f"unsupported binary trace version {version}")
-    table_bytes = stream.read(table_length)
-    if len(table_bytes) != table_length:
-        raise TraceError(f"{source} truncated inside the string table")
-    try:
-        names = ([part.decode("utf-8")
-                  for part in table_bytes.split(b"\x00")]
-                 if table_length else [])
-    except UnicodeDecodeError as error:
-        raise TraceError(f"corrupt string table: {error}") from error
-    return _BinaryHeader(count, names, _HEADER.size + table_length)
-
-
-def _decode_record(record_index: int, data: bytes, offset: int,
-                   names: List[str]) -> TraceEvent:
-    """Decode one record; raises :class:`TraceError` on any damage."""
-    (rank, region_id, activity_id, begin, end, kind_id, nbytes,
-     partner) = _RECORD.unpack_from(data, offset)
-    if region_id >= len(names) or activity_id >= len(names):
-        raise TraceError(f"record {record_index}: name index out of range")
-    if kind_id >= len(EVENT_KINDS):
-        raise TraceError(f"record {record_index}: bad kind {kind_id}")
-    try:
-        return TraceEvent(
-            rank=rank, region=names[region_id],
-            activity=names[activity_id], begin=begin, end=end,
-            kind=EVENT_KINDS[kind_id], nbytes=nbytes, partner=partner)
-    except TraceError as error:
-        raise TraceError(f"record {record_index}: {error}") from None
-
-
-def _is_padding(trailing: bytes) -> bool:
-    """True when the bytes after the promised records are NUL padding
-    (block-padded storage), which both binary readers tolerate the way
-    the JSONL readers tolerate blank lines."""
-    return not trailing.strip(b"\x00")
-
-
-def iter_binary_trace(path: PathLike,
-                      chunk_size: int = DEFAULT_CHUNK_SIZE,
-                      on_error: str = "salvage") -> Iterator[EventChunk]:
-    """Iterate a binary trace in bounded chunks.
-
-    Reads ``chunk_size`` records at a time instead of slurping the
-    file; concatenating every chunk reproduces
-    :func:`read_binary_trace` exactly, including the salvage/raise
-    behaviour and the trailing NUL-padding tolerance.
-    """
-    _check_on_error(on_error)
-    _check_chunk_size(chunk_size)
-    source = _require_file(path)
-
-    with open(source, "rb") as stream:
-        header = _read_binary_header(source, stream)
-        decoded = 0
-        damaged = False
-        leftover = b""
-        while decoded < header.count:
-            want = min(chunk_size, header.count - decoded)
-            data = stream.read(want * _RECORD.size)
-            whole = len(data) // _RECORD.size
-            chunk: EventChunk = []
-            for position in range(whole):
-                try:
-                    chunk.append(_decode_record(
-                        decoded + position, data,
-                        position * _RECORD.size, header.names))
-                except TraceError as error:
-                    _stream_damage(source, decoded + position,
-                                   str(error), on_error)
-                    if chunk:
-                        yield chunk
-                    return
-            decoded += whole
-            if chunk:
-                yield chunk
-            if whole < want:            # short read: file ends early
-                leftover = data[whole * _RECORD.size:]
-                damaged = True
-                break
-        trailing = leftover + stream.read()
-        if damaged or (trailing and not _is_padding(trailing)):
-            expected_bytes = header.count * _RECORD.size
-            available = decoded * _RECORD.size + len(trailing)
-            _stream_damage(
-                source, decoded,
-                f"truncated: header promises {header.count} events "
-                f"({expected_bytes} bytes), found {available}", on_error)
-
-
-def iter_binary_span(path: PathLike, start: int, stop: int,
-                     chunk_size: int = DEFAULT_CHUNK_SIZE,
-                     on_error: str = "salvage") -> Iterator[EventChunk]:
-    """Iterate the records ``[start, stop)`` of a binary trace.
-
-    The shard reader: seeks straight to the first record of the range
-    and never reads outside it (plus the fixed-size preamble).  Ranges
-    beyond the file's decodable records are clipped; damage inside the
-    range follows ``on_error`` like everything else.
-    """
-    _check_on_error(on_error)
-    _check_chunk_size(chunk_size)
-    source = _require_file(path)
-    if start < 0 or stop < start:
-        raise TraceError(f"invalid record span [{start}, {stop})")
-
-    with open(source, "rb") as stream:
-        header = _read_binary_header(source, stream)
-        stop = min(stop, header.count)
-        if start >= stop:
-            return
-        stream.seek(header.data_offset + start * _RECORD.size)
-        decoded = 0
-        span = stop - start
-        while decoded < span:
-            want = min(chunk_size, span - decoded)
-            data = stream.read(want * _RECORD.size)
-            whole = len(data) // _RECORD.size
-            chunk = []
-            for position in range(whole):
-                try:
-                    chunk.append(_decode_record(
-                        start + decoded + position, data,
-                        position * _RECORD.size, header.names))
-                except TraceError as error:
-                    if on_error == "raise":
-                        raise TraceError(
-                            f"trace {source}: {error}") from None
-                    warnings.warn(TraceWarning(
-                        f"trace {source}: {error}; salvaged the first "
-                        f"{decoded + position} record(s) of the span"),
-                        stacklevel=2)
-                    if chunk:
-                        yield chunk
-                    return
-            decoded += whole
-            if chunk:
-                yield chunk
-            if whole < want:
-                if on_error == "raise":
-                    raise TraceError(
-                        f"trace {source}: truncated inside record span "
-                        f"[{start}, {stop})")
-                warnings.warn(TraceWarning(
-                    f"trace {source}: truncated inside record span "
-                    f"[{start}, {stop}); salvaged the first "
-                    f"{decoded} record(s) of the span"), stacklevel=2)
-                return
-
-
-def _spanned_chunks(chunks: Iterator[EventChunk], stage: str,
-                    trace: str) -> Iterator[EventChunk]:
+def _spanned_chunks(chunks: Iterator[EventColumns], stage: str,
+                    trace: str) -> Iterator[EventColumns]:
     """Wrap each ``next()`` of a chunk iterator in a decode span.
 
-    The span covers the decode work (file reads, JSON/struct parsing),
+    The span covers the decode work (file reads, JSON/record parsing),
     not the consumer's fold — the two alternate, so `repro self` can
     tell whether a slow stream spends its time decoding or
     accumulating.  StopIteration must be caught inside the ``with``
@@ -420,8 +50,8 @@ def _spanned_chunks(chunks: Iterator[EventChunk], stage: str,
         yield chunk
 
 
-def instrument_chunks(chunks: Iterator[EventChunk], stage: str,
-                      trace: PathLike) -> Iterator[EventChunk]:
+def instrument_chunks(chunks: Iterator[EventColumns], stage: str,
+                      trace: PathLike) -> Iterator[EventColumns]:
     """Per-chunk decode spans around ``chunks`` — only when span
     recording is enabled at call time; otherwise the iterator comes
     back untouched, so the streaming hot loop pays nothing."""
@@ -431,26 +61,44 @@ def instrument_chunks(chunks: Iterator[EventChunk], stage: str,
 
 
 def iter_any(path: PathLike, chunk_size: int = DEFAULT_CHUNK_SIZE,
-             on_error: str = "salvage") -> Iterator[EventChunk]:
+             on_error: str = "salvage") -> Iterator[EventColumns]:
     """Iterate a trace in whichever supported format it uses."""
-    from .binary import sniff_format
-    kind = sniff_format(path)
-    if kind == "binary":
-        chunks = iter_binary_trace(path, chunk_size=chunk_size,
-                                   on_error=on_error)
-    elif kind == "jsonl":
-        chunks = iter_trace(path, chunk_size=chunk_size,
-                            on_error=on_error)
-    else:
-        raise TraceError(f"{path} is in no supported trace format")
+    chunks = format_reader(path)(path, chunk_size=chunk_size,
+                                 on_error=on_error)
     return instrument_chunks(chunks, "stream_decode", path)
 
 
-def binary_record_count(path: PathLike) -> Tuple[int, int]:
-    """``(record count, data offset)`` of a binary trace, from the
-    preamble alone — what the shard planner needs without reading the
-    records."""
-    source = _require_file(path)
-    with open(source, "rb") as stream:
-        header = _read_binary_header(source, stream)
-    return header.count, header.data_offset
+def accumulate_trace(path: PathLike, chunk_size: int = DEFAULT_CHUNK_SIZE,
+                     on_error: str = "salvage",
+                     jobs: Optional[int] = None) -> OnlineAccumulator:
+    """Fold a whole trace file into an accumulator in bounded memory:
+    chunk by chunk, or over ``jobs`` shard workers when ``jobs > 1``."""
+    if jobs is not None and jobs > 1:
+        from ..shards import shard_accumulate
+        return shard_accumulate(path, jobs=jobs, chunk_size=chunk_size,
+                                on_error=on_error)
+    return OnlineAccumulator().consume(
+        iter_any(path, chunk_size=chunk_size, on_error=on_error))
+
+
+def trace_windows(path: PathLike, n_windows: int,
+                  chunk_size: int = DEFAULT_CHUNK_SIZE,
+                  on_error: str = "salvage", reread: bool = False
+                  ) -> Tuple[List[Window], OnlineAccumulator]:
+    """Slice a trace file into ``n_windows`` equal windows.
+
+    Returns the windows and the pass-1 accumulator (event count,
+    extent).  Pass 2 bins the chunks held from pass 1, or with
+    ``reread`` decodes the file again so only one chunk is alive at a
+    time; its salvage warnings are silenced, since pass 1 already
+    reported them.
+    """
+    def again() -> Iterator[EventColumns]:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", TraceWarning)
+            yield from iter_any(path, chunk_size=chunk_size,
+                                on_error=on_error)
+
+    return fold_windows(
+        iter_any(path, chunk_size=chunk_size, on_error=on_error),
+        n_windows, reread=again if reread else None)

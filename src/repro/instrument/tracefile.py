@@ -16,7 +16,8 @@ validates the header and every event.  A corrupt or truncated file is
 died mid-write should still be analyzable.  ``on_error="raise"``
 restores the strict behaviour, and a file whose header is unreadable
 (nothing salvageable) raises :class:`~repro.errors.TraceError` in both
-modes.
+modes.  Every reader decodes lines with ``json.loads`` straight into
+:class:`~repro.instrument.columns.EventColumns` chunks.
 """
 
 from __future__ import annotations
@@ -25,16 +26,22 @@ import gzip
 import json
 import warnings
 from pathlib import Path
-from typing import Iterable, List, Union
+from typing import Iterable, Iterator, List, Optional, Union
 
 from ..errors import TraceError, TraceWarning
-from .events import TraceEvent
+from .columns import (DEFAULT_CHUNK_SIZE, ColumnBuilder, EventColumns,
+                      damage, materialize, reader_source)
+from .events import TraceEvent, check_event
 from .tracer import Tracer
 
 FORMAT_NAME = "repro-trace"
 FORMAT_VERSION = 1
 
 PathLike = Union[str, Path]
+
+#: What a damaged event line can raise while it is decoded.
+_LINE_ERRORS = (json.JSONDecodeError, KeyError, TypeError, ValueError,
+                TraceError)
 
 
 def _open(path: Path, mode: str):
@@ -65,20 +72,148 @@ def write_tracer(path: PathLike, tracer: Tracer) -> int:
     return write_trace(path, tracer.events)
 
 
-def _check_on_error(on_error: str) -> None:
-    if on_error not in ("salvage", "raise"):
+def parse_header(header_line: str) -> Optional[int]:
+    """Validate the header line; returns the promised event count."""
+    try:
+        header = json.loads(header_line)
+    except json.JSONDecodeError as error:
+        raise TraceError(f"bad trace header: {error}") from error
+    if not isinstance(header, dict) or header.get("format") != FORMAT_NAME:
         raise TraceError(
-            f"on_error must be 'salvage' or 'raise', got {on_error!r}")
+            f"not a {FORMAT_NAME} file (format={header.get('format')!r})"
+            if isinstance(header, dict) else
+            f"not a {FORMAT_NAME} file (header is not an object)")
+    if header.get("version") != FORMAT_VERSION:
+        raise TraceError(
+            f"unsupported trace version {header.get('version')!r}")
+    return header.get("events")
 
 
-def _salvage(source: Path, events: list, reason: str,
-             on_error: str) -> List[TraceEvent]:
-    if on_error == "raise" or not events:
-        raise TraceError(f"trace {source}: {reason}")
-    warnings.warn(TraceWarning(
-        f"trace {source}: {reason}; salvaged the first "
-        f"{len(events)} event(s)"), stacklevel=3)
-    return events
+def _decode_lines(lines, chunk_size: int, damaged):
+    """Decode ``(where, line)`` pairs into chunks of ``chunk_size``
+    events — the format's one parser.
+
+    Blank lines are skipped.  A bad line, or a stream error while
+    reading (a truncated gzip member, undecodable UTF-8), ends the
+    stream: ``damaged(reason, events decoded before it)`` applies the
+    caller's damage policy.  Returns the event count, or ``None`` after
+    damage.
+    """
+    builder = ColumnBuilder()
+    decoded = 0
+    reason = None
+    try:
+        for where, line in lines:
+            if not line.strip():
+                continue
+            try:
+                record = json.loads(line if isinstance(line, str)
+                                    else line.decode("utf-8"))
+                event = (int(record["r"]), str(record["g"]),
+                         str(record["a"]), float(record["b"]),
+                         float(record["e"]), str(record["k"]),
+                         int(record["n"]), int(record["p"]))
+                rank, _, activity, begin, end, kind, _, _ = event
+                check_event(rank, activity, begin, end, kind)
+            except _LINE_ERRORS as error:
+                reason = f"bad event at {where}: {error}"
+                break
+            builder.append(*event)
+            if len(builder) == chunk_size:
+                decoded += chunk_size
+                yield builder.take()
+    except (EOFError, OSError, UnicodeDecodeError) as error:
+        reason = f"damaged stream: {error}"
+    if reason is not None:
+        damaged(reason, decoded + len(builder))
+    decoded += len(builder)
+    if len(builder):
+        yield builder.take()
+    return None if reason else decoded
+
+
+def iter_trace(path: PathLike, chunk_size: int = DEFAULT_CHUNK_SIZE,
+               on_error: str = "salvage") -> Iterator[EventColumns]:
+    """Iterate a JSONL trace (optionally gzipped) in bounded chunks.
+
+    Yields chunks of at most ``chunk_size`` events, in file order.
+    Blank (whitespace-only) lines are not damage and do not count
+    against the header's promised event count.  In strict mode the
+    error surfaces at the chunk that hits the damage, after earlier
+    chunks were already yielded.
+    """
+    source = reader_source(path, chunk_size, on_error)
+    header = []
+
+    def lines():
+        with _open(source, "r") as stream:
+            header_line = stream.readline()
+            if not header_line:
+                raise TraceError(f"trace file {source} is empty")
+            header.append(parse_header(header_line))
+            for number, line in enumerate(stream, start=2):
+                yield f"line {number}", line
+
+    decoded = yield from _decode_lines(
+        lines(), chunk_size,
+        lambda reason, salvaged: damage(source, salvaged, reason, on_error))
+    expected = header[0]
+    if decoded is not None and expected is not None and expected != decoded:
+        damage(source, decoded, f"truncated: header promises {expected} "
+               f"events, found {decoded}", on_error)
+
+
+def iter_trace_span(path: PathLike, start: int, stop: int,
+                    chunk_size: int = DEFAULT_CHUNK_SIZE,
+                    on_error: str = "salvage") -> Iterator[EventColumns]:
+    """Iterate the events of one byte range of an *uncompressed* JSONL
+    trace.
+
+    An event line belongs to the span iff its first byte lies in
+    ``[start, stop)``; spans that tile the file therefore partition the
+    events exactly once, regardless of where the cut points fall inside
+    lines.  ``start == 0`` validates and skips the header line.  Gzip
+    members are not seekable mid-stream; use :func:`iter_trace` for
+    ``.gz`` files.  A span cannot know how many events precede it, so
+    damage salvages the span's own prefix, even an empty one.
+    """
+    source = reader_source(path, chunk_size, on_error)
+    if source.suffix == ".gz":
+        raise TraceError(
+            f"trace {source}: byte-range spans require an uncompressed "
+            "trace (gzip streams are not seekable)")
+    if start < 0 or stop < start:
+        raise TraceError(f"invalid byte span [{start}, {stop})")
+
+    def lines():
+        with open(source, "rb") as stream:
+            if start == 0:
+                header_line = stream.readline()
+                if not header_line:
+                    raise TraceError(f"trace file {source} is empty")
+                parse_header(header_line.decode("utf-8", errors="replace"))
+            else:
+                # Discard the (possibly partial) line containing
+                # start-1; the next line starts at the first line
+                # boundary >= start.
+                stream.seek(start - 1)
+                stream.readline()
+            offset = stream.tell()
+            while offset < stop:
+                line = stream.readline()
+                if not line:
+                    return
+                yield f"byte {offset}", line
+                offset = stream.tell()
+
+    def damaged(reason: str, salvaged: int) -> None:
+        if on_error == "raise":
+            raise TraceError(f"trace {source}: {reason}")
+        warnings.warn(TraceWarning(
+            f"trace {source}: {reason}; salvaged the first {salvaged} "
+            "event(s) of the span"), stacklevel=3)
+
+    yield from _decode_lines(lines(), chunk_size, damaged)
 
 
 def read_trace(path: PathLike,
@@ -91,68 +226,8 @@ def read_trace(path: PathLike,
     ``"raise"`` turns any damage into a :class:`~repro.errors.TraceError`.
     A missing file, an unreadable header or a damaged file with no
     salvageable events raises in both modes.
-
-    Blank (whitespace-only) lines between or after events are not
-    damage: they are skipped in both modes and do not count against the
-    header's promised event count, mirroring the binary reader's
-    tolerance for trailing NUL padding.
     """
-    _check_on_error(on_error)
-    source = Path(path)
-    if not source.exists():
-        raise TraceError(f"trace file {source} does not exist")
-    events: List[TraceEvent] = []
-    expected = None
-    try:
-        with _open(source, "r") as stream:
-            header_line = stream.readline()
-            if not header_line:
-                raise TraceError(f"trace file {source} is empty")
-            try:
-                header = json.loads(header_line)
-            except json.JSONDecodeError as error:
-                raise TraceError(f"bad trace header: {error}") from error
-            if not isinstance(header, dict) \
-                    or header.get("format") != FORMAT_NAME:
-                raise TraceError(
-                    f"not a {FORMAT_NAME} file "
-                    f"(format={header.get('format')!r})"
-                    if isinstance(header, dict) else
-                    f"not a {FORMAT_NAME} file (header is not an object)")
-            if header.get("version") != FORMAT_VERSION:
-                raise TraceError(
-                    f"unsupported trace version {header.get('version')!r}")
-            expected = header.get("events")
-            for line_number, line in enumerate(stream, start=2):
-                if not line.strip():
-                    continue
-                try:
-                    record = json.loads(line)
-                    event = TraceEvent(
-                        rank=int(record["r"]), region=str(record["g"]),
-                        activity=str(record["a"]), begin=float(record["b"]),
-                        end=float(record["e"]), kind=str(record["k"]),
-                        nbytes=int(record["n"]), partner=int(record["p"]))
-                except (json.JSONDecodeError, KeyError, TypeError,
-                        ValueError, TraceError) as error:
-                    return _salvage(
-                        source, events,
-                        f"bad event at line {line_number}: {error}",
-                        on_error)
-                events.append(event)
-    except (EOFError, OSError, UnicodeDecodeError) as error:
-        # A truncated gzip stream surfaces as EOFError (or BadGzipFile,
-        # an OSError) anywhere during iteration; overwritten bytes can
-        # also break the UTF-8 decoding itself — whatever decoded
-        # cleanly before the damage is the salvageable prefix.
-        return _salvage(source, events, f"damaged stream: {error}",
-                        on_error)
-    if expected is not None and expected != len(events):
-        return _salvage(
-            source, events,
-            f"truncated: header promises {expected} events, "
-            f"found {len(events)}", on_error)
-    return events
+    return materialize(iter_trace(path, on_error=on_error))
 
 
 def read_tracer(path: PathLike, on_error: str = "salvage") -> Tracer:

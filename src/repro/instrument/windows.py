@@ -10,13 +10,9 @@ Events spanning a window boundary are split proportionally: the portion
 of the interval inside each window is attributed to that window, so the
 windowed tensors sum (over windows) to the whole-trace tensor exactly.
 
-The windower is a *single-pass sweep*: one vectorized pass bins every
-event (boundary-split) into all windows at once, instead of rescanning
-and re-clipping the full event list once per window.  The historical
-per-window rescan survives as :func:`rescan_window_profiles` /
-:func:`rescan_window_profiles_at` — the reference implementation the
-differential tests and ``benchmarks/bench_temporal.py`` compare
-against; both paths produce bit-identical measurement sets.
+A window is one more axis of the profile's accumulation: after a pass
+that fixes the extent and layout, :func:`fold_windows` bins the events
+with :class:`~repro.core.online.WindowedAccumulator`.
 
 Windows are anchored at the trace's actual ``[begin, end]`` extent, not
 at t=0: a trace whose first event starts at ``t0 > 0`` (a salvaged
@@ -27,15 +23,12 @@ span rather than empty leading windows and misaligned phases.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import (Callable, Iterable, List, Optional, Sequence, Tuple)
 
 from ..core.measurements import MeasurementSet
+from ..core.online import OnlineAccumulator, WindowedAccumulator
 from ..errors import TraceError
-from .events import OUTSIDE_REGION, TraceEvent
-from .profile import profile
-from .tracer import Tracer
+from .columns import EventColumns, as_chunks
 
 
 @dataclass(frozen=True)
@@ -51,166 +44,12 @@ class Window:
         return 0.5 * (self.begin + self.end)
 
 
-def _clip(event: TraceEvent, begin: float, end: float) -> Optional[TraceEvent]:
-    clipped_begin = max(event.begin, begin)
-    clipped_end = min(event.end, end)
-    if clipped_end <= clipped_begin:
-        return None
-    return TraceEvent(rank=event.rank, region=event.region,
-                      activity=event.activity, begin=clipped_begin,
-                      end=clipped_end, kind=event.kind, nbytes=event.nbytes,
-                      partner=event.partner)
-
-
-def _resolve_layout(tracer: Tracer, regions: Optional[Sequence[str]],
-                    activities: Optional[Sequence[str]]
-                    ) -> Tuple[Tuple[str, ...], Tuple[str, ...]]:
-    """Fix the (region, activity) layout from the whole trace so sparse
-    windows do not change the row/column order."""
-    region_names = tuple(regions) if regions is not None else tracer.regions()
-    if not region_names:
-        raise TraceError("trace contains no annotated regions")
-    if activities is None:
-        whole = profile(tracer, regions=region_names)
-        activity_names: Tuple[str, ...] = whole.activities
-    else:
-        activity_names = tuple(activities)
-    return region_names, activity_names
-
-
-def _sweep_windows(tracer: Tracer, edges: Sequence[float],
-                   region_names: Tuple[str, ...],
-                   activity_names: Tuple[str, ...]) -> List[Window]:
-    """Bin boundary-split events into all windows in one sorted sweep.
-
-    Equivalent to clipping the full event list against every window in
-    turn (``rescan_window_profiles_at``), but O(events) instead of
-    O(windows x events): each event locates its window range by binary
-    search on the edges and its split durations are scattered into the
-    per-window tensors with one unbuffered accumulation, preserving the
-    rescan's event order per tensor cell (hence bit-identical sums).
-    """
-    events = tracer.events
-    n_events = len(events)
-    edge_array = np.asarray(edges, dtype=float)
-    n_windows = edge_array.size - 1
-    n_regions = len(region_names)
-    n_activities = len(activity_names)
-    n_ranks = tracer.n_ranks
-    region_ids = {name: i for i, name in enumerate(region_names)}
-    activity_ids = {name: j for j, name in enumerate(activity_names)}
-
-    begins = np.empty(n_events)
-    ends = np.empty(n_events)
-    ranks = np.empty(n_events, dtype=np.intp)
-    # Flattened (region, activity) cell per event; -1 marks events the
-    # profile skips (outside or unlisted regions), -2 marks an indexed
-    # region with an activity missing from the fixed layout — the
-    # rescan's per-window ``profile`` raises on those, dropping the
-    # window, so the sweep must drop every window such an event touches.
-    cells = np.empty(n_events, dtype=np.intp)
-    for position, event in enumerate(events):
-        begins[position] = event.begin
-        ends[position] = event.end
-        ranks[position] = event.rank
-        if event.region == OUTSIDE_REGION:
-            cells[position] = -1
-            continue
-        i = region_ids.get(event.region)
-        if i is None:
-            cells[position] = -1
-            continue
-        j = activity_ids.get(event.activity)
-        cells[position] = -2 if j is None else i * n_activities + j
-
-    # Window range [lo, hi] each event can overlap, by binary search.
-    lo = np.maximum(np.searchsorted(edge_array, begins, side="right") - 1, 0)
-    hi = np.minimum(np.searchsorted(edge_array, ends, side="left") - 1,
-                    n_windows - 1)
-    counts = np.maximum(hi - lo + 1, 0)
-    total = int(counts.sum())
-
-    # Expand into (event, window) pairs, events in recording order.
-    event_of = np.repeat(np.arange(n_events), counts)
-    offsets = np.repeat(counts.cumsum() - counts, counts)
-    window_of = lo[event_of] + (np.arange(total) - offsets)
-
-    clipped_begin = np.maximum(begins[event_of], edge_array[window_of])
-    clipped_end = np.minimum(ends[event_of], edge_array[window_of + 1])
-    durations = clipped_end - clipped_begin
-    overlap = durations > 0.0
-    event_of = event_of[overlap]
-    window_of = window_of[overlap]
-    durations = durations[overlap]
-    clipped_end = clipped_end[overlap]
-
-    occupied = np.zeros(n_windows, dtype=bool)
-    occupied[window_of] = True
-    last_end = np.zeros(n_windows)
-    np.maximum.at(last_end, window_of, clipped_end)
-
-    cell_of = cells[event_of]
-    poisoned = np.zeros(n_windows, dtype=bool)
-    poisoned[window_of[cell_of == -2]] = True
-
-    counted = cell_of >= 0
-    flat = np.zeros(n_windows * n_regions * n_activities * n_ranks)
-    targets = ((window_of[counted] * n_regions * n_activities
-                + cell_of[counted]) * n_ranks + ranks[event_of[counted]])
-    np.add.at(flat, targets, durations[counted])
-    tensors = flat.reshape(n_windows, n_regions, n_activities, n_ranks)
-
-    windows: List[Window] = []
-    for w in range(n_windows):
-        if not occupied[w] or poisoned[w]:
-            continue
-        preliminary = MeasurementSet(tensors[w], regions=region_names,
-                                     activities=activity_names)
-        total_time = max(float(last_end[w]), preliminary.covered_time)
-        windows.append(Window(
-            begin=float(edge_array[w]), end=float(edge_array[w + 1]),
-            measurements=preliminary.with_total_time(total_time)))
-    if not windows:
-        raise TraceError("no window contains annotated events")
-    return windows
-
-
-def _validate_boundaries(boundaries: Sequence[float]) -> List[float]:
-    edges = [float(value) for value in boundaries]
-    if len(edges) < 2:
-        raise TraceError("need at least two boundaries")
-    if any(later <= earlier for earlier, later in zip(edges, edges[1:])):
-        raise TraceError("boundaries must be strictly increasing")
-    return edges
-
-
-def window_profiles_at(tracer: Tracer, boundaries: Sequence[float],
-                       regions: Optional[Sequence[str]] = None,
-                       activities: Optional[Sequence[str]] = None
-                       ) -> List[Window]:
-    """Profile the trace between explicit time boundaries.
-
-    ``boundaries`` are strictly increasing times; window k covers
-    ``[boundaries[k], boundaries[k+1])``.  Use this to align windows
-    with known phase boundaries (e.g. time-step starts) instead of the
-    equal slicing of :func:`window_profiles`.
-    """
-    edges = _validate_boundaries(boundaries)
-    if len(tracer) == 0:
-        raise TraceError("cannot window an empty trace")
-    region_names, activity_names = _resolve_layout(tracer, regions,
-                                                   activities)
-    return _sweep_windows(tracer, edges, region_names, activity_names)
-
-
 def equal_edges(begin: float, end: float, n_windows: int) -> List[float]:
     """``n_windows`` equal slices of the extent ``[begin, end]``.
 
     Anchored at the actual first event time, not t=0; the final edge is
     pinned to the exact trace end so the last sliver of every event
-    survives the float arithmetic.  Shared by the in-memory windower
-    and the streaming :class:`~repro.core.online.WindowedAccumulator`,
-    so both bin against bit-identical boundaries.
+    survives the float arithmetic.
     """
     if n_windows < 1:
         raise TraceError("need at least one window")
@@ -222,11 +61,59 @@ def equal_edges(begin: float, end: float, n_windows: int) -> List[float]:
     return edges
 
 
-def _equal_edges(tracer: Tracer, n_windows: int) -> List[float]:
-    return equal_edges(tracer.begin, tracer.elapsed, n_windows)
+def fold_windows(chunks: Iterable[EventColumns],
+                 n_windows: Optional[int] = None, *,
+                 boundaries: Optional[Sequence[float]] = None,
+                 regions: Optional[Sequence[str]] = None,
+                 activities: Optional[Sequence[str]] = None,
+                 reread: Optional[Callable[[], Iterable[EventColumns]]]
+                 = None) -> Tuple[List[Window], OnlineAccumulator]:
+    """Window a chunk stream in two passes; returns the windows and the
+    pass-1 accumulator.
+
+    Pass 1 fixes the extent (``n_windows`` equal edges, unless explicit
+    ``boundaries`` are given) and the whole trace's layout, so every
+    window has the same rows and columns.  Pass 2 bins the chunks held
+    from pass 1 — or, with ``reread``, the chunks that callable
+    returns, so no chunk outlives its pass.
+    """
+    held: List[EventColumns] = []
+    scout = OnlineAccumulator(regions=regions)
+    for chunk in chunks:
+        scout.update(chunk)
+        if reread is None:
+            held.append(chunk)
+    if scout.n_events == 0:
+        raise TraceError("cannot window an empty trace")
+    if boundaries is None:
+        boundaries = equal_edges(scout.begin, scout.elapsed, n_windows)
+    regions = scout.regions()
+    if not regions:
+        raise TraceError("trace contains no annotated regions")
+    if activities is None:
+        activities = scout.activities()
+    binner = WindowedAccumulator(boundaries, regions, activities,
+                                 scout.n_ranks)
+    binner.consume(held if reread is None else reread())
+    return binner.finalize(), scout
 
 
-def window_profiles(tracer: Tracer, n_windows: int,
+def window_profiles_at(tracer, boundaries: Sequence[float],
+                       regions: Optional[Sequence[str]] = None,
+                       activities: Optional[Sequence[str]] = None
+                       ) -> List[Window]:
+    """Profile the trace between explicit time boundaries.
+
+    ``boundaries`` are strictly increasing times; window k covers
+    ``[boundaries[k], boundaries[k+1])``.  Use this to align windows
+    with known phase boundaries (e.g. time-step starts) instead of the
+    equal slicing of :func:`window_profiles`.
+    """
+    return fold_windows(as_chunks(tracer), boundaries=boundaries,
+                        regions=regions, activities=activities)[0]
+
+
+def window_profiles(tracer, n_windows: int,
                     regions: Optional[Sequence[str]] = None,
                     activities: Optional[Sequence[str]] = None
                     ) -> List[Window]:
@@ -237,79 +124,9 @@ def window_profiles(tracer: Tracer, n_windows: int,
     trace starting at ``t0 > 0`` gets no empty leading windows.  Region
     and activity orders are fixed across windows (by default: the whole
     trace's), so the per-window measurement sets are directly
-    comparable.  Windows containing no events are dropped.
+    comparable.  Windows containing no events are dropped.  ``tracer``
+    is a :class:`~repro.instrument.Tracer` or an iterable of column
+    chunks.
     """
-    if n_windows < 1:
-        raise TraceError("need at least one window")
-    if len(tracer) == 0:
-        raise TraceError("cannot window an empty trace")
-    edges = _equal_edges(tracer, n_windows)
-    region_names, activity_names = _resolve_layout(tracer, regions,
-                                                   activities)
-    return _sweep_windows(tracer, edges, region_names, activity_names)
-
-
-# ----------------------------------------------------------------------
-# Reference implementation: the historical per-window rescan
-# ----------------------------------------------------------------------
-def _rescan_windows(tracer: Tracer, edges: Sequence[float],
-                    region_names: Tuple[str, ...],
-                    activity_names: Tuple[str, ...]) -> List[Window]:
-    windows: List[Window] = []
-    for begin, end in zip(edges, edges[1:]):
-        sliced = Tracer()
-        for event in tracer.events:
-            clipped = _clip(event, begin, end)
-            if clipped is not None:
-                sliced.add(clipped)
-        if len(sliced) == 0:
-            continue
-        try:
-            measurements = profile(sliced, regions=region_names,
-                                   activities=activity_names,
-                                   n_ranks=tracer.n_ranks)
-        except TraceError:
-            continue        # window's events do not fit the layout
-        windows.append(Window(begin=begin, end=end,
-                              measurements=measurements))
-    if not windows:
-        raise TraceError("no window contains annotated events")
-    return windows
-
-
-def rescan_window_profiles_at(tracer: Tracer, boundaries: Sequence[float],
-                              regions: Optional[Sequence[str]] = None,
-                              activities: Optional[Sequence[str]] = None
-                              ) -> List[Window]:
-    """Reference rescan for explicit boundaries: clip the full event
-    list against each window in turn (O(windows x events)).
-
-    Kept for the differential suite and ``bench_temporal``; use
-    :func:`window_profiles_at`.
-    """
-    edges = _validate_boundaries(boundaries)
-    if len(tracer) == 0:
-        raise TraceError("cannot window an empty trace")
-    region_names, activity_names = _resolve_layout(tracer, regions,
-                                                   activities)
-    return _rescan_windows(tracer, edges, region_names, activity_names)
-
-
-def rescan_window_profiles(tracer: Tracer, n_windows: int,
-                           regions: Optional[Sequence[str]] = None,
-                           activities: Optional[Sequence[str]] = None
-                           ) -> List[Window]:
-    """Reference rescan for equal slicing (O(windows x events)).
-
-    Produces measurement sets bit-identical to :func:`window_profiles`
-    (which replaces it); kept for the differential suite and
-    ``bench_temporal``.
-    """
-    if n_windows < 1:
-        raise TraceError("need at least one window")
-    if len(tracer) == 0:
-        raise TraceError("cannot window an empty trace")
-    edges = _equal_edges(tracer, n_windows)
-    region_names, activity_names = _resolve_layout(tracer, regions,
-                                                   activities)
-    return _rescan_windows(tracer, edges, region_names, activity_names)
+    return fold_windows(as_chunks(tracer), n_windows, regions=regions,
+                        activities=activities)[0]

@@ -124,26 +124,29 @@ def build_report(trace_path, sha: str, kind: str, params: Mapping) -> dict:
     already recorded whether the stored trace needed salvaging.
     """
     from ..cli import render_analyze_report, render_temporal_report
-    from ..instrument import profile, read_any_tracer, window_profiles
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", TraceWarning)
-        tracer = read_any_tracer(str(trace_path))
+    from ..instrument.stream import accumulate_trace, trace_windows
     payload = {
         "status": "ok",
         "trace": sha,
         "kind": kind,
         "params": dict(params),
     }
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", TraceWarning)
+        if kind == "temporal":
+            windows, scout = trace_windows(str(trace_path),
+                                           params["windows"])
+        else:
+            measurements = accumulate_trace(str(trace_path)).finalize()
     if kind == "temporal":
         from ..core.temporal import temporal_analysis
-        windows = window_profiles(tracer, params["windows"])
         payload["text"] = render_temporal_report(
-            windows, len(tracer), index=params["index"]) + "\n"
+            windows, scout.n_events, index=params["index"]) + "\n"
         analysis = temporal_analysis(windows, index=params["index"])
         payload["report"] = {
             "schema": "repro-temporal/1",
             "n_windows": analysis.n_windows,
-            "n_events": len(tracer),
+            "n_events": scout.n_events,
             "drifting": list(analysis.drifting_regions()),
             "trends": {
                 trend.region: {
@@ -159,7 +162,6 @@ def build_report(trace_path, sha: str, kind: str, params: Mapping) -> dict:
     else:
         from ..core import AnalysisSession
         from ..core.report import report_to_dict
-        measurements = profile(tracer)
         session = AnalysisSession(measurements)
         payload["text"] = render_analyze_report(
             measurements, index=params["index"],

@@ -48,7 +48,8 @@ from typing import BinaryIO, List, Optional, Tuple, Union
 
 from ..cache import HASH_CHUNK, iter_chunks
 from ..errors import TraceError, TraceWarning
-from ..instrument.binary import MAGIC, read_any_tracer
+from ..instrument.binary import MAGIC
+from ..instrument.stream import accumulate_trace
 
 PathLike = Union[str, Path]
 
@@ -226,7 +227,7 @@ class TraceStore:
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always", TraceWarning)
                 try:
-                    tracer = read_any_tracer(scratch)
+                    folded = accumulate_trace(scratch)
                 except (TraceError, gzip.BadGzipFile, EOFError,
                         OSError) as error:
                     raise TraceError(
@@ -235,9 +236,9 @@ class TraceStore:
                            for entry in caught)
             meta = StoredTrace(
                 sha256=sha, n_bytes=n_bytes,
-                format=suffix.lstrip("."), events=len(tracer),
-                ranks=tracer.n_ranks, elapsed=tracer.elapsed,
-                regions=tracer.regions(), name=name, salvaged=salvaged)
+                format=suffix.lstrip("."), events=folded.n_events,
+                ranks=folded.n_ranks, elapsed=folded.elapsed,
+                regions=folded.regions(), name=name, salvaged=salvaged)
             meta_path = self._meta_path(sha, suffix)
             meta_scratch = scratch.with_name(scratch.name + ".meta")
             meta_scratch.write_text(

@@ -30,7 +30,7 @@ from multiprocessing import get_context
 from pathlib import Path
 from typing import List, Optional, Union
 
-from .errors import ReproError, TraceError, TraceWarning
+from .errors import ReproError, TraceError
 from .obs import spans as obspans
 
 PathLike = Union[str, Path]
@@ -67,8 +67,7 @@ def plan_shards(path: PathLike, n_shards: int) -> List[Shard]:
     gzip, unknown-but-sniffable-later formats degrade to one whole-file
     shard and let the span readers do the complaining).
     """
-    from .instrument.binary import sniff_format
-    from .instrument.stream import binary_record_count
+    from .instrument.binary import binary_record_count, sniff_format
     if n_shards < 1:
         raise TraceError(f"need at least one shard, got {n_shards}")
     source = Path(path)
@@ -102,25 +101,17 @@ def plan_shards(path: PathLike, n_shards: int) -> List[Shard]:
 def accumulate_shard(shard: Shard, chunk_size: int = 8192,
                      on_error: str = "salvage"):
     """Fold one shard into a fresh accumulator (the *map* step)."""
-    from .core.online import OnlineAccumulator
-    from .instrument.stream import (instrument_chunks, iter_any,
+    from .instrument.stream import (accumulate_trace, instrument_chunks,
                                     iter_binary_span, iter_trace_span)
-    accumulator = OnlineAccumulator()
-    if shard.kind == "binary":
-        chunks = instrument_chunks(
-            iter_binary_span(shard.path, shard.start, shard.stop,
-                             chunk_size=chunk_size, on_error=on_error),
-            "stream_decode", shard.path)
-    elif shard.kind == "jsonl":
-        chunks = instrument_chunks(
-            iter_trace_span(shard.path, shard.start, shard.stop,
-                            chunk_size=chunk_size, on_error=on_error),
-            "stream_decode", shard.path)
-    else:
-        # iter_any wraps its own chunks in decode spans.
-        chunks = iter_any(shard.path, chunk_size=chunk_size,
-                          on_error=on_error)
-    return accumulator.consume(chunks)
+    from .core.online import OnlineAccumulator
+    if shard.kind == "whole":
+        return accumulate_trace(shard.path, chunk_size=chunk_size,
+                                on_error=on_error)
+    reader = iter_binary_span if shard.kind == "binary" else iter_trace_span
+    chunks = reader(shard.path, shard.start, shard.stop,
+                    chunk_size=chunk_size, on_error=on_error)
+    return OnlineAccumulator().consume(
+        instrument_chunks(chunks, "stream_decode", shard.path))
 
 
 def _shard_worker(task):
@@ -180,18 +171,14 @@ def _check_promised_count(source: Path, merged, on_error: str) -> None:
     count (each only counts its own slice), so a cleanly truncated file
     — whole lines missing at the end — would slip through the sharded
     path.  Compare the merged total against the header's promise, with
-    the sequential readers' salvage/raise semantics."""
-    import json
-    import warnings
+    the sequential readers' damage policy."""
+    from .instrument.columns import damage
+    from .instrument.tracefile import parse_header
     with open(source, "r", encoding="utf-8") as stream:
         try:
-            expected = json.loads(stream.readline()).get("events")
-        except (json.JSONDecodeError, AttributeError):
+            expected = parse_header(stream.readline())
+        except TraceError:
             return      # span readers already complained about the header
-    if expected is None or expected == merged.n_events:
-        return
-    message = (f"trace {source}: truncated: header promises {expected} "
-               f"events, found {merged.n_events}")
-    if on_error == "raise" or merged.n_events == 0:
-        raise TraceError(message)
-    warnings.warn(TraceWarning(message), stacklevel=3)
+    if expected is not None and expected != merged.n_events:
+        damage(source, merged.n_events, f"truncated: header promises "
+               f"{expected} events, found {merged.n_events}", on_error)

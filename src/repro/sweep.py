@@ -151,16 +151,13 @@ def analyze_trace(path: Union[str, Path], config: SweepConfig,
     a sweep over a fleet survives individual damaged traces.
     """
     from .core.temporal import detect_phases, temporal_analysis
-    from .instrument import read_any_tracer, window_profiles
+    from .instrument.stream import trace_windows
     if key is None:
         key = trace_key(path, config)
     try:
-        with obspans.span("sweep_read", activity="read",
-                          trace=str(path)):
-            tracer = read_any_tracer(str(path))
         with obspans.span("sweep_window", activity="window",
                           trace=str(path)):
-            windows = window_profiles(tracer, config.n_windows)
+            windows, scout = trace_windows(str(path), config.n_windows)
         with obspans.span("sweep_trends", activity="computation",
                           trace=str(path)):
             analysis = temporal_analysis(windows, index=config.index)
@@ -177,8 +174,8 @@ def analyze_trace(path: Union[str, Path], config: SweepConfig,
     phases = detect_phases(analysis.overall_series())
     return TraceSummary(
         path=str(path), key=key, error=None,
-        n_windows=analysis.n_windows, n_events=len(tracer),
-        elapsed=tracer.elapsed, regions=regions,
+        n_windows=analysis.n_windows, n_events=scout.n_events,
+        elapsed=scout.elapsed, regions=regions,
         drifting=analysis.drifting_regions(
             config.slope_threshold, config.amplification_threshold),
         phase_boundaries=tuple(phase.begin for phase in phases[1:]))

@@ -50,6 +50,29 @@ class TestRoundTrip:
         assert tuple(read_binary_trace(path)) == tracer.events
 
 
+class TestRecordLayout:
+    def test_record_is_37_packed_bytes(self):
+        import struct
+
+        from repro.instrument.binary import RECORD
+        assert RECORD.itemsize == 37
+        assert struct.calcsize("<IHHddBQi") == RECORD.itemsize
+
+    def test_empty_and_non_ascii_names_round_trip(self, tmp_path):
+        from repro.instrument import iter_binary_span
+        events = [
+            TraceEvent(0, "", "computation", 0.0, 1.0),
+            TraceEvent(1, "Schleife ü", "通信", 0.5, 2.0, kind="send",
+                       nbytes=7, partner=0),
+            TraceEvent(2, "", "écriture", 1.0, 1.5, kind="wait"),
+        ]
+        path = tmp_path / "t.rptb"
+        assert write_binary_trace(path, events) == 3
+        assert read_binary_trace(path) == events
+        assert [event for chunk in iter_binary_span(path, 0, 3, 2)
+                for event in chunk] == events
+
+
 class TestValidation:
     def test_missing_file(self, tmp_path):
         with pytest.raises(TraceError):

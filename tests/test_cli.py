@@ -455,6 +455,26 @@ class TestTemporalStreamFlag:
                      "--stream"]) == 0
         assert capsys.readouterr().out == eager
 
+    def test_negative_time_trace_windows_identically(self, tmp_path,
+                                                      capsys):
+        """A trace ending before t=0: the streamed extent used to
+        stretch to 0, halving the occupied windows."""
+        from repro.core import OnlineAccumulator
+        from repro.instrument import TraceEvent, write_trace
+        events = [TraceEvent(rank, "r", "computation", -10.0 + step,
+                             -9.0 + step + 0.5 * rank)
+                  for step in range(4) for rank in range(2)]
+        path = tmp_path / "negative.jsonl"
+        write_trace(path, events)
+        assert OnlineAccumulator().update(events).elapsed == -5.5
+        assert OnlineAccumulator().elapsed == 0.0
+        assert main(["temporal", str(path), "--windows", "4"]) == 0
+        eager = capsys.readouterr().out
+        assert "4 windows over 4.5 s" in eager
+        assert main(["temporal", str(path), "--windows", "4",
+                     "--stream"]) == 0
+        assert capsys.readouterr().out == eager
+
     def test_stream_with_phases_and_small_chunks(self, tracefile, capsys):
         assert main(["temporal", tracefile, "--windows", "6",
                      "--phases"]) == 0

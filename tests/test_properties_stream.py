@@ -248,3 +248,94 @@ class TestTruncationParity:
         data[position:position + len(junk)] = junk
         path.write_bytes(bytes(data))
         self.assert_parity(read_trace, iter_trace, path, chunk_size)
+
+
+def read_outcome(read, path, on_error):
+    """What a reader made of a file: ``("raised", message)`` or
+    ``("read", events, warning texts)``.  Events compare by ``repr`` so
+    an overwritten NaN time still equals itself."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            events = read(path, on_error)
+        except TraceError as error:
+            return ("raised", str(error))
+    return ("read", [repr(event) for event in events],
+            [str(entry.message) for entry in caught
+             if issubclass(entry.category, TraceWarning)])
+
+
+class TestBinaryOverwriteParity:
+    """Overwritten bytes inside the record area — a bad name index, a
+    bad kind, ``end < begin`` or an empty activity — give the same
+    salvaged prefix, warning text and strict-mode error from the
+    vectorized readers as from the per-record scalar oracle."""
+
+    EVENTS = [
+        TraceEvent(rank % 4, ("alpha", "", "beta")[rank % 3],
+                   ("computation", "point-to-point")[rank % 2],
+                   float(rank), float(rank) + 0.5,
+                   kind=("compute", "send")[rank % 2],
+                   nbytes=rank * 100, partner=(rank + 1) % 4)
+        for rank in range(12)
+    ]
+
+    def assert_parity(self, path, chunk_size):
+        from repro.instrument import iter_binary_span
+        from tests.oracles import scalar_read_binary
+
+        def chunked(iterator):
+            return lambda source, on_error: [
+                event for chunk in iterator(source, on_error)
+                for event in chunk]
+
+        readers = {
+            "eager": read_binary_trace,
+            "stream": chunked(lambda source, on_error: iter_binary_trace(
+                source, chunk_size, on_error=on_error)),
+            "span": chunked(lambda source, on_error: iter_binary_span(
+                source, 0, len(self.EVENTS), chunk_size,
+                on_error=on_error)),
+        }
+        for on_error in ("salvage", "raise"):
+            expected = read_outcome(scalar_read_binary, path, on_error)
+            for name, reader in readers.items():
+                assert read_outcome(reader, path, on_error) == expected, \
+                    (name, on_error)
+
+    def written(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("overwrite") / "t.rptb"
+        write_binary_trace(path, self.EVENTS)
+        size = path.stat().st_size
+        return path, size - 37 * len(self.EVENTS), size
+
+    @settings(max_examples=120, deadline=None)
+    @given(where=st.floats(0.0, 1.0, exclude_max=True),
+           junk=st.binary(min_size=1, max_size=16),
+           chunk_size=st.integers(1, 7))
+    def test_any_byte_range(self, tmp_path_factory, where, junk,
+                            chunk_size):
+        path, records_at, size = self.written(tmp_path_factory)
+        position = records_at + int(where * (size - records_at))
+        data = bytearray(path.read_bytes())
+        data[position:position + len(junk)] = junk[:size - position]
+        path.write_bytes(bytes(data))
+        self.assert_parity(path, chunk_size)
+
+    @settings(max_examples=120, deadline=None)
+    @given(record=st.integers(0, 11),
+           field=st.sampled_from(["region", "activity", "kind", "begin",
+                                  "end"]),
+           value=st.integers(0, 7), chunk_size=st.integers(1, 7))
+    def test_field_overwrite(self, tmp_path_factory, record, field, value,
+                             chunk_size):
+        """Targeted damage: small codes reach the empty name, the first
+        invalid name index and kind, and times that run backwards."""
+        from repro.instrument.binary import RECORD
+        path, records_at, _ = self.written(tmp_path_factory)
+        data = path.read_bytes()
+        records = np.frombuffer(data, dtype=RECORD,
+                                offset=records_at).copy()
+        records[field][record] = value
+        path.write_bytes(data[:records_at] + records.tobytes())
+        self.assert_parity(path, chunk_size)

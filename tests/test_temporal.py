@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 from repro.core import MeasurementSet, detect_phases, temporal_analysis
 from repro.core.temporal import _amplification
 from repro.errors import MeasurementError, TraceError
-from repro.instrument import (Tracer, profile, rescan_window_profiles,
-                              rescan_window_profiles_at, shift_time,
-                              window_profiles, window_profiles_at)
+from repro.instrument import (Tracer, profile, shift_time, window_profiles,
+                              window_profiles_at)
+from tests.oracles import rescan_window_profiles, rescan_window_profiles_at
 
 
 def make_tracer():
