@@ -7,8 +7,13 @@ a discrete-event MPI simulator (:mod:`repro.simmpi`), tracing and
 profiling (:mod:`repro.instrument`), the CFD and synthetic workloads
 (:mod:`repro.apps`), the calibrated reconstruction of the paper's
 dataset (:mod:`repro.calibrate`), classic baselines
-(:mod:`repro.baselines`), text rendering (:mod:`repro.viz`) and the
-fault-injection validation subsystem (:mod:`repro.faults`).
+(:mod:`repro.baselines`), text rendering (:mod:`repro.viz`), the
+fault-injection validation subsystem (:mod:`repro.faults`), the
+analysis daemon (:mod:`repro.serve`) and self-observability
+(:mod:`repro.obs`).
+
+Subpackages and the names below load on first access (PEP 562), so a
+command pays only for the modules it runs.
 
 Quickstart::
 
@@ -18,30 +23,24 @@ Quickstart::
     print(render_full_report(analyze(measurements)))
 """
 
-from . import (apps, baselines, calibrate, core, faults, instrument, simmpi,
-               viz)
-from .apps import CFDConfig, SyntheticWorkload, run_cfd
-from .calibrate import reconstruct
-from .core import (AnalysisResult, MeasurementSet, Methodology, analyze,
-                   render_full_report)
-from .errors import ReproError
-from .testbed import Testbed, TestbedEntry
-from .instrument import Tracer, profile, read_trace, write_trace
-from .simmpi import NetworkModel, Simulator
-
 __version__ = "1.0.0"
 
-__all__ = [
-    "apps", "baselines", "calibrate", "core", "faults", "instrument",
-    "simmpi", "viz",
-    "CFDConfig", "SyntheticWorkload", "run_cfd",
-    "reconstruct",
-    "AnalysisResult", "MeasurementSet", "Methodology", "analyze",
-    "render_full_report",
-    "ReproError",
-    "Testbed",
-    "TestbedEntry",
-    "Tracer", "profile", "read_trace", "write_trace",
-    "NetworkModel", "Simulator",
-    "__version__",
-]
+from ._lazy import exported_names, lazy_namespace
+
+_SUBPACKAGES = ("apps", "baselines", "calibrate", "core", "faults",
+                "instrument", "obs", "serve", "simmpi", "viz")
+
+_EXPORTS = {
+    "apps": ("CFDConfig", "SyntheticWorkload", "run_cfd"),
+    "calibrate": ("reconstruct",),
+    "core": ("AnalysisResult", "MeasurementSet", "Methodology", "analyze",
+             "render_full_report"),
+    "errors": ("ReproError",),
+    "testbed": ("Testbed", "TestbedEntry"),
+    "instrument": ("Tracer", "profile", "read_trace", "write_trace"),
+    "simmpi": ("NetworkModel", "Simulator"),
+}
+
+__getattr__, __dir__ = lazy_namespace(__name__, _EXPORTS)
+
+__all__ = [*_SUBPACKAGES, *exported_names(_EXPORTS), "__version__"]

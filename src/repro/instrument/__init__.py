@@ -12,61 +12,39 @@ This package provides that pipeline for the simulated machine:
 * :func:`profile` — aggregates a trace into the ``t_ijp``
   :class:`~repro.core.measurements.MeasurementSet` the methodology
   consumes.
+
+Every name loads its submodule on first access (PEP 562, see
+:mod:`repro._lazy`).
 """
 
-from .binary import (read_any, read_any_tracer, read_binary_trace,
-                     sniff_format, write_binary_trace)
-from .columns import EventColumns
-from .events import EVENT_KINDS, OUTSIDE_REGION, TraceEvent
-from .chrome import export_chrome_trace
-from .counters import COUNTERS, count_profile
-from .profile import profile
-from .tracefile import (FORMAT_NAME, FORMAT_VERSION, read_trace, read_tracer,
-                        write_trace, write_tracer)
-from .tracer import Tracer
-from .lint import LintIssue, lint_trace
-from .summary import RankUtilization, render_utilization, utilization
-from .filters import (filter_activities, filter_events, filter_ranks,
-                      filter_regions, filter_time, merge,
-                      relabel_region, shift_time)
-from .stream import (iter_any, iter_binary_span, iter_binary_trace,
-                     iter_trace, iter_trace_span)
-from .windows import (Window, equal_edges, window_profiles,
-                      window_profiles_at)
+from .._lazy import exported_names, lazy_namespace
 
-__all__ = [
-    "read_any",
-    "read_any_tracer",
-    "read_binary_trace",
-    "sniff_format",
-    "write_binary_trace",
-    "EventColumns",
-    "EVENT_KINDS",
-    "OUTSIDE_REGION",
-    "TraceEvent",
-    "profile",
-    "export_chrome_trace",
-    "COUNTERS",
-    "count_profile",
-    "FORMAT_NAME",
-    "FORMAT_VERSION",
-    "read_trace",
-    "read_tracer",
-    "write_trace",
-    "write_tracer",
-    "Tracer",
-    "LintIssue",
-    "RankUtilization",
-    "render_utilization",
-    "utilization",
-    "lint_trace",
-    "filter_activities", "filter_events", "filter_ranks",
-    "filter_regions", "filter_time", "merge", "relabel_region",
-    "shift_time",
-    "iter_any", "iter_binary_span", "iter_binary_trace",
-    "iter_trace", "iter_trace_span",
-    "Window",
-    "equal_edges",
-    "window_profiles",
-    "window_profiles_at",
-]
+# Named like its own module: bound before anything can import the
+# module and rebind the package attribute to it.
+from .profile import profile
+
+_EXPORTS = {
+    "binary": ("read_any", "read_any_tracer", "read_binary_trace",
+               "sniff_format", "write_binary_trace"),
+    "columns": ("EventColumns",),
+    "events": ("EVENT_KINDS", "OUTSIDE_REGION", "TraceEvent"),
+    "profile": ("profile",),
+    "chrome": ("export_chrome_trace",),
+    "counters": ("COUNTERS", "count_profile"),
+    "tracefile": ("FORMAT_NAME", "FORMAT_VERSION", "read_trace",
+                  "read_tracer", "write_trace", "write_tracer"),
+    "tracer": ("Tracer",),
+    "lint": ("LintIssue", "lint_trace"),
+    "summary": ("RankUtilization", "render_utilization", "utilization"),
+    "filters": ("filter_activities", "filter_events", "filter_ranks",
+                "filter_regions", "filter_time", "merge", "relabel_region",
+                "shift_time"),
+    "stream": ("iter_any", "iter_binary_span", "iter_binary_trace",
+               "iter_trace", "iter_trace_span"),
+    "windows": ("Window", "equal_edges", "window_profiles",
+                "window_profiles_at"),
+}
+
+__getattr__, __dir__ = lazy_namespace(__name__, _EXPORTS)
+
+__all__ = exported_names(_EXPORTS)

@@ -34,6 +34,7 @@ from pathlib import Path
 from typing import Dict, List, Sequence, Tuple, Union
 
 from ..errors import ReproError
+from ..reports import render_analyze_report
 from .spans import Span
 
 PathLike = Union[str, Path]
@@ -115,10 +116,10 @@ def render_self_report(spans: Sequence[Span],
 
     A full analysis report over the self-trace (stages as regions,
     workers as ranks) — rendered by the same
-    :func:`~repro.cli.render_analyze_report` that serves real traces,
-    so the dogfood output carries the exact tables users already know.
+    :func:`~repro.reports.render_analyze_report` that serves real
+    traces, so the dogfood output carries the exact tables users already
+    know.
     """
-    from ..cli import render_analyze_report
     from ..instrument import profile
     measurements = profile(spans_to_tracer(spans))
     return render_analyze_report(measurements, index=index)

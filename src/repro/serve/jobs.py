@@ -18,7 +18,7 @@ report goes through :class:`JobRunner`:
 
 Job payloads carry both the rendered text — byte-identical to the
 corresponding CLI command's stdout, because both sides call the same
-renderers in :mod:`repro.cli` — and the structured JSON document from
+renderers in :mod:`repro.reports` — and the structured JSON document from
 :func:`repro.core.report.report_to_dict`.  A failed job produces an
 ``error`` payload and is deliberately **not** cached: a transient
 failure (unreadable store, bad index name fixed by a library upgrade)
@@ -35,10 +35,22 @@ from concurrent.futures import Future, ThreadPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeout
 from typing import Dict, Mapping, Optional
 
+# The whole stack the four job kinds run loads with the daemon, before
+# it reports ready, so that no import lands in a first request: the
+# renderers import diagnosis and whatif on demand, and clustering seeds
+# a numpy Generator.
+import numpy.random  # noqa: F401
+
 from ..cache import ReportCache, content_key
+from ..core import diagnosis, whatif  # noqa: F401
+from ..core.batch import AnalysisSession
+from ..core.report import report_to_dict
+from ..core.temporal import temporal_analysis
 from ..errors import ReproError, TraceError, TraceWarning
+from ..instrument.stream import accumulate_trace, trace_windows
 from ..obs import log as obslog
 from ..obs import spans as obspans
+from ..reports import render_analyze_report, render_temporal_report
 from .metrics import ServiceMetrics
 from .store import TraceStore
 
@@ -123,8 +135,6 @@ def build_report(trace_path, sha: str, kind: str, params: Mapping) -> dict:
     the very same renderers.  Salvage warnings are silenced — ingest
     already recorded whether the stored trace needed salvaging.
     """
-    from ..cli import render_analyze_report, render_temporal_report
-    from ..instrument.stream import accumulate_trace, trace_windows
     payload = {
         "status": "ok",
         "trace": sha,
@@ -139,7 +149,6 @@ def build_report(trace_path, sha: str, kind: str, params: Mapping) -> dict:
         else:
             measurements = accumulate_trace(str(trace_path)).finalize()
     if kind == "temporal":
-        from ..core.temporal import temporal_analysis
         payload["text"] = render_temporal_report(
             windows, scout.n_events, index=params["index"]) + "\n"
         analysis = temporal_analysis(windows, index=params["index"])
@@ -160,8 +169,6 @@ def build_report(trace_path, sha: str, kind: str, params: Mapping) -> dict:
                 } for trend in analysis.trends},
         }
     else:
-        from ..core import AnalysisSession
-        from ..core.report import report_to_dict
         session = AnalysisSession(measurements)
         payload["text"] = render_analyze_report(
             measurements, index=params["index"],

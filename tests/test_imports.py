@@ -1,0 +1,163 @@
+"""The import graph: lazy package namespaces, no cycles, start-up budget.
+
+``repro``, ``repro.core`` and ``repro.instrument`` load their
+submodules on first attribute access (PEP 562), so a command imports
+only what it runs.  These tests pin what that promises:
+
+* every exported name still resolves, and a function named like its
+  own submodule is not shadowed by the module once that is imported;
+* every subpackage and top-level module imports first in a fresh
+  interpreter, so the graph has no cycles;
+* ``repro --help`` loads no numpy, and the daemon loads its whole
+  report stack at start-up but none of the simulator, calibration or
+  baseline packages — nothing moves into its first request.
+"""
+
+import importlib
+import os
+import pkgutil
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import repro
+
+SRC = str(Path(repro.__file__).resolve().parent.parent)
+
+LAZY_PACKAGES = ("repro", "repro.core", "repro.instrument")
+
+#: Exported functions whose name equals their own submodule's name.
+SHADOWABLE = (
+    ("repro.core", "standardize"),
+    ("repro.core", "efficiency"),
+    ("repro.instrument", "profile"),
+    ("repro.calibrate", "reconstruct"),
+    ("repro.simmpi", "replay"),
+    ("repro.baselines", "percent_imbalance"),
+)
+
+
+def _python(*args: str) -> subprocess.CompletedProcess:
+    """Run a fresh interpreter with this checkout first on its path."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    return subprocess.run([sys.executable, *args], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def _loaded_after(statement: str) -> set:
+    """Names of the modules a fresh interpreter holds after
+    ``statement``."""
+    result = _python("-c", statement + "\nimport sys\n"
+                     "print('\\n'.join(sys.modules))")
+    assert result.returncode == 0, result.stderr
+    return set(result.stdout.split())
+
+
+def _within(modules: set, package: str) -> set:
+    return {name for name in modules
+            if name == package or name.startswith(package + ".")}
+
+
+class TestLazyNamespaces:
+    @pytest.mark.parametrize("package", LAZY_PACKAGES)
+    def test_every_exported_name_resolves(self, package):
+        module = importlib.import_module(package)
+        for name in module.__all__:
+            assert getattr(module, name) is not None, name
+            assert name in dir(module)
+
+    def test_star_import_and_version(self):
+        namespace = {}
+        exec("from repro import *", namespace)
+        assert namespace["__version__"] == repro.__version__ == "1.0.0"
+        assert callable(namespace["analyze"])
+        assert namespace["serve"].__name__ == "repro.serve"
+
+    def test_unknown_names_raise_attribute_error(self):
+        for package in LAZY_PACKAGES:
+            module = importlib.import_module(package)
+            with pytest.raises(AttributeError):
+                getattr(module, "no_such_name")
+            assert not hasattr(module, "__no_such_dunder__")
+
+    def test_submodules_resolve_as_attributes(self):
+        core = importlib.import_module("repro.core")
+        assert core.temporal.__name__ == "repro.core.temporal"
+        assert repro.cache.__name__ == "repro.cache"
+
+    @pytest.mark.parametrize("package,name", SHADOWABLE)
+    def test_importing_a_submodule_keeps_the_function(self, package,
+                                                      name):
+        """``import pkg.name`` binds the module as ``pkg.name``; a
+        package must have bound the function first, or every caller of
+        ``pkg.name(...)`` gets "'module' object is not callable"."""
+        result = _python("-c", f"""
+import importlib
+import types
+package = importlib.import_module({package!r})
+module = importlib.import_module({package!r} + "." + {name!r})
+value = getattr(package, {name!r})
+assert not isinstance(value, types.ModuleType), value
+assert value is getattr(module, {name!r}), value
+""")
+        assert result.returncode == 0, result.stderr
+
+
+def _import_first_targets():
+    names = [info.name for info in pkgutil.iter_modules(repro.__path__)
+             if info.name != "__main__"]
+    return ["repro"] + [f"repro.{name}" for name in sorted(names)]
+
+
+@pytest.mark.parametrize("module", _import_first_targets())
+def test_module_imports_first_in_a_fresh_interpreter(module):
+    """Importing any subpackage or top-level module before anything
+    else succeeds: the import graph has no cycle that an import order
+    could trip over."""
+    result = _python("-c", f"import {module}")
+    assert result.returncode == 0, result.stderr
+
+
+class TestStartupBudget:
+    def test_help_loads_no_numpy_scipy_or_core(self):
+        result = _python("-X", "importtime", "-m", "repro", "--help")
+        assert result.returncode == 0, result.stderr
+        modules = {line.rsplit("|", 1)[-1].strip()
+                   for line in result.stderr.splitlines()
+                   if line.startswith("import time:")}
+        assert "repro.cli" in modules
+        for package in ("numpy", "scipy", "repro.core"):
+            assert not _within(modules, package), package
+
+    def test_daemon_loads_its_report_stack_and_nothing_else(self):
+        modules = _loaded_after("import repro.serve.server")
+        for needed in ("repro.reports", "repro.instrument.stream",
+                       "repro.core.batch"):
+            assert needed in modules, needed
+        for package in ("scipy", "repro.apps", "repro.simmpi",
+                        "repro.calibrate", "repro.faults",
+                        "repro.baselines"):
+            assert not _within(modules, package), package
+
+    def test_no_import_moves_into_the_first_request(self, tmp_path):
+        """Every job kind, run after the daemon's imports, loads no
+        further repro, numpy or scipy module."""
+        from repro.calibrate import synthesize_paper_trace
+        trace = tmp_path / "paper.jsonl"
+        synthesize_paper_trace(trace)
+        result = _python("-c", """
+import sys
+import repro.serve.server
+from repro.serve.jobs import JOB_KINDS, build_report, normalize_params
+loaded = set(sys.modules)
+for kind in JOB_KINDS:
+    build_report(sys.argv[1], "0" * 64, kind, normalize_params(kind, {}))
+print("\\n".join(sorted(set(sys.modules) - loaded)))
+""", str(trace))
+        assert result.returncode == 0, result.stderr
+        late = set(result.stdout.split())
+        for package in ("repro", "numpy", "scipy"):
+            assert not _within(late, package), sorted(late)
