@@ -45,8 +45,9 @@ fatal.
 
 Exit codes: ``0`` success, ``1`` a check failed (``repro paper``
 verification, ``repro faults --require-perfect``), ``2`` an expected
-error (bad arguments, unreadable input, any :class:`ReproError`),
-``3`` an internal error (set ``REPRO_DEBUG=1`` for the traceback).
+error (bad arguments, unreadable input, any :class:`ReproError`, a
+closed output pipe), ``3`` an internal error (set ``REPRO_DEBUG=1``
+for the traceback).
 
 Invoke as ``python -m repro <subcommand> ...``.
 """
@@ -785,15 +786,24 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     Expected failures (any :class:`ReproError`: bad input files, invalid
     parameters, damaged traces in strict mode) print a one-line message
-    and exit ``2``.  Anything else is a bug in the tool itself: the
-    exception is summarized without a traceback and the exit code is
-    ``3``; set ``REPRO_DEBUG=1`` to re-raise for debugging.
+    and exit ``2``; a closed stdout pipe exits ``2`` silently.  Anything
+    else is a bug in the tool itself: the exception is summarized
+    without a traceback and the exit code is ``3``; set
+    ``REPRO_DEBUG=1`` to re-raise for debugging.
     """
     parser = _build_parser()
     arguments = parser.parse_args(argv)
     try:
         _validate_file_arguments(arguments)
-        return _COMMANDS[arguments.command](arguments)
+        code = _COMMANDS[arguments.command](arguments)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader went away (``| head``): point stdout at devnull so
+        # the flush at exit cannot raise again, as the signal docs do.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 2
     except ReproError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2

@@ -408,16 +408,17 @@ def _masked_weighted_mean(matrix: np.ndarray, weights: np.ndarray,
 
 
 class WindowedBatch:
-    """Per-window dispersion over a stack of measurement sets.
+    """Per-window dispersion over a sequence of measurement sets.
 
     The W-window analogue of :class:`BatchAnalysis`: given measurement
     sets sharing one ``(regions, activities, P)`` layout — e.g. the
-    output of :func:`repro.instrument.window_profiles` — the performed
-    cells of *all* windows are packed into a single ``(M, P)`` matrix
-    and every index of dispersion is one kernel call, instead of W
-    independent per-window analyses.  Row-wise kernels act on each
-    packed cell independently, so the stacked results are bit-identical
-    to running :class:`BatchAnalysis` window by window.
+    output of :func:`repro.instrument.window_profiles` — each index is
+    evaluated window by window, by a :class:`BatchAnalysis` of that
+    window, and the results are stacked along a leading window axis.
+    The windows' tensors are never stacked or copied: only one window's
+    temporaries (packed cells, standardized slices) are alive at a
+    time.  Every value is exactly what :class:`BatchAnalysis` gives for
+    its window.
     """
 
     def __init__(self, measurement_sets: Sequence[MeasurementSet]):
@@ -433,51 +434,34 @@ class WindowedBatch:
                     "all windows must share the same regions, activities "
                     "and processor count")
         self.measurement_sets = sets
-        #: (W, N, K, P) stacked tensors.
-        self.times = _readonly(np.stack([ms.times for ms in sets]))
         #: (W, N, K) performed masks.
-        self.performed = _readonly(self.times.max(axis=3) > 0.0)
+        self.performed = _readonly(np.stack([ms.performed for ms in sets]))
         #: (W, N, K) per-window ``t_ij`` under each set's aggregation.
         self.region_activity_times = _readonly(
             np.stack([ms.region_activity_times for ms in sets]))
-        self._cells: Optional[np.ndarray] = None
         self._matrices: Dict[str, np.ndarray] = {}
         self._processor_dispersion: Optional[np.ndarray] = None
 
     @property
     def n_windows(self) -> int:
-        return self.times.shape[0]
+        return len(self.measurement_sets)
 
-    @property
-    def cells(self) -> np.ndarray:
-        """(M, P) standardized slices of every performed cell of every
-        window, packed in (window, region, activity) row-major order."""
-        if self._cells is None:
-            packed = self.times[self.performed]
-            if packed.size:
-                packed = packed / packed.sum(axis=1, keepdims=True)
-            self._cells = _readonly(packed)
-        return self._cells
+    def _per_window(self, evaluate: Callable[[BatchAnalysis], np.ndarray]
+                    ) -> np.ndarray:
+        """``evaluate`` on each window's engine, stacked (read-only);
+        an engine and its caches are dropped before the next is built."""
+        return _readonly(np.stack([evaluate(BatchAnalysis(ms))
+                                   for ms in self.measurement_sets]))
 
     def matrix(self, index: str = "euclidean") -> np.ndarray:
         """The (W, N, K) stack of ``ID_ij`` matrices under ``index``.
 
-        Vectorized kernel when registered, scalar per-row fallback for
-        custom indices; cached and read-only.
+        Vectorized kernel when registered, scalar fallback for custom
+        indices; cached and read-only.
         """
         if index not in self._matrices:
-            kernel = _BATCH_REGISTRY.get(index)
-            if kernel is not None and self.cells.size:
-                values = kernel(self.cells)
-            elif self.cells.size:
-                index_function = get_index(index)
-                values = np.array([index_function(row)
-                                   for row in self.cells])
-            else:
-                values = np.empty(0)
-            stacked = np.full(self.performed.shape, np.nan)
-            stacked[self.performed] = values
-            self._matrices[index] = _readonly(stacked)
+            self._matrices[index] = self._per_window(
+                lambda batch: batch.matrix(index))
         return self._matrices[index]
 
     def region_index(self, index: str = "euclidean",
@@ -507,13 +491,8 @@ class WindowedBatch:
     def processor_dispersion(self) -> np.ndarray:
         """(W, N, P) per-window processor-view indices ``ID_P_ip``."""
         if self._processor_dispersion is None:
-            from .standardize import standardize_over_activities
-            standardized = np.stack([standardize_over_activities(ms)
-                                     for ms in self.measurement_sets])
-            deviations = standardized - standardized.mean(axis=3,
-                                                          keepdims=True)
-            self._processor_dispersion = _readonly(
-                np.sqrt((deviations ** 2).sum(axis=2)))
+            self._processor_dispersion = self._per_window(
+                BatchAnalysis.processor_dispersion)
         return self._processor_dispersion
 
 

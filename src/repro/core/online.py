@@ -14,7 +14,8 @@ chunks (any other event sequence is converted once) with one
 additions in index order, so per cell they happen in event order and
 the sums are bit-identical however the stream is chunked; merged shards
 agree within one float rounding.  Memory is bounded by the layout (and
-window count), never by the event count.
+window count), never by the event count; finalized windows are
+read-only views of one ``(W, N, K, P)`` stack, not copies.
 """
 
 from __future__ import annotations
@@ -398,6 +399,9 @@ class WindowedAccumulator:
                              f"window layout has {n_ranks} rank(s)")
         targets = ((window_of[counted] * (n_regions * n_activities)
                     + cell_of[counted]) * n_ranks + ranks)
+        if not self._tensors.flags.writeable:
+            # Copy on write: finalized windows view the stack.
+            self._tensors = self._tensors.copy()
         np.add.at(self._tensors.reshape(-1), targets, durations[counted])
         return self
 
@@ -431,13 +435,15 @@ class WindowedAccumulator:
     def finalize(self) -> List:
         """The windows: unoccupied and poisoned windows dropped,
         per-window ``T`` the larger of the window's covered time and
-        its last event end."""
+        its last event end.  Window tensors are read-only views of the
+        stack; a later :meth:`update` copies it first."""
         from ..instrument.windows import Window
+        self._tensors.flags.writeable = False
         windows = []
         for w in range(self.n_windows):
             if not self._occupied[w] or self._poisoned[w]:
                 continue
-            preliminary = MeasurementSet(self._tensors[w].copy(),
+            preliminary = MeasurementSet(self._tensors[w],
                                          regions=self.region_names,
                                          activities=self.activity_names)
             total = max(float(self._last_end[w]), preliminary.covered_time)

@@ -8,9 +8,9 @@ extends the methodology along time: given a sequence of per-window
 measurement sets (from :func:`repro.instrument.window_profiles`), it
 
 * tracks each region's and each activity's index of dispersion across
-  windows (evaluated through the stacked batch engine,
-  :class:`repro.core.batch.WindowedBatch` — one kernel call for all
-  windows, not W per-window analyses),
+  windows (evaluated window by window through
+  :class:`repro.core.batch.WindowedBatch`, on read-only views of one
+  windowed stack — no stacked copy),
 * fits a linear trend (least squares) per series,
 * flags *drifting* regions — significant positive slope — which a
   one-shot analysis would underestimate,
@@ -314,8 +314,8 @@ def temporal_analysis(windows: Sequence, index: str = "euclidean"
     :class:`~repro.core.measurements.MeasurementSet` instances; all must
     share region names.  Homogeneous windows (same activities and
     processor count, the output of :func:`window_profiles`) are
-    evaluated through the stacked batch engine in one kernel call per
-    index; heterogeneous stacks fall back to per-window batch analyses.
+    evaluated through :class:`~repro.core.batch.WindowedBatch`;
+    heterogeneous sequences fall back to per-window views.
     """
     if not windows:
         raise MeasurementError("need at least one window")

@@ -87,17 +87,19 @@ def render_temporal_report(windows, n_events: int, *,
                            index: str = "euclidean",
                            phases: bool = False,
                            forecast: Optional[float] = None,
-                           heatmap: bool = False) -> str:
+                           heatmap: bool = False, analysis=None) -> str:
     """The exact text ``repro temporal`` prints for this flag set.
 
     Shared between the CLI command and the analysis service daemon
     (:mod:`repro.serve`): ``windows`` is the per-window profile list
     (from :func:`~repro.instrument.window_profiles` or the streaming
-    binner), ``n_events`` the event count the header reports.
+    binner), ``n_events`` the event count the header reports; a given
+    ``analysis`` (their ``TemporalAnalysis`` under ``index``) is reused.
     """
     from .core.temporal import temporal_analysis
     from .viz import format_table, render_sparkline, render_temporal_heatmap
-    analysis = temporal_analysis(windows, index=index)
+    if analysis is None:
+        analysis = temporal_analysis(windows, index=index)
     drifting = set(analysis.drifting_regions())
 
     span = windows[-1].end - windows[0].begin

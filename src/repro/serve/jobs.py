@@ -149,9 +149,10 @@ def build_report(trace_path, sha: str, kind: str, params: Mapping) -> dict:
         else:
             measurements = accumulate_trace(str(trace_path)).finalize()
     if kind == "temporal":
-        payload["text"] = render_temporal_report(
-            windows, scout.n_events, index=params["index"]) + "\n"
         analysis = temporal_analysis(windows, index=params["index"])
+        payload["text"] = render_temporal_report(
+            windows, scout.n_events, index=params["index"],
+            analysis=analysis) + "\n"
         payload["report"] = {
             "schema": "repro-temporal/1",
             "n_windows": analysis.n_windows,

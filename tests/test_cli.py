@@ -210,6 +210,29 @@ class TestExitCodeContract:
         with pytest.raises(RuntimeError):
             main(["analyze", tracefile])
 
+    def test_closed_stdout_pipe_exits_2_silently(self, tracefile):
+        """``repro temporal ... | head -c 100``: the reader closes the
+        pipe while the report (far larger than a pipe buffer) is still
+        being written.  That is an expected error, not a bug."""
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        env.pop("REPRO_DEBUG", None)
+        process = subprocess.Popen(
+            [sys.executable, "-m", "repro", "temporal", tracefile,
+             "--windows", "8192", "--heatmap"],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        assert len(process.stdout.read(100)) == 100
+        process.stdout.close()
+        stderr = process.stderr.read()
+        process.stderr.close()
+        assert process.wait(timeout=120) == 2
+        assert stderr == b""
+
 
 class TestSalvageFlags:
     def _truncated(self, tracefile, tmp_path):

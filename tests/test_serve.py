@@ -119,6 +119,26 @@ class TestByteIdentity:
         assert again["cached"]
         assert again["text"] == expected
 
+    def test_temporal_build_runs_the_analysis_once(self, paper_trace,
+                                                   monkeypatch):
+        import repro.core.temporal as temporal
+        import repro.serve.jobs as jobs
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        original = temporal.temporal_analysis
+        monkeypatch.setattr(temporal, "temporal_analysis", counted)
+        monkeypatch.setattr(jobs, "temporal_analysis", counted)
+        payload = jobs.build_report(paper_trace, trace_sha256(paper_trace),
+                                    "temporal",
+                                    {"index": "euclidean", "windows": 8})
+        assert len(calls) == 1
+        assert payload["text"] == cli_stdout(
+            ["temporal", paper_trace, "--windows", "8"])
+
     def test_analyze_serves_the_golden_bytes(self, client, paper_trace):
         sha = client.submit(paper_trace)["sha256"]
         assert client.fetch_text(sha) == GOLDEN.read_text()

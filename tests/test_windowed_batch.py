@@ -1,0 +1,235 @@
+"""The windowed path: per-window kernels, zero-copy windows, memory.
+
+* :class:`~repro.core.batch.WindowedBatch` must give, window for
+  window, exactly what :class:`~repro.core.batch.BatchAnalysis` gives
+  on that window alone — for every registered index, including one
+  registered only with ``register_index`` (the scalar fallback), and
+  on stacks with dash cells, windows with no performed cell and a
+  single processor.
+* The windows :meth:`WindowedAccumulator.finalize` returns are
+  read-only views of one stack; accumulating after finalize copies the
+  stack first, so returned windows never change.
+* A temporal run holds one windowed tensor: windowing a trace and
+  rendering its report each peak below 1.25x the tensor plus one
+  decoded chunk (traced by ``tracemalloc``).
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core import (AnalysisSession, BatchAnalysis, MeasurementSet,
+                        WindowedBatch, available_indices, register_index)
+from repro.core.batch import _masked_weighted_mean
+from repro.core.online import WindowedAccumulator
+from repro.instrument import (TraceEvent, Tracer, iter_any, window_profiles,
+                              write_binary_trace)
+from repro.instrument.stream import trace_windows
+from repro.reports import render_temporal_report
+
+SCALAR_ONLY = "midrange-windowed-test-only"
+
+
+@pytest.fixture(scope="module")
+def scalar_only_index():
+    """An index with no batch kernel: WindowedBatch must take the
+    scalar fallback for it."""
+    from repro.core import dispersion
+    register_index(SCALAR_ONLY)(
+        lambda values: float(np.ptp(np.asarray(values, dtype=float)) / 2))
+    yield SCALAR_ONLY
+    del dispersion._REGISTRY[SCALAR_ONLY]
+
+
+@st.composite
+def window_stacks(draw):
+    """Measurement sets sharing one layout: dash cells, windows with no
+    performed cell at all, and (often) a single processor."""
+    n = draw(st.integers(min_value=1, max_value=3))
+    k = draw(st.integers(min_value=1, max_value=3))
+    p = draw(st.sampled_from([1, 1, 2, 3, 5]))
+    n_windows = draw(st.integers(min_value=1, max_value=4))
+    values = st.one_of(st.just(0.0),
+                       st.floats(min_value=1e-3, max_value=1e3))
+    sets = []
+    for _ in range(n_windows):
+        cells = draw(st.lists(values, min_size=n * k * p,
+                              max_size=n * k * p))
+        tensor = np.array(cells).reshape(n, k, p)
+        if draw(st.booleans()):
+            # A dash cell in every window that has some time.
+            tensor[draw(st.integers(0, n - 1)),
+                   draw(st.integers(0, k - 1))] = 0.0
+        if draw(st.integers(0, 4)) == 0:
+            tensor[...] = 0.0           # no performed cell at all
+        sets.append(MeasurementSet(tensor))
+    return sets
+
+
+@settings(max_examples=80, deadline=None)
+@given(sets=window_stacks())
+def test_windowed_batch_matches_batch_analysis_per_window(
+        sets, scalar_only_index):
+    windowed = WindowedBatch(sets)
+    assert windowed.n_windows == len(sets)
+    for index in (*available_indices(), scalar_only_index):
+        matrices = windowed.matrix(index)
+        assert matrices.shape == (len(sets), *sets[0].performed.shape)
+        for weighting in ("time", "uniform"):
+            regions = windowed.region_index(index, weighting)
+            activities = windowed.activity_index(index, weighting)
+            for w, ms in enumerate(sets):
+                expected = BatchAnalysis(ms).matrix(index)
+                np.testing.assert_array_equal(matrices[w], expected)
+                weights = (ms.region_activity_times if weighting == "time"
+                           else ms.performed.astype(float))
+                np.testing.assert_array_equal(
+                    regions[w], _masked_weighted_mean(
+                        expected, weights, ms.performed, axis=1))
+                np.testing.assert_array_equal(
+                    activities[w], _masked_weighted_mean(
+                        expected, weights, ms.performed, axis=0))
+                # ... and the views of the scalar methodology agree
+                # (their scaled indices divide by T, 0 for an idle
+                # window).
+                with np.errstate(invalid="ignore"):
+                    activity_view, region_view = AnalysisSession(
+                        ms).views(index, weighting)
+                np.testing.assert_allclose(regions[w], region_view.index,
+                                           rtol=1e-12, atol=1e-12)
+                np.testing.assert_allclose(
+                    activities[w], activity_view.index,
+                    rtol=1e-12, atol=1e-12)
+    dispersion = windowed.processor_dispersion()
+    for w, ms in enumerate(sets):
+        np.testing.assert_array_equal(
+            dispersion[w], BatchAnalysis(ms).processor_dispersion())
+
+
+def test_windowed_results_are_cached_and_read_only():
+    sets = [MeasurementSet(np.full((2, 2, 3), value)) for value in (1., 2.)]
+    windowed = WindowedBatch(sets)
+    assert windowed.matrix() is windowed.matrix()
+    for array in (windowed.matrix(), windowed.processor_dispersion(),
+                  windowed.performed, windowed.region_activity_times):
+        assert not array.flags.writeable
+    assert not hasattr(windowed, "times")
+    assert not hasattr(windowed, "cells")
+
+
+def drifting_tracer():
+    """Three ranks, two regions; rank 0 slows down over four steps."""
+    tracer = Tracer()
+    for step in range(4):
+        begin = float(step)
+        for rank in range(3):
+            work = 0.4 + (0.1 * step if rank == 0 else 0.0)
+            tracer.record(rank, "solve", "computation", begin, begin + work)
+            tracer.record(rank, "halo", "point-to-point", begin + 0.5,
+                          begin + 0.6 + 0.05 * rank, kind="send",
+                          nbytes=64, partner=(rank + 1) % 3)
+    return tracer
+
+
+def accumulator(tracer, n_windows=4):
+    windows = window_profiles(tracer, n_windows)
+    first = windows[0].measurements
+    edges = [window.begin for window in windows] + [windows[-1].end]
+    return WindowedAccumulator(edges, first.regions, first.activities,
+                               first.n_processors)
+
+
+class TestZeroCopyWindows:
+    def test_windows_are_read_only_views_of_one_stack(self):
+        windows = window_profiles(drifting_tracer(), 4)
+        stack = windows[0].measurements.times.base
+        assert stack is not None and stack.ndim == 4
+        for window in windows:
+            times = window.measurements.times
+            assert times.base is stack
+            assert not times.flags.writeable
+            with pytest.raises(ValueError):
+                times[0, 0, 0] = 1.0
+
+    @pytest.mark.parametrize("fold", ["update", "consume"])
+    def test_folding_after_finalize_leaves_windows_unchanged(self, fold):
+        tracer = drifting_tracer()
+        binner = accumulator(tracer).consume([tracer.events])
+        before = binner.finalize()
+        saved = [window.measurements.times.copy() for window in before]
+        more = [TraceEvent(1, "solve", "computation", 0.1, 3.5)]
+        if fold == "update":
+            binner.update(more)
+        else:
+            binner.consume([more])
+        for window, times in zip(before, saved):
+            assert not window.measurements.times.flags.writeable
+            np.testing.assert_array_equal(window.measurements.times, times)
+        after = binner.finalize()
+        grown = sum(w.measurements.times.sum() for w in after)
+        assert grown == pytest.approx(sum(t.sum() for t in saved) + 3.4)
+
+
+# ----------------------------------------------------------------------
+# Memory: one windowed tensor per temporal run
+# ----------------------------------------------------------------------
+RANKS, REGIONS, ACTIVITIES, STEPS, WINDOWS = 256, 16, 4, 4, 64
+ACTIVITY_NAMES = ("computation", "point-to-point", "collective",
+                  "synchronization")
+
+
+@pytest.fixture(scope="module")
+def wide_trace(tmp_path_factory):
+    """Bulk-synchronous binary trace: every step runs every region, each
+    region its four activities in turn on all ranks."""
+    rng = np.random.default_rng(7)
+    events = []
+    clock = 0.0
+    for _ in range(STEPS):
+        for region in range(REGIONS):
+            for activity in ACTIVITY_NAMES:
+                durations = rng.uniform(0.5, 1.0, RANKS)
+                events.extend(TraceEvent(rank, f"region {region}", activity,
+                                         clock, clock + float(duration))
+                              for rank, duration in enumerate(durations))
+                clock += 1.0
+    path = tmp_path_factory.mktemp("wide") / "wide.rptb"
+    write_binary_trace(path, events)
+    return path
+
+
+def test_temporal_run_holds_one_windowed_tensor(wide_trace):
+    # Warm-up on the same code paths, so no first-time import or cache
+    # is charged to the traced stages.
+    warm, scout = trace_windows(wide_trace, 2, reread=True)
+    render_temporal_report(warm, scout.n_events, phases=True,
+                           forecast=0.5, heatmap=True)
+    del warm
+    chunk = next(iter(iter_any(wide_trace)))
+    chunk_bytes = sum(getattr(chunk, column).nbytes for column in (
+        "rank", "region", "activity", "begin", "end", "kind", "nbytes",
+        "partner"))
+    del chunk
+    tensor_bytes = WINDOWS * REGIONS * ACTIVITIES * RANKS * 8
+    bound = 1.25 * tensor_bytes + chunk_bytes
+
+    tracemalloc.start()
+    try:
+        baseline = tracemalloc.get_traced_memory()[0]
+        windows, scout = trace_windows(wide_trace, WINDOWS, reread=True)
+        windowing = tracemalloc.get_traced_memory()[1] - baseline
+        tracemalloc.reset_peak()
+        text = render_temporal_report(windows, scout.n_events, phases=True,
+                                      forecast=0.5, heatmap=True)
+        report = tracemalloc.get_traced_memory()[1] - baseline
+    finally:
+        tracemalloc.stop()
+    assert len(windows) == WINDOWS
+    assert "time-resolved analysis: 64 windows" in text
+    assert windowing < bound, (
+        f"windowing peaked at {windowing / tensor_bytes:.2f}x the tensor")
+    assert report < bound, (
+        f"the report peaked at {report / tensor_bytes:.2f}x the tensor")
