@@ -26,13 +26,14 @@ from __future__ import annotations
 import os
 import struct
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, List, Optional, Tuple, Union
+from typing import (Callable, Generator, Iterable, Iterator, List, Optional,
+                    Tuple, Union)
 
 import numpy as np
 
 from ..errors import TraceError
-from .columns import (DEFAULT_CHUNK_SIZE, EventColumns, damage, materialize,
-                      reader_source)
+from .columns import (DEFAULT_CHUNK_SIZE, EventColumns, Scan, judge,
+                      materialize, reader_source)
 from .events import EVENT_KINDS, TraceEvent, check_event
 from .tracefile import iter_trace
 from .tracer import Tracer
@@ -69,17 +70,22 @@ def write_binary_trace(path: PathLike,
     return len(chunk)
 
 
-def _read_header(source: Path, stream) -> Tuple[int, Tuple[str, ...], int]:
-    """The preamble: record count, name table, first record offset."""
+def read_binary_header(source: Path,
+                       stream) -> Tuple[int, Tuple[str, ...], int, int]:
+    """The preamble: record count, name table, first record offset and
+    rank count."""
     head = stream.read(_HEADER.size)
     if len(head) < _HEADER.size:
         raise TraceError(f"{source} is too short to be a binary trace")
-    magic, version, _, count, table_length = _HEADER.unpack(head)
+    magic, version, ranks, count, table_length = _HEADER.unpack(head)
     if magic != MAGIC:
         raise TraceError(f"{source} is not a binary repro trace")
     if version != VERSION:
         raise TraceError(f"unsupported binary trace version {version}")
-    table_bytes = stream.read(table_length)
+    # Never ask for more than the file holds: a hostile length must not
+    # become one huge allocation.
+    table_bytes = stream.read(
+        min(table_length, os.fstat(stream.fileno()).st_size))
     if len(table_bytes) != table_length:
         # Without the full string table no record can be decoded, so
         # there is nothing to salvage.
@@ -90,7 +96,7 @@ def _read_header(source: Path, stream) -> Tuple[int, Tuple[str, ...], int]:
                  if table_length else ())
     except UnicodeDecodeError as error:
         raise TraceError(f"corrupt string table: {error}") from error
-    return count, names, _HEADER.size + table_length
+    return count, names, _HEADER.size + table_length, ranks
 
 
 #: Column types of a decoded chunk, in :data:`RECORD` field order.
@@ -98,7 +104,7 @@ _COLUMN_TYPES = (np.int64, np.intp, np.intp, float, float, np.uint8,
                  np.uint64, np.int64)
 
 
-def _decode_block(data: bytes, names: Tuple[str, ...],
+def _decode_block(data: bytes, names: Tuple[str, ...], ranks: int,
                   first: int) -> Tuple[EventColumns, Optional[str]]:
     """Decode the whole records in ``data`` (record ``first`` onwards).
 
@@ -113,7 +119,8 @@ def _decode_block(data: bytes, names: Tuple[str, ...],
     # One slot past the table stands for out-of-range codes.
     blank = np.array([not name for name in names] + [False])
     bad = ((region >= len(names)) | (activity >= len(names))
-           | (kind >= len(EVENT_KINDS)) | (records["end"] < records["begin"])
+           | (kind >= len(EVENT_KINDS)) | (records["rank"] >= ranks)
+           | (records["end"] < records["begin"])
            | blank[np.minimum(activity, len(names))])
     reason = None
     if bad.any():
@@ -125,7 +132,7 @@ def _decode_block(data: bytes, names: Tuple[str, ...],
             if record[5] >= len(EVENT_KINDS):
                 raise TraceError(f"bad kind {record[5]}")
             check_event(record[0], names[record[2]], record[3], record[4],
-                        EVENT_KINDS[record[5]])
+                        EVENT_KINDS[record[5]], ranks)
         except TraceError as error:
             reason = f"record {first + stop}: {error}"
         records = records[:stop]
@@ -137,61 +144,67 @@ def _decode_block(data: bytes, names: Tuple[str, ...],
 def iter_binary_trace(path: PathLike,
                       chunk_size: int = DEFAULT_CHUNK_SIZE,
                       on_error: str = "salvage") -> Iterator[EventColumns]:
-    """Iterate a binary trace in bounded chunks.
+    """Iterate a binary trace in bounded chunks: the span ``[0, None)``
+    of :func:`iter_binary_span`.
 
-    Damage inside the records salvages the valid prefix with a
-    :class:`~repro.errors.TraceWarning` (``on_error="salvage"``, the
-    default) or raises (``"raise"``); damage before the first record
-    (header or string table) raises in both modes.  Trailing NUL
-    padding after the promised records (block-padded archival storage)
-    is not damage — the binary counterpart of the blank lines the JSONL
-    reader skips.
+    Damage before the first record (header or string table) raises in
+    both modes.  Trailing NUL padding after the promised records
+    (block-padded archival storage) is not damage — the binary
+    counterpart of the blank lines the JSONL reader skips.
     """
     return iter_binary_span(path, 0, None, chunk_size, on_error)
 
 
-def iter_binary_span(path: PathLike, start: int, stop: Optional[int],
-                     chunk_size: int = DEFAULT_CHUNK_SIZE,
-                     on_error: str = "salvage") -> Iterator[EventColumns]:
-    """Iterate the records ``[start, stop)`` of a binary trace — the
-    format's one parser, decoding blocks of ``chunk_size`` records.
+def scan_binary_span(source: Path, start: int, stop: Optional[int],
+                     chunk_size: int) -> Generator[EventColumns, None, Scan]:
+    """Decode the records ``[start, stop)`` (clipped to the promised
+    records) in blocks of ``chunk_size`` — the format's one parser.
 
-    The shard reader: seeks straight to the first record of the range
-    and never reads outside it (plus the fixed-size preamble).  Ranges
-    beyond the file's promised records are clipped.  Damage is counted
-    in file records, so the span ``[0, count)`` salvages, warns and
-    raises exactly like :func:`iter_binary_trace`, which is the span
-    ``[0, None)``: the whole file, where non-NUL bytes after the
-    promised records are damage too.
+    Seeks straight to the first record and reads nothing else but the
+    preamble and, when the range reaches the last promised record, the
+    bytes after it.  The first invalid record ends the span, as does
+    the file ending early or non-NUL bytes after the last record; the
+    returned :class:`~repro.instrument.columns.Scan` reports it.
     """
-    source = reader_source(path, chunk_size, on_error)
-    if start < 0 or (stop is not None and stop < start):
-        raise TraceError(f"invalid record span [{start}, {stop})")
     with open(source, "rb") as stream:
-        count, names, data_offset = _read_header(source, stream)
+        count, names, data_offset, ranks = read_binary_header(source, stream)
         end = count if stop is None else min(stop, count)
         stream.seek(data_offset + start * RECORD.itemsize)
         position = start
+        reason = None
         while position < end:
             want = min(chunk_size, end - position)
             chunk, reason = _decode_block(
-                stream.read(want * RECORD.itemsize), names, position)
-            if reason is not None:
-                damage(source, position + len(chunk), reason, on_error)
+                stream.read(want * RECORD.itemsize), names, ranks, position)
             if len(chunk):
                 yield chunk
-            if reason is not None:
-                return
             position += len(chunk)
-            if len(chunk) < want:               # the file ends early
+            if reason is not None or len(chunk) < want:
                 break
-        if position < end or (stop is None
-                              and stream.read().strip(b"\x00")):
+        junk = False
+        if reason is None and end == count:
+            stream.seek(data_offset + count * RECORD.itemsize)
+            junk = bool(stream.read().strip(b"\x00"))
+        if reason is None and (position < end or junk):
             found = os.fstat(stream.fileno()).st_size - data_offset
-            damage(source, position,
-                   f"truncated: header promises {count} events "
-                   f"({count * RECORD.itemsize} bytes), found "
-                   f"{found}", on_error)
+            reason = (f"truncated: header promises {count} events "
+                      f"({count * RECORD.itemsize} bytes), found {found}")
+    return Scan(position - start, reason)
+
+
+def iter_binary_span(path: PathLike, start: int, stop: Optional[int] = None,
+                     chunk_size: int = DEFAULT_CHUNK_SIZE,
+                     on_error: str = "salvage") -> Iterator[EventColumns]:
+    """Iterate the records ``[start, stop)`` of a binary trace, judged as
+    one read: damage (see :func:`scan_binary_span`) salvages the valid
+    prefix with a :class:`~repro.errors.TraceWarning` or raises
+    (``on_error="raise"``, or nothing salvageable)."""
+    source = reader_source(path, chunk_size, on_error)
+    if start < 0 or (stop is not None and stop < start):
+        raise TraceError(f"invalid record span [{start}, {stop})")
+    kept, reason, _ = yield from scan_binary_span(source, start, stop,
+                                                  chunk_size)
+    judge(source, kept, reason, on_error)
 
 
 def read_binary_trace(path: PathLike,
@@ -199,16 +212,6 @@ def read_binary_trace(path: PathLike,
     """Read a binary trace file, validating every record (see
     :func:`iter_binary_trace` for the damage semantics)."""
     return materialize(iter_binary_trace(path, on_error=on_error))
-
-
-def binary_record_count(path: PathLike) -> Tuple[int, int]:
-    """``(record count, data offset)`` of a binary trace, from the
-    preamble alone — what the shard planner needs without reading the
-    records."""
-    source = reader_source(path, 1, "raise")
-    with open(source, "rb") as stream:
-        count, _, data_offset = _read_header(source, stream)
-    return count, data_offset
 
 
 def sniff_format(path: PathLike) -> str:

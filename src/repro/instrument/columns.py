@@ -12,7 +12,8 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Iterable, Iterator, List, Tuple, Union
+from typing import (Dict, Iterable, Iterator, List, NamedTuple, Optional,
+                    Tuple, Union)
 
 import numpy as np
 
@@ -129,12 +130,29 @@ def reader_source(path: Union[str, Path], chunk_size: int,
     return source
 
 
-def damage(source: Path, salvaged: int, reason: str, on_error: str) -> None:
-    """The damage policy of every reader: raise under
-    ``on_error="raise"`` or when nothing before the damage survived;
-    otherwise warn that the first ``salvaged`` events were kept."""
-    if on_error == "raise" or salvaged == 0:
+class Scan(NamedTuple):
+    """What a span reader met: ``kept`` events before the first damage,
+    that damage (``None`` when clean) and the event count the header
+    promises for the whole file (JSONL; a binary span checks its records
+    against its header itself)."""
+
+    kept: int
+    reason: Optional[str]
+    promised: Optional[int] = None
+
+
+def judge(source: Path, kept: int, reason: Optional[str], on_error: str,
+          promised: Optional[int] = None) -> None:
+    """The damage policy, applied once per read to its first damage (or,
+    for a clean read, a ``promised`` event count it did not deliver):
+    raise under ``on_error="raise"`` or when nothing before the damage
+    survived; otherwise warn that the first ``kept`` events were kept."""
+    if reason is None and promised is not None and promised != kept:
+        reason = f"truncated: header promises {promised} events, found {kept}"
+    if reason is None:
+        return
+    if on_error == "raise" or kept == 0:
         raise TraceError(f"trace {source}: {reason}")
     warnings.warn(TraceWarning(
         f"trace {source}: {reason}; salvaged the first "
-        f"{salvaged} event(s)"), stacklevel=3)
+        f"{kept} event(s)"), stacklevel=2)

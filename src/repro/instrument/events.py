@@ -11,6 +11,7 @@ which is all the profile aggregation needs to build the paper's
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 from ..errors import TraceError
 
@@ -22,14 +23,18 @@ EVENT_KINDS = ("compute", "send", "recv", "wait")
 
 
 def check_event(rank: int, activity: str, begin: float, end: float,
-                kind: str) -> None:
+                kind: str, ranks: Optional[int] = None) -> None:
     """Raise :class:`TraceError` when the fields make no valid event.
 
     The one validation every event passes, whether it is built as a
-    :class:`TraceEvent` or decoded straight into columns.
+    :class:`TraceEvent` or decoded straight into columns.  A reader
+    passes the rank count its trace header declares as ``ranks``.
     """
     if rank < 0:
         raise TraceError("rank must be non-negative")
+    if ranks is not None and rank >= ranks:
+        raise TraceError(f"rank {rank} is not below the header's "
+                         f"{ranks} ranks")
     if end < begin:
         raise TraceError(f"event ends before it begins ({begin} > {end})")
     if kind not in EVENT_KINDS:

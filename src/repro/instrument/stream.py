@@ -5,8 +5,9 @@ re-exported here) and yield bounded
 :class:`~repro.instrument.columns.EventColumns` chunks.  On top of
 them, :func:`iter_any` dispatches by format and adds per-chunk decode
 spans, :func:`accumulate_trace` folds a trace into an
-:class:`~repro.core.online.OnlineAccumulator` (sequentially or over
-shard workers), and :func:`trace_windows` windows it in two passes.
+:class:`~repro.core.online.OnlineAccumulator` (the one-shard plan of
+:mod:`repro.shards`, or ``jobs`` shard workers), and
+:func:`trace_windows` windows it in two passes.
 The CLI, the daemon's jobs and ingest, and the sweep workers all go
 through these two folds.
 """
@@ -20,6 +21,7 @@ from typing import Iterator, List, Optional, Tuple, Union
 from ..core.online import OnlineAccumulator
 from ..errors import TraceWarning
 from ..obs import spans as obspans
+from ..shards import shard_accumulate
 from .binary import (format_reader, iter_binary_span,  # noqa: F401
                      iter_binary_trace)
 from .columns import DEFAULT_CHUNK_SIZE, EventColumns
@@ -72,13 +74,10 @@ def accumulate_trace(path: PathLike, chunk_size: int = DEFAULT_CHUNK_SIZE,
                      on_error: str = "salvage",
                      jobs: Optional[int] = None) -> OnlineAccumulator:
     """Fold a whole trace file into an accumulator in bounded memory:
-    chunk by chunk, or over ``jobs`` shard workers when ``jobs > 1``."""
-    if jobs is not None and jobs > 1:
-        from ..shards import shard_accumulate
-        return shard_accumulate(path, jobs=jobs, chunk_size=chunk_size,
-                                on_error=on_error)
-    return OnlineAccumulator().consume(
-        iter_any(path, chunk_size=chunk_size, on_error=on_error))
+    the one-shard plan, inline (``jobs`` ``None`` or 1), or ``jobs``
+    shards over as many worker processes."""
+    return shard_accumulate(path, jobs=1 if jobs is None else jobs,
+                            chunk_size=chunk_size, on_error=on_error)
 
 
 def trace_windows(path: PathLike, n_windows: int,

@@ -24,13 +24,13 @@ from __future__ import annotations
 
 import gzip
 import json
-import warnings
+import zlib
 from pathlib import Path
-from typing import Iterable, Iterator, List, Optional, Union
+from typing import Generator, Iterable, Iterator, List, Optional, Tuple, Union
 
-from ..errors import TraceError, TraceWarning
-from .columns import (DEFAULT_CHUNK_SIZE, ColumnBuilder, EventColumns,
-                      damage, materialize, reader_source)
+from ..errors import TraceError
+from .columns import (DEFAULT_CHUNK_SIZE, ColumnBuilder, EventColumns, Scan,
+                      judge, materialize, reader_source)
 from .events import TraceEvent, check_event
 from .tracer import Tracer
 
@@ -39,15 +39,12 @@ FORMAT_VERSION = 1
 
 PathLike = Union[str, Path]
 
-#: What a damaged event line can raise while it is decoded.
-_LINE_ERRORS = (json.JSONDecodeError, KeyError, TypeError, ValueError,
-                TraceError)
+#: What a damaged event line can raise while it is decoded (bad JSON
+#: and bad UTF-8 are ValueErrors; hostile nesting exhausts recursion).
+_LINE_ERRORS = (KeyError, TypeError, ValueError, RecursionError, TraceError)
 
-
-def _open(path: Path, mode: str):
-    if path.suffix == ".gz":
-        return gzip.open(path, mode + "t", encoding="utf-8")
-    return open(path, mode, encoding="utf-8")
+#: What reading a damaged (gzip) stream can raise.
+_STREAM_ERRORS = (EOFError, OSError, zlib.error)
 
 
 def write_trace(path: PathLike, events: Iterable[TraceEvent]) -> int:
@@ -55,7 +52,8 @@ def write_trace(path: PathLike, events: Iterable[TraceEvent]) -> int:
     event_list = list(events)
     ranks = max((event.rank for event in event_list), default=-1) + 1
     target = Path(path)
-    with _open(target, "w") as stream:
+    opener = gzip.open if target.suffix == ".gz" else open
+    with opener(target, "wt", encoding="utf-8") as stream:
         header = {"format": FORMAT_NAME, "version": FORMAT_VERSION,
                   "ranks": ranks, "events": len(event_list)}
         stream.write(json.dumps(header) + "\n")
@@ -72,11 +70,17 @@ def write_tracer(path: PathLike, tracer: Tracer) -> int:
     return write_trace(path, tracer.events)
 
 
-def parse_header(header_line: str) -> Optional[int]:
-    """Validate the header line; returns the promised event count."""
+def read_header(source: Path, stream) -> Tuple[Optional[int], Optional[int]]:
+    """Read and validate the header line of a binary-mode ``stream`` —
+    the one place the header is decoded.  Returns the event and rank
+    counts it promises (``None`` when absent; a rank count that is no
+    integer is ignored)."""
+    line = stream.readline()
+    if not line:
+        raise TraceError(f"trace file {source} is empty")
     try:
-        header = json.loads(header_line)
-    except json.JSONDecodeError as error:
+        header = json.loads(line.decode("utf-8"))
+    except (ValueError, RecursionError) as error:
         raise TraceError(f"bad trace header: {error}") from error
     if not isinstance(header, dict) or header.get("format") != FORMAT_NAME:
         raise TraceError(
@@ -86,134 +90,95 @@ def parse_header(header_line: str) -> Optional[int]:
     if header.get("version") != FORMAT_VERSION:
         raise TraceError(
             f"unsupported trace version {header.get('version')!r}")
-    return header.get("events")
+    ranks = header.get("ranks")
+    return header.get("events"), ranks if type(ranks) is int else None
 
 
-def _decode_lines(lines, chunk_size: int, damaged):
-    """Decode ``(where, line)`` pairs into chunks of ``chunk_size``
-    events — the format's one parser.
+def scan_trace_span(source: Path, start: int, stop: Optional[int],
+                    chunk_size: int) -> Generator[EventColumns, None, Scan]:
+    """Decode the event lines whose first byte lies in ``[start, stop)``
+    (``None``: to the end) into chunks — the format's one parser.
 
-    Blank lines are skipped.  A bad line, or a stream error while
-    reading (a truncated gzip member, undecodable UTF-8), ends the
-    stream: ``damaged(reason, events decoded before it)`` applies the
-    caller's damage policy.  Returns the event count, or ``None`` after
-    damage.
+    Spans that tile the file partition its events exactly once.  Every
+    span reads the header, whose rank count bounds every event's rank;
+    gzip is read only as the whole span ``[0, None)``.  Blank lines are
+    skipped.  A bad line or a damaged stream (a truncated or corrupt
+    gzip member) ends the span; the returned
+    :class:`~repro.instrument.columns.Scan` reports it.
     """
-    builder = ColumnBuilder()
-    decoded = 0
-    reason = None
-    try:
-        for where, line in lines:
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line if isinstance(line, str)
-                                    else line.decode("utf-8"))
-                event = (int(record["r"]), str(record["g"]),
-                         str(record["a"]), float(record["b"]),
-                         float(record["e"]), str(record["k"]),
-                         int(record["n"]), int(record["p"]))
-                rank, _, activity, begin, end, kind, _, _ = event
-                check_event(rank, activity, begin, end, kind)
-            except _LINE_ERRORS as error:
-                reason = f"bad event at {where}: {error}"
-                break
-            builder.append(*event)
-            if len(builder) == chunk_size:
-                decoded += chunk_size
-                yield builder.take()
-    except (EOFError, OSError, UnicodeDecodeError) as error:
-        reason = f"damaged stream: {error}"
-    if reason is not None:
-        damaged(reason, decoded + len(builder))
-    decoded += len(builder)
-    if len(builder):
-        yield builder.take()
-    return None if reason else decoded
-
-
-def iter_trace(path: PathLike, chunk_size: int = DEFAULT_CHUNK_SIZE,
-               on_error: str = "salvage") -> Iterator[EventColumns]:
-    """Iterate a JSONL trace (optionally gzipped) in bounded chunks.
-
-    Yields chunks of at most ``chunk_size`` events, in file order.
-    Blank (whitespace-only) lines are not damage and do not count
-    against the header's promised event count.  In strict mode the
-    error surfaces at the chunk that hits the damage, after earlier
-    chunks were already yielded.
-    """
-    source = reader_source(path, chunk_size, on_error)
-    header = []
-
-    def lines():
-        with _open(source, "r") as stream:
-            header_line = stream.readline()
-            if not header_line:
-                raise TraceError(f"trace file {source} is empty")
-            header.append(parse_header(header_line))
-            for number, line in enumerate(stream, start=2):
-                yield f"line {number}", line
-
-    decoded = yield from _decode_lines(
-        lines(), chunk_size,
-        lambda reason, salvaged: damage(source, salvaged, reason, on_error))
-    expected = header[0]
-    if decoded is not None and expected is not None and expected != decoded:
-        damage(source, decoded, f"truncated: header promises {expected} "
-               f"events, found {decoded}", on_error)
-
-
-def iter_trace_span(path: PathLike, start: int, stop: int,
-                    chunk_size: int = DEFAULT_CHUNK_SIZE,
-                    on_error: str = "salvage") -> Iterator[EventColumns]:
-    """Iterate the events of one byte range of an *uncompressed* JSONL
-    trace.
-
-    An event line belongs to the span iff its first byte lies in
-    ``[start, stop)``; spans that tile the file therefore partition the
-    events exactly once, regardless of where the cut points fall inside
-    lines.  ``start == 0`` validates and skips the header line.  Gzip
-    members are not seekable mid-stream; use :func:`iter_trace` for
-    ``.gz`` files.  A span cannot know how many events precede it, so
-    damage salvages the span's own prefix, even an empty one.
-    """
-    source = reader_source(path, chunk_size, on_error)
-    if source.suffix == ".gz":
+    compressed = source.suffix == ".gz"
+    if compressed and (start or stop is not None):
         raise TraceError(
             f"trace {source}: byte-range spans require an uncompressed "
             "trace (gzip streams are not seekable)")
-    if start < 0 or stop < start:
-        raise TraceError(f"invalid byte span [{start}, {stop})")
-
-    def lines():
-        with open(source, "rb") as stream:
-            if start == 0:
-                header_line = stream.readline()
-                if not header_line:
-                    raise TraceError(f"trace file {source} is empty")
-                parse_header(header_line.decode("utf-8", errors="replace"))
-            else:
+    builder = ColumnBuilder()
+    kept = 0
+    reason = promised = None
+    with (gzip.open if compressed else open)(source, "rb") as stream:
+        try:
+            promised, ranks = read_header(source, stream)
+            if start:
                 # Discard the (possibly partial) line containing
                 # start-1; the next line starts at the first line
                 # boundary >= start.
                 stream.seek(start - 1)
                 stream.readline()
             offset = stream.tell()
-            while offset < stop:
-                line = stream.readline()
-                if not line:
-                    return
-                yield f"byte {offset}", line
-                offset = stream.tell()
+            for line in stream:
+                if stop is not None and offset >= stop:
+                    break
+                where = offset
+                offset += len(line)
+                if not line.strip():
+                    continue
+                try:
+                    record = json.loads(line.decode("utf-8"))
+                    event = (int(record["r"]), str(record["g"]),
+                             str(record["a"]), float(record["b"]),
+                             float(record["e"]), str(record["k"]),
+                             int(record["n"]), int(record["p"]))
+                    rank, _, activity, begin, end, kind, _, _ = event
+                    check_event(rank, activity, begin, end, kind, ranks)
+                except _LINE_ERRORS as error:
+                    reason = f"bad event at byte {where}: {error}"
+                    break
+                builder.append(*event)
+                if len(builder) == chunk_size:
+                    kept += chunk_size
+                    yield builder.take()
+        except _STREAM_ERRORS as error:
+            reason = f"damaged stream: {error}"
+    kept += len(builder)
+    if len(builder):
+        yield builder.take()
+    return Scan(kept, reason, promised)
 
-    def damaged(reason: str, salvaged: int) -> None:
-        if on_error == "raise":
-            raise TraceError(f"trace {source}: {reason}")
-        warnings.warn(TraceWarning(
-            f"trace {source}: {reason}; salvaged the first {salvaged} "
-            "event(s) of the span"), stacklevel=3)
 
-    yield from _decode_lines(lines(), chunk_size, damaged)
+def iter_trace_span(path: PathLike, start: int, stop: Optional[int] = None,
+                    chunk_size: int = DEFAULT_CHUNK_SIZE,
+                    on_error: str = "salvage") -> Iterator[EventColumns]:
+    """Iterate the events of one byte range of a JSONL trace, judged as
+    one read: damage (see :func:`scan_trace_span`) salvages the valid
+    prefix or raises.  Only the whole file, the span ``[0, None)``, is
+    held to its header's promised event count."""
+    source = reader_source(path, chunk_size, on_error)
+    if start < 0 or (stop is not None and stop < start):
+        raise TraceError(f"invalid byte span [{start}, {stop})")
+    kept, reason, promised = yield from scan_trace_span(source, start, stop,
+                                                        chunk_size)
+    whole = start == 0 and stop is None
+    judge(source, kept, reason, on_error, promised if whole else None)
+
+
+def iter_trace(path: PathLike, chunk_size: int = DEFAULT_CHUNK_SIZE,
+               on_error: str = "salvage") -> Iterator[EventColumns]:
+    """Iterate a JSONL trace (optionally gzipped) in chunks of at most
+    ``chunk_size`` events, in file order: the span ``[0, None)``.
+
+    Blank lines are not damage and do not count against the header's
+    promised event count.
+    """
+    return iter_trace_span(path, 0, None, chunk_size, on_error)
 
 
 def read_trace(path: PathLike,

@@ -34,7 +34,6 @@ just-ingested trace always surviving.
 
 from __future__ import annotations
 
-import gzip
 import hashlib
 import io
 import json
@@ -228,8 +227,7 @@ class TraceStore:
                 warnings.simplefilter("always", TraceWarning)
                 try:
                     folded = accumulate_trace(scratch)
-                except (TraceError, gzip.BadGzipFile, EOFError,
-                        OSError) as error:
+                except (TraceError, OSError) as error:
                     raise TraceError(
                         f"not a readable trace: {error}") from error
             salvaged = any(issubclass(entry.category, TraceWarning)

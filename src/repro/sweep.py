@@ -24,13 +24,13 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import asdict, dataclass, field, replace
-from multiprocessing import get_context
 from pathlib import Path
 from typing import List, Optional, Sequence, Tuple, Union
 
 from .cache import ReportCache, content_key
 from .errors import ReproError
 from .obs import spans as obspans
+from .pool import map_tasks
 
 #: Bump when the summary schema or analysis semantics change; part of
 #: the cache key, so stale entries are never served.
@@ -247,22 +247,12 @@ def sweep_traces(traces: Union[str, Path, Sequence[Union[str, Path]]],
             else:
                 pending.append((position, (str(path), config, key)))
 
-    if pending:
-        if jobs is None:
-            jobs = os.cpu_count() or 1
-        jobs = max(1, min(jobs, len(pending)))
-        tasks = [task for _, task in pending]
-        with obspans.span("sweep_fanout", activity="coordination",
-                          jobs=jobs, pending=len(pending)):
-            if jobs == 1:
-                fresh = [_worker(task) for task in tasks]
-            else:
-                with get_context().Pool(jobs) as pool:
-                    fresh = pool.map(_worker, tasks)
-        for (position, _), summary in zip(pending, fresh):
-            results[position] = summary
-            if use_cache:
-                _store_cached(cache, summary)
+    fresh = map_tasks(_worker, [task for _, task in pending], jobs,
+                      "sweep_fanout")
+    for (position, _), summary in zip(pending, fresh):
+        results[position] = summary
+        if use_cache:
+            _store_cached(cache, summary)
     return [summary for summary in results if summary is not None]
 
 

@@ -158,10 +158,11 @@ _RECORD = struct.Struct("<IHHddBQi")
 
 def scalar_read_binary(path, on_error: str = "salvage") -> List[TraceEvent]:
     """Per-record reference for :func:`repro.instrument.read_binary_trace`:
-    the same events, warning text and strict-mode error."""
+    the same events, warning text and strict-mode error.  A record whose
+    rank is not below the header's rank count is damage."""
     source = Path(path)
     data = source.read_bytes()
-    _, _, _, count, table_length = _HEADER.unpack_from(data, 0)
+    _, _, ranks, count, table_length = _HEADER.unpack_from(data, 0)
     offset = _HEADER.size
     table = data[offset:offset + table_length]
     names = ([part.decode("utf-8") for part in table.split(b"\x00")]
@@ -185,6 +186,9 @@ def scalar_read_binary(path, on_error: str = "salvage") -> List[TraceEvent]:
             return salvage(f"record {index}: name index out of range")
         if kind_id >= len(EVENT_KINDS):
             return salvage(f"record {index}: bad kind {kind_id}")
+        if rank >= ranks:
+            return salvage(f"record {index}: rank {rank} is not below the "
+                           f"header's {ranks} ranks")
         try:
             events.append(TraceEvent(
                 rank=rank, region=names[region_id],

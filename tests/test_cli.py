@@ -323,6 +323,18 @@ class TestTemporalCommand:
                      "--windows", "4"]) == 0
         assert "[cached]" in capsys.readouterr().out
 
+    def test_sweep_rejects_fewer_than_one_job(self, tracefile, capsys):
+        """Cached or not, the sweep refuses ``--jobs`` below 1 like
+        ``analyze --jobs`` does."""
+        import os
+        directory = os.path.dirname(tracefile)
+        for _ in range(2):
+            assert main(["temporal", "--sweep", directory, "--windows",
+                         "4", "--jobs", "-3"]) == 2
+            assert "--jobs must be at least 1" in capsys.readouterr().err
+            assert main(["temporal", "--sweep", directory,
+                         "--windows", "4"]) == 0
+
 
 class TestStreamFlag:
     """`analyze --stream`: same bytes as the eager path, same exit-code

@@ -302,7 +302,7 @@ class TestShardPlanner:
         path = tmp_path / "t.jsonl.gz"
         write_trace(path, sample_events())
         shards = plan_shards(path, 8)
-        assert [shard.kind for shard in shards] == ["whole"]
+        assert shards == [Shard(path=str(path), kind="jsonl")]
         assert accumulate_shard(shards[0]).n_events == len(sample_events())
 
     def test_binary_plan_uses_record_ranges(self, tmp_path):
