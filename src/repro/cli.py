@@ -10,7 +10,7 @@ stack.  Subcommands:
   folded out-of-core in bounded-memory chunks (``--chunk-size``;
   ``--stream`` is accepted and changes nothing), and ``--jobs J`` fans
   the file out over J shard workers with a deterministic merge — same
-  report, any trace size.
+  report, any trace size; ``--timeline``/``--export-chrome`` re-read it.
 * ``repro paper``               — reproduce the paper's §4 example from
   the calibrated reconstruction (tables, figures, narrative).
 * ``repro cfd``                 — run the CFD workload on the simulator,
@@ -38,10 +38,13 @@ stack.  Subcommands:
 * ``repro fetch TRACE``         — fetch a report from a running daemon
   (byte-identical to the corresponding local command's output).
 
+The trace verbs go from file to report through
+:func:`repro.reports.build_report`, as the daemon's jobs do; the
+handlers here only check arguments and map outcomes to exit codes.
 Trace files may be JSONL (optionally gzipped) or the compact binary
 format (``.rptb``); the readers sniff the format.  Damaged trace files
-are salvaged with a warning by default; ``--strict`` makes any damage
-fatal.
+are salvaged with a one-line ``warning: ...`` on stderr by default;
+``--strict`` makes any damage fatal.
 
 Exit codes: ``0`` success, ``1`` a check failed (``repro paper``
 verification, ``repro faults --require-perfect``), ``2`` an expected
@@ -57,12 +60,14 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import warnings
 from pathlib import Path
 from typing import List, Optional
 
 from . import __version__
-from .errors import ReproError
-from .reports import render_analyze_report, render_temporal_report
+from .errors import ReproError, TraceWarning
+from .reports import (build_report, render_analyze_report,  # noqa: F401
+                      render_temporal_report)
 
 #: Default daemon address shared by the submit/fetch verbs (kept in
 #: sync with :data:`repro.serve.client.DEFAULT_URL`, which the CLI must
@@ -120,9 +125,7 @@ def _build_parser() -> argparse.ArgumentParser:
     analyze_cmd.add_argument("--stream", action="store_true",
                              help="accepted for compatibility; no effect, "
                                   "since analyze always folds the trace "
-                                  "in bounded-memory chunks (still "
-                                  "refused with --timeline and "
-                                  "--export-chrome)")
+                                  "in bounded-memory chunks")
     analyze_cmd.add_argument("--chunk-size", type=int, default=8192,
                              metavar="N",
                              help="events per streamed chunk "
@@ -421,43 +424,10 @@ def _check_stream_arguments(arguments) -> None:
 
 
 def _command_analyze(arguments) -> int:
-    from .instrument.stream import accumulate_trace
-    on_error = "raise" if arguments.strict else "salvage"
     _check_stream_arguments(arguments)
-    if arguments.stream or arguments.jobs is not None:
-        for flag in ("timeline", "export_chrome"):
-            if getattr(arguments, flag):
-                raise ReproError(
-                    f"--{flag.replace('_', '-')} needs the full "
-                    "event list; drop --stream/--jobs to use it")
     with _Profiled(arguments):
-        tracer = None
-        if arguments.timeline or arguments.export_chrome:
-            # The only analysis that needs the events themselves.
-            from .instrument import profile, read_any_tracer
-            tracer = read_any_tracer(arguments.tracefile, on_error=on_error)
-            measurements = profile(tracer)
-        else:
-            measurements = accumulate_trace(
-                arguments.tracefile, chunk_size=arguments.chunk_size,
-                on_error=on_error, jobs=arguments.jobs).finalize()
-        preamble = []
-        if arguments.drop_missing_ranks:
-            missing = measurements.missing_processors()
-            if missing:
-                preamble.append(
-                    "dropping rank(s) with no recorded events: "
-                    + ", ".join(str(p) for p in missing))
-                measurements = measurements.without_missing_processors()
-        text = render_analyze_report(
-            measurements, index=arguments.index,
-            patterns=arguments.patterns,
-            lorenz=arguments.lorenz, diagnose=arguments.diagnose,
-            heatmap=arguments.heatmap, whatif=arguments.whatif,
-            significance=arguments.significance, tracer=tracer,
-            timeline=arguments.timeline,
-            export_chrome=arguments.export_chrome)
-        print("\n\n".join(preamble + [text]))
+        print(build_report("analyze", arguments.tracefile,
+                           vars(arguments))[0])
     return 0
 
 
@@ -527,10 +497,7 @@ def _command_testbed(arguments) -> int:
         print(f"stored as {entry.trace_id}")
         return 0
     # show
-    from .core import analyze, render_full_report
-    from .instrument import profile
-    tracer = testbed.load(arguments.trace_id)
-    print(render_full_report(analyze(profile(tracer))))
+    print(build_report("analyze", testbed.path(arguments.trace_id), {})[0])
     return 0
 
 
@@ -589,13 +556,10 @@ def _command_temporal(arguments) -> int:
     if not arguments.tracefile:
         raise ReproError("temporal needs a trace file (or --sweep DIR)")
 
-    on_error = "raise" if arguments.strict else "salvage"
+    _check_stream_arguments(arguments)
     with _Profiled(arguments):
-        windows, n_events = _streamed_windows(arguments, on_error)
-        print(render_temporal_report(
-            windows, n_events, index=arguments.index,
-            phases=arguments.phases,
-            forecast=arguments.forecast, heatmap=arguments.heatmap))
+        print(build_report("temporal", arguments.tracefile,
+                           vars(arguments))[0])
     return 0
 
 
@@ -603,7 +567,7 @@ def _command_self(arguments) -> int:
     """Dogfooding: profile an analysis run, then turn the methodology
     on the profile.
 
-    Runs the sharded streaming analysis under span recording (over the
+    Runs the sharded ``analyze`` report under span recording (over the
     given trace, or a synthesized paper trace when none is supplied),
     prints the per-stage timing table plus the per-stage imbalance
     indices, and optionally serializes the spans as a repro trace —
@@ -614,7 +578,6 @@ def _command_self(arguments) -> int:
     from .obs import spans as obspans
     from .obs.selftrace import (render_self_report, self_imbalance,
                                 write_selftrace)
-    from .shards import shard_accumulate
     _check_stream_arguments(arguments)
 
     with tempfile.TemporaryDirectory(prefix="repro-self-") as workdir:
@@ -628,11 +591,7 @@ def _command_self(arguments) -> int:
             source = "synthesized paper trace"
         obspans.enable()
         try:
-            accumulator = shard_accumulate(
-                tracefile, jobs=arguments.jobs,
-                chunk_size=arguments.chunk_size)
-            render_analyze_report(accumulator.finalize(),
-                                  index=arguments.index)
+            build_report("analyze", tracefile, vars(arguments))
             spans = obspans.drain()
         finally:
             obspans.disable()
@@ -781,6 +740,16 @@ def _validate_file_arguments(arguments) -> None:
         raise ReproError(f"trace file {path} is a directory")
 
 
+_python_format_warning = warnings.formatwarning
+
+
+def _format_warning(message, category, *args) -> str:
+    """A :class:`TraceWarning` as one ``warning: ...`` line."""
+    if issubclass(category, TraceWarning):
+        return f"warning: {message}\n"
+    return _python_format_warning(message, category, *args)
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     """Entry point; returns a process exit code.
 
@@ -789,10 +758,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     and exit ``2``; a closed stdout pipe exits ``2`` silently.  Anything
     else is a bug in the tool itself: the exception is summarized
     without a traceback and the exit code is ``3``; set
-    ``REPRO_DEBUG=1`` to re-raise for debugging.
+    ``REPRO_DEBUG=1`` to re-raise for debugging.  Salvage warnings stay
+    :mod:`warnings` warnings, each shown as one ``warning: ...`` line.
     """
     parser = _build_parser()
     arguments = parser.parse_args(argv)
+    previous, warnings.formatwarning = warnings.formatwarning, _format_warning
     try:
         _validate_file_arguments(arguments)
         code = _COMMANDS[arguments.command](arguments)
@@ -814,6 +785,8 @@ def main(argv: Optional[List[str]] = None) -> int:
               "(set REPRO_DEBUG=1 for the full traceback)",
               file=sys.stderr)
         return 3
+    finally:
+        warnings.formatwarning = previous
 
 
 if __name__ == "__main__":     # pragma: no cover

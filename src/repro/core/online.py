@@ -33,6 +33,11 @@ from .measurements import DEFAULT_ACTIVITIES, MeasurementSet
 #: instrumentation package).
 OUTSIDE_REGION = "(outside regions)"
 
+#: Bytes one event takes in the binary trace format (mirrors
+#: ``repro.instrument.binary.RECORD.itemsize``, duplicated likewise):
+#: a finalized tensor holds at most one cell per byte of its events.
+EVENT_BYTES = 37
+
 
 def _ordered_activities(seen: Sequence[str]) -> Tuple[str, ...]:
     """The profile's activity ordering: the paper's canonical four (in
@@ -65,7 +70,17 @@ def _index(ids: Dict[str, int], names: Sequence[str], codes: np.ndarray,
                      for name in names], dtype=np.intp)[codes]
 
 
-def _union(first: Dict[str, int], second: Dict[str, int]) -> Dict[str, int]:
+def _rank_index(ids: Dict[int, int], ranks: np.ndarray) -> np.ndarray:
+    """Per event, the running tensor's column of its rank; unseen ranks
+    get the next columns.  Uses ``np.unique``'s ``return_index`` kernel,
+    as ``_index`` does, and a search: the ``return_inverse`` kernel adds
+    about 0.4 MB to a command's peak resident memory."""
+    unique = np.unique(ranks, return_index=True)[0]
+    columns = [ids.setdefault(rank, len(ids)) for rank in unique.tolist()]
+    return np.array(columns, dtype=np.intp)[np.searchsorted(unique, ranks)]
+
+
+def _union(first: Dict, second: Dict) -> Dict:
     return {name: i for i, name in enumerate(dict.fromkeys([*first,
                                                             *second]))}
 
@@ -101,6 +116,9 @@ class OnlineAccumulator:
                             in enumerate(self._fixed_regions or ())}
         self._activity_ids = {name: j for j, name
                               in enumerate(self._fixed_activities or ())}
+        #: Rank -> column of the running tensor: only ranks with events
+        #: have one, so no rank id costs memory before ``n_ranks``.
+        self._rank_ids: Dict[int, int] = {}
         self._tensor = np.zeros((len(self._region_ids),
                                  len(self._activity_ids), 0))
         self._max_rank = -1
@@ -138,10 +156,11 @@ class OnlineAccumulator:
             raise TraceError(
                 f"trace contains activity {activity!r} not in "
                 f"{self._fixed_activities}")
+        ranks = _rank_index(self._rank_ids, chunk.rank)
         self._grow()
         _, n_activities, n_ranks = self._tensor.shape
         index = ((rows[counted] * n_activities + columns[counted]) * n_ranks
-                 + chunk.rank[counted])
+                 + ranks[counted])
         values = chunk.end - chunk.begin if weights is None else weights
         np.add.at(self._tensor.reshape(-1), index, values[counted])
         return self
@@ -149,7 +168,7 @@ class OnlineAccumulator:
     def _grow(self) -> None:
         """Widen the tensor to every label and rank seen so far."""
         shape = (len(self._region_ids), len(self._activity_ids),
-                 self._max_rank + 1)
+                 len(self._rank_ids))
         if shape != self._tensor.shape:
             grown = np.zeros(shape)
             rows, columns, ranks = self._tensor.shape
@@ -197,6 +216,7 @@ class OnlineAccumulator:
         merged._region_ids = _union(self._region_ids, other._region_ids)
         merged._activity_ids = _union(self._activity_ids,
                                       other._activity_ids)
+        merged._rank_ids = _union(self._rank_ids, other._rank_ids)
         merged._max_rank = max(self._max_rank, other._max_rank)
         merged._min_begin = min(self._min_begin, other._min_begin)
         merged._max_end = max(self._max_end, other._max_end)
@@ -206,9 +226,8 @@ class OnlineAccumulator:
             rows = [merged._region_ids[name] for name in part._region_ids]
             columns = [merged._activity_ids[name]
                        for name in part._activity_ids]
-            merged._tensor[np.ix_(rows, columns,
-                                  range(part._tensor.shape[2]))] \
-                += part._tensor
+            ranks = [merged._rank_ids[rank] for rank in part._rank_ids]
+            merged._tensor[np.ix_(rows, columns, ranks)] += part._tensor
         return merged
 
     # ------------------------------------------------------------------
@@ -221,8 +240,19 @@ class OnlineAccumulator:
 
     @property
     def n_ranks(self) -> int:
-        """Ranks seen so far (0 when empty), like ``Tracer.n_ranks``."""
-        return max(self._max_rank + 1, self._given_ranks or 0)
+        """Ranks seen so far (0 when empty), like ``Tracer.n_ranks``: the
+        processor axis of :meth:`tensor`, bounded by the input.  A
+        highest rank that would give the tensor more cells than the
+        events take bytes in the binary format (:data:`EVENT_BYTES`
+        each) raises :class:`~repro.errors.TraceError`."""
+        seen = self._max_rank + 1
+        cells = seen * len(self._region_ids) * len(self._activity_ids)
+        if cells > self._n_events * EVENT_BYTES:
+            raise TraceError(
+                f"rank {self._max_rank} would give the tensor {cells} "
+                f"cells, more than the {self._n_events * EVENT_BYTES} "
+                f"bytes its {self._n_events} event(s) take")
+        return max(seen, self._given_ranks or 0)
 
     @property
     def begin(self) -> float:
@@ -252,9 +282,10 @@ class OnlineAccumulator:
         """Label-keyed view of the running sums: (region, activity,
         rank) -> value of every non-zero cell."""
         regions, activities = list(self._region_ids), list(self._activity_ids)
-        return {(regions[i], activities[j], int(rank)):
-                float(self._tensor[i, j, rank])
-                for i, j, rank in zip(*np.nonzero(self._tensor))}
+        ranks = list(self._rank_ids)
+        return {(regions[i], activities[j], ranks[p]):
+                float(self._tensor[i, j, p])
+                for i, j, p in zip(*np.nonzero(self._tensor))}
 
     # ------------------------------------------------------------------
     # Finalization
@@ -268,17 +299,15 @@ class OnlineAccumulator:
         if not region_names:
             raise TraceError("trace contains no annotated regions")
         activity_names = self.activities()
-        n_ranks = self._max_rank + 1
-        if self._given_ranks is not None:
-            if self._given_ranks < n_ranks:
-                raise TraceError(
-                    f"n_ranks={self._given_ranks} but the trace mentions "
-                    f"rank {self._max_rank}")
-            n_ranks = self._given_ranks
+        n_ranks = self.n_ranks
+        if (self._given_ranks or n_ranks) <= self._max_rank:
+            raise TraceError(
+                f"n_ranks={self._given_ranks} but the trace mentions "
+                f"rank {self._max_rank}")
         tensor = np.zeros((len(region_names), len(activity_names), n_ranks))
         rows = [self._region_ids[name] for name in region_names]
         columns = [self._activity_ids[name] for name in activity_names]
-        tensor[:, :, :self._tensor.shape[2]] = self._tensor[
+        tensor[:, :, list(self._rank_ids)] = self._tensor[
             np.ix_(rows, columns)]
         return tensor
 

@@ -2,7 +2,7 @@
 
 The Trace Event Format (the "catapult" JSON Google's tools consume) is
 the lingua franca of timeline viewers.  :func:`export_chrome_trace`
-converts a tracer into that format:
+converts a trace into that format, walking its events once:
 
 * one *process* per rank (``pid`` = rank, named ``rank N``);
 * each event becomes a complete event (``"ph": "X"``) with microsecond
@@ -21,7 +21,8 @@ from pathlib import Path
 from typing import Union
 
 from ..errors import TraceError
-from .tracer import Tracer
+from .columns import as_chunks
+from .events import EVENT_KINDS
 
 PathLike = Union[str, Path]
 
@@ -29,38 +30,37 @@ PathLike = Union[str, Path]
 _US = 1e6
 
 
-def export_chrome_trace(path: PathLike, tracer: Tracer) -> int:
-    """Write the trace in Chrome Trace Event Format; returns the number
-    of events exported."""
+def _records(tracer):
+    """A process name per rank, then one complete event per event."""
+    for rank in range(tracer.n_ranks):
+        yield {"name": "process_name", "ph": "M", "pid": rank, "tid": 0,
+               "args": {"name": f"rank {rank}"}}
+    for chunk in as_chunks(tracer):
+        names = chunk.names
+        for rank, region, activity, begin, end, kind, nbytes, partner in zip(
+                *(column.tolist() for column in (
+                    chunk.rank, chunk.region, chunk.activity, chunk.begin,
+                    chunk.end, chunk.kind, chunk.nbytes, chunk.partner))):
+            yield {"name": f"{names[region]}: {names[activity]}",
+                   "cat": names[activity], "ph": "X", "pid": rank,
+                   "tid": 0, "ts": begin * _US, "dur": (end - begin) * _US,
+                   "args": {"kind": EVENT_KINDS[kind], "nbytes": nbytes,
+                            "partner": partner}}
+
+
+def export_chrome_trace(path: PathLike, tracer) -> int:
+    """Write the trace in Chrome Trace Event Format, one record at a
+    time; returns the number of events exported.  ``tracer`` is a
+    :class:`~repro.instrument.Tracer` or a chunk source with the trace's
+    extent (``len()``, ``n_ranks``) such as
+    :class:`~repro.instrument.stream.FoldedTrace`."""
     if len(tracer) == 0:
         raise TraceError("refusing to export an empty trace")
-    records = []
-    for rank in range(tracer.n_ranks):
-        records.append({
-            "name": "process_name", "ph": "M", "pid": rank, "tid": 0,
-            "args": {"name": f"rank {rank}"},
-        })
-    for event in tracer.events:
-        records.append({
-            "name": f"{event.region}: {event.activity}",
-            "cat": event.activity,
-            "ph": "X",
-            "pid": event.rank,
-            "tid": 0,
-            "ts": event.begin * _US,
-            "dur": event.duration * _US,
-            "args": {
-                "kind": event.kind,
-                "nbytes": event.nbytes,
-                "partner": event.partner,
-            },
-        })
     target = Path(path)
-    payload = json.dumps({"traceEvents": records,
-                          "displayTimeUnit": "ms"})
-    if target.suffix == ".gz":
-        with gzip.open(target, "wt", encoding="utf-8") as stream:
-            stream.write(payload)
-    else:
-        target.write_text(payload, encoding="utf-8")
+    with (gzip.open if target.suffix == ".gz" else open)(
+            target, "wt", encoding="utf-8") as stream:
+        stream.write('{"traceEvents": [')
+        for position, record in enumerate(_records(tracer)):
+            stream.write((", " if position else "") + json.dumps(record))
+        stream.write('], "displayTimeUnit": "ms"}')
     return len(tracer)

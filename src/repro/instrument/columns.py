@@ -1,10 +1,10 @@
 """Columnar event chunks: the form a trace takes from decode to tensor.
 
-Every reader yields :class:`EventColumns`, and the accumulators of
-:mod:`repro.core.online` fold their numpy columns; consumers that need
-event objects (timelines, Chrome export, the eager ``read_*``
-functions) call :meth:`EventColumns.events`.  The module also holds
-what every reader shares: argument checks and the damage policy.
+Every reader yields :class:`EventColumns`; the accumulators of
+:mod:`repro.core.online`, the timeline and the Chrome export walk their
+numpy columns, and the eager ``read_*`` functions call
+:meth:`EventColumns.events`.  The module also holds what every reader
+shares: argument checks and the damage policy.
 """
 
 from __future__ import annotations

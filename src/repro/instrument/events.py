@@ -35,6 +35,8 @@ def check_event(rank: int, activity: str, begin: float, end: float,
     if ranks is not None and rank >= ranks:
         raise TraceError(f"rank {rank} is not below the header's "
                          f"{ranks} ranks")
+    if rank >= 1 << 63:
+        raise TraceError(f"rank {rank} does not fit in 64 bits")
     if end < begin:
         raise TraceError(f"event ends before it begins ({begin} > {end})")
     if kind not in EVENT_KINDS:

@@ -9,7 +9,8 @@ spans, :func:`accumulate_trace` folds a trace into an
 :mod:`repro.shards`, or ``jobs`` shard workers), and
 :func:`trace_windows` windows it in two passes.
 The CLI, the daemon's jobs and ingest, and the sweep workers all go
-through these two folds.
+through these two folds; :class:`FoldedTrace` re-reads a folded file
+for the renderers that walk every event.
 """
 
 from __future__ import annotations
@@ -80,6 +81,33 @@ def accumulate_trace(path: PathLike, chunk_size: int = DEFAULT_CHUNK_SIZE,
                             chunk_size=chunk_size, on_error=on_error)
 
 
+def read_again(path: PathLike, chunk_size: int,
+               on_error: str) -> Iterator[EventColumns]:
+    """:func:`iter_any` again, its salvage warnings silenced: the read
+    before this one already reported them."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", TraceWarning)
+        yield from iter_any(path, chunk_size=chunk_size, on_error=on_error)
+
+
+class FoldedTrace:
+    """A folded trace file as a chunk source that knows its extent, as a
+    :class:`~repro.instrument.Tracer` does: ``len()``, ``n_ranks`` and
+    ``elapsed`` are the ``fold``'s, and each iteration re-reads the file
+    (:func:`read_again`)."""
+
+    def __init__(self, path: PathLike, fold: OnlineAccumulator,
+                 chunk_size: int, on_error: str) -> None:
+        self.n_ranks, self.elapsed = fold.n_ranks, fold.elapsed
+        self._size, self._read = fold.n_events, (path, chunk_size, on_error)
+
+    def __len__(self) -> int:
+        return self._size
+
+    def __iter__(self) -> Iterator[EventColumns]:
+        return read_again(*self._read)
+
+
 def trace_windows(path: PathLike, n_windows: int,
                   chunk_size: int = DEFAULT_CHUNK_SIZE,
                   on_error: str = "salvage", reread: bool = False
@@ -92,12 +120,7 @@ def trace_windows(path: PathLike, n_windows: int,
     time; its salvage warnings are silenced, since pass 1 already
     reported them.
     """
-    def again() -> Iterator[EventColumns]:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", TraceWarning)
-            yield from iter_any(path, chunk_size=chunk_size,
-                                on_error=on_error)
-
     return fold_windows(
         iter_any(path, chunk_size=chunk_size, on_error=on_error),
-        n_windows, reread=again if reread else None)
+        n_windows, reread=(lambda: read_again(path, chunk_size, on_error))
+        if reread else None)

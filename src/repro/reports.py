@@ -1,18 +1,99 @@
-"""The report renderers shared by the CLI and the analysis daemon.
+"""One report pipeline: from a trace file to the text every verb prints.
 
-:func:`render_analyze_report` and :func:`render_temporal_report` build
-the exact text ``repro analyze`` and ``repro temporal`` print.  The
-daemon's jobs (:mod:`repro.serve.jobs`) and ``repro self``
-(:mod:`repro.obs.selftrace`) call the same functions, so a served
-report is byte-identical to the command's output by construction.
+:func:`build_report` reads, folds, analyses and renders a trace into
+the exact text ``repro analyze`` and ``repro temporal`` print (with
+its renderers :func:`render_analyze_report` and
+:func:`render_temporal_report`) and into the daemon's JSON document.
+The CLI, the daemon's jobs, ``repro self`` and ``repro testbed show``
+all go through it, so a served report is byte-identical to the
+command's output by construction.
 
-The renderers import the analysis stack when they run, so importing
-this module costs nothing: ``repro --help`` stays free of numpy.
+Everything imports the analysis stack when it runs, so importing this
+module costs nothing: ``repro --help`` stays free of numpy.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Mapping, Optional, Tuple
+
+from .errors import ReproError
+
+#: Report kinds: the daemon's job kinds.  ``diagnose`` and ``whatif``
+#: are ``analyze`` with that section added.
+REPORT_KINDS = ("analyze", "diagnose", "whatif", "temporal")
+
+#: Each renderer's flags, under their command-line names.
+_FLAGS = {"analyze": ("index", "patterns", "lorenz", "diagnose", "heatmap",
+                      "whatif", "significance", "timeline", "export_chrome"),
+          "temporal": ("index", "phases", "forecast", "heatmap")}
+
+
+def build_report(kind: str, source, params: Mapping) -> Tuple[str, dict]:
+    """Read, fold, analyse and render one trace file's report.
+
+    ``kind`` is one of :data:`REPORT_KINDS`.  ``params`` holds the
+    options under their ``repro analyze``/``temporal`` flag names
+    (``vars()`` of a parsed command line, or the daemon's job
+    parameters); an absent flag is off.  Returns the text the command
+    prints, without its final newline, and the JSON document the daemon
+    serves.
+    """
+    if kind not in REPORT_KINDS:
+        raise ReproError(f"unknown report kind {kind!r}")
+    from .instrument.stream import (DEFAULT_CHUNK_SIZE, FoldedTrace,
+                                    accumulate_trace, trace_windows)
+    verb = "temporal" if kind == "temporal" else "analyze"
+    flags = {name: params[name] for name in _FLAGS[verb] if name in params}
+    index = flags.setdefault("index", "euclidean")
+    read = {"chunk_size": params.get("chunk_size", DEFAULT_CHUNK_SIZE),
+            "on_error": "raise" if params.get("strict") else "salvage"}
+    # Each stage imports its analysis after the read, so the modules do
+    # not add to the read's memory peak.
+    if kind == "temporal":
+        windows, scout = trace_windows(str(source), params["windows"],
+                                       reread=bool(params.get("stream")),
+                                       **read)
+        n_events = scout.n_events
+        del scout        # the pass-1 tensor must not outlive the read
+        from .core.temporal import temporal_analysis
+        analysis = temporal_analysis(windows, index=index)
+        text = render_temporal_report(windows, n_events, analysis=analysis,
+                                      **flags)
+        return text, _temporal_document(analysis, n_events)
+    fold = accumulate_trace(source, jobs=params.get("jobs"), **read)
+    if flags.get("timeline") or flags.get("export_chrome"):
+        flags["trace"] = FoldedTrace(source, fold, **read)
+    measurements = fold.finalize()
+    del fold         # finalize copied the tensor; keep one alive
+    from .core import AnalysisSession
+    from .core.report import report_to_dict
+    sections = []
+    if params.get("drop_missing_ranks"):
+        missing = measurements.missing_processors()
+        if missing:
+            sections.append("dropping rank(s) with no recorded events: "
+                            + ", ".join(str(p) for p in missing))
+            measurements = measurements.without_missing_processors()
+    session = AnalysisSession(measurements)
+    if kind != "analyze":
+        flags[kind] = True
+    sections.append(render_analyze_report(measurements, session=session,
+                                          **flags))
+    return ("\n\n".join(sections),
+            report_to_dict(session.analyze(index=index)))
+
+
+def _temporal_document(analysis, n_events: int) -> dict:
+    """The daemon's structured temporal report."""
+    trends = {trend.region: {
+        "slope": trend.slope, "mean": trend.mean, "final": trend.final,
+        "amplification": (None if trend.amplification == float("inf")
+                          else trend.amplification),
+        "series": [float(value) for value in trend.series]}
+        for trend in analysis.trends}
+    return {"schema": "repro-temporal/1", "n_windows": analysis.n_windows,
+            "n_events": n_events,
+            "drifting": list(analysis.drifting_regions()), "trends": trends}
 
 
 def render_analyze_report(measurements, *, index: str = "euclidean",
@@ -21,16 +102,14 @@ def render_analyze_report(measurements, *, index: str = "euclidean",
                           diagnose: bool = False,
                           heatmap: bool = False, whatif: bool = False,
                           significance: Optional[float] = None,
-                          tracer=None, timeline: bool = False,
+                          timeline: bool = False,
                           export_chrome: Optional[str] = None,
-                          session=None) -> str:
+                          trace=None, session=None) -> str:
     """The exact text ``repro analyze`` prints for this flag set.
 
-    Shared between the CLI command and the analysis service daemon
-    (:mod:`repro.serve`), so a report fetched over HTTP is
-    byte-identical to the corresponding command's output by
-    construction.  ``tracer`` is only needed for the flags that require
-    the full event list (``timeline``, ``export_chrome``).  Passing an
+    ``trace`` holds the events behind ``timeline`` and
+    ``export_chrome`` (a :class:`~repro.instrument.Tracer` or a
+    :class:`~repro.instrument.stream.FoldedTrace`).  Passing an
     existing :class:`~repro.core.AnalysisSession` reuses its cached
     matrices; by default a fresh one backs every section.
     """
@@ -51,10 +130,10 @@ def render_analyze_report(measurements, *, index: str = "euclidean",
         sections.append(render_diagnosis(session.diagnosis(index=index)))
     if timeline:
         from .viz import render_timeline
-        sections.append(render_timeline(tracer))
+        sections.append(render_timeline(trace))
     if export_chrome:
         from .instrument import export_chrome_trace
-        count = export_chrome_trace(export_chrome, tracer)
+        count = export_chrome_trace(export_chrome, trace)
         sections.append(f"exported {count} events to {export_chrome}")
     if heatmap:
         from .viz import render_heatmap
@@ -90,11 +169,9 @@ def render_temporal_report(windows, n_events: int, *,
                            heatmap: bool = False, analysis=None) -> str:
     """The exact text ``repro temporal`` prints for this flag set.
 
-    Shared between the CLI command and the analysis service daemon
-    (:mod:`repro.serve`): ``windows`` is the per-window profile list
-    (from :func:`~repro.instrument.window_profiles` or the streaming
-    binner), ``n_events`` the event count the header reports; a given
-    ``analysis`` (their ``TemporalAnalysis`` under ``index``) is reused.
+    ``windows`` is the per-window profile list, ``n_events`` the event
+    count the header reports; a given ``analysis`` (their
+    ``TemporalAnalysis`` under ``index``) is reused.
     """
     from .core.temporal import temporal_analysis
     from .viz import format_table, render_sparkline, render_temporal_heatmap

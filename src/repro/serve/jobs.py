@@ -17,9 +17,9 @@ report goes through :class:`JobRunner`:
   there is no window in which a third request could recompute.
 
 Job payloads carry both the rendered text — byte-identical to the
-corresponding CLI command's stdout, because both sides call the same
-renderers in :mod:`repro.reports` — and the structured JSON document from
-:func:`repro.core.report.report_to_dict`.  A failed job produces an
+corresponding CLI command's stdout, because both sides go through
+:func:`repro.reports.build_report` — and the structured JSON document
+it builds.  A failed job produces an
 ``error`` payload and is deliberately **not** cached: a transient
 failure (unreadable store, bad index name fixed by a library upgrade)
 must not be sticky.
@@ -37,20 +37,17 @@ from typing import Dict, Mapping, Optional
 
 # The whole stack the four job kinds run loads with the daemon, before
 # it reports ready, so that no import lands in a first request: the
-# renderers import diagnosis and whatif on demand, and clustering seeds
-# a numpy Generator.
+# report pipeline imports its stages on demand, and clustering seeds a
+# numpy Generator.
 import numpy.random  # noqa: F401
 
+from .. import reports
 from ..cache import ReportCache, content_key
-from ..core import diagnosis, whatif  # noqa: F401
-from ..core.batch import AnalysisSession
-from ..core.report import report_to_dict
-from ..core.temporal import temporal_analysis
+from ..core import batch, diagnosis, report, temporal, whatif  # noqa: F401
 from ..errors import ReproError, TraceError, TraceWarning
-from ..instrument.stream import accumulate_trace, trace_windows
+from ..instrument import stream  # noqa: F401
 from ..obs import log as obslog
 from ..obs import spans as obspans
-from ..reports import render_analyze_report, render_temporal_report
 from .metrics import ServiceMetrics
 from .store import TraceStore
 
@@ -59,7 +56,7 @@ from .store import TraceStore
 SERVE_CACHE_FORMAT = 1
 
 #: Job kinds the daemon runs, mirroring the CLI commands they replicate.
-JOB_KINDS = ("analyze", "diagnose", "whatif", "temporal")
+JOB_KINDS = reports.REPORT_KINDS
 
 #: Hard ceiling on requested window counts (a request must not be able
 #: to allocate unbounded memory on the server).
@@ -129,55 +126,18 @@ def report_key(sha: str, kind: str, params: Mapping) -> str:
 def build_report(trace_path, sha: str, kind: str, params: Mapping) -> dict:
     """Run one analysis job; returns the ``status: ok`` payload.
 
-    The rendered ``text`` is byte-identical to the corresponding CLI
-    command's stdout (``repro analyze TRACE [--diagnose|--whatif]`` or
-    ``repro temporal TRACE --windows W``) because it is produced by
-    the very same renderers.  Salvage warnings are silenced — ingest
+    The payload envelope around :func:`repro.reports.build_report`: its
+    ``text`` is byte-identical to the corresponding CLI command's stdout
+    (``repro analyze TRACE [--diagnose|--whatif]`` or ``repro temporal
+    TRACE --windows W``).  Salvage warnings are silenced — ingest
     already recorded whether the stored trace needed salvaging.
     """
-    payload = {
-        "status": "ok",
-        "trace": sha,
-        "kind": kind,
-        "params": dict(params),
-    }
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", TraceWarning)
-        if kind == "temporal":
-            windows, scout = trace_windows(str(trace_path),
-                                           params["windows"])
-        else:
-            measurements = accumulate_trace(str(trace_path)).finalize()
-    if kind == "temporal":
-        analysis = temporal_analysis(windows, index=params["index"])
-        payload["text"] = render_temporal_report(
-            windows, scout.n_events, index=params["index"],
-            analysis=analysis) + "\n"
-        payload["report"] = {
-            "schema": "repro-temporal/1",
-            "n_windows": analysis.n_windows,
-            "n_events": scout.n_events,
-            "drifting": list(analysis.drifting_regions()),
-            "trends": {
-                trend.region: {
-                    "slope": trend.slope,
-                    "mean": trend.mean,
-                    "final": trend.final,
-                    "amplification": (
-                        None if trend.amplification == float("inf")
-                        else trend.amplification),
-                    "series": [float(value) for value in trend.series],
-                } for trend in analysis.trends},
-        }
-    else:
-        session = AnalysisSession(measurements)
-        payload["text"] = render_analyze_report(
-            measurements, index=params["index"],
-            diagnose=(kind == "diagnose"), whatif=(kind == "whatif"),
-            session=session) + "\n"
-        payload["report"] = report_to_dict(
-            session.analyze(index=params["index"]))
-    return payload
+        text, document = reports.build_report(kind, trace_path, params)
+    return {"status": "ok", "trace": sha, "kind": kind,
+            "params": dict(params), "text": text + "\n",
+            "report": document}
 
 
 class JobRunner:

@@ -154,11 +154,15 @@ class Testbed:
         self._write_index()
         return entry
 
-    def load(self, trace_id: str) -> Tracer:
-        """Retrieve a stored trace by id."""
+    def path(self, trace_id: str) -> Path:
+        """The file of a stored trace, by id."""
         if trace_id not in self._entries:
             raise TraceError(f"unknown trace id {trace_id!r}")
-        return read_tracer(self._trace_path(trace_id))
+        return self._trace_path(trace_id)
+
+    def load(self, trace_id: str) -> Tracer:
+        """Retrieve a stored trace by id."""
+        return read_tracer(self.path(trace_id))
 
     def remove(self, trace_id: str) -> None:
         """Delete a trace and its index entry."""

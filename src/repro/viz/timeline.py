@@ -21,7 +21,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence
 
 from ..errors import TraceError
-from ..instrument.tracer import Tracer
+from ..instrument.columns import as_chunks
 
 #: Character for each activity (majority per bucket).
 ACTIVITY_CHARS: Dict[str, str] = {
@@ -38,43 +38,26 @@ TIMELINE_LEGEND = ("legend: # computation   ~ point-to-point   "
                    "= collective   | synchronization   . idle   + mixed")
 
 
-def _bucket_rows(tracer: Tracer, rank: int, width: int,
-                 span: float) -> List[str]:
-    buckets: List[Dict[str, float]] = [dict() for _ in range(width)]
-    step = span / width
-    for event in tracer.events_of(rank):
-        first = min(int(event.begin / step), width - 1)
-        last = min(int(event.end / step - 1e-12), width - 1)
-        for bucket_index in range(first, last + 1):
-            bucket_begin = bucket_index * step
-            bucket_end = bucket_begin + step
-            overlap = min(event.end, bucket_end) - max(event.begin,
-                                                       bucket_begin)
-            if overlap > 0.0:
-                bucket = buckets[bucket_index]
-                bucket[event.activity] = bucket.get(event.activity, 0.0) + \
-                    overlap
-    row = []
-    for bucket_index, bucket in enumerate(buckets):
-        total = sum(bucket.values())
-        if total <= 0.0:
-            row.append(IDLE_CHAR)
-            continue
-        activity, amount = max(bucket.items(), key=lambda item: item[1])
-        if amount < 0.5 * (span / width):
-            row.append(IDLE_CHAR if total < 0.1 * (span / width)
-                       else MIXED_CHAR)
-        else:
-            row.append(ACTIVITY_CHARS.get(activity, MIXED_CHAR))
-    return row
+def _glyph(bucket: Dict[str, float], step: float) -> str:
+    """The character of one bucket's activity mix."""
+    total = sum(bucket.values())
+    if total <= 0.0:
+        return IDLE_CHAR
+    activity, amount = max(bucket.items(), key=lambda item: item[1])
+    if amount < 0.5 * step:
+        return IDLE_CHAR if total < 0.1 * step else MIXED_CHAR
+    return ACTIVITY_CHARS.get(activity, MIXED_CHAR)
 
 
-def render_timeline(tracer: Tracer, width: int = 72,
+def render_timeline(tracer, width: int = 72,
                     ranks: Optional[Sequence[int]] = None) -> str:
     """Render the whole trace as one row per rank.
 
-    ``width`` is the number of time buckets; ``ranks`` restricts to a
-    subset (default: every rank seen).
+    ``tracer`` is a :class:`~repro.instrument.Tracer` or a chunk source
+    with the trace's extent (``len()``, ``n_ranks``, ``elapsed``) such
+    as :class:`~repro.instrument.stream.FoldedTrace`.  ``width`` is the
+    number of time buckets; ``ranks`` restricts to a subset (default:
+    every rank seen).
     """
     if len(tracer) == 0:
         raise TraceError("cannot render an empty trace")
@@ -85,10 +68,30 @@ def render_timeline(tracer: Tracer, width: int = 72,
         raise TraceError("trace spans no time")
     rank_list = list(ranks) if ranks is not None else \
         list(range(tracer.n_ranks))
+    if any(rank < 0 for rank in rank_list):
+        raise TraceError("rank must be non-negative")
+    rows: Dict[int, List[Dict[str, float]]] = {
+        rank: [dict() for _ in range(width)] for rank in rank_list}
+    step = span / width
+    for chunk in as_chunks(tracer):
+        for rank, code, begin, end in zip(
+                chunk.rank.tolist(), chunk.activity.tolist(),
+                chunk.begin.tolist(), chunk.end.tolist()):
+            if rank not in rows:
+                continue
+            activity = chunk.names[code]
+            first = min(int(begin / step), width - 1)
+            last = min(int(end / step - 1e-12), width - 1)
+            for index in range(first, last + 1):
+                overlap = min(end, index * step + step) \
+                    - max(begin, index * step)
+                if overlap > 0.0:
+                    bucket = rows[rank][index]
+                    bucket[activity] = bucket.get(activity, 0.0) + overlap
     label_width = max(len(f"rank {rank}") for rank in rank_list)
     lines = [f"timeline: 0 .. {span:.4g} s ({width} buckets)"]
     for rank in rank_list:
-        row = "".join(_bucket_rows(tracer, rank, width, span))
+        row = "".join(_glyph(bucket, step) for bucket in rows[rank])
         lines.append(f"{('rank ' + str(rank)).ljust(label_width)} {row}")
     lines.append(TIMELINE_LEGEND)
     return "\n".join(lines)

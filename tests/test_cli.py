@@ -417,15 +417,28 @@ class TestStreamFlag:
         assert main(["analyze", tracefile, "--stream", "--jobs", "0"]) == 2
         assert "--jobs" in capsys.readouterr().err
 
-    def test_timeline_is_incompatible(self, tracefile, capsys):
-        assert main(["analyze", tracefile, "--stream", "--timeline"]) == 2
-        assert "drop --stream" in capsys.readouterr().err
+    def test_timeline_under_stream_and_jobs(self, tracefile, capsys):
+        """The timeline re-reads the file after the fold, so ``--stream``
+        and ``--jobs`` print the plain command's bytes."""
+        outputs = []
+        for extra in ([], ["--stream"], ["--jobs", "2"]):
+            assert main(["analyze", tracefile, "--timeline", *extra]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert "timeline:" in outputs[0]
+        assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
 
-    def test_export_chrome_is_incompatible(self, tracefile, tmp_path,
-                                           capsys):
-        assert main(["analyze", tracefile, "--stream",
-                     "--export-chrome", str(tmp_path / "t.json")]) == 2
-        assert "drop --stream" in capsys.readouterr().err
+    def test_export_chrome_under_stream_and_jobs(self, tracefile, tmp_path,
+                                                 capsys):
+        target = tmp_path / "t.json"
+        outputs, exported = [], []
+        for extra in ([], ["--stream"], ["--jobs", "2"]):
+            assert main(["analyze", tracefile, "--export-chrome",
+                         str(target), *extra]) == 0
+            outputs.append(capsys.readouterr().out)
+            exported.append(target.read_bytes())
+        assert f"to {target}" in outputs[0]
+        assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+        assert exported[1] == exported[0] and exported[2] == exported[0]
 
 
 class TestStreamSalvageFlags:
@@ -631,3 +644,38 @@ class TestServeVerbs:
             report = json.loads(capsys.readouterr().out)
         assert report["schema"] == "repro-report/1"
         assert report["program"]["n_processors"] == 4
+
+
+class TestOneReportPipeline:
+    """Every verb and job kind reads columns: no command turns a file
+    into event objects."""
+
+    @pytest.fixture()
+    def no_event_objects(self, monkeypatch):
+        import repro.instrument as instrument
+        import repro.instrument.binary as binary
+        from repro.instrument import TraceEvent
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("built an event object from a file")
+
+        monkeypatch.setattr(binary, "read_any_tracer", refuse)
+        monkeypatch.setattr(instrument, "read_any_tracer", refuse)
+        monkeypatch.setattr(Tracer, "__init__", refuse)
+        monkeypatch.setattr(TraceEvent, "__init__", refuse)
+
+    def test_timeline_and_chrome_export(self, tracefile, tmp_path, capsys,
+                                        no_event_objects):
+        target = tmp_path / "t.json"
+        assert main(["analyze", tracefile, "--timeline",
+                     "--export-chrome", str(target)]) == 0
+        out = capsys.readouterr().out
+        assert "timeline:" in out and f"to {target}" in out
+        assert target.stat().st_size > 0
+
+    def test_every_job_kind(self, tracefile, no_event_objects):
+        from repro.serve.jobs import JOB_KINDS, build_report, normalize_params
+        for kind in JOB_KINDS:
+            payload = build_report(tracefile, "0" * 64, kind,
+                                   normalize_params(kind, {}))
+            assert payload["status"] == "ok" and payload["text"]

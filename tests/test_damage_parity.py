@@ -15,12 +15,17 @@ warning text, or the same :class:`~repro.errors.TraceError`:
 * daemon ingest (``TraceStore.add_bytes``: accepted with the same
   event count and ``salvaged`` flag, or refused), and over HTTP never
   a 5xx.
+
+Fixed damaged inputs also run through the CLI's ``main()``: every
+``analyze`` and ``temporal`` variant gives the same exit code and the
+same one-line stderr, and the variants of one verb the same stdout.
 """
 
 import gzip
 import http.client
 import json
 import struct
+import sys
 import warnings
 import zlib
 
@@ -29,10 +34,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cli import main
 from repro.core import OnlineAccumulator
 from repro.errors import TraceError, TraceWarning
 from repro.instrument import read_any, write_binary_trace, write_trace
-from repro.instrument.stream import accumulate_trace, iter_any
+from repro.instrument.stream import accumulate_trace, iter_any, trace_windows
 from repro.serve import AnalysisServer, TraceStore
 from repro.shards import shard_accumulate
 from tests.test_properties_stream import annotated_traces
@@ -284,6 +290,60 @@ def hostile_rank(directory, fmt):
     return path
 
 
+def headerless_rank(directory, ranks=(0xFF000004,)):
+    """A JSONL trace whose header declares no rank count, holding one
+    event per rank in ``ranks`` (by default one at rank 0xFF000004)."""
+    header = {"format": "repro-trace", "version": 1, "events": len(ranks)}
+    lines = [json.dumps(header)] + [json.dumps(
+        {"r": rank, "g": "work", "a": "computation", "b": 0.0, "e": 1.0,
+         "k": "compute", "n": 0, "p": -1}) for rank in ranks]
+    path = directory / "headerless-rank.jsonl"
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+def boundless_rank(directory):
+    """The binary paper trace with a header declaring 0xFFFFFFFF ranks
+    and record 150 claiming rank 0xFF000004."""
+    from repro.calibrate import synthesize_paper_trace
+    from repro.instrument.binary import RECORD
+    clean = directory / "paper.jsonl"
+    synthesize_paper_trace(clean)
+    events = read_any(clean)
+    path = directory / "boundless-rank.rptb"
+    write_binary_trace(path, events)
+    data = bytearray(path.read_bytes())
+    struct.pack_into("<I", data, _RANKS_AT, 0xFFFFFFFF)
+    at = len(data) - RECORD.itemsize * len(events)
+    records = np.frombuffer(bytes(data), dtype=RECORD, offset=at).copy()
+    records["rank"][150] = 0xFF000004
+    path.write_bytes(bytes(data[:at]) + records.tobytes())
+    return path
+
+
+def wide_rank(directory):
+    """A 5.5 MB binary trace: 150,000 events on 64 ranks x 32 regions x
+    4 activities, one of them claiming rank 5,000,000 (below both the
+    header's 0xFFFFFFFF ranks and the file's size in bytes)."""
+    from repro.instrument.binary import RECORD
+    count = 150_000
+    names = [f"region {index}" for index in range(32)] + [
+        "computation", "point-to-point", "collective", "synchronization"]
+    table = "\0".join(names).encode()
+    records = np.zeros(count, dtype=RECORD)
+    index = np.arange(count)
+    records["rank"] = index % 64
+    records["region"] = index // 64 % 32
+    records["activity"] = 32 + index // 2048 % 4
+    records["begin"] = index // 64
+    records["end"] = records["begin"] + 0.5
+    records["rank"][count // 2] = 5_000_000
+    path = directory / "wide-rank.rptb"
+    path.write_bytes(struct.pack("<4sHIQI", b"RPTB", 1, 0xFFFFFFFF, count,
+                                 len(table)) + table + records.tobytes())
+    return path
+
+
 def corrupt_gzip(directory):
     """The gzipped paper trace with four deflate bytes overwritten where
     that makes zlib fail mid-stream."""
@@ -302,6 +362,126 @@ def corrupt_gzip(directory):
         except (EOFError, OSError):
             continue
     raise AssertionError("no overwrite breaks the deflate stream")
+
+
+#: Every fixed damaged input, by id.
+FIXED_INPUTS = {
+    "bad-line": lambda directory: _paper_fixture(directory, "jsonl"),
+    "end-before-begin": lambda directory: _paper_fixture(directory, "rptb"),
+    "corrupt-gzip": corrupt_gzip,
+    "rank-jsonl": lambda directory: hostile_rank(directory, "jsonl"),
+    "rank-rptb": lambda directory: hostile_rank(directory, "rptb"),
+    "headerless-rank": headerless_rank,
+    "boundless-rank": boundless_rank,
+    "wide-rank": wide_rank,
+    "rank-past-int64": lambda directory: headerless_rank(
+        directory, (0, 1 << 70)),
+}
+
+#: The CLI variants of each verb the oracle drives.
+VARIANTS = {
+    "analyze": ([], ["--jobs", "2"], ["--stream"], ["--timeline"]),
+    "temporal": (["--windows", "4"], ["--windows", "4", "--stream"]),
+}
+
+
+def _show_on_stderr(message, category, filename, lineno, file=None,
+                    line=None):
+    """Python's default warning display, which the test runner's own
+    warning capture replaces."""
+    sys.stderr.write(warnings.formatwarning(message, category, filename,
+                                            lineno, line))
+
+
+def run_cli(argv, capsys):
+    """``(exit code, stdout, stderr)`` of one ``main()`` call, with its
+    warnings shown as the command line shows them."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("always")
+        warnings.showwarning = _show_on_stderr
+        code = main(argv)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+class TestCliAgrees:
+    @pytest.mark.parametrize("make", FIXED_INPUTS.values(),
+                             ids=FIXED_INPUTS.keys())
+    def test_every_variant_gives_one_outcome(self, tmp_path, capsys, make):
+        """Same exit code and stderr line from every variant of both
+        verbs, the same stdout within a verb (the timeline adds its own
+        section after the report); a salvage warning is one line."""
+        path = str(make(tmp_path))
+        runs = {verb: [run_cli([verb, path, *extra], capsys)
+                       for extra in variants]
+                for verb, variants in VARIANTS.items()}
+        outcomes = [run for verb_runs in runs.values() for run in verb_runs]
+        code, _, err = outcomes[0]
+        assert code in (0, 2)
+        assert len(err.splitlines()) == 1
+        assert err.startswith("warning: " if code == 0 else "error: ")
+        for other in outcomes[1:]:
+            assert (other[0], other[2]) == (code, err)
+        plain, jobs, streamed, timeline = (run[1] for run in runs["analyze"])
+        assert jobs == plain and streamed == plain
+        if code == 0:
+            assert timeline.startswith(plain[:-1] + "\n\ntimeline: ")
+        assert runs["temporal"][1][1] == runs["temporal"][0][1]
+
+
+class TestProcessorAxisBound:
+    def test_event_bytes_mirror_the_binary_record(self):
+        from repro.core.online import EVENT_BYTES
+        from repro.instrument.binary import RECORD
+        assert EVENT_BYTES == RECORD.itemsize
+
+    @pytest.mark.parametrize("make", [headerless_rank, boundless_rank,
+                                      wide_rank],
+                             ids=["headerless-rank", "boundless-rank",
+                                  "wide-rank"])
+    def test_rank_out_of_proportion_is_refused(self, tmp_path, make):
+        """A rank that would give the tensor more cells than the events
+        take bytes refuses the trace in every fold and in daemon ingest,
+        without allocating that tensor."""
+        import tracemalloc
+        path = make(tmp_path)
+        refused = "would give the tensor .* cells, more than the"
+        tracemalloc.start()
+        try:
+            for read in (lambda: accumulate_trace(path).finalize(),
+                         lambda: accumulate_trace(path, jobs=2).n_ranks,
+                         lambda: trace_windows(path, 4, reread=True)):
+                with pytest.raises(TraceError, match=refused):
+                    read()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < max(path.stat().st_size, 1 << 20)
+        with pytest.raises(TraceError, match=refused):
+            TraceStore(tmp_path / "store").add_bytes(path.read_bytes())
+
+    @pytest.mark.parametrize("offset,ranks", [(48, 64), (4096, None)])
+    def test_sparse_rank_ids_are_judged_by_their_events(
+            self, tmp_path, capsys, offset, ranks):
+        """Rank ids need not be dense (``merge(rank_offsets=)`` shifts
+        them apart): such a trace reads intact while its events take at
+        least as many bytes as the tensor has cells, and is refused
+        (exit 2) past that."""
+        from repro.calibrate import synthesize_paper_trace
+        from repro.instrument import read_any_tracer
+        from repro.instrument.filters import merge
+        synthesize_paper_trace(tmp_path / "paper.jsonl")
+        paper = read_any_tracer(tmp_path / "paper.jsonl")
+        path = tmp_path / "merged.jsonl"
+        write_trace(path, merge([paper, paper], [0, offset]).events)
+        code = main(["analyze", str(path)])
+        err = capsys.readouterr().err
+        if ranks is None:
+            assert code == 2
+            assert err.startswith(f"error: rank {offset + 15} would give")
+        else:
+            assert (code, err) == (0, "")
+            assert accumulate_trace(path).n_ranks == ranks
 
 
 @pytest.fixture(scope="module")
@@ -339,3 +519,10 @@ class TestDaemonIngestFuzz:
         ids=["corrupt-gzip", "rank-rptb", "rank-jsonl"])
     def test_hostile_fixtures_are_accepted(self, daemon, tmp_path, make):
         assert post_trace(daemon, make(tmp_path).read_bytes()) == 201
+
+    @pytest.mark.parametrize("make", [headerless_rank, boundless_rank],
+                             ids=["headerless-rank", "boundless-rank"])
+    def test_ranks_out_of_proportion_answer_400(self, daemon, tmp_path,
+                                                make):
+        """Refused like ``repro analyze`` exits 2."""
+        assert post_trace(daemon, make(tmp_path).read_bytes()) == 400

@@ -129,9 +129,10 @@ class TestByteIdentity:
             calls.append(1)
             return original(*args, **kwargs)
 
+        # repro.reports runs the analysis, importing it from its owner,
+        # repro.core.temporal, at call time.
         original = temporal.temporal_analysis
         monkeypatch.setattr(temporal, "temporal_analysis", counted)
-        monkeypatch.setattr(jobs, "temporal_analysis", counted)
         payload = jobs.build_report(paper_trace, trace_sha256(paper_trace),
                                     "temporal",
                                     {"index": "euclidean", "windows": 8})
