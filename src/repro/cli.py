@@ -725,8 +725,29 @@ _COMMANDS = {
 }
 
 
+#: The arguments each command writes a file to, by ``dest``.
+_OUTPUT_PATHS = {
+    "analyze": ("export_chrome", "profile_out"),
+    "temporal": ("profile_out",),
+    "cfd": ("trace",),
+    "self": ("self_trace",),
+    "serve": ("ready_file",),
+}
+
+
 def _validate_file_arguments(arguments) -> None:
-    """Fail fast on unreadable file arguments, before any heavy work."""
+    """Fail fast on unreadable or unwritable file arguments, before any
+    heavy work."""
+    for dest in _OUTPUT_PATHS.get(arguments.command, ()):
+        output = getattr(arguments, dest)
+        if output is None:
+            continue
+        path = Path(output)
+        if path.is_dir():
+            raise ReproError(f"cannot write {path}: it is a directory")
+        if not path.parent.is_dir():
+            raise ReproError(f"cannot write {path}: directory "
+                             f"{path.parent} does not exist")
     sweep = getattr(arguments, "sweep", None)
     if sweep is not None and not Path(sweep).is_dir():
         raise ReproError(f"sweep directory {sweep} does not exist")

@@ -17,8 +17,8 @@ Design constraints, in order:
 1. **Zero overhead when disabled.**  ``span(...)`` with recording off
    returns a shared no-op context manager — one global load, one
    attribute check, no allocation.  Hot loops keep their span call
-   sites unconditionally; the ``bench_obs`` guard holds the disabled
-   cost under 2 %.
+   sites unconditionally; ``tests/test_obs.py`` holds a fold's span
+   sites under 2 % of its wall time disabled, 10 % enabled.
 2. **Thread-safe.**  All appends take one lock; worker identity is a
    thread-local label so concurrent serve jobs attribute their spans
    correctly.

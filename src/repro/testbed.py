@@ -80,7 +80,6 @@ class Testbed:
 
     def __init__(self, directory: PathLike) -> None:
         self.directory = Path(directory)
-        self.directory.mkdir(parents=True, exist_ok=True)
         self._index_path = self.directory / INDEX_NAME
         self._entries: Dict[str, TestbedEntry] = {}
         if self._index_path.exists():
@@ -144,6 +143,7 @@ class Testbed:
             trace_id = f"{base}-{number:03d}"
         if trace_id in self._entries:
             raise TraceError(f"trace id {trace_id!r} already stored")
+        self.directory.mkdir(parents=True, exist_ok=True)
         write_tracer(self._trace_path(trace_id), tracer)
         entry = TestbedEntry(
             trace_id=trace_id, program=program, machine=machine,

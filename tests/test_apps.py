@@ -175,6 +175,15 @@ class TestSyntheticWorkload:
         assert ms_three.region_times[0] == pytest.approx(
             3 * ms_one.region_times[0])
 
+    @pytest.mark.parametrize("n_ranks", [8, 32, 64])
+    def test_allreduce_region_moves_messages(self, n_ranks):
+        workload = SyntheticWorkload(regions=(
+            RegionSpec(name="kernel", compute=1e-4,
+                       injector=LinearGradient(amplitude=0.2),
+                       pattern="allreduce", nbytes=4096, sync=True,
+                       repetitions=10),))
+        assert workload.run(n_ranks)[0].messages > 0
+
     def test_jitter_deterministic(self):
         workload = SyntheticWorkload(
             regions=(RegionSpec(name="r", compute=1e-3),),

@@ -79,6 +79,7 @@ class TestThresholdSearch:
         flagged = result.flagged_regions()
         # Computation exceeds 20% of wall clock everywhere it dominates.
         assert ("computation", "loop 1") in flagged
+        assert ("collective", "loop 1") in flagged
 
     def test_misses_negligible_but_imbalanced_activity(self,
                                                        paper_measurements):

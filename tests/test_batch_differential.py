@@ -7,7 +7,13 @@ result within 1e-12, for every index in ``available_indices()``.  The
 scalar per-cell loop survives as
 :func:`repro.core.batch.scalar_dispersion_matrix` exactly so this suite
 can keep holding the two implementations against each other.
+
+The module also holds the engine's reason to exist: over every index at
+``N = 256`` regions, ``K = 4`` activities and ``P = 1024`` processors
+it must run at least :data:`SPEEDUP_FLOOR` times faster than the loop.
 """
+
+import time
 
 import numpy as np
 import pytest
@@ -34,6 +40,15 @@ def random_tensor(seed: int, n: int, k: int, p: int,
     return tensor
 
 
+def swept_tensor(n: int, k: int, p: int) -> np.ndarray:
+    """The speed-up sweep's tensor: every cell imbalanced, and one
+    activity a dash in about 30% of the regions."""
+    rng = np.random.default_rng((n, k, p))
+    tensor = rng.uniform(0.5, 1.5, (n, k, p))
+    tensor[:, 1 % k, :] *= rng.uniform(size=(n, 1)) > 0.3
+    return tensor
+
+
 CASES = [
     MeasurementSet(random_tensor(0, 5, 4, 8)),
     MeasurementSet(random_tensor(1, 3, 2, 16, zero_rows=0.5)),
@@ -44,7 +59,13 @@ CASES = [
     MeasurementSet(np.full((3, 2, 6), 2.5)),
     # Sparse extremes: one processor carries everything.
     MeasurementSet(np.pad(np.ones((2, 2, 1)), ((0, 0), (0, 0), (0, 7)))),
+    # The smallest point of the speed-up sweep.
+    MeasurementSet(swept_tensor(16, 4, 64)),
 ]
+
+#: Least speed-up of the batch engine over the scalar loop at the
+#: acceptance point, best of five timings each.
+SPEEDUP_FLOOR = 5.0
 
 
 def assert_matches_scalar(measurements, index):
@@ -146,6 +167,40 @@ def test_custom_batch_kernel_registration(tiny_measurements):
     finally:
         del disp._REGISTRY[name]
         del batch_module._BATCH_REGISTRY[name]
+
+
+def best_of(functions, repeats: int = 5, window: float = 0.25) -> list:
+    """Seconds per call of each function, best of ``repeats`` samples.
+
+    A sample calls the function back to back until ``window`` seconds
+    have passed, as ``timeit`` sizes its loops, so a 50 ms call is not
+    timed alone against a 300 ms one; the functions' samples alternate,
+    so a slow spell on a shared host falls on all of them.
+    """
+    best = [float("inf")] * len(functions)
+    for _ in range(repeats):
+        for slot, function in enumerate(functions):
+            calls, start = 0, time.perf_counter()
+            while True:
+                function()
+                calls += 1
+                elapsed = time.perf_counter() - start
+                if elapsed >= window:
+                    break
+            best[slot] = min(best[slot], elapsed / calls)
+    return best
+
+
+def test_batch_engine_beats_the_scalar_loop_fivefold():
+    measurements = MeasurementSet(swept_tensor(256, 4, 1024))
+    names = available_indices()
+    scalar, batch = best_of([
+        lambda: [scalar_dispersion_matrix(measurements, name)
+                 for name in names],
+        lambda: BatchAnalysis(measurements).matrices(names)])
+    assert scalar / batch >= SPEEDUP_FLOOR, (
+        f"batch {batch * 1e3:.1f} ms vs scalar {scalar * 1e3:.1f} ms: "
+        f"{scalar / batch:.1f}x is below the {SPEEDUP_FLOOR:.0f}x floor")
 
 
 class TestDashCellParity:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.apps import LOOPS, CFDConfig, run_cfd
-from repro.core import analyze
+from repro.core import Band, analyze, dispersion_matrix, pattern_grid
 from repro.errors import WorkloadError
 
 
@@ -108,9 +108,32 @@ class TestPaperShape:
         view = result.region_view
         assert view.most_imbalanced() == "loop 6"
         assert view.most_imbalanced(scaled=True) == "loop 1"
+        assert result.tuning_candidates[0] == "loop 1"
+
+    def test_table2_loop6_most_dispersed(self, cfd_measurements):
+        matrix = dispersion_matrix(cfd_measurements)
+        names = cfd_measurements.activities
+        comp = names.index("computation")
+        p2p = names.index("point-to-point")
+        sync = names.index("synchronization")
+        assert np.nanargmax(matrix[:, comp]) == 5
+        assert np.nanargmax(matrix[:, p2p]) == 5
+        # The heavy loops' computation stays comparatively balanced.
+        assert matrix[0, comp] < matrix[5, comp]
+        assert matrix[1, comp] < matrix[5, comp]
+        # The paper's synchronization indices span 0.13 .. 0.31.
+        assert np.nanmax(matrix[:, sync]) > 0.05
+
+    def test_processor_view_finds_the_hot_ranks(self, result):
+        view = result.processor_view
+        # Loop 4's winner is a hot rank (3..8) or a halo neighbour that
+        # waits on one (2, 9); loop 6's boundary ranks and loop 1's
+        # rank 1 (the paper's "processor 2") are planted.
+        assert view.most_imbalanced_processor("loop 4") in range(2, 10)
+        assert view.most_imbalanced_processor("loop 6") in {12, 13, 14, 15}
+        assert view.most_imbalanced_processor("loop 1") == 1
 
     def test_loop4_hot_block_visible_in_patterns(self, cfd_measurements):
-        from repro.core import Band, pattern_grid
         grid = pattern_grid(cfd_measurements, "computation")
         row = grid.row("loop 4")
         hot = {3, 4, 5, 6, 7, 8}
@@ -118,3 +141,21 @@ class TestPaperShape:
                    if band in (Band.MAX, Band.UPPER)}
         assert flagged <= hot
         assert len(flagged) >= 4
+
+    def test_figure1_loop6_mostly_in_the_lower_band(self, cfd_measurements):
+        grid = pattern_grid(cfd_measurements, "computation")
+        assert grid.regions == LOOPS
+        low = [band for band in grid.row("loop 6")
+               if band in (Band.MIN, Band.LOWER)]
+        assert len(low) >= 10
+
+    def test_figure2_loop3_among_the_balanced(self, cfd_measurements):
+        p2p_loops = ("loop 3", "loop 4", "loop 5", "loop 6")
+        assert pattern_grid(cfd_measurements,
+                            "point-to-point").regions == p2p_loops
+        column = dispersion_matrix(cfd_measurements)[
+            :, cfd_measurements.activity_index("point-to-point")]
+        loop = {region: column[cfd_measurements.region_index(region)]
+                for region in p2p_loops}
+        assert loop["loop 3"] < loop["loop 4"]
+        assert loop["loop 3"] < loop["loop 6"]

@@ -61,7 +61,7 @@ class TestPaperCommand:
         assert main(["paper"]) == 0
         out = capsys.readouterr().out
         assert "[ok]" in out
-        assert "0.25754" not in out or True      # narrative is in report
+        assert "ID_P = 0.25754 (paper 0.25754)" in out
         assert "loop 1" in out
 
 
@@ -140,6 +140,12 @@ class TestTestbedCommand:
     def test_show_unknown_id(self, tmp_path, capsys):
         assert main(["testbed", str(tmp_path / "tb"), "show", "nope"]) == 2
 
+    @pytest.mark.parametrize("action", [["list"], ["show", "nope"]])
+    def test_reading_a_missing_testbed_creates_nothing(self, tmp_path,
+                                                       action):
+        main(["testbed", str(tmp_path / "typo" / "tb")] + action)
+        assert list(tmp_path.iterdir()) == []
+
     def test_heatmap_and_whatif_flags(self, tracefile, capsys):
         assert main(["analyze", tracefile, "--heatmap", "--whatif"]) == 0
         out = capsys.readouterr().out
@@ -187,6 +193,33 @@ class TestExitCodeContract:
     def test_directory_as_tracefile_exits_2(self, tmp_path, capsys):
         assert main(["analyze", str(tmp_path)]) == 2
         assert "directory" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "{trace}", "--export-chrome", "{missing}/x.json"],
+        ["analyze", "{trace}", "--export-chrome", "{directory}"],
+        ["analyze", "{trace}", "--profile", "--profile-out",
+         "{missing}/p.jsonl"],
+        ["temporal", "{trace}", "--profile-out", "{missing}/p.jsonl"],
+        ["cfd", "--ranks", "4", "--steps", "1", "--grid", "32",
+         "--trace", "{missing}/x.jsonl"],
+        ["self", "{trace}", "--trace", "{missing}/s.jsonl"],
+        ["serve", "--port", "0", "--store", "{missing}/store",
+         "--ready-file", "{missing}/ready.txt"],
+    ], ids=["chrome-missing-dir", "chrome-is-dir", "profile-out",
+            "temporal-profile-out", "cfd-trace", "self-trace",
+            "ready-file"])
+    def test_unwritable_output_path_exits_2_before_any_work(
+            self, tracefile, tmp_path, capsys, argv):
+        (tmp_path / "out").mkdir()
+        before = sorted(tmp_path.rglob("*"))
+        names = {"trace": tracefile, "missing": str(tmp_path / "missing"),
+                 "directory": str(tmp_path / "out")}
+        assert main([word.format(**names) for word in argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: cannot write ")
+        assert captured.err.count("\n") == 1
+        assert sorted(tmp_path.rglob("*")) == before
 
     def test_internal_error_exits_3(self, tracefile, capsys, monkeypatch):
         import repro.cli as cli

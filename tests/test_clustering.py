@@ -130,6 +130,16 @@ class TestClusterRegions:
             frozenset({"loop 1", "loop 2"}),
             frozenset({"loop 3", "loop 4", "loop 5", "loop 6", "loop 7"})}
 
+    def test_paper_partition_has_positive_silhouette(self,
+                                                     paper_measurements):
+        """The two groups are genuine structure in the z-scored loop x
+        activity times, not an artifact of asking for k = 2."""
+        features = paper_measurements.region_activity_times
+        spread = features.std(axis=0)
+        z = (features - features.mean(axis=0)) / np.where(spread > 0,
+                                                          spread, 1)
+        assert silhouette_score(z, kmeans(z, 2, seed=0).labels) > 0.2
+
     def test_raw_scaling_differs(self, paper_measurements):
         # Clustering raw seconds lets loop 4/5's computation time pull
         # them toward the heavy group — the documented reason the

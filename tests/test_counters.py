@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core import analyze
 from repro.errors import TraceError
 from repro.instrument import Tracer, count_profile
 
@@ -89,3 +90,9 @@ class TestCountProfile:
         bytes_sent = ms.times[0, j, :]
         assert bytes_sent[0] < bytes_sent[1]
         assert bytes_sent[-1] < bytes_sent[-2]
+        # Over every region, the methodology sees the same halo skew.
+        everything = count_profile(tracer, "bytes")
+        matrix = analyze(everything, cluster_count=None).activity_view \
+            .dispersion
+        assert matrix[everything.region_index("loop 3"),
+                      everything.activity_index("point-to-point")] > 0.01

@@ -27,6 +27,22 @@ class TestMachines:
                      for name in ("shm", "fast", "sp2", "commodity")]
         assert latencies == sorted(latencies)
 
+    def test_cfd_shape_survives_every_machine(self):
+        """The structural findings hold on every interconnect, while
+        the communication share grows as the network slows."""
+        from repro.apps import run_cfd
+        from repro.core import analyze
+        shares = []
+        for name in ("shm", "fast", "sp2", "commodity"):
+            analysis = analyze(run_cfd(network=MACHINES[name])[2])
+            assert analysis.breakdown.heaviest_region == "loop 1", name
+            assert analysis.region_view.most_imbalanced() == "loop 6", name
+            activity = analysis.breakdown.activity_shares
+            shares.append(sum(activity.get(kind, 0.0) for kind in (
+                "point-to-point", "collective", "synchronization")))
+        assert all(later >= earlier - 1e-9
+                   for earlier, later in zip(shares, shares[1:]))
+
     def test_multi_frame_penalty(self):
         model = multi_frame_sp2(frame_size=4, inter_frame_penalty=3.0)
         intra = model.transfer_time(1000, 0, 3)

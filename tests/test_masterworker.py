@@ -79,6 +79,7 @@ class TestPolicies:
         coarse = run_master_worker(TaskFarm(tasks=192, chunk=48), 8,
                                    "dynamic")
         assert worker_imbalance(fine[2]) < worker_imbalance(coarse[2])
+        assert fine[0].messages > coarse[0].messages
 
     def test_deterministic(self, farm):
         first = run_master_worker(farm, 6, "dynamic")

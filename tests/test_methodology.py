@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.core import Methodology, analyze
+from repro.calibrate import paper_data
+from repro.core import (MeasurementSet, Methodology, analyze,
+                        compute_activity_and_region_views)
 from repro.errors import ReproError
 
 
@@ -44,10 +46,31 @@ class TestAnalyze:
         uniform = analyze(paper_measurements, weighting="uniform")
         assert not np.allclose(time_weighted.activity_view.index,
                                uniform.activity_view.index)
+        # Loop 6 wins either way; loop 1's paper value relies on the
+        # time weights (its tiny, erratic synchronization would
+        # otherwise dominate), and uniform weights inflate
+        # point-to-point, whose large indices live in short loops.
+        assert time_weighted.region_view.most_imbalanced() == "loop 6"
+        assert uniform.region_view.most_imbalanced() == "loop 6"
+        loop1 = paper_measurements.region_index("loop 1")
+        assert time_weighted.region_view.index[loop1] < \
+            uniform.region_view.index[loop1]
+        p2p = paper_measurements.activity_index("point-to-point")
+        assert uniform.activity_view.index[p2p] > \
+            time_weighted.activity_view.index[p2p]
 
     def test_alternative_index(self, paper_measurements):
         result = analyze(paper_measurements, index="cv")
         assert np.all(np.nan_to_num(result.activity_view.dispersion) >= 0.0)
+
+    @pytest.mark.parametrize("n_regions, n_processors", [
+        (16, 16), (16, 64), (16, 256), (8, 32), (64, 32), (256, 32)])
+    def test_views_cover_every_region(self, n_regions, n_processors):
+        rng = np.random.default_rng((n_regions, n_processors))
+        tensor = rng.uniform(0.5, 1.5, (n_regions, 4, n_processors))
+        tensor[:, 1, :] *= rng.uniform(size=(n_regions, 1)) > 0.3
+        result = analyze(MeasurementSet(tensor))
+        assert result.region_view.index.shape == (n_regions,)
 
     def test_deterministic(self, paper_measurements):
         first = analyze(paper_measurements)
@@ -66,6 +89,24 @@ class TestPaperConclusions:
     def test_dominant_and_heaviest(self, result):
         assert result.breakdown.dominant_activity == "computation"
         assert result.breakdown.heaviest_region == "loop 1"
+        assert result.breakdown.heaviest_region_share == pytest.approx(
+            paper_data.HEAVIEST_REGION_SHARE, abs=0.01)
+
+    def test_loop3_longest_p2p_three_loops_synchronize(self, result):
+        extremes = {e.activity: e for e in result.breakdown.extremes}
+        assert extremes["point-to-point"].worst_region == \
+            paper_data.LONGEST_P2P_REGION
+        assert len(result.breakdown.regions_performing(
+            "synchronization")) == paper_data.SYNCHRONIZING_REGIONS
+
+    @pytest.mark.parametrize("index", ["euclidean", "variance", "cv", "mad",
+                                       "gini", "theil"])
+    def test_winners_hold_under_every_index(self, paper_measurements,
+                                            index):
+        activity_view, region_view = compute_activity_and_region_views(
+            paper_measurements, index=index)
+        assert activity_view.ranking()[0] == "synchronization"
+        assert region_view.ranking()[0] == "loop 6"
 
     def test_clusters(self, result):
         assert set(map(frozenset, result.region_clusters)) == {

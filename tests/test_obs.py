@@ -6,6 +6,8 @@ The load-bearing guarantees:
   worker/attributes faithfully while enabled — including spans from
   multiprocessing shard and sweep workers, which travel home through
   the spool directory;
+* a fold's span sites stay under 2 % of its wall time with recording
+  off and under 10 % with it on;
 * the self-trace serialization round-trips through the ordinary trace
   readers, so ``repro analyze`` accepts the tool's own profile;
 * structured log records are one JSON object per line and carry the
@@ -21,10 +23,15 @@ import io
 import json
 import math
 import os
+import time
 
+import numpy as np
 import pytest
 
+from repro.core import OnlineAccumulator
 from repro.errors import ReproError
+from repro.instrument import TraceEvent, iter_trace, write_trace
+from repro.instrument.stream import instrument_chunks, iter_any
 from repro.obs import (JsonLogger, NullLogger, PROM_CONTENT_TYPE, Span,
                        render_prometheus, render_span_table,
                        spans_to_tracer, summarize_spans, worker_ranks,
@@ -164,14 +171,6 @@ class TestSpans:
                    if span.name == "shard_accumulate"}
         assert any(worker.startswith("shard-") for worker in workers)
 
-    def test_streaming_is_uninstrumented_when_disabled(self, tmp_path):
-        from repro.calibrate import synthesize_paper_trace
-        from repro.instrument.stream import instrument_chunks, iter_any
-        trace = tmp_path / "t.jsonl"
-        synthesize_paper_trace(trace)
-        chunks = iter_any(str(trace))
-        assert instrument_chunks(chunks, "stage", trace) is chunks
-
     def test_summary_and_table(self):
         spans = [Span("a", 0.0, 1.0, worker="w0"),
                  Span("a", 0.0, 3.0, worker="w1"),
@@ -187,6 +186,79 @@ class TestSpans:
     def test_empty_table_raises(self):
         with pytest.raises(ReproError):
             render_span_table([])
+
+
+# ----------------------------------------------------------------------
+# Overhead: span sites x cost per site against the fold's wall time
+# ----------------------------------------------------------------------
+#: Ceilings on the span sites' share of a fold's wall time, with
+#: recording off (the default) and on (``--profile``).
+DISABLED_OVERHEAD_CEILING = 0.02
+ENABLED_OVERHEAD_CEILING = 0.10
+
+
+def fold_events(count):
+    """A deterministic 8-rank trace over three regions."""
+    rng = np.random.default_rng(count)
+    clock = np.zeros(8)
+    for index in range(count):
+        rank = index % 8
+        duration = float(rng.uniform(1e-4, 1e-3))
+        yield TraceEvent(rank, f"loop {index % 3 + 1}",
+                         ("computation", "communication")[index % 2],
+                         float(clock[rank]), float(clock[rank]) + duration)
+        clock[rank] += duration
+
+
+def fold(chunks):
+    return OnlineAccumulator().consume(chunks).finalize()
+
+
+def span_site_seconds(calls=200_000, batch=10_000):
+    """Seconds one decode-shaped span site costs in the recorder's
+    current state; recorded spans are drained between batches, outside
+    the timing."""
+    elapsed = 0.0
+    for _ in range(calls // batch):
+        start = time.perf_counter()
+        for _ in range(batch):
+            with obspans.span("site", activity="decode", trace="t") as live:
+                live.set(events=1)
+        elapsed += time.perf_counter() - start
+        obspans.drain()
+    return elapsed / calls
+
+
+class TestOverhead:
+    """Timing the same fold with and without spans compares two noisy
+    wall times; instead, the span sites one fold runs (counted from an
+    enabled run) times the cost of one site (averaged over 200k calls)
+    must stay under a ceiling share of the fold's uninstrumented time."""
+
+    def test_span_sites_stay_under_the_ceilings(self, tmp_path):
+        trace = tmp_path / "t.jsonl"
+        write_trace(trace, fold_events(20_000))
+        # Disabled, a decode stage is the reader's own iterator: the
+        # fold runs no span site per chunk.
+        chunks = iter_any(str(trace))
+        assert instrument_chunks(chunks, "stage", trace) is chunks
+
+        baseline, plain = float("inf"), None
+        for _ in range(3):
+            start = time.perf_counter()
+            plain = fold(iter_trace(trace, chunk_size=512))
+            baseline = min(baseline, time.perf_counter() - start)
+        obspans.enable()
+        profiled = fold(iter_any(trace, chunk_size=512))
+        sites = len(obspans.drain())
+        enabled_cost = span_site_seconds()
+        obspans.disable()
+        disabled_cost = span_site_seconds()
+
+        np.testing.assert_array_equal(profiled.times, plain.times)
+        assert sites > 20_000 // 512
+        assert sites * disabled_cost < DISABLED_OVERHEAD_CEILING * baseline
+        assert sites * enabled_cost < ENABLED_OVERHEAD_CEILING * baseline
 
 
 # ----------------------------------------------------------------------

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.calibrate import paper_data
 from repro.core import Band, MeasurementSet, band_counts, classify, pattern_grid
 from repro.errors import MeasurementError
 
@@ -103,8 +104,19 @@ class TestPatternGrid:
 
     def test_paper_figure_counts(self, paper_measurements):
         grid = pattern_grid(paper_measurements, "computation")
+        assert grid.regions == paper_data.REGIONS     # every loop computes
+        assert all(len(row) == 16 for row in grid.rows)
         assert grid.count("loop 4", Band.UPPER) == 5
         assert grid.count("loop 6", Band.LOWER) == 11
+
+    def test_paper_figure_2_rows_are_flat(self, paper_measurements):
+        """The paper's "very balanced" p2p rows: one band each but for
+        the reconstruction's single deviating processor."""
+        grid = pattern_grid(paper_measurements, "point-to-point")
+        assert grid.regions == ("loop 3", "loop 4", "loop 5", "loop 6")
+        for region in grid.regions:
+            row = grid.row(region)
+            assert max(row.count(band) for band in set(row)) >= 15
 
 
 class TestAsciiRendering:

@@ -118,3 +118,19 @@ class TestComparisons:
     def test_kendall_requires_same_items(self):
         with pytest.raises(RankingError):
             kendall_distance(["a"], ["b"])
+
+    def test_every_criterion_keeps_the_paper_candidate(self,
+                                                       paper_measurements):
+        """Maximum, percentile and threshold select different loops from
+        the paper's scaled region indices, but all keep loop 1, so no
+        two of them ever fully disagree."""
+        from repro.core import compute_region_view
+        view = compute_region_view(paper_measurements)
+        values = dict(zip(view.regions, map(float, view.scaled_index)))
+        selections = [rank(values, "maximum", count=2),
+                      rank(values, "percentile", percentile=75.0),
+                      rank(values, "threshold", threshold=0.003)]
+        for selection in selections:
+            assert "loop 1" in selection.names, selection.criterion
+        assert min(agreement(first, second)
+                   for first in selections for second in selections) > 0.0

@@ -6,8 +6,8 @@ import pytest
 from repro.apps import CFDConfig, run_cfd
 from repro.errors import TraceError
 from repro.instrument import Tracer, lint_trace, profile
-from repro.simmpi import (COMMODITY_CLUSTER, FAST_FABRIC, SP2,
-                          NetworkModel, Simulator, replay)
+from repro.simmpi import (COMMODITY_CLUSTER, FAST_FABRIC, SHARED_MEMORY,
+                          SP2, NetworkModel, Simulator, replay)
 
 
 @pytest.fixture(scope="module")
@@ -77,8 +77,9 @@ class TestWhatIfOnTheMachine:
     def test_network_ordering_is_monotone(self, recorded):
         _, tracer, _ = recorded
         elapsed = [replay(tracer.events, network=net).elapsed
-                   for net in (FAST_FABRIC, SP2, COMMODITY_CLUSTER)]
-        assert elapsed[0] < elapsed[1] < elapsed[2]
+                   for net in (SHARED_MEMORY, FAST_FABRIC, SP2,
+                               COMMODITY_CLUSTER)]
+        assert elapsed[0] < elapsed[1] < elapsed[2] < elapsed[3]
 
     def test_compute_bound_floor(self, recorded):
         """No network can push the replay below the slowest rank's pure

@@ -4,19 +4,26 @@ The streaming readers' contract: concatenating every yielded chunk
 reproduces the eager reader exactly (events, salvage behaviour, blank
 line / NUL padding tolerance), with no chunk larger than ``chunk_size``
 — and span iterators that tile a file partition its events exactly
-once, no matter where the cut points fall.
+once, no matter where the cut points fall.  Folding those chunks is
+what keeps a read's memory bounded: the streamed fold of a trace of
+twelve chunks must peak below :data:`MEMORY_RATIO_CEILING` times the
+eager read's peak.
 """
 
 import gzip
+import tracemalloc
 import warnings
 
+import numpy as np
 import pytest
 
+from repro.core import OnlineAccumulator
 from repro.errors import TraceError, TraceWarning
-from repro.instrument import (TraceEvent, iter_any, iter_binary_span,
-                              iter_binary_trace, iter_trace,
-                              iter_trace_span, read_binary_trace,
-                              read_trace, write_binary_trace, write_trace)
+from repro.instrument import (TraceEvent, Tracer, iter_any,
+                              iter_binary_span, iter_binary_trace,
+                              iter_trace, iter_trace_span, profile,
+                              read_binary_trace, read_trace,
+                              write_binary_trace, write_trace)
 from repro.shards import Shard, accumulate_shard, plan_shards
 
 
@@ -328,3 +335,52 @@ class TestShardPlanner:
     def test_shard_kind_is_validated(self, tmp_path):
         with pytest.raises(TraceError, match="shard kind"):
             Shard(path="x", kind="zip")
+
+
+#: The streamed fold's tracemalloc peak must stay below this fraction of
+#: the eager read's, on 12k events folded 1024 at a time.
+MEMORY_RATIO_CEILING = 0.5
+
+
+def varied_events(count):
+    """A deterministic stream over 16 ranks, 4 regions, 4 activities."""
+    activities = ("computation", "point-to-point", "collective",
+                  "synchronization")
+    for index in range(count):
+        begin = index * 0.001
+        yield TraceEvent(rank=index % 16, region=f"loop {index // 16 % 4 + 1}",
+                         activity=activities[index % 4], begin=begin,
+                         end=begin + 0.0005 + (index % 7) * 0.0001,
+                         nbytes=index % 4096, partner=(index + 1) % 16)
+
+
+def traced_peak(function):
+    """(result, tracemalloc peak bytes) of one call."""
+    tracemalloc.start()
+    try:
+        result = function()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestBoundedMemory:
+    def test_streamed_fold_peaks_below_half_the_eager_read(self, tmp_path):
+        path = tmp_path / "t.jsonl"
+        write_trace(path, varied_events(12_000))
+
+        def eager():
+            tracer = Tracer()
+            tracer.extend(read_trace(path))
+            return profile(tracer)
+
+        eager_set, eager_peak = traced_peak(eager)
+        streamed_set, stream_peak = traced_peak(
+            lambda: OnlineAccumulator().consume(
+                iter_trace(path, chunk_size=1024)).finalize())
+        assert streamed_set.regions == eager_set.regions
+        np.testing.assert_array_equal(streamed_set.times, eager_set.times)
+        assert streamed_set.total_time == eager_set.total_time
+        assert stream_peak < MEMORY_RATIO_CEILING * eager_peak, (
+            f"streamed peak {stream_peak} B is "
+            f"{stream_peak / eager_peak:.3f}x the eager {eager_peak} B")

@@ -38,10 +38,18 @@ class TestRoundTrip:
         tracer = Tracer()
         tracer.extend(sample_events())
         path = tmp_path / "t.jsonl"
-        write_tracer(path, tracer)
+        assert write_tracer(path, tracer) == len(tracer)
         back = read_tracer(path)
         assert back.events == tracer.events
         assert back.elapsed == tracer.elapsed
+
+    def test_gzip_cfd_trace_compresses(self, tmp_path, cfd_run):
+        tracer = cfd_run[1]
+        plain, packed = tmp_path / "t.jsonl", tmp_path / "t.jsonl.gz"
+        write_tracer(plain, tracer)
+        write_tracer(packed, tracer)
+        assert len(read_trace(packed)) == len(tracer)
+        assert plain.stat().st_size > 2 * packed.stat().st_size
 
     def test_empty_trace(self, tmp_path):
         path = tmp_path / "empty.jsonl"
