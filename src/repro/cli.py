@@ -596,8 +596,9 @@ def _command_self(arguments) -> int:
         finally:
             obspans.disable()
 
+    fanout = next(item for item in spans if item.name == "shard_fanout")
     print(f"profiled the analysis pipeline over {source} "
-          f"({arguments.jobs} shard worker(s))\n")
+          f"({fanout.attributes['jobs']} shard worker(s))\n")
     print(obspans.render_span_table(spans))
     pairs = self_imbalance(spans, index=arguments.index)
     width = max(len(stage) for stage, _ in pairs)

@@ -168,8 +168,11 @@ def scan_binary_span(source: Path, start: int, stop: Optional[int],
     """
     with open(source, "rb") as stream:
         count, names, data_offset, ranks = read_binary_header(source, stream)
+        size = os.fstat(stream.fileno()).st_size
         end = count if stop is None else min(stop, count)
-        stream.seek(data_offset + start * RECORD.itemsize)
+        # Every read past the end of the file is empty; clipping keeps a
+        # hostile count from asking for an offset no file can have.
+        stream.seek(min(data_offset + start * RECORD.itemsize, size))
         position = start
         reason = None
         while position < end:
@@ -181,14 +184,14 @@ def scan_binary_span(source: Path, start: int, stop: Optional[int],
             position += len(chunk)
             if reason is not None or len(chunk) < want:
                 break
-        junk = False
-        if reason is None and end == count:
-            stream.seek(data_offset + count * RECORD.itemsize)
-            junk = bool(stream.read().strip(b"\x00"))
+        # Having read every promised record, the stream sits just past
+        # the last one.
+        junk = (reason is None and position == count
+                and bool(stream.read().strip(b"\x00")))
         if reason is None and (position < end or junk):
-            found = os.fstat(stream.fileno()).st_size - data_offset
             reason = (f"truncated: header promises {count} events "
-                      f"({count * RECORD.itemsize} bytes), found {found}")
+                      f"({count * RECORD.itemsize} bytes), "
+                      f"found {size - data_offset}")
     return Scan(position - start, reason)
 
 

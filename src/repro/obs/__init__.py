@@ -6,9 +6,9 @@ machinery.  Four layers, each usable alone:
 
 * :mod:`repro.obs.spans` — nested timed spans with attributes over the
   pipeline's hot paths (sweep fleets, shard workers, streaming chunk
-  loops, serve jobs).  Thread- and process-safe collection, a shared
-  no-op when disabled, so instrumented call sites cost nothing in
-  production.
+  loops, serve jobs).  Thread-safe collection, pool workers' spans
+  returned with their task results, and a shared no-op when disabled,
+  so instrumented call sites cost nothing in production.
 * :mod:`repro.obs.log` — structured JSON logging (one object per
   line) with thread-scoped request-ID propagation end-to-end through
   the serve stack.
@@ -28,13 +28,13 @@ from .log import (JsonLogger, NullLogger, get_request_id, new_request_id,
 from .prom import PROM_CONTENT_TYPE, render_prometheus
 from .selftrace import (render_self_report, self_imbalance,
                         spans_to_tracer, worker_ranks, write_selftrace)
-from .spans import (SPOOL_ENV, Span, StageSummary, current_worker, disable,
+from .spans import (Span, StageSummary, absorb, current_worker, disable,
                     drain, enable, is_enabled, render_span_table,
                     set_worker, span, summarize_spans, worker_scope)
 
 __all__ = [
-    "JsonLogger", "NullLogger", "PROM_CONTENT_TYPE", "SPOOL_ENV", "Span",
-    "StageSummary", "current_worker", "disable", "drain", "enable",
+    "JsonLogger", "NullLogger", "PROM_CONTENT_TYPE", "Span",
+    "StageSummary", "absorb", "current_worker", "disable", "drain", "enable",
     "get_request_id", "is_enabled", "new_request_id", "render_prometheus",
     "render_self_report", "render_span_table", "request_scope",
     "self_imbalance", "set_request_id", "set_worker", "span",

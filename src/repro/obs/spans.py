@@ -22,13 +22,12 @@ Design constraints, in order:
 2. **Thread-safe.**  All appends take one lock; worker identity is a
    thread-local label so concurrent serve jobs attribute their spans
    correctly.
-3. **Process-safe.**  Enabling with a ``spool_dir`` exports
-   :data:`SPOOL_ENV`; multiprocessing workers wrap their task in
-   :func:`worker_scope`, which records locally and flushes the spans
-   to one JSONL spool file per task.  :func:`drain` in the parent
-   merges in-memory and spooled spans.  Forked workers that inherit an
-   enabled recorder are detected by pid and restarted fresh, so a
-   parent's spans are never duplicated through a child.
+3. **Process-safe.**  Spans cross a process boundary only as values:
+   :func:`repro.pool.map_tasks` runs each pool task with an empty
+   recorder (a forked child's inherited spans are dropped), records
+   only if the parent was recording, and returns the task's spans with
+   its result for the parent to :func:`absorb`.  :func:`worker_scope`
+   labels a task's spans with its logical worker.
 
 Timestamps are ``time.perf_counter()`` values: on the platforms we
 support that clock is system-wide (``CLOCK_MONOTONIC`` on Linux), so
@@ -37,20 +36,13 @@ parent and worker spans share a timeline without synchronization.
 
 from __future__ import annotations
 
-import json
-import os
 import threading
 import time
-import uuid
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence
 
 from ..errors import ReproError
-
-#: Environment variable naming the spool directory; its presence tells
-#: worker processes (fork or spawn) that the parent wants their spans.
-SPOOL_ENV = "REPRO_SPAN_SPOOL"
 
 #: Worker label recorded when neither the span nor the thread says
 #: otherwise — the orchestrating process itself.
@@ -77,20 +69,6 @@ class Span:
     def duration(self) -> float:
         return self.end - self.begin
 
-    def to_dict(self) -> dict:
-        return {"name": self.name, "begin": self.begin, "end": self.end,
-                "worker": self.worker, "activity": self.activity,
-                "attributes": self.attributes}
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "Span":
-        return cls(name=str(payload["name"]),
-                   begin=float(payload["begin"]),
-                   end=float(payload["end"]),
-                   worker=str(payload.get("worker", DEFAULT_WORKER)),
-                   activity=str(payload.get("activity", "computation")),
-                   attributes=dict(payload.get("attributes") or {}))
-
 
 class _Recorder:
     """The process-wide span sink (exactly one per process)."""
@@ -100,15 +78,15 @@ class _Recorder:
         self._spans: List[Span] = []
         self._local = threading.local()
         self.enabled = False
-        self.spool_dir: Optional[str] = None
-        self.pid = os.getpid()
-        self._owns_env = False
-        self._owns_spool = False
 
     # -- recording -----------------------------------------------------
     def append(self, span: Span) -> None:
         with self._lock:
             self._spans.append(span)
+
+    def extend(self, spans: Iterable[Span]) -> None:
+        with self._lock:
+            self._spans.extend(spans)
 
     def take(self) -> List[Span]:
         with self._lock:
@@ -134,48 +112,15 @@ def is_enabled() -> bool:
     return _RECORDER.enabled
 
 
-def enable(spool_dir: Optional[str] = None) -> None:
-    """Start recording spans in this process.
-
-    The spool directory is exported via :data:`SPOOL_ENV` so
-    multiprocessing workers (which wrap their tasks in
-    :func:`worker_scope`) spool their spans there for :func:`drain` to
-    merge.  When ``spool_dir`` is omitted a private temporary directory
-    is created and removed again by :func:`disable`, so worker spans
-    always find their way home.  Enabling is idempotent; re-enabling
-    with a different spool directory re-points the export.
-    """
-    recorder = _RECORDER
-    recorder.pid = os.getpid()
-    recorder.enabled = True
-    if spool_dir is None:
-        if recorder.spool_dir is not None:
-            return               # keep the spool already in place
-        import tempfile
-        spool = tempfile.mkdtemp(prefix="repro-spans-")
-        recorder._owns_spool = True
-    else:
-        spool = str(spool_dir)
-        Path(spool).mkdir(parents=True, exist_ok=True)
-        recorder._owns_spool = False
-    recorder.spool_dir = spool
-    os.environ[SPOOL_ENV] = spool
-    recorder._owns_env = True
+def enable() -> None:
+    """Start recording spans in this process (idempotent)."""
+    _RECORDER.enabled = True
 
 
 def disable() -> None:
     """Stop recording and drop anything not yet drained."""
-    recorder = _RECORDER
-    recorder.enabled = False
-    recorder.take()
-    if recorder._owns_env:
-        os.environ.pop(SPOOL_ENV, None)
-        recorder._owns_env = False
-    if recorder._owns_spool and recorder.spool_dir:
-        import shutil
-        shutil.rmtree(recorder.spool_dir, ignore_errors=True)
-    recorder._owns_spool = False
-    recorder.spool_dir = None
+    _RECORDER.enabled = False
+    _RECORDER.take()
 
 
 def set_worker(label: Optional[str]) -> str:
@@ -255,94 +200,30 @@ def span(name: str, *, worker: Optional[str] = None,
 
 
 # ----------------------------------------------------------------------
-# Cross-process collection
+# Collection
 # ----------------------------------------------------------------------
-def _flush_to_spool(spool: str, spans: Sequence[Span]) -> None:
-    if not spans:
-        return
-    target = Path(spool) / f"spans-{os.getpid()}-{uuid.uuid4().hex}.jsonl"
-    tmp = target.with_suffix(".tmp")
-    with open(tmp, "w", encoding="utf-8") as stream:
-        for item in spans:
-            stream.write(json.dumps(item.to_dict(), sort_keys=True) + "\n")
-    os.replace(tmp, target)      # spool files appear atomically
+@contextmanager
+def worker_scope(label: Optional[str] = None):
+    """Label the spans this thread records inside the block with the
+    logical worker ``label`` (a shard, a process slot)."""
+    previous = _RECORDER.set_worker(label)
+    try:
+        yield
+    finally:
+        _RECORDER.set_worker(previous)
 
 
-class _WorkerScope:
-    """Per-task recording inside a (possibly forked) worker process."""
-
-    def __init__(self, label: Optional[str]) -> None:
-        self._label = label
-        self._spool: Optional[str] = None
-        self._previous: Optional[str] = None
-
-    def __enter__(self) -> "_WorkerScope":
-        recorder = _RECORDER
-        if recorder.enabled and recorder.pid != os.getpid():
-            # A forked child inherited the parent's live recorder —
-            # its spans belong to the parent and must not be re-spooled
-            # from here.  Start this process fresh.
-            recorder.enabled = False
-            recorder.take()
-            recorder._owns_env = False
-            recorder._owns_spool = False
-            recorder.spool_dir = None
-        if recorder.enabled:
-            # Same process (jobs=1 runs workers inline): recording is
-            # already live; contribute the label, let the caller drain.
-            self._previous = recorder.set_worker(self._label)
-            return self
-        spool = os.environ.get(SPOOL_ENV)
-        if spool:
-            self._spool = spool
-            recorder.pid = os.getpid()
-            recorder.enabled = True
-            self._previous = recorder.set_worker(self._label)
-        return self
-
-    def __exit__(self, *exc_info) -> bool:
-        recorder = _RECORDER
-        if self._previous is not None:
-            recorder.set_worker(self._previous)
-        if self._spool is not None:
-            recorder.enabled = False
-            _flush_to_spool(self._spool, recorder.take())
-        return False
-
-
-def worker_scope(label: Optional[str] = None) -> _WorkerScope:
-    """Wrap one worker task so its spans reach the parent.
-
-    In a worker process (fork or spawn) with :data:`SPOOL_ENV` set,
-    recording is enabled for the duration and the spans are flushed to
-    a spool file on exit.  Inline execution (``jobs=1``) just sets the
-    worker label.  With observability off entirely, this is a no-op.
-    """
-    return _WorkerScope(label)
+def absorb(spans: Iterable[Span]) -> None:
+    """Add spans recorded elsewhere (a pool worker's) to this process's,
+    while recording."""
+    if _RECORDER.enabled:
+        _RECORDER.extend(spans)
 
 
 def drain() -> List[Span]:
-    """All spans recorded so far, in begin-time order; clears them.
-
-    Merges this process's spans with every spool file written by
-    worker scopes (the spool files are consumed).  Unreadable spool
-    files are skipped — a crashed worker must not take the profile of
-    the surviving ones with it.
-    """
-    recorder = _RECORDER
-    collected = recorder.take()
-    spool = recorder.spool_dir or os.environ.get(SPOOL_ENV)
-    if spool and Path(spool).is_dir():
-        for entry in sorted(Path(spool).glob("spans-*.jsonl")):
-            try:
-                with open(entry, "r", encoding="utf-8") as stream:
-                    for line in stream:
-                        if line.strip():
-                            collected.append(
-                                Span.from_dict(json.loads(line)))
-                entry.unlink()
-            except (OSError, ValueError, KeyError):
-                continue
+    """All spans recorded or absorbed so far, in begin-time order;
+    clears them."""
+    collected = _RECORDER.take()
     collected.sort(key=lambda item: item.begin)
     return collected
 
@@ -402,7 +283,7 @@ def render_span_table(spans: Sequence[Span]) -> str:
               f"{wall * 1e3:.1f} ms of wall clock")
 
 
-__all__ = ["DEFAULT_WORKER", "SPOOL_ENV", "Span", "StageSummary",
+__all__ = ["DEFAULT_WORKER", "Span", "StageSummary", "absorb",
            "current_worker", "disable", "drain", "enable", "is_enabled",
            "render_span_table", "set_worker", "span", "summarize_spans",
            "worker_scope"]

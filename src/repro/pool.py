@@ -4,6 +4,7 @@
 from __future__ import annotations
 
 import os
+from functools import partial
 from typing import Callable, List, Optional, Sequence
 
 from .errors import ReproError
@@ -19,13 +20,22 @@ def worker_count(jobs: Optional[int]) -> int:
     return jobs
 
 
+def _traced(worker: Callable, record: bool, task):
+    """Run one task in a pool process: ``(result, spans)``, the spans
+    recorded by this task alone, and only if the parent is recording
+    (a forked child's inherited spans are dropped first)."""
+    obspans.disable()
+    if record:
+        obspans.enable()
+    return worker(task), obspans.drain()
+
+
 def map_tasks(worker: Callable, tasks: Sequence, jobs: Optional[int],
               stage: str) -> List:
     """``worker`` over ``tasks``, in order, on at most ``jobs`` processes
     (:func:`worker_count`; never more than there are tasks, one runs
-    inline) — recorded as one ``stage`` span.  A worker wraps itself in
-    :func:`repro.obs.spans.worker_scope` so its spans reach the parent.
-    """
+    inline) — recorded as one ``stage`` span.  A pool task's spans come
+    back with its result and join this process's recording."""
     jobs = max(1, min(worker_count(jobs), len(tasks)))
     with obspans.span(stage, activity="coordination", jobs=jobs,
                       tasks=len(tasks)):
@@ -35,4 +45,8 @@ def map_tasks(worker: Callable, tasks: Sequence, jobs: Optional[int],
         # every command ~10 ms of start-up.
         from multiprocessing import get_context
         with get_context().Pool(jobs) as pool:
-            return pool.map(worker, tasks)
+            traced = pool.map(partial(_traced, worker,
+                                      obspans.is_enabled()), tasks)
+        for _, spans in traced:
+            obspans.absorb(spans)
+        return [result for result, _ in traced]

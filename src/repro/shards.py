@@ -118,8 +118,8 @@ def _shard_worker(task):
     index, shard, chunk_size = task
     # Each shard is one logical worker of the self-trace: its spans are
     # labelled shard-N, so `repro self` can ask whether the shard fleet
-    # itself is balanced.  worker_scope also spools the spans back to
-    # the driver when it runs in a separate process.
+    # itself is balanced.  In a pool process, map_tasks returns the
+    # spans to the driver with the fold.
     with obspans.worker_scope(f"shard-{index}"):
         with obspans.span("shard_accumulate", kind=shard.kind,
                           start=shard.start, stop=shard.stop):

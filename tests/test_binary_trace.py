@@ -96,6 +96,23 @@ class TestValidation:
             read_binary_trace(path, on_error="raise")
         assert "truncated" in str(info.value)
 
+    @pytest.mark.parametrize("n_shards", [1, 3])
+    def test_count_past_any_file_offset_is_truncation(self, tmp_path,
+                                                      n_shards):
+        """A header promising 2**62 records puts their byte offsets past
+        the largest a file can have: the records present are salvaged,
+        read whole or in shards."""
+        import struct
+        from repro.shards import shard_accumulate
+        path = tmp_path / "t.rptb"
+        write_binary_trace(path, sample_events())
+        data = bytearray(path.read_bytes())
+        struct.pack_into("<Q", data, 10, 1 << 62)   # <4sHIQI: event count
+        path.write_bytes(bytes(data))
+        with pytest.warns(TraceWarning, match="truncated"):
+            fold = shard_accumulate(path, jobs=1, n_shards=n_shards)
+        assert fold.n_events == len(sample_events())
+
     def test_too_short(self, tmp_path):
         path = tmp_path / "t.rptb"
         path.write_bytes(b"RP")

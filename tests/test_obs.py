@@ -4,8 +4,9 @@ The load-bearing guarantees:
 
 * spans cost (nearly) nothing while disabled and record begin/end/
   worker/attributes faithfully while enabled — including spans from
-  multiprocessing shard and sweep workers, which travel home through
-  the spool directory;
+  multiprocessing shard and sweep workers, which come home with their
+  task results under every start method, and never from a process the
+  recording one did not start;
 * a fold's span sites stay under 2 % of its wall time with recording
   off and under 10 % with it on;
 * the self-trace serialization round-trips through the ordinary trace
@@ -22,8 +23,12 @@ The load-bearing guarantees:
 import io
 import json
 import math
+import multiprocessing
 import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -41,6 +46,17 @@ from repro.obs import spans as obspans
 from repro.obs.prom import escape_label_value, format_value, metric_name
 from repro.obs.selftrace import self_imbalance
 from repro.serve.metrics import LatencyWindow, ServiceMetrics
+
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+
+def _python(*args, env=None):
+    """Run a fresh interpreter with this checkout first on its path."""
+    environ = dict(os.environ, **(env or {}))
+    environ["PYTHONPATH"] = SRC + os.pathsep + environ.get("PYTHONPATH", "")
+    return subprocess.run([sys.executable, *args], env=environ,
+                          capture_output=True, text=True, timeout=120)
 
 
 @pytest.fixture(autouse=True)
@@ -126,36 +142,6 @@ class TestSpans:
         assert spans[0].begin <= spans[1].begin
         assert obspans.drain() == []
 
-    def test_span_dict_round_trip(self):
-        span = Span(name="s", begin=1.0, end=2.5, worker="w",
-                    activity="merge", attributes={"k": "v"})
-        assert Span.from_dict(span.to_dict()) == span
-
-    def test_spool_round_trip_simulates_worker_process(self, tmp_path):
-        """A worker with only SPOOL_ENV set spools; drain merges."""
-        spool = tmp_path / "spool"
-        obspans.enable(str(spool))
-        assert os.environ[obspans.SPOOL_ENV] == str(spool)
-        # Simulate the worker side: recording off locally, env set.
-        recorder = obspans._RECORDER
-        recorder.enabled = False
-        with obspans.worker_scope("shard-7"):
-            with obspans.span("shard_accumulate"):
-                pass
-        assert list(spool.glob("spans-*.jsonl"))
-        recorder.enabled = True       # back to the parent's view
-        (span,) = obspans.drain()
-        assert span.worker == "shard-7"
-        assert not list(spool.glob("spans-*.jsonl"))   # consumed
-
-    def test_disable_removes_owned_spool_and_env(self):
-        obspans.enable()
-        spool = obspans._RECORDER.spool_dir
-        assert spool and os.path.isdir(spool)
-        obspans.disable()
-        assert not os.path.isdir(spool)
-        assert obspans.SPOOL_ENV not in os.environ
-
     def test_shard_workers_spans_reach_the_parent(self, tmp_path):
         from repro.calibrate import synthesize_paper_trace
         from repro.shards import shard_accumulate
@@ -164,12 +150,82 @@ class TestSpans:
         obspans.enable()
         shard_accumulate(str(trace), jobs=2)
         spans = obspans.drain()
-        names = {span.name for span in spans}
-        assert {"shard_plan", "shard_fanout", "shard_merge",
-                "shard_accumulate", "stream_decode"} <= names
-        workers = {span.worker for span in spans
-                   if span.name == "shard_accumulate"}
-        assert any(worker.startswith("shard-") for worker in workers)
+        for stage in ("shard_accumulate", "stream_decode"):
+            assert {span.worker for span in spans if span.name == stage} \
+                == {"shard-0", "shard-1"}
+        # Parent spans exist once: none came back through a forked child.
+        names = [span.name for span in spans]
+        for stage in ("shard_plan", "shard_fanout", "shard_merge"):
+            assert names.count(stage) == 1
+
+    def test_sweep_workers_spans_reach_the_parent(self, tmp_path):
+        from repro.calibrate import synthesize_paper_trace
+        from repro.sweep import sweep_traces
+        traces = [tmp_path / "a.jsonl", tmp_path / "b.jsonl"]
+        for trace in traces:
+            synthesize_paper_trace(trace)
+        obspans.enable()
+        sweep_traces(traces, jobs=2, use_cache=False)
+        spans = obspans.drain()
+        for stage in ("sweep_window", "sweep_trends"):
+            workers = [span.worker for span in spans if span.name == stage]
+            assert len(workers) == 2
+            assert len(set(workers)) == 2
+            assert all(worker.startswith("pid-") and
+                       worker != f"pid-{os.getpid()}" for worker in workers)
+
+    def test_shard_spans_agree_under_every_start_method(self, tmp_path):
+        from repro.calibrate import synthesize_paper_trace
+        trace = tmp_path / "t.jsonl"
+        synthesize_paper_trace(trace)
+        script = (
+            "import json, multiprocessing, sys\n"
+            "from repro.obs import spans as obspans\n"
+            "from repro.shards import shard_accumulate\n"
+            "multiprocessing.set_start_method(sys.argv[1])\n"
+            "obspans.enable()\n"
+            "shard_accumulate(sys.argv[2], jobs=2)\n"
+            "print(json.dumps(sorted([span.name, span.worker]\n"
+            "                        for span in obspans.drain())))\n")
+        pairs = {}
+        for method in multiprocessing.get_all_start_methods():
+            run = _python("-c", script, method, str(trace))
+            assert run.returncode == 0, run.stderr
+            pairs[method] = json.loads(run.stdout)
+        first = next(iter(pairs.values()))
+        assert ["shard_accumulate", "shard-1"] in first
+        assert all(found == first for found in pairs.values()), pairs
+
+    def test_unrelated_process_spans_do_not_leak_in(self, tmp_path):
+        """A child the recording process starts, which never asked for
+        spans, adds none of its workers' spans to this process's."""
+        from repro.calibrate import synthesize_paper_trace
+        trace = tmp_path / "t.jsonl"
+        synthesize_paper_trace(trace)
+        obspans.enable()
+        with obspans.span("own"):
+            run = _python("-m", "repro", "analyze", str(trace),
+                          "--jobs", "2")
+        assert run.returncode == 0, run.stderr
+        assert [span.name for span in obspans.drain()] == ["own"]
+
+    @pytest.mark.parametrize("verb", ["analyze", "sweep"])
+    def test_former_spool_variable_is_ignored(self, tmp_path, verb):
+        """REPRO_SPAN_SPOOL once named a spool directory; pointing it
+        at a missing one changes nothing and creates no file."""
+        from repro.calibrate import synthesize_paper_trace
+        fleet = tmp_path / "fleet"
+        fleet.mkdir()
+        for name in ("a.jsonl", "b.jsonl"):
+            synthesize_paper_trace(fleet / name)
+        argv = (["analyze", str(fleet / "a.jsonl")] if verb == "analyze"
+                else ["temporal", "--sweep", str(fleet), "--no-cache"])
+        before = sorted(tmp_path.rglob("*"))
+        run = _python("-m", "repro", *argv, "--jobs", "2",
+                      env={"REPRO_SPAN_SPOOL":
+                           str(tmp_path / "missing" / "spool")})
+        assert run.returncode == 0, run.stderr
+        assert sorted(tmp_path.rglob("*")) == before
 
     def test_summary_and_table(self):
         spans = [Span("a", 0.0, 1.0, worker="w0"),
@@ -317,6 +373,18 @@ class TestSelfTrace:
         assert "Pipeline profile" in stdout
         assert "per-stage self-imbalance" in stdout
         assert main(["analyze", str(out)]) == 0
+
+    def test_cli_self_counts_the_workers_that_ran(self, tmp_path,
+                                                  capsys):
+        """A gzip trace is one shard, folded inline, whatever --jobs
+        asks for."""
+        from repro.calibrate import synthesize_paper_trace
+        from repro.cli import main
+        trace = tmp_path / "t.jsonl.gz"
+        synthesize_paper_trace(trace)
+        assert main(["self", str(trace), "--jobs", "2"]) == 0
+        stdout = capsys.readouterr().out
+        assert "(1 shard worker(s))" in stdout.splitlines()[0]
 
     def test_cli_analyze_profile_prints_stage_table(self, tmp_path,
                                                     capsys):
