@@ -14,6 +14,7 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
+from ..core.dispersion import euclidean_distance
 from ..errors import WorkloadError
 
 
@@ -172,5 +173,4 @@ def predicted_dispersion(injector: Injector, size: int) -> float:
     total = factors.sum()
     if total <= 0.0:
         raise WorkloadError("factors must have a positive sum")
-    shares = factors / total
-    return float(np.linalg.norm(shares - shares.mean()))
+    return euclidean_distance(factors / total)

@@ -25,9 +25,7 @@ from .standardize import standardize
 
 _EXPORTS = {
     "batch": ("AnalysisSession", "BatchAnalysis", "WindowedBatch",
-              "available_batch_kernels", "batch_dispersion_matrix",
-              "get_batch_kernel", "register_batch_kernel",
-              "scalar_dispersion_matrix"),
+              "batch_dispersion_matrix"),
     "breakdown": ("ActivityExtremes", "ProgramBreakdown", "characterize"),
     "bootstrap": ("BootstrapInterval", "bootstrap_interval",
                   "region_intervals"),

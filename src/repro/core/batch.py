@@ -1,36 +1,28 @@
 """Vectorized batch analysis engine.
 
-The scalar pipeline in :mod:`repro.core.views` evaluates each index of
-dispersion one ``(region, activity)`` cell at a time — ``N * K`` Python
-calls per index, each paying validation and dispatch overhead.  That is
-fine for the paper's 7x4 example but dominates the cost of large
-``N x K x P`` sweeps (parameter studies, trace replays, per-hypothesis
-re-analysis).
-
-This module evaluates the same mathematics in single NumPy passes over
-the ``(N, K, P)`` tensor:
+Every index of dispersion is one function over the last axis of its
+input (:mod:`repro.core.dispersion`), so a whole ``(N, K, P)`` tensor
+is evaluated with one call instead of ``N * K`` per-cell calls, each
+paying validation and dispatch overhead.  That matters for large
+sweeps (parameter studies, trace replays, per-hypothesis re-analysis)
+far more than for the paper's 7x4 example.
 
 * :class:`BatchAnalysis` — packs the standardized slices of every
-  *performed* cell into one ``(M, P)`` matrix and applies *batch
-  kernels* (vectorized row-wise implementations of the registered
-  indices of dispersion) to all cells at once.  Not-performed ("dash")
-  cells are masked out and reported as ``nan``, exactly like the scalar
-  path.
+  *performed* cell into one ``(M, P)`` matrix and applies each
+  registered index to all rows at once.  Not-performed ("dash") cells
+  are masked out and reported as ``nan``.
+* :class:`WindowedBatch` — the same, window by window, over a sequence
+  of measurement sets sharing one layout.
 * :class:`AnalysisSession` — a memoization layer on top of one
   measurement set: views, ranking, efficiency, diagnosis and report
   rendering all reuse the cached standardized tensors and dispersion
   matrices instead of recomputing slices.
-* :func:`scalar_dispersion_matrix` — the original per-cell loop, kept
-  as the reference implementation the differential test suite holds
-  the engine against, for equal results and a fivefold speed-up.
 
-Batch kernels mirror the scalar registry name for name; an index
-registered only with :func:`repro.core.dispersion.register_index` (no
-batch kernel) transparently falls back to the scalar loop, so custom
-indices keep working behind the same API.  The differential tests
-assert that kernel and scalar results agree within ``1e-12`` for every
-registered index, including degenerate inputs (single processor,
-all-equal rows, dash cells).
+The per-cell scalar loop lives on as a test oracle
+(``tests/oracles.py``): the differential suites hold the engine to it
+within ``1e-12`` for every registered index, including degenerate
+inputs (single processor, all-equal rows, dash cells), and require the
+engine to be at least five times faster.
 """
 
 from __future__ import annotations
@@ -41,175 +33,10 @@ import numpy as np
 
 from ..errors import DispersionError, RankingError
 from ..obs import spans as obspans
-from .dispersion import _REGISTRY as _SCALAR_REGISTRY
-from .dispersion import get_index
+from .dispersion import available_indices, get_index, imbalance_time
 from .measurements import MeasurementSet
 from .standardize import (standardize_over_activities,
                           standardize_over_processors)
-
-#: A batch kernel maps an (M, P) matrix of data sets (one per row) to
-#: the (M,) vector of index values.
-BatchKernel = Callable[[np.ndarray], np.ndarray]
-
-_BATCH_REGISTRY: Dict[str, BatchKernel] = {}
-
-
-def register_batch_kernel(name: str) -> Callable[[BatchKernel], BatchKernel]:
-    """Decorator registering a vectorized kernel for the index ``name``.
-
-    The kernel must agree with the scalar index of the same name (the
-    differential suite enforces this for the built-ins).
-    """
-
-    def decorator(kernel: BatchKernel) -> BatchKernel:
-        if name in _BATCH_REGISTRY:
-            raise DispersionError(f"batch kernel {name!r} already registered")
-        _BATCH_REGISTRY[name] = kernel
-        return kernel
-
-    return decorator
-
-
-def available_batch_kernels() -> tuple:
-    """Names of all indices with a vectorized batch kernel."""
-    return tuple(sorted(_BATCH_REGISTRY))
-
-
-def get_batch_kernel(name: str) -> BatchKernel:
-    """Look up a batch kernel by name; the result validates its input."""
-    try:
-        kernel = _BATCH_REGISTRY[name]
-    except KeyError:
-        raise DispersionError(
-            f"no batch kernel for index {name!r}; "
-            f"available: {available_batch_kernels()}") from None
-
-    def checked(matrix: np.ndarray) -> np.ndarray:
-        return kernel(_validate_matrix(matrix))
-
-    return checked
-
-
-def _validate_matrix(matrix: np.ndarray) -> np.ndarray:
-    """Row-wise analogue of :func:`repro.core.dispersion._validate`."""
-    data = np.asarray(matrix, dtype=float)
-    if data.ndim != 2:
-        raise DispersionError(
-            f"expected a 2-d batch of data sets, got shape {data.shape}")
-    if data.shape[1] == 0:
-        raise DispersionError("cannot measure the dispersion of empty data sets")
-    if not np.all(np.isfinite(data)):
-        raise DispersionError("batch contains non-finite values")
-    if data.shape[0] and not np.all(data.any(axis=1)):
-        raise DispersionError(
-            "batch contains all-zero data sets (not-performed dash cells); "
-            "mask them out instead of measuring their dispersion")
-    return data
-
-
-def _reject_negative(matrix: np.ndarray, what: str) -> None:
-    if np.any(matrix < 0.0):
-        raise DispersionError(f"{what} requires non-negative data")
-
-
-@register_batch_kernel("euclidean")
-def euclidean_kernel(matrix: np.ndarray) -> np.ndarray:
-    """Row-wise Euclidean distance from the mean (the paper's index)."""
-    deviations = matrix - matrix.mean(axis=1, keepdims=True)
-    return np.sqrt((deviations ** 2).sum(axis=1))
-
-
-@register_batch_kernel("variance")
-def variance_kernel(matrix: np.ndarray) -> np.ndarray:
-    """Row-wise population variance."""
-    return matrix.var(axis=1)
-
-
-@register_batch_kernel("cv")
-def cv_kernel(matrix: np.ndarray) -> np.ndarray:
-    """Row-wise coefficient of variation (undefined for zero means)."""
-    means = matrix.mean(axis=1)
-    if np.any(means == 0.0):
-        raise DispersionError("coefficient of variation undefined for zero mean")
-    return matrix.std(axis=1) / means
-
-
-@register_batch_kernel("mad")
-def mad_kernel(matrix: np.ndarray) -> np.ndarray:
-    """Row-wise mean absolute deviation from the mean."""
-    return np.abs(matrix - matrix.mean(axis=1, keepdims=True)).mean(axis=1)
-
-
-@register_batch_kernel("max")
-def max_kernel(matrix: np.ndarray) -> np.ndarray:
-    """Row-wise maximum."""
-    return matrix.max(axis=1)
-
-
-@register_batch_kernel("range")
-def range_kernel(matrix: np.ndarray) -> np.ndarray:
-    """Row-wise range (max minus min)."""
-    return matrix.max(axis=1) - matrix.min(axis=1)
-
-
-@register_batch_kernel("sum")
-def sum_kernel(matrix: np.ndarray) -> np.ndarray:
-    """Row-wise sum."""
-    return matrix.sum(axis=1)
-
-
-@register_batch_kernel("gini")
-def gini_kernel(matrix: np.ndarray) -> np.ndarray:
-    """Row-wise Gini coefficient (non-negative rows with positive sums)."""
-    _reject_negative(matrix, "Gini coefficient")
-    totals = matrix.sum(axis=1)
-    # Non-negative rows that are not all zero (dash cells are rejected
-    # by validation) always have a positive sum.
-    sorted_rows = np.sort(matrix, axis=1)
-    n = matrix.shape[1]
-    ranks = np.arange(1, n + 1)
-    return (2.0 * (ranks * sorted_rows).sum(axis=1) / (n * totals)) \
-        - (n + 1.0) / n
-
-
-@register_batch_kernel("theil")
-def theil_kernel(matrix: np.ndarray) -> np.ndarray:
-    """Row-wise Theil entropy index (non-negative rows)."""
-    _reject_negative(matrix, "Theil index")
-    means = matrix.mean(axis=1, keepdims=True)
-    shares = matrix / means
-    logs = np.log(np.where(shares > 0.0, shares, 1.0))
-    return (shares * logs).sum(axis=1) / matrix.shape[1]
-
-
-def imbalance_time_kernel(matrix: np.ndarray) -> np.ndarray:
-    """Row-wise absolute imbalance time ``max - mean``.
-
-    Companion metric, not a registered index of dispersion (it is not
-    scale-free); apply it to *raw* times, not standardized slices.
-    """
-    matrix = _validate_matrix(matrix)
-    return matrix.max(axis=1) - matrix.mean(axis=1)
-
-
-def scalar_dispersion_matrix(measurements: MeasurementSet,
-                             index: str = "euclidean") -> np.ndarray:
-    """Reference implementation: the per-cell scalar loop.
-
-    Exactly the pre-batch ``views.dispersion_matrix``; the differential
-    test suite compares the vectorized engine against it, for results
-    and for speed.
-    """
-    index_function = get_index(index)
-    standardized = standardize_over_processors(measurements)
-    performed = measurements.performed
-    n_regions, n_activities = performed.shape
-    matrix = np.full((n_regions, n_activities), np.nan)
-    for i in range(n_regions):
-        for j in range(n_activities):
-            if performed[i, j]:
-                matrix[i, j] = index_function(standardized[i, j, :])
-    return matrix
 
 
 def _readonly(array: np.ndarray) -> np.ndarray:
@@ -230,14 +57,11 @@ class BatchAnalysis:
         self._standardized_p: Optional[np.ndarray] = None
         self._standardized_a: Optional[np.ndarray] = None
         self._cells: Optional[np.ndarray] = None
-        self._raw_cells: Optional[np.ndarray] = None
         self._matrices: Dict[str, np.ndarray] = {}
         self._processor_dispersion: Optional[np.ndarray] = None
         self._imbalance_time: Optional[np.ndarray] = None
         self._activity_totals: Optional[np.ndarray] = None
         self._performed: Optional[np.ndarray] = None
-        self._moments: Optional[Tuple[np.ndarray, np.ndarray,
-                                      np.ndarray]] = None
 
     # ------------------------------------------------------------------
     # Cached ingredients
@@ -295,62 +119,23 @@ class BatchAnalysis:
         matrix[self.performed] = values
         return matrix
 
-    def _cell_moments(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Cached ``(means, deviations, sum_of_squared_deviations)`` of
-        the packed cells — one shared pass feeds the four moment-based
-        indices (euclidean, variance, cv, mad)."""
-        if self._moments is None:
-            cells = self.cells
-            means = cells.mean(axis=1)
-            deviations = cells - means[:, None]
-            self._moments = (means, deviations,
-                             (deviations ** 2).sum(axis=1))
-        return self._moments
-
-    def _moment_values(self, index: str) -> Optional[np.ndarray]:
-        """Fast path for the moment-based indices; agrees with the
-        standalone kernels (the differential suite covers both)."""
-        if index not in ("euclidean", "variance", "cv", "mad"):
-            return None
-        means, deviations, sum_sq = self._cell_moments()
-        n = self.cells.shape[1]
-        if index == "euclidean":
-            return np.sqrt(sum_sq)
-        if index == "variance":
-            return sum_sq / n
-        if index == "cv":
-            if np.any(means == 0.0):
-                raise DispersionError(
-                    "coefficient of variation undefined for zero mean")
-            return np.sqrt(sum_sq / n) / means
-        return np.abs(deviations).mean(axis=1)
-
     def matrix(self, index: str = "euclidean") -> np.ndarray:
-        """The (N, K) matrix of ``ID_ij`` under the given index.
+        """The (N, K) matrix of ``ID_ij`` under the given index (cached
+        and read-only).
 
-        Uses the vectorized kernel when one is registered, the scalar
-        loop otherwise (custom indices).  The result is cached and
-        read-only.
+        One call of the registered index over the packed cells; they
+        are valid by construction, so the unvalidated function runs.
         """
         if index not in self._matrices:
-            values = self._moment_values(index)
-            if values is not None:
-                matrix = self._scatter(values)
-            else:
-                kernel = _BATCH_REGISTRY.get(index)
-                if kernel is not None:
-                    matrix = self._scatter(kernel(self.cells))
-                else:
-                    matrix = scalar_dispersion_matrix(self.measurements,
-                                                      index)
-            self._matrices[index] = _readonly(matrix)
+            function = get_index(index).__wrapped__
+            self._matrices[index] = _readonly(
+                self._scatter(function(self.cells)))
         return self._matrices[index]
 
     def matrices(self, names: Optional[Iterable[str]] = None
                  ) -> Dict[str, np.ndarray]:
         """``{index: (N, K) matrix}`` for the given indices (default:
         every registered index), sharing one packed pass."""
-        from .dispersion import available_indices
         if names is None:
             names = available_indices()
         return {name: self.matrix(name) for name in names}
@@ -361,7 +146,7 @@ class BatchAnalysis:
         if self._imbalance_time is None:
             raw = self.measurements.times[self.performed]
             self._imbalance_time = _readonly(
-                self._scatter(imbalance_time_kernel(raw)))
+                self._scatter(imbalance_time.__wrapped__(raw)))
         return self._imbalance_time
 
     def processor_dispersion(self) -> np.ndarray:
@@ -454,11 +239,8 @@ class WindowedBatch:
                                    for ms in self.measurement_sets]))
 
     def matrix(self, index: str = "euclidean") -> np.ndarray:
-        """The (W, N, K) stack of ``ID_ij`` matrices under ``index``.
-
-        Vectorized kernel when registered, scalar fallback for custom
-        indices; cached and read-only.
-        """
+        """The (W, N, K) stack of ``ID_ij`` matrices under ``index``
+        (cached and read-only)."""
         if index not in self._matrices:
             self._matrices[index] = self._per_window(
                 lambda batch: batch.matrix(index))

@@ -55,7 +55,8 @@ def bootstrap_interval(values: Sequence[float], index: str = "euclidean",
     """Percentile bootstrap interval for an index of dispersion.
 
     ``values`` are raw per-processor times; each replicate resamples
-    processors with replacement, standardizes, and applies the index.
+    processors with replacement and standardizes, and one call of the
+    index evaluates every replicate.
     Degenerate replicates (all-zero resamples) are redrawn implicitly by
     assigning them the observed value — they carry no information.
     """
@@ -73,18 +74,16 @@ def bootstrap_interval(values: Sequence[float], index: str = "euclidean",
 
     index_function = get_index(index)
     standardized = data / data.sum()
-    observed = float(index_function(standardized))
+    observed = index_function(standardized)
 
     rng = np.random.default_rng(seed)
     samples = rng.integers(0, data.size, size=(replicates, data.size))
     resampled = data[samples]
     sums = resampled.sum(axis=1)
-    estimates = np.empty(replicates)
-    for k in range(replicates):
-        if sums[k] <= 0.0:
-            estimates[k] = observed
-        else:
-            estimates[k] = index_function(resampled[k] / sums[k])
+    estimates = np.full(replicates, observed)
+    informative = sums > 0.0
+    estimates[informative] = index_function(
+        resampled[informative] / sums[informative, None])
     alpha = (1.0 - confidence) / 2.0
     low, high = np.quantile(estimates, [alpha, 1.0 - alpha])
     return BootstrapInterval(observed=observed, low=float(low),

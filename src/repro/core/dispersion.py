@@ -9,34 +9,86 @@ condition where every processor spends the same time.
 
 This module implements that index plus the rest of the family, behind a
 common registry so analyses can be re-run with a different index (used by
-the dispersion-choice ablation).  Every index here is *Schur-convex* on
-standardized data (constant-sum vectors): if ``x`` majorizes ``y`` then
-``index(x) >= index(y)``, which is the property that makes it a valid
-measure of spread under majorization theory.  The test suite checks this
-property with hypothesis.
+the dispersion-choice ablation).  Every index is one function over the
+last axis of its input: a data set (1-d) gives a float, and a batch (2-d,
+one data set per row) gives one value per row, so the batch engine
+(:mod:`repro.core.batch`) evaluates every cell of a tensor with one call.
+Every index here is *Schur-convex* on standardized data (constant-sum
+vectors): if ``x`` majorizes ``y`` then ``index(x) >= index(y)``, which
+is the property that makes it a valid measure of spread under
+majorization theory.  The test suite checks this property with
+hypothesis.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Sequence
+import functools
+from typing import Callable, Dict, Sequence, Union
 
 import numpy as np
 
 from ..errors import DispersionError
 
-IndexFunction = Callable[[np.ndarray], float]
+#: An index maps a data set to a float, or an (M, P) batch of data sets
+#: (one per row) to the (M,) vector of their values.
+IndexFunction = Callable[[np.ndarray], Union[float, np.ndarray]]
 
 _REGISTRY: Dict[str, IndexFunction] = {}
 
 
+def _validate(values: Sequence[float]) -> np.ndarray:
+    """The data set or batch as a float array, rejecting what no index
+    measures: a shape other than 1-d or 2-d, empty data sets, non-finite
+    values and all-zero data sets."""
+    data = np.asarray(values, dtype=float)
+    if data.ndim not in (1, 2):
+        raise DispersionError(
+            "expected a 1-d data set or a 2-d batch of data sets, "
+            f"got shape {data.shape}")
+    if data.shape[-1] == 0:
+        raise DispersionError("cannot measure the dispersion of an empty data set")
+    if not np.all(np.isfinite(data)):
+        raise DispersionError("data set contains non-finite values")
+    if not np.all(data.any(axis=-1)):
+        # A not-performed "dash" cell: every index rejects it rather
+        # than score it (a 0.0 would make it look perfectly balanced);
+        # the matrix paths mask such cells out as nan.
+        raise DispersionError(
+            "data set is all zeros (a not-performed dash cell); "
+            "dispersion is undefined — mask such cells out instead")
+    return data
+
+
+def _last_axis(function: IndexFunction) -> IndexFunction:
+    """``function`` over the last axis of validated input: a float for a
+    data set, an array for a batch.  The unvalidated ``function`` stays
+    reachable as ``__wrapped__``."""
+
+    @functools.wraps(function)
+    def index(values: Sequence[float]) -> Union[float, np.ndarray]:
+        data = _validate(values)
+        result = function(data)
+        return float(result) if data.ndim == 1 else result
+
+    return index
+
+
 def register_index(name: str) -> Callable[[IndexFunction], IndexFunction]:
-    """Decorator registering an index of dispersion under ``name``."""
+    """Decorator registering an index of dispersion under ``name``.
+
+    The decorated function takes a validated data set (1-d) or batch
+    (2-d) and reduces its last axis.  The decorator returns it wrapped
+    in input validation; the batch engine calls the unwrapped function
+    (``__wrapped__``) on its packed cells, which are valid by
+    construction.
+    """
 
     def decorator(function: IndexFunction) -> IndexFunction:
         if name in _REGISTRY:
             raise DispersionError(f"index {name!r} already registered")
-        _REGISTRY[name] = function
-        return function
+        index = _last_axis(function)
+        _REGISTRY[name] = index
+        return index
 
     return decorator
 
@@ -56,118 +108,104 @@ def get_index(name: str) -> IndexFunction:
             f"available: {available_indices()}") from None
 
 
-def _validate(values: Sequence[float]) -> np.ndarray:
-    data = np.asarray(values, dtype=float)
-    if data.ndim != 1:
-        raise DispersionError(f"expected a 1-d data set, got shape {data.shape}")
-    if data.size == 0:
-        raise DispersionError("cannot measure the dispersion of an empty data set")
-    if not np.all(np.isfinite(data)):
-        raise DispersionError("data set contains non-finite values")
-    if not data.any():
-        # A not-performed "dash" cell.  Historically some indices
-        # returned 0.0 here (looking perfectly balanced) while cv, Gini
-        # and Theil raised — the matrix paths skip these cells, so a
-        # silent 0.0 could only mislead direct callers.  Every index now
-        # rejects them, matching the batch engine's validation.
-        raise DispersionError(
-            "data set is all zeros (a not-performed dash cell); "
-            "dispersion is undefined — mask such cells out instead")
-    return data
+def _dot(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """Dot product of matching data sets along the last axis."""
+    return np.einsum("...p,...p->...", left, right)
+
+
+def _deviations(data: np.ndarray) -> np.ndarray:
+    """A fresh array of each element's deviation from its data set's mean."""
+    return data - data.mean(axis=-1, keepdims=True)
+
+
+def _squared_deviations(data: np.ndarray) -> np.ndarray:
+    """Each data set's sum of squared deviations from its mean."""
+    deviations = _deviations(data)
+    return _dot(deviations, deviations)
 
 
 @register_index("euclidean")
-def euclidean_distance(values: Sequence[float]) -> float:
+def euclidean_distance(data: np.ndarray) -> np.ndarray:
     """Euclidean distance between the elements and their mean.
 
     This is the paper's index: ``sqrt(sum_p (x_p - mean(x))^2)``.  On
     standardized data it is the distance from the balanced point ``1/P``.
     """
-    data = _validate(values)
-    return float(np.linalg.norm(data - data.mean()))
+    return np.sqrt(_squared_deviations(data))
 
 
 @register_index("variance")
-def variance(values: Sequence[float]) -> float:
+def variance(data: np.ndarray) -> np.ndarray:
     """Population variance of the data set."""
-    data = _validate(values)
-    return float(data.var())
+    return _squared_deviations(data) / data.shape[-1]
 
 
 @register_index("cv")
-def coefficient_of_variation(values: Sequence[float]) -> float:
+def coefficient_of_variation(data: np.ndarray) -> np.ndarray:
     """Standard deviation divided by the mean (undefined for zero mean)."""
-    data = _validate(values)
-    mean = data.mean()
-    if mean == 0.0:
+    means = data.mean(axis=-1)
+    if np.any(means == 0.0):
         raise DispersionError("coefficient of variation undefined for zero mean")
-    return float(data.std() / mean)
+    return np.sqrt(_squared_deviations(data) / data.shape[-1]) / means
 
 
 @register_index("mad")
-def mean_absolute_deviation(values: Sequence[float]) -> float:
+def mean_absolute_deviation(data: np.ndarray) -> np.ndarray:
     """Mean absolute deviation from the mean."""
-    data = _validate(values)
-    return float(np.abs(data - data.mean()).mean())
+    deviations = _deviations(data)
+    return np.abs(deviations, out=deviations).mean(axis=-1)
 
 
 @register_index("max")
-def maximum(values: Sequence[float]) -> float:
+def maximum(data: np.ndarray) -> np.ndarray:
     """The largest element of the data set."""
-    data = _validate(values)
-    return float(data.max())
+    return data.max(axis=-1)
 
 
 @register_index("range")
-def value_range(values: Sequence[float]) -> float:
+def value_range(data: np.ndarray) -> np.ndarray:
     """Difference between the largest and smallest elements."""
-    data = _validate(values)
-    return float(data.max() - data.min())
+    return data.max(axis=-1) - data.min(axis=-1)
 
 
 @register_index("sum")
-def total(values: Sequence[float]) -> float:
+def total(data: np.ndarray) -> np.ndarray:
     """Sum of the elements (trivially constant on standardized data)."""
-    data = _validate(values)
-    return float(data.sum())
+    return data.sum(axis=-1)
+
+
+def _reject_negative(data: np.ndarray, what: str) -> None:
+    if np.any(data < 0.0):
+        raise DispersionError(f"{what} requires non-negative data")
 
 
 @register_index("gini")
-def gini_coefficient(values: Sequence[float]) -> float:
+def gini_coefficient(data: np.ndarray) -> np.ndarray:
     """Gini coefficient: mean absolute difference over twice the mean.
 
     A classical inequality index; zero for balanced data, approaching
     ``1 - 1/n`` when one element carries everything.  Requires
-    non-negative data with a positive sum.
+    non-negative data; a valid data set then has a positive sum.
     """
-    data = _validate(values)
-    if np.any(data < 0.0):
-        raise DispersionError("Gini coefficient requires non-negative data")
-    total_value = data.sum()
-    if total_value <= 0.0:
-        raise DispersionError("Gini coefficient undefined for zero-sum data")
-    sorted_data = np.sort(data)
-    n = data.size
-    ranks = np.arange(1, n + 1)
-    return float((2.0 * (ranks * sorted_data).sum() / (n * total_value)) -
-                 (n + 1.0) / n)
+    _reject_negative(data, "Gini coefficient")
+    n = data.shape[-1]
+    ranked = np.sort(data, axis=-1) @ np.arange(1.0, n + 1.0)
+    return 2.0 * ranked / (n * data.sum(axis=-1)) - (n + 1.0) / n
 
 
 @register_index("theil")
-def theil_index(values: Sequence[float]) -> float:
+def theil_index(data: np.ndarray) -> np.ndarray:
     """Theil entropy index of inequality (zero iff perfectly balanced)."""
-    data = _validate(values)
-    if np.any(data < 0.0):
-        raise DispersionError("Theil index requires non-negative data")
-    mean = data.mean()
-    if mean <= 0.0:
-        raise DispersionError("Theil index undefined for zero-sum data")
-    shares = data / mean
-    positive = shares[shares > 0.0]
-    return float((positive * np.log(positive)).sum() / data.size)
+    _reject_negative(data, "Theil index")
+    shares = data / data.mean(axis=-1, keepdims=True)
+    # 0 * ln 0 counts as 0: the log is taken only where a share is
+    # positive and left at 0 elsewhere.
+    logs = np.log(shares, out=np.zeros_like(shares), where=shares > 0.0)
+    return _dot(shares, logs) / data.shape[-1]
 
 
-def imbalance_time(values: Sequence[float]) -> float:
+@_last_axis
+def imbalance_time(data: np.ndarray) -> np.ndarray:
     """Absolute imbalance time: ``max(x) - mean(x)``.
 
     Not an index of dispersion in the paper's standardized sense (it is
@@ -175,5 +213,4 @@ def imbalance_time(values: Sequence[float]) -> float:
     the slowest processor spends beyond the average, i.e. the potential
     saving from perfect balancing.
     """
-    data = _validate(values)
-    return float(data.max() - data.mean())
+    return data.max(axis=-1) - data.mean(axis=-1)

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import DispersionError
+from .dispersion import euclidean_distance
 
 
 @dataclass(frozen=True)
@@ -51,9 +52,7 @@ class NoiseModel:
         times = 1.0 + rng.uniform(-self.epsilon, self.epsilon,
                                   (self.samples, self.n_processors))
         shares = times / times.sum(axis=1, keepdims=True)
-        deviations = shares - 1.0 / self.n_processors
-        values = np.sqrt((deviations ** 2).sum(axis=1))
-        return np.sort(values)
+        return np.sort(euclidean_distance(shares))
 
     def quantile(self, q: float = 0.95) -> float:
         """The q-quantile of the null index — a calibrated threshold."""

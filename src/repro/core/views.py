@@ -43,9 +43,7 @@ def dispersion_matrix(measurements: MeasurementSet,
     ``ID_ij`` is computed on the times of activity *j* in region *i*
     standardized across processors; pairs the region does not perform are
     ``nan``.  Evaluated by the vectorized batch engine
-    (:mod:`repro.core.batch`) in one pass over all performed cells; the
-    per-cell scalar reference survives as
-    :func:`repro.core.batch.scalar_dispersion_matrix`.
+    (:mod:`repro.core.batch`) in one pass over all performed cells.
     """
     return batch_dispersion_matrix(measurements, index)
 

@@ -40,11 +40,13 @@ def build_report(kind: str, source, params: Mapping) -> Tuple[str, dict]:
     """
     if kind not in REPORT_KINDS:
         raise ReproError(f"unknown report kind {kind!r}")
+    from .core.dispersion import get_index
     from .instrument.stream import (DEFAULT_CHUNK_SIZE, FoldedTrace,
                                     accumulate_trace, trace_windows)
     verb = "temporal" if kind == "temporal" else "analyze"
     flags = {name: params[name] for name in _FLAGS[verb] if name in params}
     index = flags.setdefault("index", "euclidean")
+    get_index(index)     # an unknown index fails before the read
     read = {"chunk_size": params.get("chunk_size", DEFAULT_CHUNK_SIZE),
             "on_error": "raise" if params.get("strict") else "salvage"}
     # Each stage imports its analysis after the read, so the modules do

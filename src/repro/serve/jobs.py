@@ -21,8 +21,7 @@ corresponding CLI command's stdout, because both sides go through
 :func:`repro.reports.build_report` — and the structured JSON document
 it builds.  A failed job produces an
 ``error`` payload and is deliberately **not** cached: a transient
-failure (unreadable store, bad index name fixed by a library upgrade)
-must not be sticky.
+failure (an unreadable store) must not be sticky.
 """
 
 from __future__ import annotations
@@ -44,6 +43,7 @@ import numpy.random  # noqa: F401
 from .. import reports
 from ..cache import ReportCache, content_key
 from ..core import batch, diagnosis, report, temporal, whatif  # noqa: F401
+from ..core.dispersion import get_index
 from ..errors import ReproError, TraceError, TraceWarning
 from ..instrument import stream  # noqa: F401
 from ..obs import log as obslog
@@ -87,8 +87,9 @@ def normalize_params(kind: str, params: Optional[Mapping]) -> dict:
     """Validated, defaulted, canonically-ordered job parameters.
 
     Raises :class:`ReproError` on an unknown kind, an unknown
-    parameter, or an out-of-range value — the daemon turns that into
-    an HTTP 400 *before* any work is queued.
+    parameter, an unknown index of dispersion or an out-of-range value
+    — the daemon turns that into an HTTP 400 *before* any work is
+    queued.
     """
     if kind not in JOB_KINDS:
         raise ReproError(
@@ -97,6 +98,7 @@ def normalize_params(kind: str, params: Optional[Mapping]) -> dict:
     normalized = {"index": given.pop("index", "euclidean")}
     if not isinstance(normalized["index"], str) or not normalized["index"]:
         raise ReproError("index must be a non-empty string")
+    get_index(normalized["index"])
     if kind == "temporal":
         windows = given.pop("windows", 16)
         if not isinstance(windows, int) or isinstance(windows, bool):

@@ -218,9 +218,12 @@ def sweep_traces(traces: Union[str, Path, Sequence[Union[str, Path]]],
     the number of uncached traces; 1 runs inline).  ``cache_dir``
     defaults to ``<directory>/.repro-temporal-cache`` for directory
     sweeps and to ``.repro-temporal-cache`` next to the first trace
-    otherwise; ``use_cache=False`` neither reads nor writes it.
+    otherwise; ``use_cache=False`` neither reads nor writes it.  An
+    unknown index of dispersion raises before any trace is read.
     """
+    from .core.dispersion import get_index
     config = config or SweepConfig()
+    get_index(config.index)
     if isinstance(traces, (str, Path)) :
         paths = discover_traces(traces)
         default_cache = Path(traces) / ".repro-temporal-cache"

@@ -8,7 +8,11 @@ These are the historical per-event loops, kept only as test oracles:
   clip the full event list against every window in turn
   (O(windows x events)) and profile each slice with the scalar loop;
 * :func:`scalar_read_binary` — decode a binary trace one ``struct``
-  record at a time, salvaging the valid prefix.
+  record at a time, salvaging the valid prefix;
+* :data:`SCALAR_INDICES` and :func:`scalar_imbalance_time` — the
+  indices of dispersion written for one data set at a time, and
+  :func:`scalar_dispersion_matrix`, the per-cell loop that applies one
+  of them to every performed ``(region, activity)`` cell.
 """
 
 from __future__ import annotations
@@ -16,12 +20,14 @@ from __future__ import annotations
 import struct
 import warnings
 from pathlib import Path
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.core.dispersion import get_index
 from repro.core.measurements import DEFAULT_ACTIVITIES, MeasurementSet
-from repro.errors import TraceError, TraceWarning
+from repro.core.standardize import standardize_over_processors
+from repro.errors import DispersionError, TraceError, TraceWarning
 from repro.instrument import (EVENT_KINDS, OUTSIDE_REGION, TraceEvent,
                               Tracer, Window, equal_edges)
 
@@ -202,3 +208,103 @@ def scalar_read_binary(path, on_error: str = "salvage") -> List[TraceEvent]:
         return salvage(f"truncated: header promises {count} events "
                        f"({expected_bytes} bytes), found {available}")
     return events
+
+
+def _data_set(values: Sequence[float]) -> np.ndarray:
+    data = np.asarray(values, dtype=float)
+    if data.ndim != 1:
+        raise DispersionError(f"expected a 1-d data set, got shape {data.shape}")
+    if data.size == 0:
+        raise DispersionError("cannot measure the dispersion of an empty data set")
+    if not np.all(np.isfinite(data)):
+        raise DispersionError("data set contains non-finite values")
+    if not data.any():
+        raise DispersionError("data set is all zeros (a dash cell)")
+    return data
+
+
+def scalar_euclidean(values: Sequence[float]) -> float:
+    data = _data_set(values)
+    return float(np.linalg.norm(data - data.mean()))
+
+
+def scalar_variance(values: Sequence[float]) -> float:
+    return float(_data_set(values).var())
+
+
+def scalar_cv(values: Sequence[float]) -> float:
+    data = _data_set(values)
+    mean = data.mean()
+    if mean == 0.0:
+        raise DispersionError("coefficient of variation undefined for zero mean")
+    return float(data.std() / mean)
+
+
+def scalar_mad(values: Sequence[float]) -> float:
+    data = _data_set(values)
+    return float(np.abs(data - data.mean()).mean())
+
+
+def scalar_max(values: Sequence[float]) -> float:
+    return float(_data_set(values).max())
+
+
+def scalar_range(values: Sequence[float]) -> float:
+    data = _data_set(values)
+    return float(data.max() - data.min())
+
+
+def scalar_sum(values: Sequence[float]) -> float:
+    return float(_data_set(values).sum())
+
+
+def scalar_gini(values: Sequence[float]) -> float:
+    data = _data_set(values)
+    if np.any(data < 0.0):
+        raise DispersionError("Gini coefficient requires non-negative data")
+    total_value = data.sum()
+    sorted_data = np.sort(data)
+    n = data.size
+    ranks = np.arange(1, n + 1)
+    return float((2.0 * (ranks * sorted_data).sum() / (n * total_value)) -
+                 (n + 1.0) / n)
+
+
+def scalar_theil(values: Sequence[float]) -> float:
+    data = _data_set(values)
+    if np.any(data < 0.0):
+        raise DispersionError("Theil index requires non-negative data")
+    shares = data / data.mean()
+    positive = shares[shares > 0.0]
+    return float((positive * np.log(positive)).sum() / data.size)
+
+
+def scalar_imbalance_time(values: Sequence[float]) -> float:
+    data = _data_set(values)
+    return float(data.max() - data.mean())
+
+
+#: Every built-in index of dispersion, one data set at a time.
+SCALAR_INDICES: Dict[str, Callable[[Sequence[float]], float]] = {
+    "euclidean": scalar_euclidean, "variance": scalar_variance,
+    "cv": scalar_cv, "mad": scalar_mad, "max": scalar_max,
+    "range": scalar_range, "sum": scalar_sum, "gini": scalar_gini,
+    "theil": scalar_theil,
+}
+
+
+def scalar_dispersion_matrix(measurements: MeasurementSet,
+                             index: str = "euclidean") -> np.ndarray:
+    """The (N, K) ``ID_ij`` matrix, one performed cell at a time (nan
+    elsewhere).  A built-in index is its scalar oracle; any other
+    registered index is called on each cell's data set."""
+    index_function = SCALAR_INDICES.get(index) or get_index(index)
+    standardized = standardize_over_processors(measurements)
+    performed = measurements.performed
+    n_regions, n_activities = performed.shape
+    matrix = np.full((n_regions, n_activities), np.nan)
+    for i in range(n_regions):
+        for j in range(n_activities):
+            if performed[i, j]:
+                matrix[i, j] = index_function(standardized[i, j, :])
+    return matrix

@@ -2,11 +2,11 @@
 
 For a spread of tensors — randomized, with not-performed (all-zero)
 rows, single-processor, degenerate all-equal — every index the batch
-engine produces must agree with the scalar ``dispersion.get_index``
-result within 1e-12, for every index in ``available_indices()``.  The
-scalar per-cell loop survives as
-:func:`repro.core.batch.scalar_dispersion_matrix` exactly so this suite
-can keep holding the two implementations against each other.
+engine produces must agree within 1e-12 with the per-cell loop over the
+scalar oracles (:func:`tests.oracles.scalar_dispersion_matrix`), for
+every index in ``available_indices()``.  Each index is one function over
+the last axis of its input, so a batch must also agree with the same
+function applied to each of its rows.
 
 The module also holds the engine's reason to exist: over every index at
 ``N = 256`` regions, ``K = 4`` activities and ``P = 1024`` processors
@@ -19,13 +19,11 @@ import numpy as np
 import pytest
 
 from repro.core import (AnalysisSession, BatchAnalysis, MeasurementSet,
-                        analyze, available_batch_kernels, available_indices,
+                        WindowedBatch, analyze, available_indices,
                         batch_dispersion_matrix, dispersion_matrix,
-                        get_batch_kernel, imbalance_time,
-                        register_batch_kernel, register_index,
-                        scalar_dispersion_matrix)
-from repro.core.batch import imbalance_time_kernel
+                        get_index, imbalance_time, register_index)
 from repro.errors import DispersionError
+from tests.oracles import scalar_dispersion_matrix, scalar_imbalance_time
 
 
 def random_tensor(seed: int, n: int, k: int, p: int,
@@ -93,10 +91,18 @@ def test_tiny_fixture_matches_scalar(tiny_measurements, index):
     assert_matches_scalar(tiny_measurements, index)
 
 
-def test_every_registered_index_has_a_kernel():
-    """The built-in registries stay in lockstep; custom scalar indices
-    without a kernel fall back to the loop (tested below)."""
-    assert set(available_indices()) <= set(available_batch_kernels())
+@pytest.mark.parametrize("index", available_indices())
+def test_a_batch_agrees_with_each_of_its_rows(index):
+    """One function serves both shapes: row ``m`` of a batch is the
+    value of data set ``m`` alone."""
+    rows = BatchAnalysis(CASES[6]).cells
+    function = get_index(index)
+    batch = function(rows)
+    assert batch.shape == (rows.shape[0],)
+    for row, value in zip(rows, batch):
+        single = function(row)
+        assert isinstance(single, float)
+        assert single == pytest.approx(value, rel=1e-14, abs=1e-14)
 
 
 def test_dispersion_matrix_is_batch_backed(tiny_measurements):
@@ -112,12 +118,12 @@ def test_imbalance_time_kernel_matches_scalar():
     for i in range(ms.n_regions):
         for j in range(ms.n_activities):
             if performed[i, j]:
-                expected = imbalance_time(ms.times[i, j, :])
+                expected = scalar_imbalance_time(ms.times[i, j, :])
                 assert matrix[i, j] == pytest.approx(expected, abs=1e-12)
             else:
                 assert np.isnan(matrix[i, j])
     raw = ms.times[performed]
-    np.testing.assert_allclose(imbalance_time_kernel(raw),
+    np.testing.assert_allclose(imbalance_time(raw),
                                matrix[performed], rtol=1e-12)
 
 
@@ -139,34 +145,26 @@ def test_processor_view_matches_scalar_loop():
         np.testing.assert_allclose(actual, expected, rtol=1e-12, atol=1e-12)
 
 
-def test_custom_scalar_index_falls_back_to_loop(tiny_measurements):
-    """An index registered without a batch kernel still works through
-    BatchAnalysis (served by the scalar loop)."""
-    name = "midhinge-test-only"
-    from repro.core import dispersion as disp
-    register_index(name)(
-        lambda values: float(np.asarray(values, dtype=float).max() * 0.5))
-    try:
-        assert name not in available_batch_kernels()
-        assert_matches_scalar(tiny_measurements, name)
-    finally:
-        del disp._REGISTRY[name]
-
-
-def test_custom_batch_kernel_registration(tiny_measurements):
+def test_custom_last_axis_index_runs_everywhere(tiny_measurements):
+    """An index registered as one last-axis function serves a single
+    data set, BatchAnalysis and WindowedBatch, with no second kernel."""
     name = "halfmax-test-only"
     from repro.core import dispersion as disp
-    from repro.core import batch as batch_module
-    register_index(name)(
-        lambda values: float(np.asarray(values, dtype=float).max() * 0.5))
-    register_batch_kernel(name)(lambda matrix: matrix.max(axis=1) * 0.5)
+    halfmax = register_index(name)(lambda data: data.max(axis=-1) * 0.5)
     try:
+        assert get_index(name) is halfmax
+        assert halfmax([1.0, 3.0]) == 1.5
+        np.testing.assert_array_equal(
+            halfmax(np.array([[1.0, 3.0], [4.0, 2.0]])), [1.5, 2.0])
+        with pytest.raises(DispersionError):
+            halfmax([0.0, 0.0])
         assert_matches_scalar(tiny_measurements, name)
-        kernel = get_batch_kernel(name)
-        np.testing.assert_allclose(kernel(np.array([[1.0, 3.0]])), [1.5])
+        windows = WindowedBatch([tiny_measurements, tiny_measurements])
+        for matrix in windows.matrix(name):
+            np.testing.assert_array_equal(
+                matrix, BatchAnalysis(tiny_measurements).matrix(name))
     finally:
         del disp._REGISTRY[name]
-        del batch_module._BATCH_REGISTRY[name]
 
 
 def best_of(functions, repeats: int = 5, window: float = 0.25) -> list:
@@ -208,9 +206,9 @@ class TestDashCellParity:
 
     def test_batch_kernels_reject_dash_rows(self):
         matrix = np.array([[1.0, 2.0], [0.0, 0.0]])
-        for name in available_batch_kernels():
+        for name in available_indices():
             with pytest.raises(DispersionError):
-                get_batch_kernel(name)(matrix)
+                get_index(name)(matrix)
 
     def test_matrix_paths_skip_dash_cells(self):
         ms = CASES[1]

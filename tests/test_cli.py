@@ -290,6 +290,15 @@ class TestSalvageFlags:
         assert main(["analyze", cut, "--strict"]) == 2
         assert "truncated" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("verb", ["analyze", "temporal"])
+    def test_unknown_index_is_refused_before_the_read(
+            self, verb, tracefile, tmp_path, capsys):
+        cut = self._truncated(tracefile, tmp_path)
+        assert main([verb, cut, "--strict", "--index", "nope"]) == 2
+        err = capsys.readouterr().err
+        assert "unknown index of dispersion 'nope'" in err
+        assert "truncated" not in err
+
 
 class TestFaultsCommand:
     def test_listing_without_campaign(self, capsys):
@@ -355,6 +364,15 @@ class TestTemporalCommand:
         assert main(["temporal", "--sweep", directory,
                      "--windows", "4"]) == 0
         assert "[cached]" in capsys.readouterr().out
+
+    def test_sweep_refuses_an_unknown_index(self, tracefile, capsys):
+        import os
+        directory = os.path.dirname(tracefile)
+        assert main(["temporal", "--sweep", directory, "--index", "nope",
+                     "--no-cache"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unknown index of dispersion 'nope'" in captured.err
 
     def test_sweep_rejects_fewer_than_one_job(self, tracefile, capsys):
         """Cached or not, the sweep refuses ``--jobs`` below 1 like

@@ -18,8 +18,8 @@ import numpy as np
 import pytest
 
 from repro.core import (AnalysisSession, BatchAnalysis, analyze,
-                        batch_dispersion_matrix, render_full_report,
-                        scalar_dispersion_matrix)
+                        batch_dispersion_matrix, render_full_report)
+from tests.oracles import scalar_dispersion_matrix
 
 GOLDEN = Path(__file__).resolve().parent.parent / "docs" / "paper_report.txt"
 

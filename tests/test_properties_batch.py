@@ -19,8 +19,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from repro.core import (BatchAnalysis, MeasurementSet, available_indices,
-                        scalar_dispersion_matrix)
+from repro.core import BatchAnalysis, MeasurementSet, available_indices
+from tests.oracles import scalar_dispersion_matrix
 
 
 @st.composite

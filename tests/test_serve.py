@@ -252,13 +252,13 @@ class TestJobValidation:
         with pytest.raises(ReproError, match="404"):
             client.report("0" * 64, "analyze")
 
-    def test_unknown_index_is_a_job_error_not_a_crash(self, client,
-                                                      paper_trace):
+    def test_unknown_index_is_refused_before_any_job(self, client,
+                                                     paper_trace):
         sha = client.submit(paper_trace)["sha256"]
-        with pytest.raises(ReproError, match="422"):
+        with pytest.raises(ReproError, match="400"):
             client.report(sha, "analyze", index="no-such-index")
-        # The failure is not sticky: the error was never cached.
-        assert client.metrics()["counters"]["jobs_failed"] == 1
+        # Refused while validating the parameters: no job ran or failed.
+        assert client.metrics()["counters"].get("jobs_failed", 0) == 0
         assert client.fetch_text(sha) == GOLDEN.read_text()
 
 

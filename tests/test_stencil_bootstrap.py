@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from repro.apps import StencilConfig, STENCIL_REGIONS, run_stencil
-from repro.core import (bootstrap_interval, dispersion_matrix,
-                        region_intervals)
+from repro.core import (available_indices, bootstrap_interval,
+                        dispersion_matrix, region_intervals)
 from repro.errors import DispersionError, WorkloadError
 from repro.instrument import lint_trace
+from tests.oracles import SCALAR_INDICES
 
 
 class TestStencil:
@@ -99,6 +100,27 @@ class TestBootstrap:
         small = bootstrap_interval(rng.uniform(1, 2, 4), seed=2)
         large = bootstrap_interval(rng.uniform(1, 2, 64), seed=2)
         assert large.width < small.width
+
+    @pytest.mark.parametrize("index", available_indices())
+    @pytest.mark.parametrize("values", [
+        [0.0, 0.0, 0.0, 5.0],     # about a third of resamples all zero
+        np.random.default_rng(3).uniform(0.5, 1.5, 64)])
+    def test_matches_a_loop_over_the_scalar_oracle(self, index, values):
+        """One index call over every replicate gives the interval of
+        the historical per-replicate loop."""
+        interval = bootstrap_interval(values, index=index, seed=4)
+        data = np.asarray(values, dtype=float)
+        function = SCALAR_INDICES[index]
+        observed = function(data / data.sum())
+        resampled = data[np.random.default_rng(4).integers(
+            0, data.size, size=(2000, data.size))]
+        estimates = [function(row / row.sum()) if row.sum() > 0.0
+                     else observed for row in resampled]
+        low, high = np.quantile(estimates, [0.025, 0.975])
+        for actual, expected in ((interval.observed, observed),
+                                 (interval.low, low),
+                                 (interval.high, high)):
+            assert actual == pytest.approx(expected, rel=1e-12, abs=1e-12)
 
     def test_validation(self):
         with pytest.raises(DispersionError):

@@ -2,10 +2,10 @@
 
 * :class:`~repro.core.batch.WindowedBatch` must give, window for
   window, exactly what :class:`~repro.core.batch.BatchAnalysis` gives
-  on that window alone — for every registered index, including one
-  registered only with ``register_index`` (the scalar fallback), and
-  on stacks with dash cells, windows with no performed cell and a
-  single processor.
+  on that window alone — for every registered index, including a
+  custom one registered with ``register_index`` as one last-axis
+  function, and on stacks with dash cells, windows with no performed
+  cell and a single processor.
 * The windows :meth:`WindowedAccumulator.finalize` returns are
   read-only views of one stack; accumulating after finalize copies the
   stack first, so returned windows never change.
@@ -30,18 +30,17 @@ from repro.instrument import (TraceEvent, Tracer, iter_any, window_profiles,
 from repro.instrument.stream import trace_windows
 from repro.reports import render_temporal_report
 
-SCALAR_ONLY = "midrange-windowed-test-only"
+CUSTOM = "midrange-windowed-test-only"
 
 
 @pytest.fixture(scope="module")
-def scalar_only_index():
-    """An index with no batch kernel: WindowedBatch must take the
-    scalar fallback for it."""
+def custom_index():
+    """A custom last-axis index: WindowedBatch evaluates it like the
+    built-ins."""
     from repro.core import dispersion
-    register_index(SCALAR_ONLY)(
-        lambda values: float(np.ptp(np.asarray(values, dtype=float)) / 2))
-    yield SCALAR_ONLY
-    del dispersion._REGISTRY[SCALAR_ONLY]
+    register_index(CUSTOM)(lambda data: np.ptp(data, axis=-1) / 2)
+    yield CUSTOM
+    del dispersion._REGISTRY[CUSTOM]
 
 
 @st.composite
@@ -72,10 +71,10 @@ def window_stacks(draw):
 @settings(max_examples=80, deadline=None)
 @given(sets=window_stacks())
 def test_windowed_batch_matches_batch_analysis_per_window(
-        sets, scalar_only_index):
+        sets, custom_index):
     windowed = WindowedBatch(sets)
     assert windowed.n_windows == len(sets)
-    for index in (*available_indices(), scalar_only_index):
+    for index in (*available_indices(), custom_index):
         matrices = windowed.matrix(index)
         assert matrices.shape == (len(sets), *sets[0].performed.shape)
         for weighting in ("time", "uniform"):
