@@ -24,8 +24,7 @@ from .efficiency import efficiency
 from .standardize import standardize
 
 _EXPORTS = {
-    "batch": ("AnalysisSession", "BatchAnalysis", "WindowedBatch",
-              "batch_dispersion_matrix"),
+    "batch": ("AnalysisSession", "BatchAnalysis"),
     "breakdown": ("ActivityExtremes", "ProgramBreakdown", "characterize"),
     "bootstrap": ("BootstrapInterval", "bootstrap_interval",
                   "region_intervals"),

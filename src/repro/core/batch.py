@@ -10,9 +10,8 @@ far more than for the paper's 7x4 example.
 * :class:`BatchAnalysis` — packs the standardized slices of every
   *performed* cell into one ``(M, P)`` matrix and applies each
   registered index to all rows at once.  Not-performed ("dash") cells
-  are masked out and reported as ``nan``.
-* :class:`WindowedBatch` — the same, window by window, over a sequence
-  of measurement sets sharing one layout.
+  are masked out and reported as ``nan``.  A time-resolved analysis
+  (:mod:`repro.core.temporal`) builds one per window.
 * :class:`AnalysisSession` — a memoization layer on top of one
   measurement set: views, ranking, efficiency, diagnosis and report
   rendering all reuse the cached standardized tensors and dispersion
@@ -27,11 +26,11 @@ engine to be at least five times faster.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Optional, Tuple
 
 import numpy as np
 
-from ..errors import DispersionError, RankingError
+from ..errors import RankingError
 from ..obs import spans as obspans
 from .dispersion import available_indices, get_index, imbalance_time
 from .measurements import MeasurementSet
@@ -172,110 +171,6 @@ class BatchAnalysis:
             self._activity_totals = _readonly(
                 self.measurements.times.sum(axis=0))
         return self._activity_totals
-
-
-def batch_dispersion_matrix(measurements: MeasurementSet,
-                            index: str = "euclidean") -> np.ndarray:
-    """One-shot vectorized ``ID_ij`` matrix (fresh, writable array)."""
-    return BatchAnalysis(measurements).matrix(index).copy()
-
-
-def _masked_weighted_mean(matrix: np.ndarray, weights: np.ndarray,
-                          mask: np.ndarray, axis: int) -> np.ndarray:
-    """Weighted average over ``axis`` ignoring unmasked entries; nan
-    where the masked weights sum to zero (the vectorized analogue of
-    ``views._weighted_average``)."""
-    effective = np.where(mask, weights, 0.0)
-    weight_sums = effective.sum(axis=axis)
-    numerator = (np.where(mask, matrix, 0.0) * effective).sum(axis=axis)
-    safe = np.where(weight_sums > 0.0, weight_sums, 1.0)
-    return np.where(weight_sums > 0.0, numerator / safe, np.nan)
-
-
-class WindowedBatch:
-    """Per-window dispersion over a sequence of measurement sets.
-
-    The W-window analogue of :class:`BatchAnalysis`: given measurement
-    sets sharing one ``(regions, activities, P)`` layout — e.g. the
-    output of :func:`repro.instrument.window_profiles` — each index is
-    evaluated window by window, by a :class:`BatchAnalysis` of that
-    window, and the results are stacked along a leading window axis.
-    The windows' tensors are never stacked or copied: only one window's
-    temporaries (packed cells, standardized slices) are alive at a
-    time.  Every value is exactly what :class:`BatchAnalysis` gives for
-    its window.
-    """
-
-    def __init__(self, measurement_sets: Sequence[MeasurementSet]):
-        sets = tuple(measurement_sets)
-        if not sets:
-            raise DispersionError("need at least one measurement set")
-        first = sets[0]
-        for ms in sets[1:]:
-            if (ms.regions != first.regions
-                    or ms.activities != first.activities
-                    or ms.n_processors != first.n_processors):
-                raise DispersionError(
-                    "all windows must share the same regions, activities "
-                    "and processor count")
-        self.measurement_sets = sets
-        #: (W, N, K) performed masks.
-        self.performed = _readonly(np.stack([ms.performed for ms in sets]))
-        #: (W, N, K) per-window ``t_ij`` under each set's aggregation.
-        self.region_activity_times = _readonly(
-            np.stack([ms.region_activity_times for ms in sets]))
-        self._matrices: Dict[str, np.ndarray] = {}
-        self._processor_dispersion: Optional[np.ndarray] = None
-
-    @property
-    def n_windows(self) -> int:
-        return len(self.measurement_sets)
-
-    def _per_window(self, evaluate: Callable[[BatchAnalysis], np.ndarray]
-                    ) -> np.ndarray:
-        """``evaluate`` on each window's engine, stacked (read-only);
-        an engine and its caches are dropped before the next is built."""
-        return _readonly(np.stack([evaluate(BatchAnalysis(ms))
-                                   for ms in self.measurement_sets]))
-
-    def matrix(self, index: str = "euclidean") -> np.ndarray:
-        """The (W, N, K) stack of ``ID_ij`` matrices under ``index``
-        (cached and read-only)."""
-        if index not in self._matrices:
-            self._matrices[index] = self._per_window(
-                lambda batch: batch.matrix(index))
-        return self._matrices[index]
-
-    def region_index(self, index: str = "euclidean",
-                     weighting: str = "time") -> np.ndarray:
-        """(W, N) per-window region-view indices: the weighted average
-        of each region's ``ID_ij`` row, exactly as
-        :func:`repro.core.views.compute_region_view` computes it."""
-        return _masked_weighted_mean(
-            self.matrix(index), self._weights(weighting), self.performed,
-            axis=2)
-
-    def activity_index(self, index: str = "euclidean",
-                       weighting: str = "time") -> np.ndarray:
-        """(W, K) per-window activity-view indices."""
-        return _masked_weighted_mean(
-            self.matrix(index), self._weights(weighting), self.performed,
-            axis=1)
-
-    def _weights(self, weighting: str) -> np.ndarray:
-        if weighting == "time":
-            return self.region_activity_times
-        if weighting == "uniform":
-            return self.performed.astype(float)
-        raise DispersionError(
-            f"weighting must be 'time' or 'uniform', got {weighting!r}")
-
-    def processor_dispersion(self) -> np.ndarray:
-        """(W, N, P) per-window processor-view indices ``ID_P_ip``."""
-        if self._processor_dispersion is None:
-            self._processor_dispersion = self._per_window(
-                BatchAnalysis.processor_dispersion)
-        return self._processor_dispersion
 
 
 class AnalysisSession:

@@ -8,9 +8,11 @@ extends the methodology along time: given a sequence of per-window
 measurement sets (from :func:`repro.instrument.window_profiles`), it
 
 * tracks each region's and each activity's index of dispersion across
-  windows (evaluated window by window through
-  :class:`repro.core.batch.WindowedBatch`, on read-only views of one
-  windowed stack — no stacked copy),
+  windows: each window's ``ID_ij`` matrix comes from its own
+  :class:`repro.core.batch.BatchAnalysis` (the windows are read-only
+  views of one windowed stack — no stacked copy) and is reduced by
+  :func:`repro.core.views.view_indices`, the very reduction behind the
+  whole-trace activity and code-region views,
 * fits a linear trend (least squares) per series,
 * flags *drifting* regions — significant positive slope — which a
   one-shot analysis would underestimate,
@@ -28,7 +30,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..errors import MeasurementError
-from .batch import WindowedBatch
+from .batch import BatchAnalysis
+from .views import view_indices
 
 
 def _finite(series: Sequence[float]) -> List[float]:
@@ -312,10 +315,10 @@ def temporal_analysis(windows: Sequence, index: str = "euclidean"
 
     Accepts :class:`repro.instrument.windows.Window` objects or plain
     :class:`~repro.core.measurements.MeasurementSet` instances; all must
-    share region names.  Homogeneous windows (same activities and
-    processor count, the output of :func:`window_profiles`) are
-    evaluated through :class:`~repro.core.batch.WindowedBatch`;
-    heterogeneous sequences fall back to per-window views.
+    share region names.  Each window's region and activity indices are
+    exactly its whole-trace views: :func:`~repro.core.views.view_indices`
+    of its ``ID_ij`` matrix under its ``t_ij`` weights.  Windows whose
+    activities differ give no activity series.
     """
     if not windows:
         raise MeasurementError("need at least one window")
@@ -327,34 +330,21 @@ def temporal_analysis(windows: Sequence, index: str = "euclidean"
         if ms.regions != regions:
             raise MeasurementError(
                 "all windows must share the same region names")
-    homogeneous = all(
-        ms.activities == first.activities
-        and ms.n_processors == first.n_processors
-        for ms in measurement_sets[1:])
 
-    if homogeneous:
-        batch = WindowedBatch(measurement_sets)
-        region_series = batch.region_index(index)        # (W, N)
-        activity_series = batch.activity_index(index)    # (W, K)
-        activity_names: Tuple[str, ...] = first.activities
-    else:
-        from .views import compute_activity_and_region_views
-        region_rows = []
-        activity_rows = []
-        for ms in measurement_sets:
-            activity_view, region_view = \
-                compute_activity_and_region_views(ms, index=index)
-            region_rows.append(region_view.index)
-            activity_rows.append(activity_view.index)
-        region_series = np.array(region_rows)
-        same_activities = all(ms.activities == first.activities
-                              for ms in measurement_sets[1:])
-        activity_series = (np.array(activity_rows) if same_activities
-                           else np.empty((len(measurement_sets), 0)))
-        activity_names = first.activities if same_activities else ()
+    region_rows, activity_rows = [], []
+    for ms in measurement_sets:
+        region_row, activity_row = view_indices(
+            BatchAnalysis(ms).matrix(index), ms.region_activity_times)
+        region_rows.append(region_row)
+        activity_rows.append(activity_row)
+    same_activities = all(ms.activities == first.activities
+                          for ms in measurement_sets[1:])
+    activity_names = first.activities if same_activities else ()
+    activity_series = (np.array(activity_rows) if same_activities
+                       else np.empty((len(measurement_sets), 0)))
 
     trends = _series_trends(
-        regions, region_series,
+        regions, np.array(region_rows),
         lambda name, **fields: RegionTrend(region=name, **fields))
     activity_trends = _series_trends(
         activity_names, activity_series,

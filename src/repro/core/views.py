@@ -21,7 +21,9 @@ mean).
 
 Entries for activities that a region does not perform are reported as
 ``nan`` and excluded from every weighted average (their weight would be
-zero anyway, since ``t_ij = 0``).
+zero anyway, since ``t_ij = 0``).  Both weighted views are one
+reduction, :func:`view_indices`, which the time-resolved analysis
+(:mod:`repro.core.temporal`) applies to each window unchanged.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from ..errors import DispersionError
-from .batch import BatchAnalysis, batch_dispersion_matrix
+from .batch import BatchAnalysis
 from .measurements import MeasurementSet
 
 
@@ -43,18 +45,34 @@ def dispersion_matrix(measurements: MeasurementSet,
     ``ID_ij`` is computed on the times of activity *j* in region *i*
     standardized across processors; pairs the region does not perform are
     ``nan``.  Evaluated by the vectorized batch engine
-    (:mod:`repro.core.batch`) in one pass over all performed cells.
+    (:mod:`repro.core.batch`) in one pass over all performed cells, and
+    returned as a fresh, writable copy of its cached matrix.
     """
-    return batch_dispersion_matrix(measurements, index)
+    return BatchAnalysis(measurements).matrix(index).copy()
 
 
-def _weighted_average(values: np.ndarray, weights: np.ndarray) -> float:
-    """Average of ``values`` under ``weights``, ignoring nan entries."""
-    mask = ~np.isnan(values)
-    weight = weights[mask].sum()
-    if weight <= 0.0:
-        return float("nan")
-    return float((values[mask] * weights[mask]).sum() / weight)
+def view_indices(matrix: np.ndarray, weights: np.ndarray
+                 ) -> Tuple[np.ndarray, np.ndarray]:
+    """The ``(N,)`` region view ``ID_C_i`` and the ``(K,)`` activity view
+    ``ID_A_j`` of an ``(N, K)`` ``ID_ij`` matrix.
+
+    Each is the weighted mean of a row (region) or a column (activity)
+    under ``weights``, with the ``nan`` entries of ``matrix`` excluded;
+    a row or column whose remaining weights sum to zero is ``nan``.
+    The views of a whole trace and of each of its windows are this one
+    reduction.
+    """
+    mask = ~np.isnan(matrix)
+    effective = np.where(mask, weights, 0.0)
+    weighted = np.where(mask, matrix, 0.0) * effective
+
+    def mean(axis: int) -> np.ndarray:
+        totals = effective.sum(axis=axis)
+        safe = np.where(totals > 0.0, totals, 1.0)
+        return np.where(totals > 0.0, weighted.sum(axis=axis) / safe,
+                        np.nan)
+
+    return mean(1), mean(0)
 
 
 @dataclass(frozen=True)
@@ -251,22 +269,21 @@ def compute_processor_view(measurements: MeasurementSet,
     """Compute ``ID_P_ip`` for every region and processor.
 
     Each processor's times within a region are standardized across
-    activities; the index is the Euclidean distance (or the chosen index
-    applied to the deviations) between the processor's profile and the
-    average profile over processors.  Only activities the region performs
-    enter the profile (not-performed activities contribute exactly zero,
-    so the batch engine evaluates all regions in one tensor pass).
+    activities; the index is the Euclidean distance between the
+    processor's profile and the average profile over processors (any
+    other ``index`` raises :class:`DispersionError`).  Only activities
+    the region performs enter the profile (not-performed activities
+    contribute exactly zero, so the batch engine evaluates all regions
+    in one tensor pass).
     """
-    matrix = BatchAnalysis(measurements).processor_dispersion().copy()
     if index != "euclidean":
-        # Generalized processor view: apply the chosen index to each
-        # processor's deviation profile magnitude is not meaningful for
-        # arbitrary indices, so we keep the Euclidean definition from the
-        # paper and expose `index` only for API symmetry.
+        # Refused before the (N, P) matrix is built, which costs a
+        # full-tensor pass.
         raise DispersionError(
             "the processor view is defined by the paper in terms of the "
             "Euclidean distance; other indices apply to the activity and "
             "code-region views")
+    matrix = BatchAnalysis(measurements).processor_dispersion().copy()
     return ProcessorView(measurements=measurements, dispersion=matrix)
 
 
@@ -303,15 +320,7 @@ def compute_activity_and_region_views(
     else:
         weights = np.where(measurements.performed, 1.0, 0.0)
 
-    n_regions, n_activities = matrix.shape
-    activity_index = np.array([
-        _weighted_average(matrix[:, j], weights[:, j])
-        for j in range(n_activities)
-    ])
-    region_index = np.array([
-        _weighted_average(matrix[i, :], weights[i, :])
-        for i in range(n_regions)
-    ])
+    region_index, activity_index = view_indices(matrix, weights)
     scaled_activity = activity_index * (activity_times / total)
     scaled_region = region_index * (region_times / total)
 

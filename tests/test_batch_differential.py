@@ -19,9 +19,9 @@ import numpy as np
 import pytest
 
 from repro.core import (AnalysisSession, BatchAnalysis, MeasurementSet,
-                        WindowedBatch, analyze, available_indices,
-                        batch_dispersion_matrix, dispersion_matrix,
-                        get_index, imbalance_time, register_index)
+                        analyze, available_indices, dispersion_matrix,
+                        get_index, imbalance_time, register_index,
+                        temporal_analysis)
 from repro.errors import DispersionError
 from tests.oracles import scalar_dispersion_matrix, scalar_imbalance_time
 
@@ -106,9 +106,11 @@ def test_a_batch_agrees_with_each_of_its_rows(index):
 
 
 def test_dispersion_matrix_is_batch_backed(tiny_measurements):
-    np.testing.assert_array_equal(
-        np.nan_to_num(dispersion_matrix(tiny_measurements)),
-        np.nan_to_num(batch_dispersion_matrix(tiny_measurements)))
+    matrix = dispersion_matrix(tiny_measurements)
+    cached = BatchAnalysis(tiny_measurements).matrix()
+    np.testing.assert_array_equal(matrix, cached)
+    # A fresh, writable copy of the engine's read-only cache.
+    assert matrix.flags.writeable and not cached.flags.writeable
 
 
 def test_imbalance_time_kernel_matches_scalar():
@@ -147,7 +149,8 @@ def test_processor_view_matches_scalar_loop():
 
 def test_custom_last_axis_index_runs_everywhere(tiny_measurements):
     """An index registered as one last-axis function serves a single
-    data set, BatchAnalysis and WindowedBatch, with no second kernel."""
+    data set, BatchAnalysis and the time-resolved analysis, with no
+    second kernel."""
     name = "halfmax-test-only"
     from repro.core import dispersion as disp
     halfmax = register_index(name)(lambda data: data.max(axis=-1) * 0.5)
@@ -159,10 +162,10 @@ def test_custom_last_axis_index_runs_everywhere(tiny_measurements):
         with pytest.raises(DispersionError):
             halfmax([0.0, 0.0])
         assert_matches_scalar(tiny_measurements, name)
-        windows = WindowedBatch([tiny_measurements, tiny_measurements])
-        for matrix in windows.matrix(name):
-            np.testing.assert_array_equal(
-                matrix, BatchAnalysis(tiny_measurements).matrix(name))
+        _, region_view = AnalysisSession(tiny_measurements).views(name)
+        trends = temporal_analysis([tiny_measurements] * 2, name).trends
+        for trend, expected in zip(trends, region_view.index):
+            assert trend.series == (expected, expected)
     finally:
         del disp._REGISTRY[name]
 

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from repro.core import (AnalysisSession, BatchAnalysis, analyze,
-                        batch_dispersion_matrix, render_full_report)
+                        dispersion_matrix, render_full_report)
 from tests.oracles import scalar_dispersion_matrix
 
 GOLDEN = Path(__file__).resolve().parent.parent / "docs" / "paper_report.txt"
@@ -51,7 +51,7 @@ def test_batch_and_scalar_render_identically(paper_measurements):
         from repro.core.report import render_dispersion_table
         return render_dispersion_table(activity_view)
 
-    batch_table = render(batch_dispersion_matrix(paper_measurements))
+    batch_table = render(dispersion_matrix(paper_measurements))
     scalar_table = render(scalar_dispersion_matrix(paper_measurements))
     assert batch_table == scalar_table
     assert batch_table in GOLDEN.read_text()

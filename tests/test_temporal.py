@@ -397,8 +397,8 @@ class TestTemporalEdgeCases:
             temporal_analysis(list(windows) + [alien])
 
     def test_heterogeneous_processor_counts_fall_back(self):
-        """Sets with different P cannot stack; the per-window fallback
-        must still produce trends."""
+        """Sets with different P are analyzed window by window like any
+        other: trends still come out, activity trends included."""
         wide = np.zeros((1, 1, 4))
         wide[0, 0] = [1.4, 0.6, 1.0, 1.0]
         analysis = temporal_analysis(
@@ -406,6 +406,14 @@ class TestTemporalEdgeCases:
              MeasurementSet(wide, regions=("r",), activities=("X",))])
         assert analysis.n_windows == 3
         assert analysis.trend("r").series[-1] > 0.0
+        assert len(analysis.activity_trend("X").series) == 3
+
+    def test_differing_activities_give_no_activity_trends(self):
+        other = MeasurementSet(np.ones((1, 1, 2)), regions=("r",),
+                               activities=("Y",))
+        analysis = temporal_analysis([skewed_set(0.2), other])
+        assert analysis.activity_trends == ()
+        assert analysis.trend("r").series[1] == 0.0
 
     def test_activity_trends_on_homogeneous_windows(self):
         analysis = temporal_analysis(window_profiles(make_tracer(), 3))

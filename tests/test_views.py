@@ -153,3 +153,15 @@ class TestProcessorView:
     def test_non_euclidean_rejected(self, tiny_measurements):
         with pytest.raises(DispersionError):
             compute_processor_view(tiny_measurements, index="cv")
+
+    def test_non_euclidean_refused_before_the_matrix_is_built(
+            self, tiny_measurements, monkeypatch):
+        from repro.core import BatchAnalysis
+
+        def fail(self):
+            raise AssertionError("processor matrix built for a refused "
+                                 "index")
+
+        monkeypatch.setattr(BatchAnalysis, "processor_dispersion", fail)
+        with pytest.raises(DispersionError):
+            compute_processor_view(tiny_measurements, index="gini")

@@ -1,11 +1,12 @@
-"""The windowed path: per-window kernels, zero-copy windows, memory.
+"""The windowed path: per-window views, zero-copy windows, memory.
 
-* :class:`~repro.core.batch.WindowedBatch` must give, window for
-  window, exactly what :class:`~repro.core.batch.BatchAnalysis` gives
-  on that window alone — for every registered index, including a
-  custom one registered with ``register_index`` as one last-axis
-  function, and on stacks with dash cells, windows with no performed
-  cell and a single processor.
+* A time-resolved analysis must give, window for window, exactly the
+  views :class:`~repro.core.batch.BatchAnalysis` and
+  :func:`~repro.core.views.view_indices` give on that window alone —
+  for every registered index, including a custom one registered with
+  ``register_index`` as one last-axis function, and on stacks with dash
+  cells, windows with no performed cell and a single processor.  One
+  window over a whole trace gives its whole-trace views bit for bit.
 * The windows :meth:`WindowedAccumulator.finalize` returns are
   read-only views of one stack; accumulating after finalize copies the
   stack first, so returned windows never change.
@@ -22,25 +23,39 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import (AnalysisSession, BatchAnalysis, MeasurementSet,
-                        WindowedBatch, available_indices, register_index)
-from repro.core.batch import _masked_weighted_mean
+                        available_indices, register_index,
+                        temporal_analysis)
 from repro.core.online import WindowedAccumulator
-from repro.instrument import (TraceEvent, Tracer, iter_any, window_profiles,
-                              write_binary_trace)
+from repro.core.views import view_indices
+from repro.instrument import (TraceEvent, Tracer, iter_any, profile,
+                              window_profiles, write_binary_trace)
 from repro.instrument.stream import trace_windows
 from repro.reports import render_temporal_report
 
 CUSTOM = "midrange-windowed-test-only"
+SPARSE = "nan-when-concentrated-test-only"
 
 
 @pytest.fixture(scope="module")
 def custom_index():
-    """A custom last-axis index: WindowedBatch evaluates it like the
+    """A custom last-axis index: the windowed path evaluates it like the
     built-ins."""
     from repro.core import dispersion
     register_index(CUSTOM)(lambda data: np.ptp(data, axis=-1) / 2)
     yield CUSTOM
     del dispersion._REGISTRY[CUSTOM]
+
+
+@pytest.fixture(scope="module")
+def sparse_index():
+    """A custom last-axis index that scores some *performed* cells nan
+    (those where the first processor holds the most time): both views
+    must leave those cells out of their weighted means alike."""
+    from repro.core import dispersion
+    register_index(SPARSE)(lambda data: np.where(
+        data.argmax(axis=-1) == 0, np.nan, np.ptp(data, axis=-1)))
+    yield SPARSE
+    del dispersion._REGISTRY[SPARSE]
 
 
 @st.composite
@@ -70,53 +85,68 @@ def window_stacks(draw):
 
 @settings(max_examples=80, deadline=None)
 @given(sets=window_stacks())
-def test_windowed_batch_matches_batch_analysis_per_window(
+def test_temporal_series_match_batch_analysis_per_window(
         sets, custom_index):
-    windowed = WindowedBatch(sets)
-    assert windowed.n_windows == len(sets)
     for index in (*available_indices(), custom_index):
-        matrices = windowed.matrix(index)
-        assert matrices.shape == (len(sets), *sets[0].performed.shape)
-        for weighting in ("time", "uniform"):
-            regions = windowed.region_index(index, weighting)
-            activities = windowed.activity_index(index, weighting)
-            for w, ms in enumerate(sets):
-                expected = BatchAnalysis(ms).matrix(index)
-                np.testing.assert_array_equal(matrices[w], expected)
-                weights = (ms.region_activity_times if weighting == "time"
-                           else ms.performed.astype(float))
-                np.testing.assert_array_equal(
-                    regions[w], _masked_weighted_mean(
-                        expected, weights, ms.performed, axis=1))
-                np.testing.assert_array_equal(
-                    activities[w], _masked_weighted_mean(
-                        expected, weights, ms.performed, axis=0))
-                # ... and the views of the scalar methodology agree
-                # (their scaled indices divide by T, 0 for an idle
-                # window).
-                with np.errstate(invalid="ignore"):
-                    activity_view, region_view = AnalysisSession(
-                        ms).views(index, weighting)
-                np.testing.assert_allclose(regions[w], region_view.index,
-                                           rtol=1e-12, atol=1e-12)
-                np.testing.assert_allclose(
-                    activities[w], activity_view.index,
-                    rtol=1e-12, atol=1e-12)
-    dispersion = windowed.processor_dispersion()
-    for w, ms in enumerate(sets):
+        analysis = temporal_analysis(sets, index)
+        assert analysis.n_windows == len(sets)
+        regions = np.array([trend.series for trend in analysis.trends]).T
+        activities = np.array([trend.series
+                               for trend in analysis.activity_trends]).T
+        for w, ms in enumerate(sets):
+            expected_regions, expected_activities = view_indices(
+                BatchAnalysis(ms).matrix(index), ms.region_activity_times)
+            np.testing.assert_array_equal(regions[w], expected_regions)
+            np.testing.assert_array_equal(activities[w],
+                                          expected_activities)
+            # ... which are the whole-set views (their scaled indices
+            # divide by T, 0 for an idle window).
+            with np.errstate(invalid="ignore"):
+                activity_view, region_view = AnalysisSession(ms).views(index)
+            np.testing.assert_array_equal(regions[w], region_view.index)
+            np.testing.assert_array_equal(activities[w],
+                                          activity_view.index)
+
+
+def seeded_tracer(seed=11, ranks=6, n_regions=12, steps=3):
+    """Bulk-synchronous steps over ``n_regions`` regions, three
+    activities each, with seeded per-rank durations."""
+    rng = np.random.default_rng(seed)
+    tracer = Tracer()
+    clock = 0.0
+    for _ in range(steps):
+        for region in range(n_regions):
+            for activity in ACTIVITY_NAMES[:3]:
+                for rank, duration in enumerate(
+                        rng.uniform(0.1, 1.0, ranks)):
+                    tracer.record(rank, f"region {region}", activity,
+                                  clock, clock + float(duration))
+                clock += 1.0
+    return tracer
+
+
+def test_one_window_gives_the_whole_trace_views(custom_index,
+                                                sparse_index):
+    tracer = seeded_tracer()
+    whole = profile(tracer)
+    windows = window_profiles(tracer, 1)
+    np.testing.assert_array_equal(windows[0].measurements.times,
+                                  whole.times)
+    session = AnalysisSession(whole)
+    assert whole.n_regions >= 8
+    for index in (*available_indices(), custom_index, sparse_index):
+        analysis = temporal_analysis(windows, index)
+        activity_view, region_view = session.views(index)
         np.testing.assert_array_equal(
-            dispersion[w], BatchAnalysis(ms).processor_dispersion())
-
-
-def test_windowed_results_are_cached_and_read_only():
-    sets = [MeasurementSet(np.full((2, 2, 3), value)) for value in (1., 2.)]
-    windowed = WindowedBatch(sets)
-    assert windowed.matrix() is windowed.matrix()
-    for array in (windowed.matrix(), windowed.processor_dispersion(),
-                  windowed.performed, windowed.region_activity_times):
-        assert not array.flags.writeable
-    assert not hasattr(windowed, "times")
-    assert not hasattr(windowed, "cells")
+            [trend.series[0] for trend in analysis.trends],
+            region_view.index)
+        np.testing.assert_array_equal(
+            [trend.series[0] for trend in analysis.activity_trends],
+            activity_view.index)
+    # The sparse index scores some performed cells nan, and not all.
+    matrix = session.dispersion_matrix(sparse_index)
+    dropped = np.isnan(matrix) & whole.performed
+    assert dropped.any() and not dropped.all()
 
 
 def drifting_tracer():
