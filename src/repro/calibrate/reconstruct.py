@@ -388,17 +388,16 @@ def synthesize_paper_trace(path, measurements: MeasurementSet = None) -> int:
     reference input for the service daemon's byte-identity smoke tests.
     Returns the number of events written.
     """
-    from ..instrument import write_trace
-    from ..instrument.events import OUTSIDE_REGION, TraceEvent
+    from ..instrument import Tracer, write_tracer
+    from ..instrument.events import OUTSIDE_REGION
 
     m = reconstruct() if measurements is None else measurements
-    events = [TraceEvent(0, OUTSIDE_REGION, "computation",
-                         0.0, m.total_time)]
+    tracer = Tracer()
+    tracer.record(0, OUTSIDE_REGION, "computation", 0.0, m.total_time)
     for i, region in enumerate(m.regions):
         for j, activity in enumerate(m.activities):
             for rank in range(m.n_processors):
                 value = float(m.times[i, j, rank])
                 if value > 0.0:
-                    events.append(TraceEvent(rank, region, activity,
-                                             0.0, value))
-    return write_trace(path, events)
+                    tracer.record(rank, region, activity, 0.0, value)
+    return write_tracer(path, tracer)

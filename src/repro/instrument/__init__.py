@@ -4,8 +4,8 @@ The paper's methodology is post-mortem: a program is instrumented, its
 execution is monitored, and the collected measurements are analyzed.
 This package provides that pipeline for the simulated machine:
 
-* :class:`Tracer` — collects :class:`TraceEvent` records (plugs into the
-  simulator as its trace sink);
+* :class:`Tracer` — records events as :class:`EventColumns` chunks
+  (plugs into the simulator as its trace sink);
 * :func:`write_trace` / :func:`read_trace` — the on-disk trace format;
 * :func:`iter_any` and friends — readers yielding :class:`EventColumns`
   chunks;

@@ -57,6 +57,16 @@ def write_binary_trace(path: PathLike,
     chunk = EventColumns.from_events(events)
     if len(chunk.names) > 0xFFFF:
         raise TraceError("string table overflow (65535 names)")
+    if any("\x00" in name for name in chunk.names):
+        raise TraceError("a name contains NUL, the string table separator")
+    # Each integer field's range; the header's rank count is max rank + 1.
+    for column, low, high in (("rank", 0, 2 ** 32 - 2),
+                              ("nbytes", 0, 2 ** 64 - 1),
+                              ("partner", -2 ** 31, 2 ** 31 - 1)):
+        values = getattr(chunk, column)
+        if len(chunk) and not low <= values.min() <= values.max() <= high:
+            raise TraceError(f"{column} outside {low}..{high}, the range "
+                             "of its binary record field")
     records = np.empty(len(chunk), dtype=RECORD)
     for field in RECORD.names:
         records[field] = getattr(chunk, field)
@@ -251,6 +261,4 @@ def read_any(path: PathLike,
 
 def read_any_tracer(path: PathLike, on_error: str = "salvage") -> Tracer:
     """Read either format into a fresh :class:`Tracer`."""
-    tracer = Tracer()
-    tracer.extend(read_any(path, on_error=on_error))
-    return tracer
+    return Tracer(format_reader(path)(path, on_error=on_error))

@@ -21,8 +21,6 @@ from pathlib import Path
 from typing import Union
 
 from ..errors import TraceError
-from .columns import as_chunks
-from .events import EVENT_KINDS
 
 PathLike = Union[str, Path]
 
@@ -35,17 +33,13 @@ def _records(tracer):
     for rank in range(tracer.n_ranks):
         yield {"name": "process_name", "ph": "M", "pid": rank, "tid": 0,
                "args": {"name": f"rank {rank}"}}
-    for chunk in as_chunks(tracer):
-        names = chunk.names
-        for rank, region, activity, begin, end, kind, nbytes, partner in zip(
-                *(column.tolist() for column in (
-                    chunk.rank, chunk.region, chunk.activity, chunk.begin,
-                    chunk.end, chunk.kind, chunk.nbytes, chunk.partner))):
-            yield {"name": f"{names[region]}: {names[activity]}",
-                   "cat": names[activity], "ph": "X", "pid": rank,
-                   "tid": 0, "ts": begin * _US, "dur": (end - begin) * _US,
-                   "args": {"kind": EVENT_KINDS[kind], "nbytes": nbytes,
-                            "partner": partner}}
+    for chunk in tracer:
+        for rank, region, activity, begin, end, kind, nbytes, partner in \
+                chunk.rows():
+            yield {"name": f"{region}: {activity}", "cat": activity,
+                   "ph": "X", "pid": rank, "tid": 0, "ts": begin * _US,
+                   "dur": (end - begin) * _US, "args": {
+                       "kind": kind, "nbytes": nbytes, "partner": partner}}
 
 
 def export_chrome_trace(path: PathLike, tracer) -> int:

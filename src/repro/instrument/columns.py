@@ -1,16 +1,16 @@
 """Columnar event chunks: the form a trace takes from decode to tensor.
 
-Every reader yields :class:`EventColumns`; the accumulators of
-:mod:`repro.core.online`, the timeline and the Chrome export walk their
-numpy columns, and the eager ``read_*`` functions call
-:meth:`EventColumns.events`.  The module also holds what every reader
-shares: argument checks and the damage policy.
+Every reader yields :class:`EventColumns` and a :class:`Tracer` records
+them; the accumulators of :mod:`repro.core.online`, the filters, lint,
+the timeline and the writers walk their numpy columns, and the eager
+``read_*`` functions call :meth:`EventColumns.events`.  The module also
+holds what every reader shares: argument checks and the damage policy.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import (Dict, Iterable, Iterator, List, NamedTuple, Optional,
                     Tuple, Union)
@@ -19,12 +19,15 @@ import numpy as np
 
 from ..errors import TraceError, TraceWarning
 from .events import EVENT_KINDS, TraceEvent
-from .tracer import Tracer
 
 #: Default number of events per yielded chunk.
 DEFAULT_CHUNK_SIZE = 8192
 
 _KIND_CODES = {kind: code for code, kind in enumerate(EVENT_KINDS)}
+
+#: The per-event columns of a chunk, in :class:`TraceEvent` field order.
+_COLUMNS = ("rank", "region", "activity", "begin", "end", "kind", "nbytes",
+           "partner")
 
 
 @dataclass(frozen=True, eq=False)
@@ -52,15 +55,21 @@ class EventColumns:
     def __iter__(self) -> Iterator[TraceEvent]:
         return iter(self.events())
 
+    def rows(self) -> Iterator[tuple]:
+        """The events as tuples of :class:`TraceEvent` fields."""
+        for rank, region, activity, begin, end, kind, nbytes, partner in zip(
+                *(getattr(self, column).tolist() for column in _COLUMNS)):
+            yield (rank, self.names[region], self.names[activity], begin,
+                   end, EVENT_KINDS[kind], nbytes, partner)
+
     def events(self) -> List[TraceEvent]:
         """The chunk materialized as :class:`TraceEvent` objects."""
-        names = self.names
-        return [TraceEvent(rank, names[region], names[activity], begin, end,
-                           EVENT_KINDS[kind], nbytes, partner)
-                for rank, region, activity, begin, end, kind, nbytes, partner
-                in zip(*(column.tolist() for column in (
-                    self.rank, self.region, self.activity, self.begin,
-                    self.end, self.kind, self.nbytes, self.partner)))]
+        return [TraceEvent(*row) for row in self.rows()]
+
+    def select(self, mask: np.ndarray) -> "EventColumns":
+        """The events where ``mask`` is true, same names."""
+        return replace(self, **{column: getattr(self, column)[mask]
+                                for column in _COLUMNS})
 
     @classmethod
     def from_events(cls, events: Iterable) -> "EventColumns":
@@ -98,17 +107,17 @@ class ColumnBuilder:
         columns = list(zip(*self._rows)) or [()] * 8
         self._rows = []
         dtypes = (None, np.intp, np.intp, float, float, np.uint8, None, None)
-        return EventColumns(*(np.array(column, dtype=dtype)
+        return EventColumns(*(_array(column, dtype)
                               for column, dtype in zip(columns, dtypes)),
                             names=tuple(self._codes))
 
 
-def as_chunks(source) -> Iterable[EventColumns]:
-    """A :class:`Tracer` as one chunk; an iterable of chunks (e.g. a
-    reader's output) passes through."""
-    if isinstance(source, Tracer):
-        return [EventColumns.from_events(source.events)]
-    return source
+def _array(values: tuple, dtype) -> np.ndarray:
+    """``np.array``, but ints no one integer dtype holds stay Python ints."""
+    array = np.array(values, dtype=dtype)
+    if dtype is None and array.dtype.kind == "f" and values:
+        return np.array(values, dtype=object)
+    return array
 
 
 def materialize(chunks: Iterable[EventColumns]) -> List[TraceEvent]:

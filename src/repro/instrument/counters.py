@@ -29,7 +29,7 @@ import numpy as np
 from ..core.measurements import MeasurementSet
 from ..core.online import OnlineAccumulator
 from ..errors import TraceError
-from .columns import EventColumns, as_chunks
+from .columns import EventColumns
 from .events import EVENT_KINDS
 
 #: Counters that can be extracted from a trace.
@@ -70,7 +70,7 @@ def count_profile(tracer, counter: str = "messages",
         raise TraceError(f"counter must be one of {COUNTERS}, "
                          f"got {counter!r}")
     accumulator = OnlineAccumulator(regions, activities, aggregation="sum")
-    for chunk in as_chunks(tracer):
+    for chunk in tracer:
         accumulator.update(chunk, weights=_weights(chunk, counter))
     if accumulator.n_events == 0:
         raise TraceError("cannot count an empty trace")

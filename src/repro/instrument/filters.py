@@ -2,45 +2,60 @@
 
 Post-mortem workflows routinely slice and combine traces — keep one
 phase, drop a warm-up, merge per-run traces into one corpus, rename a
-region after a refactor.  These helpers operate on
-:class:`~repro.instrument.tracer.Tracer` objects and always return new
-tracers (the inputs are never mutated).
+region after a refactor.  These helpers edit the column chunks of
+:class:`~repro.instrument.tracer.Tracer` objects (a mask drops events,
+:func:`dataclasses.replace` swaps a column) into new tracers; the inputs
+are never mutated.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Optional, Sequence
+from dataclasses import replace
+from typing import Callable, Collection, Iterable, Optional, Sequence
+
+import numpy as np
 
 from ..errors import TraceError
+from .columns import EventColumns
 from .events import TraceEvent
 from .tracer import Tracer
 
 EventPredicate = Callable[[TraceEvent], bool]
 
 
+def _named(chunk: EventColumns, column: str,
+           names: Collection[str]) -> np.ndarray:
+    """Which events of ``chunk`` have a ``column`` among ``names``."""
+    return np.isin(getattr(chunk, column), [
+        code for code, name in enumerate(chunk.names) if name in names])
+
+
 def filter_events(tracer: Tracer, predicate: EventPredicate) -> Tracer:
     """A new tracer containing the events satisfying ``predicate``."""
-    result = Tracer()
-    result.extend(event for event in tracer.events if predicate(event))
-    return result
+    return Tracer(chunk.select(np.array(
+        [bool(predicate(event)) for event in chunk.events()], dtype=bool))
+        for chunk in tracer)
 
 
 def filter_regions(tracer: Tracer, regions: Sequence[str]) -> Tracer:
     """Keep only the given regions."""
     wanted = set(regions)
-    return filter_events(tracer, lambda event: event.region in wanted)
+    return Tracer(chunk.select(_named(chunk, "region", wanted))
+                  for chunk in tracer)
 
 
 def filter_activities(tracer: Tracer, activities: Sequence[str]) -> Tracer:
     """Keep only the given activities."""
     wanted = set(activities)
-    return filter_events(tracer, lambda event: event.activity in wanted)
+    return Tracer(chunk.select(_named(chunk, "activity", wanted))
+                  for chunk in tracer)
 
 
 def filter_ranks(tracer: Tracer, ranks: Sequence[int]) -> Tracer:
     """Keep only the given ranks (event rank ids are preserved)."""
-    wanted = set(ranks)
-    return filter_events(tracer, lambda event: event.rank in wanted)
+    wanted = list(set(ranks))
+    return Tracer(chunk.select(np.isin(chunk.rank, wanted))
+                  for chunk in tracer)
 
 
 def filter_time(tracer: Tracer, begin: float, end: float,
@@ -52,45 +67,35 @@ def filter_time(tracer: Tracer, begin: float, end: float,
     """
     if end <= begin:
         raise TraceError("time window must have positive length")
-    result = Tracer()
-    for event in tracer.events:
-        clipped_begin = max(event.begin, begin)
-        clipped_end = min(event.end, end)
-        if clipped_end <= clipped_begin:
-            continue
+
+    def window(chunk: EventColumns) -> EventColumns:
+        low, high = np.maximum(chunk.begin, begin), np.minimum(chunk.end, end)
         if clip:
-            result.add(TraceEvent(
-                rank=event.rank, region=event.region,
-                activity=event.activity, begin=clipped_begin,
-                end=clipped_end, kind=event.kind, nbytes=event.nbytes,
-                partner=event.partner))
-        else:
-            result.add(event)
-    return result
+            chunk = replace(chunk, begin=low, end=high)
+        return chunk.select(high > low)
+    return Tracer(map(window, tracer))
 
 
 def shift_time(tracer: Tracer, offset: float) -> Tracer:
     """Translate every event by ``offset`` seconds (must stay >= 0)."""
-    result = Tracer()
-    for event in tracer.events:
-        if event.begin + offset < 0.0:
+    def shift(chunk: EventColumns) -> EventColumns:
+        begin = chunk.begin + offset
+        if (begin < 0.0).any():
             raise TraceError("shift would move an event before time zero")
-        result.add(TraceEvent(
-            rank=event.rank, region=event.region, activity=event.activity,
-            begin=event.begin + offset, end=event.end + offset,
-            kind=event.kind, nbytes=event.nbytes, partner=event.partner))
-    return result
+        return replace(chunk, begin=begin, end=chunk.end + offset)
+    return Tracer(map(shift, tracer))
 
 
 def relabel_region(tracer: Tracer, old: str, new: str) -> Tracer:
     """Rename a region throughout the trace."""
     if not new:
         raise TraceError("new region name must be non-empty")
-    result = Tracer()
-    for event in tracer.events:
-        result.add(event.with_region(new) if event.region == old
-                   else event)
-    return result
+
+    def relabel(chunk: EventColumns) -> EventColumns:
+        names = chunk.names + (() if new in chunk.names else (new,))
+        return replace(chunk, names=names, region=np.where(
+            _named(chunk, "region", {old}), names.index(new), chunk.region))
+    return Tracer(map(relabel, tracer))
 
 
 def merge(tracers: Iterable[Tracer],
@@ -103,21 +108,16 @@ def merge(tracers: Iterable[Tracer],
     *different* runs into a disjoint rank space.
     """
     tracer_list = list(tracers)
-    if rank_offsets is not None and len(rank_offsets) != len(tracer_list):
+    offsets = [0] * len(tracer_list) if rank_offsets is None \
+        else list(rank_offsets)
+    if len(offsets) != len(tracer_list):
         raise TraceError("need one rank offset per tracer")
-    result = Tracer()
-    for index, tracer in enumerate(tracer_list):
-        offset = rank_offsets[index] if rank_offsets is not None else 0
-        if offset < 0:
-            raise TraceError("rank offsets must be non-negative")
-        for event in tracer.events:
-            if offset:
-                result.add(TraceEvent(
-                    rank=event.rank + offset, region=event.region,
-                    activity=event.activity, begin=event.begin,
-                    end=event.end, kind=event.kind, nbytes=event.nbytes,
-                    partner=event.partner + offset
-                    if event.partner >= 0 else -1))
-            else:
-                result.add(event)
-    return result
+    if any(not 0 <= offset <= (1 << 63) - tracer.n_ranks
+           for tracer, offset in zip(tracer_list, offsets)):
+        raise TraceError("rank offsets must be non-negative and keep "
+                         "ranks below 2**63")
+    return Tracer(replace(
+        chunk, rank=chunk.rank + offset,
+        partner=np.where(chunk.partner >= 0, chunk.partner + offset, -1))
+        if offset else chunk
+        for tracer, offset in zip(tracer_list, offsets) for chunk in tracer)

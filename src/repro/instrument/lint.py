@@ -22,9 +22,13 @@ receive is a ``recv`` event or a ``wait`` event stamped with a message
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import List, Sequence, Tuple
 
+import numpy as np
+
+from .columns import EventColumns
 from .tracer import Tracer
 
 
@@ -39,72 +43,66 @@ class LintIssue:
         return f"{self.kind}: {self.detail}"
 
 
-def _check_overlaps(tracer: Tracer, issues: List[LintIssue]) -> None:
-    for rank in range(tracer.n_ranks):
-        events = sorted(tracer.events_of(rank),
-                        key=lambda event: (event.begin, event.end))
-        previous_end = 0.0
-        previous = None
-        for event in events:
-            if event.begin < previous_end - 1e-12 and previous is not None:
-                issues.append(LintIssue(
-                    "overlap",
-                    f"rank {rank}: [{previous.begin:.6g}, "
-                    f"{previous.end:.6g}] overlaps "
-                    f"[{event.begin:.6g}, {event.end:.6g}]"))
-            previous_end = max(previous_end, event.end)
-            previous = event
+def _check_overlaps(rank: np.ndarray, begin: np.ndarray, end: np.ndarray,
+                    issues: List[LintIssue]) -> None:
+    """One sort for all ranks: an event overlaps when it begins before
+    the latest end (at least t=0) of its rank's earlier events."""
+    order = np.lexsort((end, begin, rank))
+    previous = None
+    for event in zip(*(column[order].tolist()
+                       for column in (rank, begin, end))):
+        where, start, stop = event
+        if previous is None or previous[0] != where:
+            reach = 0.0
+        elif start < reach - 1e-12:
+            issues.append(LintIssue(
+                "overlap",
+                f"rank {where}: [{previous[1]:.6g}, {previous[2]:.6g}] "
+                f"overlaps [{start:.6g}, {stop:.6g}]"))
+        reach = max(reach, stop)
+        previous = event
 
 
-def _check_message_census(tracer: Tracer,
+def _check_message_census(chunks: Sequence[EventColumns],
                           issues: List[LintIssue]) -> None:
-    sends: Dict[Tuple[int, int, int], int] = {}
-    recvs: Dict[Tuple[int, int, int], int] = {}
-    for event in tracer.events:
-        if event.partner < 0:
-            continue
-        if event.kind == "send":
-            key = (event.rank, event.partner, event.nbytes)
-            sends[key] = sends.get(key, 0) + 1
-        elif event.kind in ("recv", "wait"):
-            # Nonblocking receives complete inside wait events, which
-            # the engine stamps with the resolved message.
-            key = (event.partner, event.rank, event.nbytes)
-            recvs[key] = recvs.get(key, 0) + 1
-    for key, count in sends.items():
-        missing = count - recvs.get(key, 0)
-        if missing > 0:
-            source, destination, nbytes = key
-            issues.append(LintIssue(
-                "unmatched-send",
-                f"{missing} send(s) {source} -> {destination} "
-                f"({nbytes} B) without a receive"))
-    for key, count in recvs.items():
-        missing = count - sends.get(key, 0)
-        if missing > 0:
-            source, destination, nbytes = key
-            issues.append(LintIssue(
-                "unmatched-recv",
-                f"{missing} receive(s) {source} -> {destination} "
-                f"({nbytes} B) without a send"))
+    sends, recvs = Counter(), Counter()
+    for chunk in chunks:
+        for rank, _, _, _, _, kind, nbytes, partner in chunk.select(
+                chunk.partner >= 0).rows():
+            if kind == "send":
+                sends[rank, partner, nbytes] += 1
+            elif kind in ("recv", "wait"):
+                # Nonblocking receives complete inside wait events, which
+                # the engine stamps with the resolved message.
+                recvs[partner, rank, nbytes] += 1
+    for found, matched, kind, what, lacking in (
+            (sends, recvs, "unmatched-send", "send(s)", "a receive"),
+            (recvs, sends, "unmatched-recv", "receive(s)", "a send")):
+        for (source, destination, nbytes), count in found.items():
+            missing = count - matched[source, destination, nbytes]
+            if missing > 0:
+                issues.append(LintIssue(
+                    kind, f"{missing} {what} {source} -> {destination} "
+                          f"({nbytes} B) without {lacking}"))
 
 
 def lint_trace(tracer: Tracer) -> Tuple[LintIssue, ...]:
     """Check a trace's structural invariants; returns the violations
     (empty tuple = clean)."""
-    issues: List[LintIssue] = []
-    if len(tracer) == 0:
+    chunks = list(tracer)
+    if not chunks:
         return ()
-    for event in tracer.events:
-        if event.begin < 0.0:
-            issues.append(LintIssue(
-                "negative-time",
-                f"rank {event.rank} event begins at {event.begin}"))
-    seen_ranks = {event.rank for event in tracer.events}
-    for rank in range(tracer.n_ranks):
-        if rank not in seen_ranks:
-            issues.append(LintIssue(
-                "empty-rank", f"rank {rank} has no events"))
-    _check_overlaps(tracer, issues)
-    _check_message_census(tracer, issues)
+    rank, begin, end = (np.concatenate([getattr(chunk, column)
+                                        for chunk in chunks])
+                        for column in ("rank", "begin", "end"))
+    early = begin < 0.0
+    issues = [LintIssue("negative-time", f"rank {where} event begins at "
+                                         f"{when}")
+              for where, when in zip(rank[early].tolist(),
+                                     begin[early].tolist())]
+    seen = set(np.unique(rank).tolist())
+    issues += [LintIssue("empty-rank", f"rank {where} has no events")
+               for where in range(max(seen) + 1) if where not in seen]
+    _check_overlaps(rank, begin, end, issues)
+    _check_message_census(chunks, issues)
     return tuple(issues)

@@ -25,7 +25,6 @@ from typing import Optional, Sequence
 
 from ..core.measurements import MeasurementSet
 from ..core.online import OnlineAccumulator
-from .columns import as_chunks
 
 
 def profile(tracer,
@@ -55,4 +54,4 @@ def profile(tracer,
         (idle ranks still occupy a column of zeros).
     """
     return OnlineAccumulator(regions, activities, aggregation,
-                             n_ranks).consume(as_chunks(tracer)).finalize()
+                             n_ranks).consume(tracer).finalize()

@@ -47,27 +47,26 @@ _LINE_ERRORS = (KeyError, TypeError, ValueError, RecursionError, TraceError)
 _STREAM_ERRORS = (EOFError, OSError, zlib.error)
 
 
-def write_trace(path: PathLike, events: Iterable[TraceEvent]) -> int:
-    """Write events to ``path``; returns the number written."""
-    event_list = list(events)
-    ranks = max((event.rank for event in event_list), default=-1) + 1
+def write_tracer(path: PathLike, tracer: Tracer) -> int:
+    """Write a tracer's chunks line by line; returns the number written.
+    Any chunk source with ``len()`` and ``n_ranks`` will do."""
     target = Path(path)
     opener = gzip.open if target.suffix == ".gz" else open
     with opener(target, "wt", encoding="utf-8") as stream:
         header = {"format": FORMAT_NAME, "version": FORMAT_VERSION,
-                  "ranks": ranks, "events": len(event_list)}
+                  "ranks": tracer.n_ranks, "events": len(tracer)}
         stream.write(json.dumps(header) + "\n")
-        for event in event_list:
-            record = {"r": event.rank, "g": event.region, "a": event.activity,
-                      "b": event.begin, "e": event.end, "k": event.kind,
-                      "n": event.nbytes, "p": event.partner}
-            stream.write(json.dumps(record) + "\n")
-    return len(event_list)
+        for chunk in tracer:
+            for r, g, a, b, e, k, n, p in chunk.rows():
+                record = {"r": r, "g": g, "a": a, "b": b, "e": e, "k": k,
+                          "n": n, "p": p}
+                stream.write(json.dumps(record) + "\n")
+    return len(tracer)
 
 
-def write_tracer(path: PathLike, tracer: Tracer) -> int:
-    """Write everything a tracer recorded."""
-    return write_trace(path, tracer.events)
+def write_trace(path: PathLike, events: Iterable[TraceEvent]) -> int:
+    """Write events to ``path``; returns the number written."""
+    return write_tracer(path, Tracer(events))
 
 
 def read_header(source: Path, stream) -> Tuple[Optional[int], Optional[int]]:
@@ -197,6 +196,4 @@ def read_trace(path: PathLike,
 
 def read_tracer(path: PathLike, on_error: str = "salvage") -> Tracer:
     """Read a trace file into a fresh :class:`Tracer`."""
-    tracer = Tracer()
-    tracer.extend(read_trace(path, on_error=on_error))
-    return tracer
+    return Tracer(iter_trace(path, on_error=on_error))

@@ -1,8 +1,10 @@
 """In-memory trace recorder.
 
-:class:`Tracer` plugs into the simulator as its trace sink and collects
-:class:`~repro.instrument.events.TraceEvent` records.  It is the bridge
-between execution and analysis:
+:class:`Tracer` plugs into the simulator as its trace sink and records
+each event as a row of :class:`~repro.instrument.columns.EventColumns`.
+Like :class:`~repro.instrument.stream.FoldedTrace` it is a chunk source
+(``len()``, ``n_ranks`` and ``elapsed``, and ``begin``; iterating it
+yields its chunks), the bridge between execution and analysis:
 
 .. code-block:: python
 
@@ -10,75 +12,77 @@ between execution and analysis:
     Simulator(16, trace_sink=tracer.record).run(program)
     measurements = profile(tracer)          # -> MeasurementSet
 
-The tracer can also ingest pre-recorded events (e.g. read back from a
-trace file) via :meth:`Tracer.add`.
+:meth:`Tracer.extend` (and the constructor) also take a reader's chunks.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Tuple
+from typing import Iterable, Iterator, List, Tuple
 
 from ..errors import TraceError
-from .events import OUTSIDE_REGION, TraceEvent
+from .columns import (DEFAULT_CHUNK_SIZE, ColumnBuilder, EventColumns,
+                      materialize)
+from .events import OUTSIDE_REGION, TraceEvent, check_event
 
 
 class Tracer:
-    """Collects trace events and summarizes them."""
+    """Records trace events as columns; iterates as ``EventColumns``."""
 
-    def __init__(self) -> None:
-        self._events: List[TraceEvent] = []
-        self._rank_end: Dict[int, float] = {}
-        self._begin: float = float("inf")
+    def __init__(self, items: Iterable = ()) -> None:
+        self.clear()
+        self.extend(items)
 
-    # ------------------------------------------------------------------
-    # Recording
-    # ------------------------------------------------------------------
     def record(self, rank: int, region: str, activity: str, begin: float,
                end: float, kind: str = "compute", nbytes: int = 0,
                partner: int = -1) -> None:
         """Trace-sink entry point (matches the engine's signature)."""
-        event = TraceEvent(rank=rank, region=region or OUTSIDE_REGION,
-                           activity=activity, begin=begin, end=end,
-                           kind=kind, nbytes=nbytes, partner=partner)
-        self.add(event)
+        check_event(rank, activity, begin, end, kind)
+        self._append(rank, region or OUTSIDE_REGION, activity, begin, end,
+                     kind, nbytes, partner)
 
     def add(self, event: TraceEvent) -> None:
         """Ingest one event (records may arrive in any time order)."""
-        self._events.append(event)
-        if event.begin < self._begin:
-            self._begin = event.begin
-        previous = self._rank_end.get(event.rank)
-        if previous is None or event.end > previous:
-            self._rank_end[event.rank] = event.end
+        self._append(event.rank, event.region, event.activity, event.begin,
+                     event.end, event.kind, event.nbytes, event.partner)
 
-    def extend(self, events: Iterable[TraceEvent]) -> None:
-        """Ingest many events."""
-        for event in events:
-            self.add(event)
+    def extend(self, items: Iterable) -> None:
+        """Ingest many events, or chunks such as a reader yields."""
+        for item in items:
+            if not isinstance(item, EventColumns):
+                self.add(item)
+            elif len(item):
+                self._cut().append(item)
+
+    def _append(self, *row) -> None:
+        self._rows.append(*row)
+        if len(self._rows) == DEFAULT_CHUNK_SIZE:
+            self._cut()
+
+    def _cut(self) -> List[EventColumns]:
+        """The chunks, the rows recorded since the last cut closed."""
+        if len(self._rows):
+            self._chunks.append(self._rows.take())
+        return self._chunks
 
     def clear(self) -> None:
         """Drop everything recorded so far."""
-        self._events.clear()
-        self._rank_end.clear()
-        self._begin = float("inf")
+        self._chunks, self._rows = [], ColumnBuilder()
 
-    # ------------------------------------------------------------------
-    # Inspection
-    # ------------------------------------------------------------------
-    @property
-    def events(self) -> Tuple[TraceEvent, ...]:
-        """All events, in recording order."""
-        return tuple(self._events)
+    def __iter__(self) -> Iterator[EventColumns]:
+        return iter(tuple(self._cut()))
 
     def __len__(self) -> int:
-        return len(self._events)
+        return sum(map(len, self._chunks)) + len(self._rows)
+
+    @property
+    def events(self) -> Tuple[TraceEvent, ...]:
+        """All events, in recording order, as objects."""
+        return tuple(materialize(self))
 
     @property
     def n_ranks(self) -> int:
         """Number of distinct ranks seen (0 when empty)."""
-        if not self._rank_end:
-            return 0
-        return max(self._rank_end) + 1
+        return max((int(chunk.rank.max()) for chunk in self), default=-1) + 1
 
     @property
     def begin(self) -> float:
@@ -88,35 +92,30 @@ class Tracer:
         replayed segments keep their original clocks — so the windowing
         code anchors its intervals here rather than at zero.
         """
-        if not self._events:
-            return 0.0
-        return self._begin
+        return min((float(chunk.begin.min()) for chunk in self), default=0.0)
 
     @property
     def elapsed(self) -> float:
         """Latest event end time — the traced program's wall clock."""
-        if not self._rank_end:
-            return 0.0
-        return max(self._rank_end.values())
+        return max((float(chunk.end.max()) for chunk in self), default=0.0)
+
+    def _names(self, column: str) -> Tuple[str, ...]:
+        """The names ``column`` refers to, in order of first appearance."""
+        return tuple(dict.fromkeys(
+            chunk.names[code] for chunk in self
+            for code in dict.fromkeys(getattr(chunk, column).tolist())))
 
     def regions(self) -> Tuple[str, ...]:
         """Region names in order of first appearance (outside excluded)."""
-        seen: List[str] = []
-        for event in self._events:
-            if event.region != OUTSIDE_REGION and event.region not in seen:
-                seen.append(event.region)
-        return tuple(seen)
+        return tuple(name for name in self._names("region")
+                     if name != OUTSIDE_REGION)
 
     def activities(self) -> Tuple[str, ...]:
         """Activity names in order of first appearance."""
-        seen: List[str] = []
-        for event in self._events:
-            if event.activity not in seen:
-                seen.append(event.activity)
-        return tuple(seen)
+        return self._names("activity")
 
     def events_of(self, rank: int) -> Tuple[TraceEvent, ...]:
-        """Events of one rank, in recording order."""
+        """Events of one rank, in recording order, as objects."""
         if rank < 0:
             raise TraceError("rank must be non-negative")
-        return tuple(event for event in self._events if event.rank == rank)
+        return tuple(event for event in self.events if event.rank == rank)

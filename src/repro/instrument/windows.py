@@ -28,7 +28,7 @@ from typing import (Callable, Iterable, List, Optional, Sequence, Tuple)
 from ..core.measurements import MeasurementSet
 from ..core.online import OnlineAccumulator, WindowedAccumulator
 from ..errors import TraceError
-from .columns import EventColumns, as_chunks
+from .columns import EventColumns
 
 
 @dataclass(frozen=True)
@@ -109,7 +109,7 @@ def window_profiles_at(tracer, boundaries: Sequence[float],
     with known phase boundaries (e.g. time-step starts) instead of the
     equal slicing of :func:`window_profiles`.
     """
-    return fold_windows(as_chunks(tracer), boundaries=boundaries,
+    return fold_windows(tracer, boundaries=boundaries,
                         regions=regions, activities=activities)[0]
 
 
@@ -128,5 +128,5 @@ def window_profiles(tracer, n_windows: int,
     is a :class:`~repro.instrument.Tracer` or an iterable of column
     chunks.
     """
-    return fold_windows(as_chunks(tracer), n_windows, regions=regions,
+    return fold_windows(tracer, n_windows, regions=regions,
                         activities=activities)[0]

@@ -62,18 +62,16 @@ def spans_to_tracer(spans: Sequence[Span]):
     convert — an empty profile means instrumentation never ran, which
     the caller should hear about rather than analyze.
     """
-    from ..instrument import Tracer, TraceEvent
+    from ..instrument import Tracer
     if not spans:
         raise ReproError("no spans recorded: nothing to trace")
     ranks = worker_ranks(spans)
     origin = min(item.begin for item in spans)
     tracer = Tracer()
     for item in sorted(spans, key=lambda member: member.begin):
-        tracer.add(TraceEvent(
-            rank=ranks[item.worker], region=item.name,
-            activity=item.activity or "computation",
-            begin=item.begin - origin, end=item.end - origin,
-            kind="compute"))
+        tracer.record(ranks[item.worker], item.name,
+                      item.activity or "computation", item.begin - origin,
+                      item.end - origin)
     return tracer
 
 

@@ -21,7 +21,6 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence
 
 from ..errors import TraceError
-from ..instrument.columns import as_chunks
 
 #: Character for each activity (majority per bucket).
 ACTIVITY_CHARS: Dict[str, str] = {
@@ -73,7 +72,7 @@ def render_timeline(tracer, width: int = 72,
     rows: Dict[int, List[Dict[str, float]]] = {
         rank: [dict() for _ in range(width)] for rank in rank_list}
     step = span / width
-    for chunk in as_chunks(tracer):
+    for chunk in tracer:
         for rank, code, begin, end in zip(
                 chunk.rank.tolist(), chunk.activity.tolist(),
                 chunk.begin.tolist(), chunk.end.tolist()):

@@ -12,15 +12,20 @@ These are the historical per-event loops, kept only as test oracles:
 * :data:`SCALAR_INDICES` and :func:`scalar_imbalance_time` — the
   indices of dispersion written for one data set at a time, and
   :func:`scalar_dispersion_matrix`, the per-cell loop that applies one
-  of them to every performed ``(region, activity)`` cell.
+  of them to every performed ``(region, activity)`` cell;
+* :class:`ObjectTracer` and the ``object_*`` functions — the trace
+  recorder as a list of :class:`TraceEvent` objects, with the filters,
+  the linter and the JSONL writer that walked it one object at a time.
 """
 
 from __future__ import annotations
 
+import gzip
+import json
 import struct
 import warnings
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -28,8 +33,9 @@ from repro.core.dispersion import get_index
 from repro.core.measurements import DEFAULT_ACTIVITIES, MeasurementSet
 from repro.core.standardize import standardize_over_processors
 from repro.errors import DispersionError, TraceError, TraceWarning
-from repro.instrument import (EVENT_KINDS, OUTSIDE_REGION, TraceEvent,
-                              Tracer, Window, equal_edges)
+from repro.instrument import (EVENT_KINDS, FORMAT_NAME, FORMAT_VERSION,
+                              OUTSIDE_REGION, LintIssue, TraceEvent, Tracer,
+                              Window, equal_edges)
 
 
 def scalar_profile(tracer: Tracer,
@@ -308,3 +314,238 @@ def scalar_dispersion_matrix(measurements: MeasurementSet,
             if performed[i, j]:
                 matrix[i, j] = index_function(standardized[i, j, :])
     return matrix
+
+
+class ObjectTracer:
+    """Reference for :class:`repro.instrument.Tracer`: the events as a
+    list of :class:`TraceEvent` objects."""
+
+    def __init__(self) -> None:
+        self._events: List[TraceEvent] = []
+        self._rank_end: Dict[int, float] = {}
+        self._begin: float = float("inf")
+
+    def record(self, rank: int, region: str, activity: str, begin: float,
+               end: float, kind: str = "compute", nbytes: int = 0,
+               partner: int = -1) -> None:
+        self.add(TraceEvent(rank=rank, region=region or OUTSIDE_REGION,
+                            activity=activity, begin=begin, end=end,
+                            kind=kind, nbytes=nbytes, partner=partner))
+
+    def add(self, event: TraceEvent) -> None:
+        self._events.append(event)
+        if event.begin < self._begin:
+            self._begin = event.begin
+        previous = self._rank_end.get(event.rank)
+        if previous is None or event.end > previous:
+            self._rank_end[event.rank] = event.end
+
+    def extend(self, events: Iterable[TraceEvent]) -> None:
+        for event in events:
+            self.add(event)
+
+    @property
+    def events(self) -> Tuple[TraceEvent, ...]:
+        return tuple(self._events)
+
+    def __len__(self) -> int:
+        return len(self._events)
+
+    @property
+    def n_ranks(self) -> int:
+        return max(self._rank_end) + 1 if self._rank_end else 0
+
+    @property
+    def begin(self) -> float:
+        return self._begin if self._events else 0.0
+
+    @property
+    def elapsed(self) -> float:
+        return max(self._rank_end.values()) if self._rank_end else 0.0
+
+    def regions(self) -> Tuple[str, ...]:
+        seen: List[str] = []
+        for event in self._events:
+            if event.region != OUTSIDE_REGION and event.region not in seen:
+                seen.append(event.region)
+        return tuple(seen)
+
+    def activities(self) -> Tuple[str, ...]:
+        seen: List[str] = []
+        for event in self._events:
+            if event.activity not in seen:
+                seen.append(event.activity)
+        return tuple(seen)
+
+    def events_of(self, rank: int) -> Tuple[TraceEvent, ...]:
+        if rank < 0:
+            raise TraceError("rank must be non-negative")
+        return tuple(event for event in self._events if event.rank == rank)
+
+
+def _replaced(event: TraceEvent, **fields) -> TraceEvent:
+    values = dict(rank=event.rank, region=event.region,
+                  activity=event.activity, begin=event.begin, end=event.end,
+                  kind=event.kind, nbytes=event.nbytes,
+                  partner=event.partner)
+    values.update(fields)
+    return TraceEvent(**values)
+
+
+def object_filter_events(tracer: ObjectTracer,
+                         predicate: Callable[[TraceEvent], bool]
+                         ) -> ObjectTracer:
+    result = ObjectTracer()
+    result.extend(event for event in tracer.events if predicate(event))
+    return result
+
+
+def object_filter_regions(tracer: ObjectTracer,
+                          regions: Sequence[str]) -> ObjectTracer:
+    wanted = set(regions)
+    return object_filter_events(tracer,
+                                lambda event: event.region in wanted)
+
+
+def object_filter_activities(tracer: ObjectTracer,
+                             activities: Sequence[str]) -> ObjectTracer:
+    wanted = set(activities)
+    return object_filter_events(tracer,
+                                lambda event: event.activity in wanted)
+
+
+def object_filter_ranks(tracer: ObjectTracer,
+                        ranks: Sequence[int]) -> ObjectTracer:
+    wanted = set(ranks)
+    return object_filter_events(tracer, lambda event: event.rank in wanted)
+
+
+def object_filter_time(tracer: ObjectTracer, begin: float, end: float,
+                       clip: bool = True) -> ObjectTracer:
+    if end <= begin:
+        raise TraceError("time window must have positive length")
+    result = ObjectTracer()
+    for event in tracer.events:
+        clipped = _clip(event, begin, end)
+        if clipped is not None:
+            result.add(clipped if clip else event)
+    return result
+
+
+def object_shift_time(tracer: ObjectTracer, offset: float) -> ObjectTracer:
+    result = ObjectTracer()
+    for event in tracer.events:
+        if event.begin + offset < 0.0:
+            raise TraceError("shift would move an event before time zero")
+        result.add(_replaced(event, begin=event.begin + offset,
+                             end=event.end + offset))
+    return result
+
+
+def object_relabel_region(tracer: ObjectTracer, old: str,
+                          new: str) -> ObjectTracer:
+    if not new:
+        raise TraceError("new region name must be non-empty")
+    result = ObjectTracer()
+    for event in tracer.events:
+        result.add(event.with_region(new) if event.region == old
+                   else event)
+    return result
+
+
+def object_merge(tracers: Iterable[ObjectTracer],
+                 rank_offsets: Optional[Sequence[int]] = None
+                 ) -> ObjectTracer:
+    tracer_list = list(tracers)
+    if rank_offsets is not None and len(rank_offsets) != len(tracer_list):
+        raise TraceError("need one rank offset per tracer")
+    result = ObjectTracer()
+    for index, tracer in enumerate(tracer_list):
+        offset = rank_offsets[index] if rank_offsets is not None else 0
+        if offset < 0:
+            raise TraceError("rank offsets must be non-negative")
+        for event in tracer.events:
+            result.add(_replaced(
+                event, rank=event.rank + offset,
+                partner=event.partner + offset if event.partner >= 0
+                else -1) if offset else event)
+    return result
+
+
+def object_lint_trace(tracer: ObjectTracer) -> Tuple[LintIssue, ...]:
+    """Reference for :func:`repro.instrument.lint_trace`: one pass over
+    the events per check and one sort per rank."""
+    issues: List[LintIssue] = []
+    if len(tracer) == 0:
+        return ()
+    for event in tracer.events:
+        if event.begin < 0.0:
+            issues.append(LintIssue(
+                "negative-time",
+                f"rank {event.rank} event begins at {event.begin}"))
+    seen_ranks = {event.rank for event in tracer.events}
+    for rank in range(tracer.n_ranks):
+        if rank not in seen_ranks:
+            issues.append(LintIssue(
+                "empty-rank", f"rank {rank} has no events"))
+    for rank in range(tracer.n_ranks):
+        events = sorted(tracer.events_of(rank),
+                        key=lambda event: (event.begin, event.end))
+        previous_end = 0.0
+        previous = None
+        for event in events:
+            if event.begin < previous_end - 1e-12 and previous is not None:
+                issues.append(LintIssue(
+                    "overlap",
+                    f"rank {rank}: [{previous.begin:.6g}, "
+                    f"{previous.end:.6g}] overlaps "
+                    f"[{event.begin:.6g}, {event.end:.6g}]"))
+            previous_end = max(previous_end, event.end)
+            previous = event
+    sends: Dict[Tuple[int, int, int], int] = {}
+    recvs: Dict[Tuple[int, int, int], int] = {}
+    for event in tracer.events:
+        if event.partner < 0:
+            continue
+        if event.kind == "send":
+            key = (event.rank, event.partner, event.nbytes)
+            sends[key] = sends.get(key, 0) + 1
+        elif event.kind in ("recv", "wait"):
+            key = (event.partner, event.rank, event.nbytes)
+            recvs[key] = recvs.get(key, 0) + 1
+    for key, count in sends.items():
+        missing = count - recvs.get(key, 0)
+        if missing > 0:
+            source, destination, nbytes = key
+            issues.append(LintIssue(
+                "unmatched-send",
+                f"{missing} send(s) {source} -> {destination} "
+                f"({nbytes} B) without a receive"))
+    for key, count in recvs.items():
+        missing = count - sends.get(key, 0)
+        if missing > 0:
+            source, destination, nbytes = key
+            issues.append(LintIssue(
+                "unmatched-recv",
+                f"{missing} receive(s) {source} -> {destination} "
+                f"({nbytes} B) without a send"))
+    return tuple(issues)
+
+
+def object_write_trace(path, events: Iterable[TraceEvent]) -> int:
+    """Reference for :func:`repro.instrument.write_trace`: one JSON
+    object per event object."""
+    event_list = list(events)
+    ranks = max((event.rank for event in event_list), default=-1) + 1
+    target = Path(path)
+    opener = gzip.open if target.suffix == ".gz" else open
+    with opener(target, "wt", encoding="utf-8") as stream:
+        header = {"format": FORMAT_NAME, "version": FORMAT_VERSION,
+                  "ranks": ranks, "events": len(event_list)}
+        stream.write(json.dumps(header) + "\n")
+        for event in event_list:
+            record = {"r": event.rank, "g": event.region, "a": event.activity,
+                      "b": event.begin, "e": event.end, "k": event.kind,
+                      "n": event.nbytes, "p": event.partner}
+            stream.write(json.dumps(record) + "\n")
+    return len(event_list)

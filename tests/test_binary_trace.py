@@ -143,6 +143,50 @@ class TestValidation:
             read_binary_trace(path, on_error="raise")
 
 
+class TestUnencodable:
+    """What a record or the string table cannot hold is refused before
+    the file is opened, instead of reading back as something else."""
+
+    def refused(self, tmp_path, event, match):
+        path = tmp_path / "t.rptb"
+        with pytest.raises(TraceError, match=match):
+            write_binary_trace(path, sample_events() + [event])
+        assert not path.exists()
+
+    def test_negative_nbytes(self, tmp_path):
+        self.refused(tmp_path, TraceEvent(0, "r", "a", 0.0, 1.0, nbytes=-5),
+                     "nbytes")
+
+    def test_nbytes_past_u64(self, tmp_path):
+        self.refused(tmp_path, TraceEvent(0, "r", "a", 0.0, 1.0,
+                                          nbytes=2 ** 64), "nbytes")
+
+    def test_partner_past_i32(self, tmp_path):
+        self.refused(tmp_path, TraceEvent(0, "r", "a", 0.0, 1.0,
+                                          partner=2 ** 31), "partner")
+        self.refused(tmp_path, TraceEvent(0, "r", "a", 0.0, 1.0,
+                                          partner=-2 ** 31 - 1), "partner")
+
+    def test_rank_count_past_u32(self, tmp_path):
+        """The header's rank count is the largest rank + 1."""
+        self.refused(tmp_path, TraceEvent(2 ** 32, "r", "a", 0.0, 1.0),
+                     "rank")
+        self.refused(tmp_path, TraceEvent(2 ** 32 - 1, "r", "a", 0.0, 1.0),
+                     "rank")
+
+    def test_name_with_nul(self, tmp_path):
+        self.refused(tmp_path, TraceEvent(0, "a\x00b", "a", 0.0, 1.0),
+                     "NUL")
+
+    def test_limits_themselves_round_trip(self, tmp_path):
+        path = tmp_path / "t.rptb"
+        events = [TraceEvent(2 ** 32 - 2, "r", "a", 0.0, 1.0,
+                             nbytes=2 ** 64 - 1, partner=-2 ** 31),
+                  TraceEvent(0, "r", "a", 0.0, 1.0, partner=2 ** 31 - 1)]
+        write_binary_trace(path, events)
+        assert read_binary_trace(path) == events
+
+
 class TestSniffAndDispatch:
     def test_sniff_binary(self, tmp_path):
         path = tmp_path / "t.rptb"

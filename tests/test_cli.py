@@ -730,3 +730,39 @@ class TestOneReportPipeline:
             payload = build_report(tracefile, "0" * 64, kind,
                                    normalize_params(kind, {}))
             assert payload["status"] == "ok" and payload["text"]
+
+    @pytest.fixture()
+    def no_trace_events(self, monkeypatch):
+        import repro.instrument as instrument
+        import repro.instrument.binary as binary
+        from repro.instrument import TraceEvent
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("built a TraceEvent")
+
+        # ``no_event_objects`` patches ``binary`` before the package, so
+        # the package can keep its refusing binding after that fixture.
+        monkeypatch.setattr(instrument, "read_any_tracer",
+                            binary.read_any_tracer)
+        monkeypatch.setattr(TraceEvent, "__init__", refuse)
+
+    @pytest.fixture()
+    def binary_tracefile(self, tracefile, tmp_path):
+        from repro.instrument import read_any, write_binary_trace
+        path = tmp_path / "run.rptb"
+        write_binary_trace(path, read_any(tracefile))
+        return str(path)
+
+    def test_self_trace_and_testbed_add(self, tracefile, binary_tracefile,
+                                        tmp_path, capsys, no_trace_events):
+        """The self-trace is recorded and written as columns, and the
+        testbed stores a file of either format through columns."""
+        selftrace = tmp_path / "self.jsonl"
+        assert main(["self", tracefile, "--trace", str(selftrace)]) == 0
+        assert "self-trace events" in capsys.readouterr().out
+        bed = str(tmp_path / "bed")
+        for trace in (tracefile, binary_tracefile, str(selftrace)):
+            assert main(["testbed", bed, "add", trace, "--program", "p",
+                         "--machine", "m"]) == 0
+        assert main(["testbed", bed, "show", "p-m-002"]) == 0
+        assert "p-m-002" not in capsys.readouterr().err
