@@ -22,9 +22,10 @@ stack.  Subcommands:
 * ``repro temporal TRACEFILE``  — time-resolved analysis: per-window
   imbalance trends, drifting regions, phase detection and threshold
   forecasts; ``--sweep DIR`` fans the analysis out over every trace in
-  a directory (multiprocessing, on-disk content-keyed cache);
-  ``--stream`` re-reads the trace for the binning pass instead of
-  holding the first pass's chunks.
+  a directory (multiprocessing, on-disk content-keyed cache).  The
+  trace is decoded once, keeping each event's binning columns, and the
+  windows are built and analysed one at a time; ``--stream`` is
+  accepted and changes nothing.
 * ``repro self``                — dogfooding: profile the tool's own
   sharded analysis pipeline, print its per-stage timing table and
   imbalance indices, optionally export the spans as a repro trace.
@@ -222,9 +223,10 @@ def _build_parser() -> argparse.ArgumentParser:
                               help="refuse damaged trace files instead "
                                    "of salvaging their valid prefix")
     temporal_cmd.add_argument("--stream", action="store_true",
-                              help="re-read the trace for the binning "
-                                   "pass instead of holding the first "
-                                   "pass's chunks (single trace only)")
+                              help="accepted and changes nothing: the "
+                                   "trace is decoded once and each "
+                                   "window built in turn (single trace "
+                                   "only)")
     temporal_cmd.add_argument("--chunk-size", type=int, default=8192,
                               metavar="N",
                               help="events per streamed chunk "
@@ -520,16 +522,14 @@ def _command_faults(arguments) -> int:
 
 
 def _streamed_windows(arguments, on_error: str):
-    """``(windows, event count)`` of ``repro temporal``: two passes over
-    the trace's chunks, the second re-reading the file under
-    ``--stream`` instead of reusing the first pass's chunks."""
+    """``(windows, event count)`` of ``repro temporal``: the one decode
+    pass, then every window built (the list holds them all)."""
     from .instrument.stream import trace_windows
     _check_stream_arguments(arguments)
     windows, scout = trace_windows(
         arguments.tracefile, arguments.windows,
-        chunk_size=arguments.chunk_size, on_error=on_error,
-        reread=arguments.stream)
-    return windows, scout.n_events
+        chunk_size=arguments.chunk_size, on_error=on_error)
+    return list(windows), scout.n_events
 
 
 def _command_temporal(arguments) -> int:

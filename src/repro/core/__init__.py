@@ -40,7 +40,7 @@ _EXPORTS = {
                      "weakly_majorizes"),
     "measurements": ("DEFAULT_ACTIVITIES", "MeasurementSet"),
     "methodology": ("AnalysisResult", "Methodology", "analyze"),
-    "online": ("OnlineAccumulator", "WindowedAccumulator"),
+    "online": ("OnlineAccumulator",),
     "patterns": ("Band", "PatternGrid", "band_counts", "classify",
                  "pattern_grid"),
     "ranking": ("RankedItem", "RankingResult", "agreement",

@@ -9,9 +9,10 @@ far more than for the paper's 7x4 example.
 
 * :class:`BatchAnalysis` — packs the standardized slices of every
   *performed* cell into one ``(M, P)`` matrix and applies each
-  registered index to all rows at once.  Not-performed ("dash") cells
-  are masked out and reported as ``nan``.  A time-resolved analysis
-  (:mod:`repro.core.temporal`) builds one per window.
+  registered index to many rows per call, in cache-sized blocks.
+  Not-performed ("dash") cells are masked out and reported as ``nan``.
+  A time-resolved analysis (:mod:`repro.core.temporal`) builds one per
+  window.
 * :class:`AnalysisSession` — a memoization layer on top of one
   measurement set: views, ranking, efficiency, diagnosis and report
   rendering all reuse the cached standardized tensors and dispersion
@@ -38,9 +39,25 @@ from .standardize import (standardize_over_activities,
                           standardize_over_processors)
 
 
+#: Bytes of packed cells per index call.  An index makes several
+#: passes over its input; a block this size stays in cache between
+#: them, where a whole large sweep would go to memory on every pass.
+BLOCK_BYTES = 1 << 19
+
+
 def _readonly(array: np.ndarray) -> np.ndarray:
     array.flags.writeable = False
     return array
+
+
+def _blockwise(function, cells: np.ndarray) -> np.ndarray:
+    """``function(cells)`` for a last-axis index, applied to blocks of
+    at most :data:`BLOCK_BYTES` rows at a time."""
+    rows = max(1, BLOCK_BYTES // max(1, cells.itemsize * cells.shape[-1]))
+    if len(cells) <= rows:
+        return function(cells)
+    return np.concatenate([function(cells[start:start + rows])
+                           for start in range(0, len(cells), rows)])
 
 
 class BatchAnalysis:
@@ -122,13 +139,14 @@ class BatchAnalysis:
         """The (N, K) matrix of ``ID_ij`` under the given index (cached
         and read-only).
 
-        One call of the registered index over the packed cells; they
-        are valid by construction, so the unvalidated function runs.
+        The registered index over the packed cells, one cache-sized
+        block of rows per call; they are valid by construction, so the
+        unvalidated function runs.
         """
         if index not in self._matrices:
             function = get_index(index).__wrapped__
             self._matrices[index] = _readonly(
-                self._scatter(function(self.cells)))
+                self._scatter(_blockwise(function, self.cells)))
         return self._matrices[index]
 
     def matrices(self, names: Optional[Iterable[str]] = None

@@ -5,22 +5,20 @@ alone, and ``t_ijp`` is a *sum* of event durations — an exactly
 mergeable sufficient statistic that can be accumulated one bounded
 chunk at a time, with partial sums from disjoint shards added together.
 
-Both accumulators fold :class:`~repro.instrument.columns.EventColumns`
-chunks (any other event sequence is converted once) with one
-``np.add.at`` scatter over a flat tensor index: ``(cell, rank)`` for
-:class:`OnlineAccumulator` (behind :func:`repro.instrument.profile`),
-``(window, cell, rank)`` for :class:`WindowedAccumulator` (behind
-:func:`repro.instrument.window_profiles`).  ``np.add.at`` applies its
-additions in index order, so per cell they happen in event order and
-the sums are bit-identical however the stream is chunked; merged shards
-agree within one float rounding.  Memory is bounded by the layout (and
-window count), never by the event count; finalized windows are
-read-only views of one ``(W, N, K, P)`` stack, not copies.
+:class:`OnlineAccumulator` (behind :func:`repro.instrument.profile`)
+folds :class:`~repro.instrument.columns.EventColumns` chunks (any other
+event sequence is converted once) with one ``np.add.at`` scatter over a
+flat ``(cell, rank)`` index.  ``np.add.at`` applies its additions in
+index order, so per cell they happen in event order and the sums are
+bit-identical however the stream is chunked; merged shards agree within
+one float rounding.  Memory is bounded by the layout, never by the
+event count.  Windows are the same scatter over one window's events at
+a time (:func:`repro.instrument.windows.fold_windows`).
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -330,156 +328,3 @@ class OnlineAccumulator:
         batch engine."""
         from .batch import AnalysisSession
         return AnalysisSession(self.finalize())
-
-
-class WindowedAccumulator:
-    """Streaming counterpart of :func:`repro.instrument.window_profiles`.
-
-    Requires the window ``edges`` and the (region, activity, rank)
-    layout up front — :func:`repro.instrument.windows.fold_windows`
-    discovers both with a first :class:`OnlineAccumulator` pass, then
-    bins the same chunks on a second.
-    """
-
-    def __init__(self, edges: Sequence[float],
-                 regions: Sequence[str], activities: Sequence[str],
-                 n_ranks: int):
-        self.edges = [float(value) for value in edges]
-        if len(self.edges) < 2:
-            raise TraceError("need at least two boundaries")
-        if any(later <= earlier
-               for earlier, later in zip(self.edges, self.edges[1:])):
-            raise TraceError("boundaries must be strictly increasing")
-        self.region_names = tuple(regions)
-        self.activity_names = tuple(activities)
-        if n_ranks < 1:
-            raise TraceError("need at least one rank")
-        n_windows = len(self.edges) - 1
-        self._edge_array = np.asarray(self.edges)
-        self._region_ids = {name: i
-                            for i, name in enumerate(self.region_names)}
-        self._activity_ids = {name: j
-                              for j, name in enumerate(self.activity_names)}
-        self._tensors = np.zeros((n_windows, len(self.region_names),
-                                  len(self.activity_names), n_ranks))
-        self._last_end = np.zeros(n_windows)
-        self._occupied = np.zeros(n_windows, dtype=bool)
-        self._poisoned = np.zeros(n_windows, dtype=bool)
-        self._n_events = 0
-
-    @property
-    def n_windows(self) -> int:
-        return len(self.edges) - 1
-
-    @property
-    def n_events(self) -> int:
-        return self._n_events
-
-    def update(self, events: Iterable) -> "WindowedAccumulator":
-        """Bin one chunk, splitting events across window boundaries
-        proportionally.
-
-        Each event finds the window range it can overlap by binary
-        search on the edges; the (event, window) pieces, events in
-        chunk order, are clipped to their window and scattered.
-        """
-        chunk = _as_columns(events)
-        n_events = len(chunk)
-        self._n_events += n_events
-        if not n_events:
-            return self
-        n_windows, n_regions, n_activities, n_ranks = self._tensors.shape
-        edges = self._edge_array
-        rows = _index(self._region_ids, chunk.names, chunk.region,
-                      grow=False, skip=OUTSIDE_REGION)
-        columns = _index(self._activity_ids, chunk.names, chunk.activity,
-                         grow=False)
-        # Flattened (region, activity) cell per event; -1 marks events
-        # the profile skips, -2 an indexed region with an activity
-        # missing from the layout, which drops every window it touches.
-        cells = np.where(rows < 0, -1,
-                         np.where(columns < 0, -2,
-                                  rows * n_activities + columns))
-
-        lo = np.maximum(np.searchsorted(edges, chunk.begin, side="right")
-                        - 1, 0)
-        hi = np.minimum(np.searchsorted(edges, chunk.end, side="left") - 1,
-                        n_windows - 1)
-        counts = np.maximum(hi - lo + 1, 0)
-        event_of = np.repeat(np.arange(n_events), counts)
-        offsets = np.repeat(counts.cumsum() - counts, counts)
-        window_of = lo[event_of] + (np.arange(event_of.size) - offsets)
-        clipped_end = np.minimum(chunk.end[event_of], edges[window_of + 1])
-        durations = clipped_end - np.maximum(chunk.begin[event_of],
-                                             edges[window_of])
-        overlap = durations > 0.0
-        event_of = event_of[overlap]
-        window_of = window_of[overlap]
-        durations = durations[overlap]
-
-        self._occupied[window_of] = True
-        np.maximum.at(self._last_end, window_of, clipped_end[overlap])
-        cell_of = cells[event_of]
-        self._poisoned[window_of[cell_of == -2]] = True
-        counted = cell_of >= 0
-        ranks = chunk.rank[event_of[counted]]
-        if ranks.size and ranks.max() >= n_ranks:
-            raise TraceError(f"trace mentions rank {ranks.max()} but the "
-                             f"window layout has {n_ranks} rank(s)")
-        targets = ((window_of[counted] * (n_regions * n_activities)
-                    + cell_of[counted]) * n_ranks + ranks)
-        if not self._tensors.flags.writeable:
-            # Copy on write: finalized windows view the stack.
-            self._tensors = self._tensors.copy()
-        np.add.at(self._tensors.reshape(-1), targets, durations[counted])
-        return self
-
-    def consume(self, chunks: Iterable[Iterable]) -> "WindowedAccumulator":
-        """Fold an iterator of chunks."""
-        for chunk in chunks:
-            self.update(chunk)
-        return self
-
-    def merge(self, other: "WindowedAccumulator") -> "WindowedAccumulator":
-        """Combine two windowed accumulators over the same edges and
-        layout into a fresh one (tensors add, extents take max)."""
-        if self.edges != other.edges:
-            raise TraceError("cannot merge windowed accumulators with "
-                             "different edges")
-        if (self.region_names != other.region_names
-                or self.activity_names != other.activity_names
-                or self._tensors.shape != other._tensors.shape):
-            raise TraceError("cannot merge windowed accumulators with "
-                             "different layouts")
-        merged = WindowedAccumulator(self.edges, self.region_names,
-                                     self.activity_names,
-                                     self._tensors.shape[3])
-        merged._tensors = self._tensors + other._tensors
-        merged._last_end = np.maximum(self._last_end, other._last_end)
-        merged._occupied = self._occupied | other._occupied
-        merged._poisoned = self._poisoned | other._poisoned
-        merged._n_events = self._n_events + other._n_events
-        return merged
-
-    def finalize(self) -> List:
-        """The windows: unoccupied and poisoned windows dropped,
-        per-window ``T`` the larger of the window's covered time and
-        its last event end.  Window tensors are read-only views of the
-        stack; a later :meth:`update` copies it first."""
-        from ..instrument.windows import Window
-        self._tensors.flags.writeable = False
-        windows = []
-        for w in range(self.n_windows):
-            if not self._occupied[w] or self._poisoned[w]:
-                continue
-            preliminary = MeasurementSet(self._tensors[w],
-                                         regions=self.region_names,
-                                         activities=self.activity_names)
-            total = max(float(self._last_end[w]), preliminary.covered_time)
-            windows.append(Window(begin=self.edges[w],
-                                  end=self.edges[w + 1],
-                                  measurements=preliminary
-                                  .with_total_time(total)))
-        if not windows:
-            raise TraceError("no window contains annotated events")
-        return windows

@@ -5,14 +5,16 @@ calls for new criteria and broader program coverage.  Dynamic imbalance
 — load that *drifts* as the computation evolves (adaptive meshes,
 particle migration) — is invisible in a single profile, so this module
 extends the methodology along time: given a sequence of per-window
-measurement sets (from :func:`repro.instrument.window_profiles`), it
+measurement sets (from :func:`repro.instrument.window_profiles`, or
+built one at a time by :func:`repro.instrument.stream.trace_windows`),
+it
 
 * tracks each region's and each activity's index of dispersion across
   windows: each window's ``ID_ij`` matrix comes from its own
-  :class:`repro.core.batch.BatchAnalysis` (the windows are read-only
-  views of one windowed stack — no stacked copy) and is reduced by
+  :class:`repro.core.batch.BatchAnalysis` and is reduced by
   :func:`repro.core.views.view_indices`, the very reduction behind the
-  whole-trace activity and code-region views,
+  whole-trace activity and code-region views; the windows are read
+  once, in order, so only one window needs to exist at a time,
 * fits a linear trend (least squares) per series,
 * flags *drifting* regions — significant positive slope — which a
   one-shot analysis would underestimate,
@@ -25,7 +27,7 @@ measurement sets (from :func:`repro.instrument.window_profiles`), it
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -237,6 +239,10 @@ class TemporalAnalysis:
     trends: Tuple[RegionTrend, ...]
     n_windows: int
     activity_trends: Tuple[ActivityTrend, ...] = ()
+    #: Start of the first window and end of the last (nan when the
+    #: windows were bare measurement sets).
+    begin: float = float("nan")
+    end: float = float("nan")
 
     def trend(self, region: str) -> RegionTrend:
         for candidate in self.trends:
@@ -309,46 +315,50 @@ def _series_trends(names: Sequence[str], series: np.ndarray, factory):
     return tuple(trends)
 
 
-def temporal_analysis(windows: Sequence, index: str = "euclidean"
+def temporal_analysis(windows: Iterable, index: str = "euclidean"
                       ) -> TemporalAnalysis:
     """Analyze a sequence of windows (or bare measurement sets).
 
     Accepts :class:`repro.instrument.windows.Window` objects or plain
     :class:`~repro.core.measurements.MeasurementSet` instances; all must
-    share region names.  Each window's region and activity indices are
-    exactly its whole-trace views: :func:`~repro.core.views.view_indices`
-    of its ``ID_ij`` matrix under its ``t_ij`` weights.  Windows whose
-    activities differ give no activity series.
+    share region names.  ``windows`` is iterated once, so windows built
+    on demand are analyzed one at a time.  Each window's region and
+    activity indices are exactly its whole-trace views:
+    :func:`~repro.core.views.view_indices` of its ``ID_ij`` matrix under
+    its ``t_ij`` weights.  Windows whose activities differ give no
+    activity series.
     """
-    if not windows:
-        raise MeasurementError("need at least one window")
-    measurement_sets = [getattr(window, "measurements", window)
-                        for window in windows]
-    first = measurement_sets[0]
-    regions = first.regions
-    for ms in measurement_sets[1:]:
-        if ms.regions != regions:
+    first = None
+    same_activities = True
+    begin = end = float("nan")
+    region_rows, activity_rows = [], []
+    for window in windows:
+        ms = getattr(window, "measurements", window)
+        if first is None:
+            first = ms
+            begin = getattr(window, "begin", begin)
+        elif ms.regions != first.regions:
             raise MeasurementError(
                 "all windows must share the same region names")
-
-    region_rows, activity_rows = [], []
-    for ms in measurement_sets:
+        else:
+            same_activities &= ms.activities == first.activities
+        end = getattr(window, "end", end)
         region_row, activity_row = view_indices(
             BatchAnalysis(ms).matrix(index), ms.region_activity_times)
         region_rows.append(region_row)
         activity_rows.append(activity_row)
-    same_activities = all(ms.activities == first.activities
-                          for ms in measurement_sets[1:])
+    if first is None:
+        raise MeasurementError("need at least one window")
     activity_names = first.activities if same_activities else ()
     activity_series = (np.array(activity_rows) if same_activities
-                       else np.empty((len(measurement_sets), 0)))
+                       else np.empty((len(region_rows), 0)))
 
     trends = _series_trends(
-        regions, np.array(region_rows),
+        first.regions, np.array(region_rows),
         lambda name, **fields: RegionTrend(region=name, **fields))
     activity_trends = _series_trends(
         activity_names, activity_series,
         lambda name, **fields: ActivityTrend(activity=name, **fields))
-    return TemporalAnalysis(trends=trends,
-                            n_windows=len(measurement_sets),
-                            activity_trends=activity_trends)
+    return TemporalAnalysis(trends=trends, n_windows=len(region_rows),
+                            activity_trends=activity_trends,
+                            begin=begin, end=end)

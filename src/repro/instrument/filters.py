@@ -69,7 +69,10 @@ def filter_time(tracer: Tracer, begin: float, end: float,
         raise TraceError("time window must have positive length")
 
     def window(chunk: EventColumns) -> EventColumns:
-        low, high = np.maximum(chunk.begin, begin), np.minimum(chunk.end, end)
+        # An event keeps its own time unless the window cuts it (so a
+        # -0.0 begin stays -0.0, as in a row-by-row ``max``).
+        low = np.where(chunk.begin < begin, begin, chunk.begin)
+        high = np.where(chunk.end > end, end, chunk.end)
         if clip:
             chunk = replace(chunk, begin=low, end=high)
         return chunk.select(high > low)

@@ -7,7 +7,8 @@ them, :func:`iter_any` dispatches by format and adds per-chunk decode
 spans, :func:`accumulate_trace` folds a trace into an
 :class:`~repro.core.online.OnlineAccumulator` (the one-shard plan of
 :mod:`repro.shards`, or ``jobs`` shard workers), and
-:func:`trace_windows` windows it in two passes.
+:func:`trace_windows` windows it in one pass, building each window as
+it is asked for.
 The CLI, the daemon's jobs and ingest, and the sweep workers all go
 through these two folds; :class:`FoldedTrace` re-reads a folded file
 for the renderers that walk every event.
@@ -17,7 +18,7 @@ from __future__ import annotations
 
 import warnings
 from pathlib import Path
-from typing import Iterator, List, Optional, Tuple, Union
+from typing import Iterator, Optional, Tuple, Union
 
 from ..core.online import OnlineAccumulator
 from ..errors import TraceWarning
@@ -111,16 +112,14 @@ class FoldedTrace:
 def trace_windows(path: PathLike, n_windows: int,
                   chunk_size: int = DEFAULT_CHUNK_SIZE,
                   on_error: str = "salvage", reread: bool = False
-                  ) -> Tuple[List[Window], OnlineAccumulator]:
+                  ) -> Tuple[Iterator[Window], OnlineAccumulator]:
     """Slice a trace file into ``n_windows`` equal windows.
 
-    Returns the windows and the pass-1 accumulator (event count,
-    extent).  Pass 2 bins the chunks held from pass 1, or with
-    ``reread`` decodes the file again so only one chunk is alive at a
-    time; its salvage warnings are silenced, since pass 1 already
-    reported them.
+    Returns the windows, built one at a time as they are iterated
+    (:func:`~repro.instrument.windows.fold_windows`), and the
+    accumulator of the one decode pass (event count, extent).
+    ``reread`` is accepted and changes nothing: no pass reads the file
+    again.
     """
     return fold_windows(
-        iter_any(path, chunk_size=chunk_size, on_error=on_error),
-        n_windows, reread=(lambda: read_again(path, chunk_size, on_error))
-        if reread else None)
+        iter_any(path, chunk_size=chunk_size, on_error=on_error), n_windows)

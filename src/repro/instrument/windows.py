@@ -10,9 +10,14 @@ Events spanning a window boundary are split proportionally: the portion
 of the interval inside each window is attributed to that window, so the
 windowed tensors sum (over windows) to the whole-trace tensor exactly.
 
-A window is one more axis of the profile's accumulation: after a pass
-that fixes the extent and layout, :func:`fold_windows` bins the events
-with :class:`~repro.core.online.WindowedAccumulator`.
+A window is one more axis of the profile's accumulation, built one
+window at a time: :func:`fold_windows` folds the chunks once into an
+:class:`~repro.core.online.OnlineAccumulator`, which fixes the extent
+and layout, and keeps only each event's binning columns — its
+(region, activity) pair, rank, begin and end, about 24 bytes.  The
+windows it returns are then built on demand, each ``(N, K, P)`` tensor
+from those columns as it is asked for, so a temporal run holds one
+window's tensor at a time, whatever the window count.
 
 Windows are anchored at the trace's actual ``[begin, end]`` extent, not
 at t=0: a trace whose first event starts at ``t0 > 0`` (a salvaged
@@ -23,11 +28,15 @@ span rather than empty leading windows and misaligned phases.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import (Callable, Iterable, List, Optional, Sequence, Tuple)
+from typing import (Dict, Iterable, Iterator, List, Optional, Sequence,
+                    Tuple)
+
+import numpy as np
 
 from ..core.measurements import MeasurementSet
-from ..core.online import OnlineAccumulator, WindowedAccumulator
+from ..core.online import OUTSIDE_REGION, OnlineAccumulator
 from ..errors import TraceError
+from ..obs import spans as obspans
 from .columns import EventColumns
 
 
@@ -61,28 +70,183 @@ def equal_edges(begin: float, end: float, n_windows: int) -> List[float]:
     return edges
 
 
+#: Most events one slab of binning columns holds, so a slab's sort
+#: order fits 16 bits.
+SLAB_EVENTS = 1 << 16
+
+
+def _narrowest(top: int) -> np.dtype:
+    """The narrowest integer type of a slab column that holds 0..``top``."""
+    return np.dtype(next(kind for kind in (np.uint8, np.uint16, np.int32,
+                                           np.int64)
+                         if top <= np.iinfo(kind).max))
+
+
+class _Slab:
+    """The binning columns of consecutive events — (region, activity)
+    pair code, rank, begin and end — each grown in place
+    (``ndarray.resize``) as chunks come, so holding them costs their
+    size and no spare capacity.
+
+    Once the edges are known, :meth:`sort` orders the slab's events by
+    the first window they can overlap (stably, so in event order within
+    it), and :meth:`overlap` then hands out one window's events after
+    another, carrying an event that overlaps later windows into them.
+    """
+
+    def __init__(self, types: Tuple[np.dtype, ...]) -> None:
+        self.code, self.rank = np.empty(0, types[0]), np.empty(0, types[1])
+        self.begin, self.end = np.empty(0), np.empty(0)
+
+    @property
+    def columns(self) -> Tuple[np.ndarray, ...]:
+        return self.code, self.rank, self.begin, self.end
+
+    @property
+    def size(self) -> int:
+        return len(self.code)
+
+    @property
+    def types(self) -> Tuple[np.dtype, ...]:
+        return self.code.dtype, self.rank.dtype
+
+    def takes(self, types: Tuple[np.dtype, ...]) -> bool:
+        """Whether the slab has room, and types wide enough, for events
+        whose codes and ranks need ``types``."""
+        return (self.size < SLAB_EVENTS
+                and all(np.can_cast(need, have)
+                        for need, have in zip(types, self.types)))
+
+    def fill(self, columns: Tuple[np.ndarray, ...], offset: int) -> int:
+        """Append ``columns`` from ``offset`` on until the slab is full;
+        returns the offset reached."""
+        size = self.size
+        take = min(SLAB_EVENTS - size, len(columns[0]) - offset)
+        for slab, column in zip(self.columns, columns):
+            slab.resize(size + take, refcheck=False)
+            slab[size:] = column[offset:offset + take]
+        return offset + take
+
+    def sort(self, edges: np.ndarray) -> None:
+        # The first window an event can overlap, by binary search on the
+        # edges (one past the last for an event after them).
+        first = np.searchsorted(edges, self.begin, side="right")
+        first -= 1
+        np.maximum(first, 0, out=first)
+        self.order = np.argsort(first, kind="stable").astype(np.uint16)
+        self.starts = [0, *np.bincount(first, minlength=len(edges))
+                       .cumsum().tolist()]
+        self.carry = self.order[:0]
+
+    def overlap(self, edges: np.ndarray, w: int
+                ) -> Optional[Tuple[np.ndarray, ...]]:
+        """The pair codes, ranks, clipped durations and clipped ends of
+        the slab's events that overlap window ``w`` for a positive time,
+        in event order (None when no event can).  Windows must be asked
+        for in order."""
+        if self.starts[w] == self.starts[w + 1] and not self.carry.size:
+            return None
+        fresh = self.order[self.starts[w]:self.starts[w + 1]]
+        events = (np.sort(np.concatenate((self.carry, fresh)))
+                  if self.carry.size else fresh)
+        end = self.end[events]
+        self.carry = events[end > edges[w + 1]]
+        clipped_end = np.minimum(end, edges[w + 1])
+        durations = clipped_end - np.maximum(self.begin[events], edges[w])
+        overlap = durations > 0.0
+        events = events[overlap]
+        return (self.code[events], self.rank[events], durations[overlap],
+                clipped_end[overlap])
+
+
+class _BinningColumns:
+    """Every event's binning columns, in slabs: 18 to 24 bytes an
+    event.  Pair codes and ranks take the narrowest integer type that
+    holds them (a byte each on a trace with fewer than 256 of either);
+    a chunk that needs wider ones than the last slab has opens the
+    next slab, with its types widened."""
+
+    def __init__(self) -> None:
+        #: (region, activity) pair -> its code, in order of first
+        #: appearance.
+        self.pairs: Dict[Tuple[str, str], int] = {}
+        self.slabs: List[_Slab] = []
+
+    def _codes(self, chunk: EventColumns) -> np.ndarray:
+        """Per event, the code of its (region, activity) pair; unseen
+        pairs get the next codes."""
+        width = len(chunk.names)
+        keys = chunk.region.astype(np.int64) * width + chunk.activity
+        unique = np.unique(keys, return_index=True)[0]
+        codes = [self.pairs.setdefault((chunk.names[key // width],
+                                        chunk.names[key % width]),
+                                       len(self.pairs))
+                 for key in unique.tolist()]
+        return np.array(codes, dtype=np.int32)[np.searchsorted(unique,
+                                                               keys)]
+
+    def add(self, chunk: EventColumns) -> None:
+        if not len(chunk):
+            return
+        columns = (self._codes(chunk), chunk.rank, chunk.begin, chunk.end)
+        types = (_narrowest(len(self.pairs) - 1),
+                 _narrowest(int(chunk.rank.max())))
+        offset = 0
+        while offset < len(chunk):
+            if not self.slabs or not self.slabs[-1].takes(types):
+                if self.slabs:
+                    types = tuple(map(np.promote_types, types,
+                                      self.slabs[-1].types))
+                self.slabs.append(_Slab(types))
+            offset = self.slabs[-1].fill(columns, offset)
+
+    def sort(self, edges: np.ndarray) -> None:
+        for slab in self.slabs:
+            slab.sort(edges)
+
+    def overlap(self, edges: np.ndarray, w: int
+                ) -> Optional[Tuple[np.ndarray, ...]]:
+        """:meth:`_Slab.overlap` over every slab, in event order."""
+        parts = [part for part in (slab.overlap(edges, w)
+                                   for slab in self.slabs)
+                 if part is not None]
+        if not parts:
+            return None
+        return tuple(np.concatenate(column) for column in zip(*parts))
+
+
+def _check_edges(boundaries: Sequence[float]) -> List[float]:
+    edges = [float(value) for value in boundaries]
+    if len(edges) < 2:
+        raise TraceError("need at least two boundaries")
+    if any(later <= earlier for earlier, later in zip(edges, edges[1:])):
+        raise TraceError("boundaries must be strictly increasing")
+    return edges
+
+
 def fold_windows(chunks: Iterable[EventColumns],
                  n_windows: Optional[int] = None, *,
                  boundaries: Optional[Sequence[float]] = None,
                  regions: Optional[Sequence[str]] = None,
-                 activities: Optional[Sequence[str]] = None,
-                 reread: Optional[Callable[[], Iterable[EventColumns]]]
-                 = None) -> Tuple[List[Window], OnlineAccumulator]:
-    """Window a chunk stream in two passes; returns the windows and the
-    pass-1 accumulator.
+                 activities: Optional[Sequence[str]] = None
+                 ) -> Tuple[Iterator[Window], OnlineAccumulator]:
+    """Window a chunk stream; returns the windows, built on demand, and
+    the accumulator of the one pass over the chunks.
 
-    Pass 1 fixes the extent (``n_windows`` equal edges, unless explicit
-    ``boundaries`` are given) and the whole trace's layout, so every
-    window has the same rows and columns.  Pass 2 bins the chunks held
-    from pass 1 — or, with ``reread``, the chunks that callable
-    returns, so no chunk outlives its pass.
+    That pass fixes the extent (``n_windows`` equal edges, unless
+    explicit ``boundaries`` are given) and the whole trace's layout, so
+    every window has the same rows and columns.  Iterating the windows
+    bins each in turn, in a ``window_bin`` span, and drops the
+    unoccupied ones and those with an activity missing from a fixed
+    ``activities``; it raises :class:`~repro.errors.TraceError` at the
+    end when it kept none.  A window's ``T`` is the largest of 0, its
+    last clipped event end and its covered time.
     """
-    held: List[EventColumns] = []
     scout = OnlineAccumulator(regions=regions)
+    kept = _BinningColumns()
     for chunk in chunks:
         scout.update(chunk)
-        if reread is None:
-            held.append(chunk)
+        kept.add(chunk)
     if scout.n_events == 0:
         raise TraceError("cannot window an empty trace")
     if boundaries is None:
@@ -92,10 +256,54 @@ def fold_windows(chunks: Iterable[EventColumns],
         raise TraceError("trace contains no annotated regions")
     if activities is None:
         activities = scout.activities()
-    binner = WindowedAccumulator(boundaries, regions, activities,
-                                 scout.n_ranks)
-    binner.consume(held if reread is None else reread())
-    return binner.finalize(), scout
+    n_ranks = scout.n_ranks
+    edges = _check_edges(boundaries)
+    edge_array = np.asarray(edges)
+    kept.sort(edge_array)
+
+    # Each pair's flat (region, activity) cell: -1 for time the profile
+    # skips, -2 for an indexed region with an activity missing from the
+    # layout, which drops every window it touches.
+    rows = {name: i for i, name in enumerate(regions)
+            if name != OUTSIDE_REGION}
+    columns = {name: j for j, name in enumerate(activities)}
+    cell_of = np.array(
+        [-1 if region not in rows else -2 if activity not in columns
+         else rows[region] * len(activities) + columns[activity]
+         for region, activity in kept.pairs], dtype=np.intp)
+    shape = (len(regions), len(activities), n_ranks)
+
+    def built() -> Iterator[Window]:
+        n_kept = 0
+        for w in range(len(edges) - 1):
+            with obspans.span("window_bin", activity="window", window=w):
+                found = kept.overlap(edge_array, w)
+                if found is None:
+                    continue
+                codes, ranks, durations, clipped_end = found
+                cells = cell_of[codes]
+                if not cells.size or (cells == -2).any():
+                    continue
+                # One scatter in event order: every cell sums in the
+                # order its events came.
+                counted = cells >= 0
+                tensor = np.zeros(shape)
+                np.add.at(tensor.reshape(-1),
+                          cells[counted] * n_ranks + ranks[counted],
+                          durations[counted])
+                preliminary = MeasurementSet(tensor, regions=regions,
+                                             activities=activities)
+                total = max(0.0, float(clipped_end.max()),
+                            preliminary.covered_time)
+                window = Window(begin=edges[w], end=edges[w + 1],
+                                measurements=preliminary
+                                .with_total_time(total))
+            n_kept += 1
+            yield window
+        if not n_kept:
+            raise TraceError("no window contains annotated events")
+
+    return built(), scout
 
 
 def window_profiles_at(tracer, boundaries: Sequence[float],
@@ -109,8 +317,8 @@ def window_profiles_at(tracer, boundaries: Sequence[float],
     with known phase boundaries (e.g. time-step starts) instead of the
     equal slicing of :func:`window_profiles`.
     """
-    return fold_windows(tracer, boundaries=boundaries,
-                        regions=regions, activities=activities)[0]
+    return list(fold_windows(tracer, boundaries=boundaries,
+                             regions=regions, activities=activities)[0])
 
 
 def window_profiles(tracer, n_windows: int,
@@ -128,5 +336,5 @@ def window_profiles(tracer, n_windows: int,
     is a :class:`~repro.instrument.Tracer` or an iterable of column
     chunks.
     """
-    return fold_windows(tracer, n_windows, regions=regions,
-                        activities=activities)[0]
+    return list(fold_windows(tracer, n_windows, regions=regions,
+                             activities=activities)[0])

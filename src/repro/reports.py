@@ -53,11 +53,11 @@ def build_report(kind: str, source, params: Mapping) -> Tuple[str, dict]:
     # not add to the read's memory peak.
     if kind == "temporal":
         windows, scout = trace_windows(str(source), params["windows"],
-                                       reread=bool(params.get("stream")),
                                        **read)
         n_events = scout.n_events
-        del scout        # the pass-1 tensor must not outlive the read
+        del scout        # the fold's tensor must not outlive the read
         from .core.temporal import temporal_analysis
+        # Each window is built as the analysis asks for it, then dropped.
         analysis = temporal_analysis(windows, index=index)
         text = render_temporal_report(windows, n_events, analysis=analysis,
                                       **flags)
@@ -171,9 +171,11 @@ def render_temporal_report(windows, n_events: int, *,
                            heatmap: bool = False, analysis=None) -> str:
     """The exact text ``repro temporal`` prints for this flag set.
 
-    ``windows`` is the per-window profile list, ``n_events`` the event
+    ``windows`` is the per-window profiles, ``n_events`` the event
     count the header reports; a given ``analysis`` (their
-    ``TemporalAnalysis`` under ``index``) is reused.
+    ``TemporalAnalysis`` under ``index``) is reused and ``windows`` is
+    not read.  The header's span is the analysis's: from the first
+    window's start to the last one's end.
     """
     from .core.temporal import temporal_analysis
     from .viz import format_table, render_sparkline, render_temporal_heatmap
@@ -181,7 +183,7 @@ def render_temporal_report(windows, n_events: int, *,
         analysis = temporal_analysis(windows, index=index)
     drifting = set(analysis.drifting_regions())
 
-    span = windows[-1].end - windows[0].begin
+    span = analysis.end - analysis.begin
     sections = [f"time-resolved analysis: {analysis.n_windows} windows "
                 f"over {span:.4g} s ({n_events} events, index {index})"]
     rows = []

@@ -58,8 +58,10 @@ SERVE_CACHE_FORMAT = 1
 #: Job kinds the daemon runs, mirroring the CLI commands they replicate.
 JOB_KINDS = reports.REPORT_KINDS
 
-#: Hard ceiling on requested window counts (a request must not be able
-#: to allocate unbounded memory on the server).
+#: Hard ceiling on requested window counts.  Memory does not grow with
+#: it (a temporal job builds and analyses one window at a time); the
+#: cap bounds the per-window loop, so one request cannot keep a worker
+#: busy for long.
 MAX_WINDOWS = 4096
 
 #: Default bound on jobs in flight (queued + running).  Beyond it the

@@ -158,6 +158,10 @@ def analyze_trace(path: Union[str, Path], config: SweepConfig,
         with obspans.span("sweep_window", activity="window",
                           trace=str(path)):
             windows, scout = trace_windows(str(path), config.n_windows)
+            n_events, elapsed = scout.n_events, scout.elapsed
+            del scout
+        # Each window is binned in its own `window_bin` span as the
+        # analysis asks for it.
         with obspans.span("sweep_trends", activity="computation",
                           trace=str(path)):
             analysis = temporal_analysis(windows, index=config.index)
@@ -174,8 +178,8 @@ def analyze_trace(path: Union[str, Path], config: SweepConfig,
     phases = detect_phases(analysis.overall_series())
     return TraceSummary(
         path=str(path), key=key, error=None,
-        n_windows=analysis.n_windows, n_events=scout.n_events,
-        elapsed=scout.elapsed, regions=regions,
+        n_windows=analysis.n_windows, n_events=n_events,
+        elapsed=elapsed, regions=regions,
         drifting=analysis.drifting_regions(
             config.slope_threshold, config.amplification_threshold),
         phase_boundaries=tuple(phase.begin for phase in phases[1:]))

@@ -7,6 +7,9 @@ These are the historical per-event loops, kept only as test oracles:
 * :func:`rescan_window_profiles` / :func:`rescan_window_profiles_at` —
   clip the full event list against every window in turn
   (O(windows x events)) and profile each slice with the scalar loop;
+* :class:`WindowedAccumulator` and :func:`stack_fold_windows` — bin
+  every window of a trace into one ``(W, N, K, P)`` stack at once, the
+  windowing the one-window-at-a-time builder replaced;
 * :func:`scalar_read_binary` — decode a binary trace one ``struct``
   record at a time, salvaging the valid prefix;
 * :data:`SCALAR_INDICES` and :func:`scalar_imbalance_time` — the
@@ -31,6 +34,7 @@ import numpy as np
 
 from repro.core.dispersion import get_index
 from repro.core.measurements import DEFAULT_ACTIVITIES, MeasurementSet
+from repro.core.online import OnlineAccumulator, _as_columns, _index
 from repro.core.standardize import standardize_over_processors
 from repro.errors import DispersionError, TraceError, TraceWarning
 from repro.instrument import (EVENT_KINDS, FORMAT_NAME, FORMAT_VERSION,
@@ -162,6 +166,187 @@ def rescan_window_profiles(tracer: Tracer, n_windows: int,
     edges = equal_edges(tracer.begin, tracer.elapsed, n_windows)
     return _rescan_windows(tracer, edges,
                            *_resolve_layout(tracer, regions, activities))
+
+
+class WindowedAccumulator:
+    """The ``(W, N, K, P)`` stack binner :func:`repro.instrument.windows.
+    fold_windows` replaced, kept as its bit-for-bit oracle.
+
+    Requires the window ``edges`` and the (region, activity, rank)
+    layout up front (:func:`stack_fold_windows` discovers both with an
+    :class:`~repro.core.online.OnlineAccumulator` pass) and bins every
+    window's tensor at once, one ``np.add.at`` per chunk over a flat
+    ``(window, cell, rank)`` index.
+    """
+
+    def __init__(self, edges: Sequence[float],
+                 regions: Sequence[str], activities: Sequence[str],
+                 n_ranks: int):
+        self.edges = [float(value) for value in edges]
+        if len(self.edges) < 2:
+            raise TraceError("need at least two boundaries")
+        if any(later <= earlier
+               for earlier, later in zip(self.edges, self.edges[1:])):
+            raise TraceError("boundaries must be strictly increasing")
+        self.region_names = tuple(regions)
+        self.activity_names = tuple(activities)
+        if n_ranks < 1:
+            raise TraceError("need at least one rank")
+        n_windows = len(self.edges) - 1
+        self._edge_array = np.asarray(self.edges)
+        self._region_ids = {name: i
+                            for i, name in enumerate(self.region_names)}
+        self._activity_ids = {name: j
+                              for j, name in enumerate(self.activity_names)}
+        self._tensors = np.zeros((n_windows, len(self.region_names),
+                                  len(self.activity_names), n_ranks))
+        self._last_end = np.zeros(n_windows)
+        self._occupied = np.zeros(n_windows, dtype=bool)
+        self._poisoned = np.zeros(n_windows, dtype=bool)
+        self._n_events = 0
+
+    @property
+    def n_windows(self) -> int:
+        return len(self.edges) - 1
+
+    @property
+    def n_events(self) -> int:
+        return self._n_events
+
+    def update(self, events: Iterable) -> "WindowedAccumulator":
+        """Bin one chunk, splitting events across window boundaries
+        proportionally.
+
+        Each event finds the window range it can overlap by binary
+        search on the edges; the (event, window) pieces, events in
+        chunk order, are clipped to their window and scattered.
+        """
+        chunk = _as_columns(events)
+        n_events = len(chunk)
+        self._n_events += n_events
+        if not n_events:
+            return self
+        n_windows, n_regions, n_activities, n_ranks = self._tensors.shape
+        edges = self._edge_array
+        rows = _index(self._region_ids, chunk.names, chunk.region,
+                      grow=False, skip=OUTSIDE_REGION)
+        columns = _index(self._activity_ids, chunk.names, chunk.activity,
+                         grow=False)
+        # Flattened (region, activity) cell per event; -1 marks events
+        # the profile skips, -2 an indexed region with an activity
+        # missing from the layout, which drops every window it touches.
+        cells = np.where(rows < 0, -1,
+                         np.where(columns < 0, -2,
+                                  rows * n_activities + columns))
+
+        lo = np.maximum(np.searchsorted(edges, chunk.begin, side="right")
+                        - 1, 0)
+        hi = np.minimum(np.searchsorted(edges, chunk.end, side="left") - 1,
+                        n_windows - 1)
+        counts = np.maximum(hi - lo + 1, 0)
+        event_of = np.repeat(np.arange(n_events), counts)
+        offsets = np.repeat(counts.cumsum() - counts, counts)
+        window_of = lo[event_of] + (np.arange(event_of.size) - offsets)
+        clipped_end = np.minimum(chunk.end[event_of], edges[window_of + 1])
+        durations = clipped_end - np.maximum(chunk.begin[event_of],
+                                             edges[window_of])
+        overlap = durations > 0.0
+        event_of = event_of[overlap]
+        window_of = window_of[overlap]
+        durations = durations[overlap]
+
+        self._occupied[window_of] = True
+        np.maximum.at(self._last_end, window_of, clipped_end[overlap])
+        cell_of = cells[event_of]
+        self._poisoned[window_of[cell_of == -2]] = True
+        counted = cell_of >= 0
+        ranks = chunk.rank[event_of[counted]]
+        if ranks.size and ranks.max() >= n_ranks:
+            raise TraceError(f"trace mentions rank {ranks.max()} but the "
+                             f"window layout has {n_ranks} rank(s)")
+        targets = ((window_of[counted] * (n_regions * n_activities)
+                    + cell_of[counted]) * n_ranks + ranks)
+        if not self._tensors.flags.writeable:
+            # Copy on write: finalized windows view the stack.
+            self._tensors = self._tensors.copy()
+        np.add.at(self._tensors.reshape(-1), targets, durations[counted])
+        return self
+
+    def consume(self, chunks: Iterable[Iterable]) -> "WindowedAccumulator":
+        """Fold an iterator of chunks."""
+        for chunk in chunks:
+            self.update(chunk)
+        return self
+
+    def merge(self, other: "WindowedAccumulator") -> "WindowedAccumulator":
+        """Combine two windowed accumulators over the same edges and
+        layout into a fresh one (tensors add, extents take max)."""
+        if self.edges != other.edges:
+            raise TraceError("cannot merge windowed accumulators with "
+                             "different edges")
+        if (self.region_names != other.region_names
+                or self.activity_names != other.activity_names
+                or self._tensors.shape != other._tensors.shape):
+            raise TraceError("cannot merge windowed accumulators with "
+                             "different layouts")
+        merged = WindowedAccumulator(self.edges, self.region_names,
+                                     self.activity_names,
+                                     self._tensors.shape[3])
+        merged._tensors = self._tensors + other._tensors
+        merged._last_end = np.maximum(self._last_end, other._last_end)
+        merged._occupied = self._occupied | other._occupied
+        merged._poisoned = self._poisoned | other._poisoned
+        merged._n_events = self._n_events + other._n_events
+        return merged
+
+    def finalize(self) -> List:
+        """The windows: unoccupied and poisoned windows dropped,
+        per-window ``T`` the larger of the window's covered time and
+        its last event end.  Window tensors are read-only views of the
+        stack; a later :meth:`update` copies it first."""
+        self._tensors.flags.writeable = False
+        windows = []
+        for w in range(self.n_windows):
+            if not self._occupied[w] or self._poisoned[w]:
+                continue
+            preliminary = MeasurementSet(self._tensors[w],
+                                         regions=self.region_names,
+                                         activities=self.activity_names)
+            total = max(float(self._last_end[w]), preliminary.covered_time)
+            windows.append(Window(begin=self.edges[w],
+                                  end=self.edges[w + 1],
+                                  measurements=preliminary
+                                  .with_total_time(total)))
+        if not windows:
+            raise TraceError("no window contains annotated events")
+        return windows
+
+
+def stack_fold_windows(chunks: Iterable, n_windows: Optional[int] = None, *,
+                       boundaries: Optional[Sequence[float]] = None,
+                       regions: Optional[Sequence[str]] = None,
+                       activities: Optional[Sequence[str]] = None
+                       ) -> List[Window]:
+    """Reference for :func:`repro.instrument.windows.fold_windows`: hold
+    the chunks through an :class:`OnlineAccumulator` pass that fixes the
+    extent and layout, then bin them all into one stack."""
+    held = []
+    scout = OnlineAccumulator(regions=regions)
+    for chunk in chunks:
+        scout.update(chunk)
+        held.append(chunk)
+    if scout.n_events == 0:
+        raise TraceError("cannot window an empty trace")
+    if boundaries is None:
+        boundaries = equal_edges(scout.begin, scout.elapsed, n_windows)
+    regions = scout.regions()
+    if not regions:
+        raise TraceError("trace contains no annotated regions")
+    if activities is None:
+        activities = scout.activities()
+    binner = WindowedAccumulator(boundaries, regions, activities,
+                                 scout.n_ranks)
+    return binner.consume(held).finalize()
 
 
 _HEADER = struct.Struct("<4sHIQI")

@@ -59,6 +59,9 @@ CASES = [
     MeasurementSet(np.pad(np.ones((2, 2, 1)), ((0, 0), (0, 0), (0, 7)))),
     # The smallest point of the speed-up sweep.
     MeasurementSet(swept_tensor(16, 4, 64)),
+    # Packed cells spanning several of the engine's blocks of rows, the
+    # last one short.
+    MeasurementSet(swept_tensor(40, 4, 1024)),
 ]
 
 #: Least speed-up of the batch engine over the scalar loop at the

@@ -174,6 +174,31 @@ class TestSpans:
             assert all(worker.startswith("pid-") and
                        worker != f"pid-{os.getpid()}" for worker in workers)
 
+    def test_sweep_bins_each_window_in_a_window_span(self, tmp_path):
+        """Windows are built as the trend analysis asks for them, each
+        in a ``window_bin`` span (activity ``window``) inside that
+        worker's ``sweep_trends``, so the profile shows binning as
+        windowing."""
+        from repro.calibrate import synthesize_paper_trace
+        from repro.sweep import SweepConfig, sweep_traces
+        traces = [tmp_path / "a.jsonl", tmp_path / "b.jsonl"]
+        for trace in traces:
+            synthesize_paper_trace(trace)
+        obspans.enable()
+        sweep_traces(traces, SweepConfig(n_windows=5), jobs=2,
+                     use_cache=False)
+        spans = obspans.drain()
+        bins = [span for span in spans if span.name == "window_bin"]
+        assert len(bins) == 2 * 5
+        assert {span.activity for span in bins} == {"window"}
+        for trends in (span for span in spans
+                       if span.name == "sweep_trends"):
+            inside = [span for span in bins
+                      if span.worker == trends.worker]
+            assert len(inside) == 5
+            assert all(trends.begin <= span.begin <= span.end
+                       <= trends.end for span in inside)
+
     def test_shard_spans_agree_under_every_start_method(self, tmp_path):
         from repro.calibrate import synthesize_paper_trace
         trace = tmp_path / "t.jsonl"
@@ -397,6 +422,20 @@ class TestSelfTrace:
         stdout = capsys.readouterr().out
         assert "Pipeline profile" in stdout
         assert "shard_accumulate" in stdout
+
+    def test_cli_temporal_profile_shows_window_binning(self, tmp_path,
+                                                       capsys):
+        from repro.calibrate import synthesize_paper_trace
+        from repro.cli import main
+        trace = tmp_path / "t.jsonl"
+        synthesize_paper_trace(trace)
+        assert main(["temporal", "--profile", "--windows", "6",
+                     str(trace)]) == 0
+        rows = {line.split()[0]: line.split()[1]
+                for line in capsys.readouterr().out.splitlines()
+                if line.startswith(("window_bin ", "stream_decode "))}
+        assert rows["window_bin"] == "6"
+        assert "stream_decode" in rows
 
     def test_cli_profile_does_not_change_report_bytes(self, tmp_path,
                                                       capsys):

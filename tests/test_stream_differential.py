@@ -6,19 +6,21 @@ every downstream quantity of the batch engine (dispersion matrices for
 every registered index, the three views, the rankings, the efficiency
 factorization) agrees to 1e-12, whether the events arrived as one
 chunk, as many small chunks, or as independently accumulated shards
-merged afterwards.  The windowed accumulator gets the same treatment
-against :func:`window_profiles`.
+merged afterwards.  The stack binner kept as the windowing oracle
+(``tests.oracles.WindowedAccumulator``) gets the same treatment against
+:func:`window_profiles`.
 """
 
 import numpy as np
 import pytest
 
 from repro.core import (AnalysisSession, OnlineAccumulator,
-                        WindowedAccumulator, available_indices, efficiency)
+                        available_indices, efficiency)
 from repro.instrument import (equal_edges, iter_any, profile,
                               window_profiles, write_binary_trace,
                               write_trace)
 from repro.shards import shard_accumulate
+from tests.oracles import WindowedAccumulator
 
 TOLERANCE = 1e-12
 

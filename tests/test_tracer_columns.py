@@ -8,7 +8,7 @@ output, the lint issues in order, and the bytes written.
 """
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import TraceError
@@ -119,6 +119,12 @@ class TestDifferential:
            relabel=st.tuples(st.sampled_from(REGIONS),
                              st.sampled_from(REGIONS + ACTIVITIES
                                              + ("fresh",))))
+    # A -0.0 begin clipped at a window opening at 0.0 keeps its sign, as
+    # the row-by-row ``max`` does, and prints "-0" in the overlap issue.
+    @example(events=[TraceEvent(0, "solve", "computation", begin, 0.5,
+                                "compute", 0, 0) for begin in (0.0, -0.0)],
+             how="record", window=(0.0, 0.0), offset=0.0,
+             relabel=("solve", "solve"))
     def test_tracer_filters_and_lint(self, events, how, window, offset,
                                      relabel):
         columns, objects = build(events, how)

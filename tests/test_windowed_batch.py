@@ -7,12 +7,16 @@
   ``register_index`` as one last-axis function, and on stacks with dash
   cells, windows with no performed cell and a single processor.  One
   window over a whole trace gives its whole-trace views bit for bit.
-* The windows :meth:`WindowedAccumulator.finalize` returns are
-  read-only views of one stack; accumulating after finalize copies the
-  stack first, so returned windows never change.
+* The windows the stack oracle :meth:`WindowedAccumulator.finalize`
+  (``tests.oracles``) returns are read-only views of one stack;
+  accumulating after finalize copies the stack first, so returned
+  windows never change.
 * A temporal run holds one windowed tensor: windowing a trace and
   rendering its report each peak below 1.25x the tensor plus one
-  decoded chunk (traced by ``tracemalloc``).
+  decoded chunk (traced by ``tracemalloc``).  Since windows are built
+  one at a time, the report's peak does not grow with the window
+  count: ``build_report`` at 256 windows, and a daemon job at
+  ``MAX_WINDOWS``, stay within a small factor of 16 windows.
 """
 
 import tracemalloc
@@ -25,12 +29,12 @@ from hypothesis import strategies as st
 from repro.core import (AnalysisSession, BatchAnalysis, MeasurementSet,
                         available_indices, register_index,
                         temporal_analysis)
-from repro.core.online import WindowedAccumulator
 from repro.core.views import view_indices
 from repro.instrument import (TraceEvent, Tracer, iter_any, profile,
                               window_profiles, write_binary_trace)
 from repro.instrument.stream import trace_windows
-from repro.reports import render_temporal_report
+from repro.reports import build_report, render_temporal_report
+from tests.oracles import WindowedAccumulator
 
 CUSTOM = "midrange-windowed-test-only"
 SPARSE = "nan-when-concentrated-test-only"
@@ -173,7 +177,8 @@ def accumulator(tracer, n_windows=4):
 
 class TestZeroCopyWindows:
     def test_windows_are_read_only_views_of_one_stack(self):
-        windows = window_profiles(drifting_tracer(), 4)
+        tracer = drifting_tracer()
+        windows = accumulator(tracer).consume([tracer.events]).finalize()
         stack = windows[0].measurements.times.base
         assert stack is not None and stack.ndim == 4
         for window in windows:
@@ -256,9 +261,69 @@ def test_temporal_run_holds_one_windowed_tensor(wide_trace):
         report = tracemalloc.get_traced_memory()[1] - baseline
     finally:
         tracemalloc.stop()
-    assert len(windows) == WINDOWS
     assert "time-resolved analysis: 64 windows" in text
     assert windowing < bound, (
         f"windowing peaked at {windowing / tensor_bytes:.2f}x the tensor")
     assert report < bound, (
         f"the report peaked at {report / tensor_bytes:.2f}x the tensor")
+
+
+#: Largest ratio of a temporal report's traced peak at many windows to
+#: its peak at 16 windows on ``wide_trace``.  Measured on the
+#: one-window-at-a-time builder: 1.00 for ``build_report`` at 256
+#: windows, 1.6 for it at 4,096 and 2.1 for a daemon job at 4,096,
+#: where only the per-window series, the text and the JSON payload
+#: grow.  The ``(W, N, K, P)`` stack made it 5.5 at 256 windows.
+WINDOW_PEAK_FACTOR = 3.0
+
+
+def traced_peak(run):
+    """Peak bytes traced while ``run()`` runs, in every thread."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_report_peak_does_not_grow_with_the_window_count(wide_trace):
+    def build(windows):
+        text, document = build_report(
+            "temporal", wide_trace,
+            {"windows": windows, "forecast": 0.5, "heatmap": True})
+        assert document["n_windows"] == windows
+
+    build(2)            # warm-up: no first-time import is charged
+    few = traced_peak(lambda: build(16))
+    many = traced_peak(lambda: build(256))
+    assert many < WINDOW_PEAK_FACTOR * few, (
+        f"256 windows peaked at {many / few:.2f}x the peak at 16")
+
+
+def test_daemon_temporal_job_at_max_windows(wide_trace, tmp_path):
+    """The largest window count a daemon request may ask for runs as
+    one window at a time: the job completes within the same factor of
+    a 16-window job's peak."""
+    from repro.cache import ReportCache
+    from repro.serve.jobs import MAX_WINDOWS, JobRunner
+    from repro.serve.store import TraceStore
+    store = TraceStore(tmp_path / "store")
+    meta, _ = store.add_file(wide_trace)
+    runner = JobRunner(store, ReportCache(tmp_path / "cache"), workers=1)
+
+    def job(windows):
+        payload = runner.fetch(meta.sha256, "temporal",
+                               {"windows": windows})
+        assert payload["status"] == "ok"
+        assert 1 < payload["report"]["n_windows"] <= windows
+
+    try:
+        job(2)
+        few = traced_peak(lambda: job(16))
+        many = traced_peak(lambda: job(MAX_WINDOWS))
+    finally:
+        runner.shutdown()
+    assert many < WINDOW_PEAK_FACTOR * few, (
+        f"{MAX_WINDOWS} windows peaked at {many / few:.2f}x the peak at 16")
+
