@@ -41,7 +41,7 @@ _EXPORTS = {
     "measurements": ("DEFAULT_ACTIVITIES", "MeasurementSet"),
     "methodology": ("AnalysisResult", "Methodology", "analyze"),
     "online": ("OnlineAccumulator",),
-    "patterns": ("Band", "PatternGrid", "band_counts", "classify",
+    "patterns": ("BANDS", "Band", "PatternGrid", "band_counts", "classify",
                  "pattern_grid"),
     "ranking": ("RankedItem", "RankingResult", "agreement",
                 "kendall_distance", "rank", "rank_by_elbow",

@@ -14,11 +14,14 @@ This module implements k-means from scratch:
 * inertia (within-cluster sum of squares) and silhouette score to choose
   and judge ``k``.
 
-Everything is deterministic given a ``seed``.
+Everything is deterministic given a ``seed``: the k-means++ draws come
+from the standard library's ``random.Random(seed)``, so clustering
+loads no ``numpy.random``.
 """
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
@@ -69,22 +72,20 @@ def _validate_points(points: Sequence) -> np.ndarray:
 
 
 def _kmeans_plus_plus(data: np.ndarray, k: int,
-                      rng: np.random.Generator) -> np.ndarray:
+                      rng: random.Random) -> np.ndarray:
     """k-means++ seeding: spread the initial centers out proportionally
     to squared distance from the nearest chosen center."""
     n_points = data.shape[0]
     centers = np.empty((k, data.shape[1]))
-    first = int(rng.integers(n_points))
-    centers[0] = data[first]
+    centers[0] = data[rng.randrange(n_points)]
     closest_sq = ((data - centers[0]) ** 2).sum(axis=1)
     for index in range(1, k):
-        total = closest_sq.sum()
-        if total <= 0.0:
+        if closest_sq.sum() <= 0.0:
             # All remaining points coincide with a chosen center.
-            choice = int(rng.integers(n_points))
+            choice = rng.randrange(n_points)
         else:
-            probabilities = closest_sq / total
-            choice = int(rng.choice(n_points, p=probabilities))
+            choice = rng.choices(range(n_points),
+                                 weights=closest_sq.tolist())[0]
         centers[index] = data[choice]
         distance_sq = ((data - centers[index]) ** 2).sum(axis=1)
         closest_sq = np.minimum(closest_sq, distance_sq)
@@ -159,6 +160,31 @@ def _hartigan_wong_pass(data: np.ndarray, labels: np.ndarray,
     return labels, centers, moved
 
 
+def _converge(data: np.ndarray, centers: np.ndarray, *,
+              max_iterations: int, tolerance: float,
+              refine: bool) -> KMeansResult:
+    """One restart from seeded ``centers``: Lloyd iterations, then the
+    optional Hartigan–Wong sweeps."""
+    k = centers.shape[0]
+    labels, _ = _assign(data, centers)
+    iterations = 0
+    for iterations in range(1, max_iterations + 1):
+        centers_new = _update_centers(data, labels, k)
+        labels_new, _ = _assign(data, centers_new)
+        movement = float(np.abs(centers_new - centers).max())
+        centers, labels = centers_new, labels_new
+        if movement <= tolerance:
+            break
+    if refine:
+        for _ in range(max_iterations):
+            labels, centers, moved = _hartigan_wong_pass(data, labels, centers)
+            if not moved:
+                break
+    return KMeansResult(labels=labels.copy(), centers=centers.copy(),
+                        inertia=_inertia(data, labels, centers),
+                        iterations=iterations)
+
+
 def kmeans(points: Sequence, k: int, *, restarts: int = 10,
            max_iterations: int = 300, tolerance: float = 1e-10,
            refine: bool = True, seed: int = 0) -> KMeansResult:
@@ -166,7 +192,8 @@ def kmeans(points: Sequence, k: int, *, restarts: int = 10,
 
     Parameters mirror standard practice: k-means++ seeding, Lloyd
     iterations until center movement falls below ``tolerance``, and an
-    optional Hartigan–Wong refinement sweep (``refine``).
+    optional Hartigan–Wong refinement sweep (``refine``).  The seeds
+    are drawn from ``random.Random(seed)``.
     """
     data = _validate_points(points)
     n_points = data.shape[0]
@@ -175,27 +202,12 @@ def kmeans(points: Sequence, k: int, *, restarts: int = 10,
             f"k must lie in [1, {n_points}] for {n_points} points, got {k}")
     if restarts < 1:
         raise ClusteringError("restarts must be at least 1")
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     best: Optional[KMeansResult] = None
     for _ in range(restarts):
-        centers = _kmeans_plus_plus(data, k, rng)
-        labels, _ = _assign(data, centers)
-        iterations = 0
-        for iterations in range(1, max_iterations + 1):
-            centers_new = _update_centers(data, labels, k)
-            labels_new, _ = _assign(data, centers_new)
-            movement = float(np.abs(centers_new - centers).max())
-            centers, labels = centers_new, labels_new
-            if movement <= tolerance:
-                break
-        if refine:
-            for _ in range(max_iterations):
-                labels, centers, moved = _hartigan_wong_pass(data, labels, centers)
-                if not moved:
-                    break
-        inertia = _inertia(data, labels, centers)
-        candidate = KMeansResult(labels=labels.copy(), centers=centers.copy(),
-                                 inertia=inertia, iterations=iterations)
+        candidate = _converge(data, _kmeans_plus_plus(data, k, rng),
+                              max_iterations=max_iterations,
+                              tolerance=tolerance, refine=refine)
         if best is None or candidate.inertia < best.inertia - 1e-12:
             best = candidate
     assert best is not None

@@ -124,18 +124,22 @@ class MeasurementSet:
         t_ij = self._aggregate(tensor)
         object.__setattr__(self, "_t_ij", t_ij)
         covered = float(t_ij.sum())
-        if self.total_time is None:
-            object.__setattr__(self, "total_time", covered)
-        else:
-            total = float(self.total_time)
-            if not np.isfinite(total) or total <= 0.0:
-                raise MeasurementError("total_time must be a positive number")
-            # Allow a little slack for rounding in externally supplied data.
-            if total < covered * (1.0 - 1e-9) - 1e-12:
-                raise MeasurementError(
-                    f"total_time {total} is smaller than the time covered by "
-                    f"the instrumented regions ({covered})")
-            object.__setattr__(self, "total_time", total)
+        object.__setattr__(self, "total_time",
+                           covered if self.total_time is None
+                           else self._checked_total(self.total_time))
+
+    def _checked_total(self, total_time: float) -> float:
+        """``total_time`` as a float, checked against the covered time."""
+        total = float(total_time)
+        if not np.isfinite(total) or total <= 0.0:
+            raise MeasurementError("total_time must be a positive number")
+        covered = self.covered_time
+        # Allow a little slack for rounding in externally supplied data.
+        if total < covered * (1.0 - 1e-9) - 1e-12:
+            raise MeasurementError(
+                f"total_time {total} is smaller than the time covered by "
+                f"the instrumented regions ({covered})")
+        return total
 
     def _aggregate(self, tensor: np.ndarray) -> np.ndarray:
         if self.aggregation == "max":
@@ -226,10 +230,15 @@ class MeasurementSet:
     # Derivation helpers
     # ------------------------------------------------------------------
     def with_total_time(self, total_time: float) -> "MeasurementSet":
-        """Copy of this set with a different program wall clock ``T``."""
-        return MeasurementSet(self.times, self.regions, self.activities,
-                              total_time=total_time,
-                              aggregation=self.aggregation)
+        """Copy of this set with a different program wall clock ``T``.
+
+        The tensor and its ``t_ij`` were checked when this set was made,
+        so only the new ``T`` is.
+        """
+        copied = object.__new__(type(self))
+        copied.__dict__.update(self.__dict__,
+                               total_time=self._checked_total(total_time))
+        return copied
 
     def with_aggregation(self, aggregation: str) -> "MeasurementSet":
         """Copy of this set using a different ``t_ij`` convention."""

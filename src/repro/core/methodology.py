@@ -17,13 +17,14 @@ as the paper's tables lives in :mod:`repro.core.report`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional, Tuple
 
 from ..errors import ReproError
 from .breakdown import ProgramBreakdown, characterize
 from .clustering import cluster_regions
 from .measurements import MeasurementSet
-from .patterns import PatternGrid, pattern_grid
+from .patterns import PatternGrid, _pattern_grids
 from .ranking import RankingResult, rank
 from .views import ActivityView, CodeRegionView, ProcessorView
 
@@ -40,7 +41,13 @@ class AnalysisResult:
     region_view: CodeRegionView
     activity_ranking: RankingResult
     region_ranking: RankingResult
-    patterns: Tuple[PatternGrid, ...]
+
+    @cached_property
+    def patterns(self) -> Tuple[PatternGrid, ...]:
+        """The band-pattern grid of every performed activity, classified
+        on first access (only the pattern figures and the calibration
+        read them)."""
+        return _pattern_grids(self.measurements)
 
     @property
     def tuning_candidates(self) -> Tuple[str, ...]:
@@ -118,11 +125,6 @@ class Methodology:
                                 **self.criterion_parameters)
         region_ranking = rank(region_values, self.criterion,
                               **self.criterion_parameters)
-        patterns = tuple(
-            pattern_grid(measurements, activity)
-            for j, activity in enumerate(measurements.activities)
-            if measurements.performed[:, j].any()
-        )
         return AnalysisResult(
             measurements=measurements,
             breakdown=breakdown,
@@ -132,7 +134,6 @@ class Methodology:
             region_view=region_view,
             activity_ranking=activity_ranking,
             region_ranking=region_ranking,
-            patterns=patterns,
         )
 
 

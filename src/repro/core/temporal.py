@@ -27,7 +27,7 @@ it
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -36,8 +36,9 @@ from .batch import BatchAnalysis
 from .views import view_indices
 
 
-def _finite(series: Sequence[float]) -> List[float]:
-    return [value for value in series if not np.isnan(value)]
+def _finite(series: Sequence[float]) -> np.ndarray:
+    values = np.asarray(series, dtype=float)
+    return values[~np.isnan(values)]
 
 
 def _amplification(series: Sequence[float]) -> float:
@@ -50,14 +51,14 @@ def _amplification(series: Sequence[float]) -> float:
     is the final one the growth is reported as infinite.
     """
     finite = _finite(series)
-    if len(finite) < 2:
+    if finite.size < 2:
         return 1.0
-    first, final = finite[0], finite[-1]
+    first, final = float(finite[0]), float(finite[-1])
     if first > 0.0:
         return final / first
-    baselines = [value for value in finite[:-1] if value > 0.0]
-    if baselines:
-        return final / baselines[0]
+    baselines = finite[:-1][finite[:-1] > 0.0]
+    if baselines.size:
+        return final / float(baselines[0])
     return float("inf") if final > 0.0 else 1.0
 
 
@@ -107,7 +108,7 @@ class RegionTrend:
     def final(self) -> float:
         """Last finite value of the series."""
         finite = _finite(self.series)
-        return finite[-1] if finite else float("nan")
+        return float(finite[-1]) if finite.size else float("nan")
 
     @property
     def amplification(self) -> float:
@@ -141,7 +142,7 @@ class ActivityTrend:
     @property
     def final(self) -> float:
         finite = _finite(self.series)
-        return finite[-1] if finite else float("nan")
+        return float(finite[-1]) if finite.size else float("nan")
 
     @property
     def amplification(self) -> float:
@@ -166,6 +167,43 @@ class Phase:
     @property
     def n_windows(self) -> int:
         return self.end - self.begin
+
+
+#: A candidate cost replaces the running best only when lower by more.
+_TIE = 1e-12
+
+
+def _sequential_winner(costs: np.ndarray) -> int:
+    """The candidate an in-order scan keeps, where a candidate replaces
+    the running best only when it is lower by more than :data:`_TIE`
+    (-1 when no cost is finite).
+
+    Each replacement is a strict prefix minimum, and along the strict
+    prefix minima the costs fall, so the scan only has to walk past the
+    minima that are within the tie of the running best: a run of
+    minima that each beat the previous by more than the tie is taken in
+    one step, and the next winner after a tie is a binary search.
+    """
+    costs = np.where(costs < np.inf, costs, np.inf)   # nan never wins
+    before = np.concatenate(([np.inf], np.minimum.accumulate(costs)[:-1]))
+    minima = np.flatnonzero(costs < before)
+    if not minima.size:
+        return -1
+    values = costs[minima]
+    thresholds = values - _TIE
+    ties = np.flatnonzero(values[1:] >= thresholds[:-1])
+    position = 0
+    while True:
+        # The minima from ``position`` up to the next tie all win.
+        at = np.searchsorted(ties, position)
+        if at == ties.size:
+            return int(minima[-1])
+        position = int(ties[at])
+        following = int(np.searchsorted(-values, -thresholds[position],
+                                        side="right"))
+        if following == values.size:
+            return int(minima[position])
+        position = following
 
 
 def detect_phases(series: Sequence[float], penalty: Optional[float] = None,
@@ -201,22 +239,21 @@ def detect_phases(series: Sequence[float], penalty: Optional[float] = None,
     prefix = np.concatenate(([0.0], np.cumsum(filled)))
     prefix_sq = np.concatenate(([0.0], np.cumsum(filled ** 2)))
 
-    def segment_cost(start: int, stop: int) -> float:
-        total = prefix[stop] - prefix[start]
-        total_sq = prefix_sq[stop] - prefix_sq[start]
-        return total_sq - total * total / (stop - start)
-
     best = np.full(n + 1, np.inf)
     best[0] = -float(penalty)
     previous = np.zeros(n + 1, dtype=int)
     for stop in range(min_size, n + 1):
-        for start in range(0, stop - min_size + 1):
-            if not np.isfinite(best[start]):
-                continue
-            cost = best[start] + penalty + segment_cost(start, stop)
-            if cost < best[stop] - 1e-12:
-                best[stop] = cost
-                previous[stop] = start
+        # Every segment start at once: cost of the segment [start, stop)
+        # on top of the best segmentation of the windows before it.
+        starts = np.arange(stop - min_size + 1)
+        total = prefix[stop] - prefix[starts]
+        total_sq = prefix_sq[stop] - prefix_sq[starts]
+        costs = best[starts] + penalty + (total_sq - total * total
+                                          / (stop - starts))
+        winner = _sequential_winner(costs)
+        if winner >= 0:
+            best[stop] = costs[winner]
+            previous[stop] = winner
     boundaries = [n]
     while boundaries[-1] > 0:
         boundaries.append(int(previous[boundaries[-1]]))

@@ -36,10 +36,8 @@ from typing import Dict, Mapping, Optional
 
 # The whole stack the four job kinds run loads with the daemon, before
 # it reports ready, so that no import lands in a first request: the
-# report pipeline imports its stages on demand, and clustering seeds a
-# numpy Generator.
-import numpy.random  # noqa: F401
-
+# report pipeline imports its stages on demand.  None of it loads
+# numpy.random (clustering seeds from the standard library's random).
 from .. import reports
 from ..cache import ReportCache, content_key
 from ..core import batch, diagnosis, report, temporal, whatif  # noqa: F401

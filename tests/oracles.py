@@ -18,7 +18,14 @@ These are the historical per-event loops, kept only as test oracles:
   of them to every performed ``(region, activity)`` cell;
 * :class:`ObjectTracer` and the ``object_*`` functions — the trace
   recorder as a list of :class:`TraceEvent` objects, with the filters,
-  the linter and the JSONL writer that walked it one object at a time.
+  the linter and the JSONL writer that walked it one object at a time;
+* :func:`numpy_kmeans` — k-means with its k-means++ seeds drawn from a
+  ``numpy.random`` Generator, as before the seeding moved to the
+  standard library's ``random.Random``;
+* :func:`scalar_classify` — the pattern bands of one data set, one
+  value at a time;
+* :func:`loop_detect_phases` — change-point segmentation as the O(n^2)
+  double loop over (start, stop) pairs.
 """
 
 from __future__ import annotations
@@ -32,11 +39,15 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.core.clustering import KMeansResult, _converge, _validate_points
 from repro.core.dispersion import get_index
 from repro.core.measurements import DEFAULT_ACTIVITIES, MeasurementSet
 from repro.core.online import OnlineAccumulator, _as_columns, _index
+from repro.core.patterns import BAND_FRACTION, Band
 from repro.core.standardize import standardize_over_processors
-from repro.errors import DispersionError, TraceError, TraceWarning
+from repro.core.temporal import Phase
+from repro.errors import (ClusteringError, DispersionError, MeasurementError,
+                          TraceError, TraceWarning)
 from repro.instrument import (EVENT_KINDS, FORMAT_NAME, FORMAT_VERSION,
                               OUTSIDE_REGION, LintIssue, TraceEvent, Tracer,
                               Window, equal_edges)
@@ -734,3 +745,130 @@ def object_write_trace(path, events: Iterable[TraceEvent]) -> int:
                       "n": event.nbytes, "p": event.partner}
             stream.write(json.dumps(record) + "\n")
     return len(event_list)
+
+
+def _numpy_kmeans_plus_plus(data: np.ndarray, k: int,
+                            rng: np.random.Generator) -> np.ndarray:
+    n_points = data.shape[0]
+    centers = np.empty((k, data.shape[1]))
+    first = int(rng.integers(n_points))
+    centers[0] = data[first]
+    closest_sq = ((data - centers[0]) ** 2).sum(axis=1)
+    for index in range(1, k):
+        total = closest_sq.sum()
+        if total <= 0.0:
+            choice = int(rng.integers(n_points))
+        else:
+            probabilities = closest_sq / total
+            choice = int(rng.choice(n_points, p=probabilities))
+        centers[index] = data[choice]
+        distance_sq = ((data - centers[index]) ** 2).sum(axis=1)
+        closest_sq = np.minimum(closest_sq, distance_sq)
+    return centers
+
+
+def numpy_kmeans(points: Sequence, k: int, *, restarts: int = 10,
+                 max_iterations: int = 300, tolerance: float = 1e-10,
+                 refine: bool = True, seed: int = 0) -> KMeansResult:
+    """Reference for :func:`repro.core.kmeans`: the same restarts, Lloyd
+    iterations and refinement, seeded by ``np.random.default_rng``."""
+    data = _validate_points(points)
+    n_points = data.shape[0]
+    if not 1 <= k <= n_points:
+        raise ClusteringError(
+            f"k must lie in [1, {n_points}] for {n_points} points, got {k}")
+    rng = np.random.default_rng(seed)
+    best: Optional[KMeansResult] = None
+    for _ in range(restarts):
+        candidate = _converge(data, _numpy_kmeans_plus_plus(data, k, rng),
+                              max_iterations=max_iterations,
+                              tolerance=tolerance, refine=refine)
+        if best is None or candidate.inertia < best.inertia - 1e-12:
+            best = candidate
+    return best
+
+
+def scalar_classify(values: Sequence[float],
+                    band_fraction: float = BAND_FRACTION
+                    ) -> Tuple[Band, ...]:
+    """Reference for :func:`repro.core.band_codes`: each value's band,
+    one comparison chain per value."""
+    data = np.asarray(values, dtype=float)
+    if not 0.0 < band_fraction < 0.5:
+        raise MeasurementError("band_fraction must lie in (0, 0.5)")
+    low = float(data.min())
+    high = float(data.max())
+    span = high - low
+    if span <= 0.0:
+        return tuple(Band.MID for _ in range(data.size))
+    upper_cut = high - band_fraction * span
+    lower_cut = low + band_fraction * span
+    bands = []
+    for value in data:
+        if value == high:
+            bands.append(Band.MAX)
+        elif value == low:
+            bands.append(Band.MIN)
+        elif value >= upper_cut:
+            bands.append(Band.UPPER)
+        elif value <= lower_cut:
+            bands.append(Band.LOWER)
+        else:
+            bands.append(Band.MID)
+    return tuple(bands)
+
+
+def loop_detect_phases(series: Sequence[float],
+                       penalty: Optional[float] = None,
+                       min_size: int = 1) -> Tuple[Phase, ...]:
+    """Reference for :func:`repro.core.detect_phases`: the dynamic
+    program as a double loop with scalar numpy indexing."""
+    values = np.asarray(list(series), dtype=float)
+    n = values.size
+    if n == 0:
+        raise MeasurementError("cannot segment an empty series")
+    if min_size < 1:
+        raise MeasurementError("min_size must be at least 1")
+    finite_mask = np.isfinite(values)
+    if not finite_mask.any():
+        return (Phase(begin=0, end=n, mean=float("nan")),)
+    filled = np.where(finite_mask, values, values[finite_mask].mean())
+    if penalty is None:
+        diffs = np.diff(filled)
+        sigma_sq = float(diffs.var() / 2.0) if diffs.size else 0.0
+        penalty = 2.0 * sigma_sq * np.log(max(n, 2))
+    if penalty <= 0.0:
+        penalty = 1e-12
+
+    prefix = np.concatenate(([0.0], np.cumsum(filled)))
+    prefix_sq = np.concatenate(([0.0], np.cumsum(filled ** 2)))
+
+    def segment_cost(start: int, stop: int) -> float:
+        total = prefix[stop] - prefix[start]
+        total_sq = prefix_sq[stop] - prefix_sq[start]
+        return total_sq - total * total / (stop - start)
+
+    best = np.full(n + 1, np.inf)
+    best[0] = -float(penalty)
+    previous = np.zeros(n + 1, dtype=int)
+    for stop in range(min_size, n + 1):
+        for start in range(0, stop - min_size + 1):
+            if not np.isfinite(best[start]):
+                continue
+            cost = best[start] + penalty + segment_cost(start, stop)
+            if cost < best[stop] - 1e-12:
+                best[stop] = cost
+                previous[stop] = start
+    boundaries = [n]
+    while boundaries[-1] > 0:
+        boundaries.append(int(previous[boundaries[-1]]))
+    boundaries.reverse()
+
+    phases = []
+    for begin, end in zip(boundaries, boundaries[1:]):
+        inside = values[begin:end]
+        inside = inside[np.isfinite(inside)]
+        phases.append(Phase(begin=begin, end=end,
+                            mean=float(inside.mean()) if inside.size
+                            else float("nan")))
+    return tuple(phases)

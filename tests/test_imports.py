@@ -161,3 +161,58 @@ print("\\n".join(sorted(set(sys.modules) - loaded)))
         late = set(result.stdout.split())
         for package in ("repro", "numpy", "scipy"):
             assert not _within(late, package), sorted(late)
+
+
+def _imported(stderr: str) -> set:
+    """Module names in a ``-X importtime`` report."""
+    return {line.rsplit("|", 1)[-1].strip()
+            for line in stderr.splitlines()
+            if line.startswith("import time:")}
+
+
+class TestAnalysisLoadsNoNumpyRandom:
+    """k-means seeds from the standard library, so the analysis stage
+    needs no ``numpy.random`` (its eight extension modules cost several
+    MB of RSS in every ``analyze`` and daemon process).  NumPy 1.x
+    imports ``numpy.random`` with ``numpy`` itself (2.x loads it on
+    first attribute access), so there no process can avoid it."""
+
+    @pytest.fixture(scope="class", autouse=True)
+    def lazy_numpy_random(self):
+        bare = _python("-c", "import sys, numpy; "
+                             "print('numpy.random' in sys.modules)")
+        assert bare.returncode == 0, bare.stderr
+        if bare.stdout.strip() == "True":
+            pytest.skip("this NumPy imports numpy.random with numpy")
+
+    @pytest.fixture(scope="class")
+    def paper_trace(self, tmp_path_factory):
+        from repro.calibrate import synthesize_paper_trace
+        trace = tmp_path_factory.mktemp("imports") / "paper.jsonl"
+        synthesize_paper_trace(trace)
+        return str(trace)
+
+    @pytest.mark.parametrize("extra", [[], ["--jobs", "2"]])
+    def test_cli_analyze(self, paper_trace, extra):
+        result = _python("-X", "importtime", "-m", "repro", "analyze",
+                         paper_trace, *extra)
+        assert result.returncode == 0, result.stderr
+        modules = _imported(result.stderr)
+        assert "repro.core.clustering" in modules
+        assert not _within(modules, "numpy.random"), \
+            sorted(_within(modules, "numpy.random"))
+
+    def test_daemon_and_every_job_kind(self, paper_trace):
+        result = _python("-c", """
+import sys
+import repro.serve.server
+from repro.serve.jobs import JOB_KINDS, build_report, normalize_params
+for kind in JOB_KINDS:
+    build_report(sys.argv[1], "0" * 64, kind, normalize_params(kind, {}))
+print("\\n".join(sorted(sys.modules)))
+""", paper_trace)
+        assert result.returncode == 0, result.stderr
+        modules = set(result.stdout.split())
+        assert "repro.core.clustering" in modules
+        assert not _within(modules, "numpy.random"), \
+            sorted(_within(modules, "numpy.random"))

@@ -116,6 +116,29 @@ class TestTotalsAndCoverage:
         assert bigger.total_time == 10.0
         assert ms.total_time == pytest.approx(1.0)
 
+    def test_with_total_time_checks_only_the_new_total(self, monkeypatch):
+        """The tensor was checked when the set was made; a new ``T`` does
+        not rescan its cells, and a bad one fails as in the constructor."""
+        from repro.core import measurements
+        ms = MeasurementSet(tensor(2, 2, 3, fill=0.5))
+
+        def rescan(times):
+            raise AssertionError("tensor checked again")
+
+        monkeypatch.setattr(measurements, "_as_tensor", rescan)
+        bigger = ms.with_total_time(10)
+        assert bigger.total_time == 10.0 and type(bigger.total_time) is float
+        assert bigger.times is ms.times
+        assert bigger.covered_time == ms.covered_time
+        assert bigger.coverage == pytest.approx(0.2)
+        monkeypatch.undo()
+        for total in (float("nan"), float("inf"), 0.0, -1.0, 1.0):
+            with pytest.raises(MeasurementError) as fresh:
+                MeasurementSet(ms.times, total_time=total)
+            with pytest.raises(MeasurementError) as derived:
+                ms.with_total_time(total)
+            assert str(derived.value) == str(fresh.value)
+
 
 class TestLookupsAndSubsets:
     def test_region_index(self, tiny_measurements):

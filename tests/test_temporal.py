@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import MeasurementSet, detect_phases, temporal_analysis
-from repro.core.temporal import _amplification
+from repro.core.temporal import RegionTrend, _amplification
 from repro.errors import MeasurementError, TraceError
 from repro.instrument import (Tracer, profile, shift_time, window_profiles,
                               window_profiles_at)
@@ -182,6 +182,17 @@ class TestAmplification:
     def test_short_series_is_one(self):
         assert _amplification([3.0]) == 1.0
         assert _amplification([]) == 1.0
+
+    def test_trend_skips_nan_windows_and_returns_floats(self):
+        nan = float("nan")
+        trend = RegionTrend(region="r", series=(nan, 0.0, 2.0, nan, 4.0, nan),
+                            slope=0.0, mean=2.0)
+        assert trend.final == 4.0 and type(trend.final) is float
+        assert trend.amplification == 2.0
+        assert type(trend.amplification) is float
+        idle = RegionTrend(region="r", series=(nan, nan), slope=0.0,
+                           mean=nan)
+        assert np.isnan(idle.final) and idle.amplification == 1.0
 
     def test_balanced_start_then_degrading_region_is_flagged(self):
         """Acceptance regression: a region that starts perfectly
