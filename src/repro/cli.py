@@ -618,7 +618,7 @@ def _command_self(arguments) -> int:
 
 def _command_serve(arguments) -> int:
     import signal
-    import threading
+    import socket
 
     from .serve import (DEFAULT_MAX_BODY_BYTES, DEFAULT_MAX_QUEUE,
                         DEFAULT_REQUEST_TIMEOUT, AnalysisServer)
@@ -655,20 +655,33 @@ def _command_serve(arguments) -> int:
         raise ReproError(
             f"cannot bind {arguments.host}:{arguments.port}: {error}")
 
-    stop = threading.Event()
-    for signum in (signal.SIGTERM, signal.SIGINT):
-        signal.signal(signum, lambda *_: stop.set())
-    daemon.start()
-    host, port = daemon.address
-    print(f"serving on http://{host}:{port} "
-          f"(store: {daemon.store.directory}, "
-          f"workers: {daemon.workers})", flush=True)
-    if arguments.ready_file:
-        Path(arguments.ready_file).write_text(f"{host} {port}\n")
-    stop.wait()
-    print(f"shutting down: draining {daemon.runner.in_flight()} "
-          "in-flight job(s)", flush=True)
-    daemon.shutdown()
+    # The handlers do nothing: a signal only wakes the main thread,
+    # through the byte the interpreter's C-level handler writes to the
+    # wakeup socket, whichever thread (a BLAS worker included) took
+    # it.  No handler touches a lock, so a signal that lands while the
+    # main thread holds one (inside an Event.wait, say) cannot
+    # deadlock, and a second signal during the drain changes nothing.
+    wake, woken = socket.socketpair()
+    woken.setblocking(False)
+    previous = signal.set_wakeup_fd(woken.fileno())
+    try:
+        for signum in (signal.SIGTERM, signal.SIGINT):
+            signal.signal(signum, lambda *_: None)
+        daemon.start()
+        host, port = daemon.address
+        print(f"serving on http://{host}:{port} "
+              f"(store: {daemon.store.directory}, "
+              f"workers: {daemon.workers})", flush=True)
+        if arguments.ready_file:
+            Path(arguments.ready_file).write_text(f"{host} {port}\n")
+        wake.recv(1)
+        print(f"shutting down: draining {daemon.runner.in_flight()} "
+              "in-flight job(s)", flush=True)
+        daemon.shutdown()
+    finally:
+        signal.set_wakeup_fd(previous)
+        wake.close()
+        woken.close()
     return 0
 
 

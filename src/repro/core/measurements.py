@@ -27,6 +27,7 @@ processor recorded a positive time in it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -53,10 +54,15 @@ def _as_tensor(times: Sequence) -> np.ndarray:
             f"times must be a 3-d array (regions, activities, processors); "
             f"got shape {tensor.shape}"
         )
-    if not np.all(np.isfinite(tensor)):
-        raise MeasurementError("times must be finite")
-    if np.any(tensor < 0.0):
-        raise MeasurementError("times must be non-negative")
+    if tensor.size:
+        # Two reductions and no full-size mask: NaN carries through
+        # both, so a NaN or an infinity anywhere makes one of them
+        # non-finite, and only then is the smallest value's sign read.
+        smallest, largest = float(tensor.min()), float(tensor.max())
+        if not (math.isfinite(smallest) and math.isfinite(largest)):
+            raise MeasurementError("times must be finite")
+        if smallest < 0.0:
+            raise MeasurementError("times must be non-negative")
     return tensor
 
 

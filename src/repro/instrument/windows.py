@@ -83,10 +83,11 @@ def _narrowest(top: int) -> np.dtype:
 
 
 class _Slab:
-    """The binning columns of consecutive events — (region, activity)
-    pair code, rank, begin and end — each grown in place
-    (``ndarray.resize``) as chunks come, so holding them costs their
-    size and no spare capacity.
+    """The binning columns of up to :data:`SLAB_EVENTS` consecutive
+    events — (region, activity) pair code, rank, begin and end — filled
+    in place as chunks come.  The columns are sized to the slab's first
+    piece of a chunk, so a one-chunk trace holds no spare capacity, and
+    grow once, to full capacity, when a second piece comes.
 
     Once the edges are known, :meth:`sort` orders the slab's events by
     the first window they can overlap (stably, so in event order within
@@ -97,14 +98,11 @@ class _Slab:
     def __init__(self, types: Tuple[np.dtype, ...]) -> None:
         self.code, self.rank = np.empty(0, types[0]), np.empty(0, types[1])
         self.begin, self.end = np.empty(0), np.empty(0)
+        self.size = 0
 
     @property
     def columns(self) -> Tuple[np.ndarray, ...]:
         return self.code, self.rank, self.begin, self.end
-
-    @property
-    def size(self) -> int:
-        return len(self.code)
 
     @property
     def types(self) -> Tuple[np.dtype, ...]:
@@ -120,17 +118,21 @@ class _Slab:
     def fill(self, columns: Tuple[np.ndarray, ...], offset: int) -> int:
         """Append ``columns`` from ``offset`` on until the slab is full;
         returns the offset reached."""
-        size = self.size
-        take = min(SLAB_EVENTS - size, len(columns[0]) - offset)
+        take = min(SLAB_EVENTS - self.size, len(columns[0]) - offset)
+        if self.size + take > len(self.code):
+            capacity = SLAB_EVENTS if self.size else take
+            for slab in self.columns:
+                slab.resize(capacity, refcheck=False)
         for slab, column in zip(self.columns, columns):
-            slab.resize(size + take, refcheck=False)
-            slab[size:] = column[offset:offset + take]
+            slab[self.size:self.size + take] = column[offset:offset + take]
+        self.size += take
         return offset + take
 
     def sort(self, edges: np.ndarray) -> None:
         # The first window an event can overlap, by binary search on the
         # edges (one past the last for an event after them).
-        first = np.searchsorted(edges, self.begin, side="right")
+        first = np.searchsorted(edges, self.begin[:self.size],
+                                side="right")
         first -= 1
         np.maximum(first, 0, out=first)
         self.order = np.argsort(first, kind="stable").astype(np.uint16)
@@ -161,10 +163,11 @@ class _Slab:
 
 class _BinningColumns:
     """Every event's binning columns, in slabs: 18 to 24 bytes an
-    event.  Pair codes and ranks take the narrowest integer type that
-    holds them (a byte each on a trace with fewer than 256 of either);
-    a chunk that needs wider ones than the last slab has opens the
-    next slab, with its types widened."""
+    event, plus the unfilled rest of the last slab.  Pair codes and
+    ranks take the narrowest integer type that holds them (a byte each
+    on a trace with fewer than 256 of either); a chunk that needs wider
+    ones than the last slab has opens the next slab, with its types
+    widened."""
 
     def __init__(self) -> None:
         #: (region, activity) pair -> its code, in order of first

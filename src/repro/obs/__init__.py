@@ -2,7 +2,7 @@
 
 The paper argues that load imbalance is invisible without measurement;
 this package applies that argument to the tool's own parallel
-machinery.  Four layers, each usable alone:
+machinery.  Five layers, each usable alone:
 
 * :mod:`repro.obs.spans` — nested timed spans with attributes over the
   pipeline's hot paths (sweep fleets, shard workers, streaming chunk
@@ -17,6 +17,9 @@ machinery.  Four layers, each usable alone:
 * :mod:`repro.obs.selftrace` — the dogfood closer: spans serialize
   into the repro trace format (workers as ranks, stages as regions),
   so ``repro analyze`` diagnoses imbalance in its own worker fleets.
+* :mod:`repro.obs.memory` — the process's resident size for the
+  daemon's ``/metrics``, and the release of freed heap memory after
+  each of its requests (imported by the daemon only).
 
 CLI surface: ``--profile`` / ``--profile-out`` on ``repro analyze``
 and ``repro temporal`` (including ``--sweep``), and the ``repro self``

@@ -23,43 +23,27 @@ it into a serving system:
 Reports served by the daemon are byte-identical to the corresponding
 CLI command's output for the same trace and parameters — both sides
 call the same renderers.
+
+Every name loads its submodule on first access (PEP 562, see
+:mod:`repro._lazy`), so a client (``repro submit``, ``repro fetch``)
+imports neither numpy nor the report stack, which the daemon loads.
 """
 
-from .client import (DEFAULT_RETRIES, DEFAULT_RETRY_MAX_WAIT, DEFAULT_URL,
-                     RETRY_STATUSES, ServeClient, submit_and_fetch)
-from .jobs import (DEFAULT_MAX_QUEUE, JOB_KINDS, SERVE_CACHE_FORMAT,
-                   JobRunner, QueueFullError, ServiceDrainingError,
-                   build_report, normalize_params, report_key)
-from .metrics import LatencyWindow, ServiceMetrics
-from .server import (DEFAULT_MAX_BODY_BYTES, DEFAULT_REQUEST_TIMEOUT,
-                     DEFAULT_WAIT_SECONDS, MAX_WAIT_SECONDS,
-                     AnalysisServer)
-from .store import StoredTrace, TraceStore, trace_sha256
+from .._lazy import exported_names, lazy_namespace
 
-__all__ = [
-    "AnalysisServer",
-    "DEFAULT_MAX_BODY_BYTES",
-    "DEFAULT_MAX_QUEUE",
-    "DEFAULT_REQUEST_TIMEOUT",
-    "DEFAULT_RETRIES",
-    "DEFAULT_RETRY_MAX_WAIT",
-    "DEFAULT_URL",
-    "DEFAULT_WAIT_SECONDS",
-    "JOB_KINDS",
-    "JobRunner",
-    "LatencyWindow",
-    "MAX_WAIT_SECONDS",
-    "QueueFullError",
-    "RETRY_STATUSES",
-    "SERVE_CACHE_FORMAT",
-    "ServeClient",
-    "ServiceDrainingError",
-    "ServiceMetrics",
-    "StoredTrace",
-    "TraceStore",
-    "build_report",
-    "normalize_params",
-    "report_key",
-    "submit_and_fetch",
-    "trace_sha256",
-]
+_EXPORTS = {
+    "client": ("DEFAULT_RETRIES", "DEFAULT_RETRY_MAX_WAIT", "DEFAULT_URL",
+               "RETRY_STATUSES", "ServeClient", "submit_and_fetch",
+               "trace_sha256"),
+    "jobs": ("DEFAULT_MAX_QUEUE", "JOB_KINDS", "SERVE_CACHE_FORMAT",
+             "JobRunner", "QueueFullError", "ServiceDrainingError",
+             "build_report", "normalize_params", "report_key"),
+    "metrics": ("LatencyWindow", "ServiceMetrics"),
+    "server": ("DEFAULT_MAX_BODY_BYTES", "DEFAULT_REQUEST_TIMEOUT",
+               "DEFAULT_WAIT_SECONDS", "MAX_WAIT_SECONDS", "AnalysisServer"),
+    "store": ("StoredTrace", "TraceStore"),
+}
+
+__getattr__, __dir__ = lazy_namespace(__name__, _EXPORTS)
+
+__all__ = exported_names(_EXPORTS)

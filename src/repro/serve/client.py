@@ -25,6 +25,7 @@ Definite failures (400, 404, 413, 422, ...) are never retried.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import random
 import time
@@ -33,9 +34,9 @@ import urllib.request
 from pathlib import Path
 from typing import Optional, Union
 
+from ..cache import iter_chunks
 from ..errors import ReproError
 from ..obs.log import new_request_id
-from .store import trace_sha256
 
 PathLike = Union[str, Path]
 
@@ -53,6 +54,18 @@ DEFAULT_RETRY_BASE_WAIT = 0.25
 
 #: HTTP statuses that signal a transient server condition.
 RETRY_STATUSES = (429, 503)
+
+
+def trace_sha256(source: Union[PathLike, bytes]) -> str:
+    """Sha256 hex digest of a trace's bytes (path or in-memory): the
+    handle the daemon's store files it under."""
+    if isinstance(source, bytes):
+        return hashlib.sha256(source).hexdigest()
+    digest = hashlib.sha256()
+    with open(source, "rb") as stream:
+        for chunk in iter_chunks(stream):
+            digest.update(chunk)
+    return digest.hexdigest()
 
 
 def _retry_after_seconds(headers) -> Optional[float]:

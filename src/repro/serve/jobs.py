@@ -45,6 +45,7 @@ from ..core.dispersion import get_index
 from ..errors import ReproError, TraceError, TraceWarning
 from ..instrument import stream  # noqa: F401
 from ..obs import log as obslog
+from ..obs import memory as obsmemory
 from ..obs import spans as obspans
 from .metrics import ServiceMetrics
 from .store import TraceStore
@@ -317,6 +318,9 @@ class JobRunner:
             self.metrics.adjust("jobs_running", -1)
             with self._lock:
                 self._inflight.pop(key, None)
+            # The job's arrays are freed; hand their pages back rather
+            # than leave them in this worker thread's heap.
+            obsmemory.release_freed()
 
     # ------------------------------------------------------------------
     # Lifecycle

@@ -58,6 +58,7 @@ from typing import Optional, Tuple, Union
 
 from ..cache import ReportCache
 from ..errors import ReproError, TraceError
+from ..obs import memory as obsmemory
 from ..obs.log import (JsonLogger, NullLogger, new_request_id,
                        request_scope)
 from ..obs.prom import PROM_CONTENT_TYPE, render_prometheus
@@ -328,6 +329,7 @@ class _Handler(BaseHTTPRequestHandler):
         snapshot["traces"] = len(self.service.store)
         snapshot["workers"] = self.service.workers
         snapshot["draining"] = self.service.runner.draining
+        snapshot["gauges"].update(obsmemory.usage())
         snapshot["limits"] = {
             "max_body_bytes": self.service.max_body_bytes,
             "max_queue": self.service.runner.max_queue,
@@ -362,15 +364,18 @@ class _Handler(BaseHTTPRequestHandler):
             raise _HttpError(404, "no such endpoint")
         length = self._body_length()
         name = self.headers.get("X-Trace-Name", "")
-        with self.service.metrics.timed("ingest"):
-            try:
+        try:
+            with self.service.metrics.timed("ingest"):
                 # Stream the upload straight off the socket into the
                 # store: hashed and spooled chunk by chunk, never
                 # materialized in handler memory.
                 entry, created = self.service.store.add_stream(
                     _LimitedReader(self.rfile, length), name=name)
-            except TraceError as error:
-                raise _HttpError(400, str(error))
+        except TraceError as error:
+            raise _HttpError(400, str(error))
+        finally:
+            # Validation decoded the whole trace; its chunks are freed.
+            obsmemory.release_freed()
         if created:
             self.service.metrics.count("traces_ingested")
         self._send_json(201 if created else 200,

@@ -96,17 +96,6 @@ def sniff_suffix(data: bytes) -> str:
     return ".jsonl"
 
 
-def trace_sha256(source: Union[PathLike, bytes]) -> str:
-    """Sha256 hex digest of a trace's bytes (path or in-memory)."""
-    if isinstance(source, bytes):
-        return hashlib.sha256(source).hexdigest()
-    digest = hashlib.sha256()
-    with open(source, "rb") as stream:
-        for chunk in iter_chunks(stream):
-            digest.update(chunk)
-    return digest.hexdigest()
-
-
 class TraceStore:
     """A directory of content-addressed trace files."""
 

@@ -1,16 +1,17 @@
 """The import graph: lazy package namespaces, no cycles, start-up budget.
 
-``repro``, ``repro.core`` and ``repro.instrument`` load their
-submodules on first attribute access (PEP 562), so a command imports
-only what it runs.  These tests pin what that promises:
+``repro``, ``repro.core``, ``repro.instrument`` and ``repro.serve``
+load their submodules on first attribute access (PEP 562), so a
+command imports only what it runs.  These tests pin what that promises:
 
 * every exported name still resolves, and a function named like its
   own submodule is not shadowed by the module once that is imported;
 * every subpackage and top-level module imports first in a fresh
   interpreter, so the graph has no cycles;
-* ``repro --help`` loads no numpy, and the daemon loads its whole
-  report stack at start-up but none of the simulator, calibration or
-  baseline packages — nothing moves into its first request.
+* ``repro --help`` and the service client load no numpy, and the
+  daemon loads its whole report stack at start-up but none of the
+  simulator, calibration or baseline packages — nothing moves into
+  its first request.
 """
 
 import importlib
@@ -26,7 +27,7 @@ import repro
 
 SRC = str(Path(repro.__file__).resolve().parent.parent)
 
-LAZY_PACKAGES = ("repro", "repro.core", "repro.instrument")
+LAZY_PACKAGES = ("repro", "repro.core", "repro.instrument", "repro.serve")
 
 #: Exported functions whose name equals their own submodule's name.
 SHADOWABLE = (
@@ -130,6 +131,19 @@ class TestStartupBudget:
                    if line.startswith("import time:")}
         assert "repro.cli" in modules
         for package in ("numpy", "scipy", "repro.core"):
+            assert not _within(modules, package), package
+
+    @pytest.mark.parametrize("statement", [
+        "from repro.serve.client import ServeClient",
+        "from repro.serve import ServeClient, trace_sha256",
+    ])
+    def test_client_loads_no_numpy(self, statement):
+        """``repro submit`` and ``repro fetch`` run the client alone:
+        neither numpy nor the report stack the daemon preloads."""
+        modules = _loaded_after(statement)
+        assert "repro.serve.client" in modules
+        for package in ("numpy", "scipy", "repro.core",
+                        "repro.serve.store", "repro.serve.jobs"):
             assert not _within(modules, package), package
 
     def test_daemon_loads_its_report_stack_and_nothing_else(self):

@@ -45,6 +45,35 @@ class TestConstruction:
         with pytest.raises(MeasurementError):
             MeasurementSet(bad)
 
+    @pytest.mark.parametrize("cells,message", [
+        ({0: np.nan}, "times must be finite"),
+        ({0: np.inf}, "times must be finite"),
+        ({0: -np.inf}, "times must be finite"),
+        ({0: -1.0}, "times must be non-negative"),
+        ({0: -1.0, 5: np.nan}, "times must be finite"),
+        ({0: -1.0, 5: np.inf}, "times must be finite"),
+        ({3: np.inf, 7: -np.inf}, "times must be finite"),
+        ({0: -0.0}, None),
+    ])
+    def test_tensor_check_messages_and_their_order(self, cells, message):
+        """Non-finite cells are named before negative ones, whichever
+        comes first in the tensor."""
+        times = tensor(2, 2, 3)
+        for flat, value in cells.items():
+            times.reshape(-1)[flat] = value
+        if message is None:
+            MeasurementSet(times)
+            return
+        with pytest.raises(MeasurementError) as error:
+            MeasurementSet(times)
+        assert str(error.value) == message
+
+    @pytest.mark.parametrize("shape", [(0, 2, 2), (2, 0, 2), (2, 2, 0)])
+    def test_empty_tensor_reaches_the_extent_check(self, shape):
+        with pytest.raises(MeasurementError,
+                           match="at least one region, activity"):
+            MeasurementSet(np.empty(shape))
+
     def test_rejects_name_count_mismatch(self):
         with pytest.raises(MeasurementError):
             MeasurementSet(tensor(2, 2, 2), regions=("only one",))

@@ -469,6 +469,74 @@ class TestShutdown:
         assert sha in store
         assert store.get(sha).events == 289
 
+    def test_signal_while_the_main_thread_holds_a_wait_lock(self,
+                                                            tmp_path):
+        """A signal that lands while the main thread holds the lock of
+        an ``Event.wait`` must not stop the daemon's shutdown.  A
+        handler that set an event would block on that very lock and
+        hang the daemon; with the signals taken by ``sigwait`` none
+        runs, and SIGTERM drains and exits 0."""
+        ready = tmp_path / "ready.txt"
+        process = subprocess.Popen(
+            [sys.executable, "-c", SIGNAL_IN_WAIT, str(ready), "serve",
+             "--port", "0", "--store", str(tmp_path / "store"),
+             "--ready-file", str(ready)],
+            env=_child_env(), stdout=subprocess.PIPE,
+            stderr=subprocess.STDOUT, text=True)
+        try:
+            deadline = time.monotonic() + 30
+            while not (ready.exists() and ready.read_text().strip()):
+                assert time.monotonic() < deadline, "daemon never ready"
+                assert process.poll() is None, "daemon died on startup"
+                time.sleep(0.05)
+            process.send_signal(signal.SIGTERM)
+            try:
+                output, _ = process.communicate(timeout=20)
+            except subprocess.TimeoutExpired:
+                pytest.fail("the daemon hung on a signal that arrived "
+                            "while its main thread held a wait's lock")
+        finally:
+            if process.poll() is None:
+                process.kill()
+                process.communicate()
+        assert process.returncode == 0, output
+        assert "draining" in output
+
+
+def _child_env() -> dict:
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    return env
+
+
+#: Runs ``repro`` (``argv[2:]``) with one trap: the first
+#: ``Event.wait`` the main thread starts once the ready file
+#: (``argv[1]``) exists sends the process SIGTERM while it holds the
+#: event's lock, and gives a handler bytecode boundaries to run at.
+SIGNAL_IN_WAIT = """
+import os, signal, sys, threading
+from pathlib import Path
+
+ready = Path(sys.argv[1])
+real_wait = threading.Event.wait
+fired = []
+
+def wait(self, timeout=None):
+    if (not fired and threading.current_thread() is threading.main_thread()
+            and ready.exists()):
+        fired.append(True)
+        with self._cond:
+            os.kill(os.getpid(), signal.SIGTERM)
+            for _ in range(1000):
+                pass
+    return real_wait(self, timeout)
+
+threading.Event.wait = wait
+from repro.cli import main
+sys.exit(main(sys.argv[2:]))
+"""
+
 
 # ----------------------------------------------------------------------
 # Ingress limits: malformed headers, body caps, bad timeouts, slow-loris
