@@ -21,11 +21,14 @@ stack.  Subcommands:
   blame-localization campaign and score precision/recall.
 * ``repro temporal TRACEFILE``  — time-resolved analysis: per-window
   imbalance trends, drifting regions, phase detection and threshold
-  forecasts; ``--sweep DIR`` fans the analysis out over every trace in
-  a directory (multiprocessing, on-disk content-keyed cache).  The
-  trace is decoded once, keeping each event's binning columns, and the
-  windows are built and analysed one at a time; ``--stream`` is
-  accepted and changes nothing.
+  forecasts.  The trace is decoded once, keeping each event's binning
+  columns, and the windows are built and analysed one at a time;
+  ``--stream`` is accepted and changes nothing.  ``--sweep DIR`` runs
+  the same report over every trace in a directory on ``--jobs``
+  worker processes, caches each trace's document on disk by content
+  and prints one table row per trace; the single-trace sections
+  (``--phases``, ``--forecast``, ``--heatmap``) and ``--stream`` are
+  refused with it, and ``--jobs`` without it.
 * ``repro self``                — dogfooding: profile the tool's own
   sharded analysis pipeline, print its per-stage timing table and
   imbalance indices, optionally export the spans as a repro trace.
@@ -535,28 +538,37 @@ def _streamed_windows(arguments, on_error: str):
 def _command_temporal(arguments) -> int:
     if arguments.windows < 1:
         raise ReproError("--windows must be at least 1")
-    if arguments.sweep and arguments.stream:
-        raise ReproError("--stream applies to a single trace; "
-                         "--sweep already streams per worker")
+    _check_stream_arguments(arguments)
     if arguments.sweep:
-        from .sweep import SweepConfig, render_sweep_table, sweep_traces
-        config = SweepConfig(n_windows=arguments.windows,
-                             index=arguments.index,
-                             forecast_threshold=arguments.forecast)
+        # One check for the single-trace flags, which the one-row-per-
+        # trace table would silently drop.
+        ignored = [flag for flag, given in (
+            ("--phases", arguments.phases),
+            ("--forecast", arguments.forecast is not None),
+            ("--heatmap", arguments.heatmap),
+            ("--stream", arguments.stream)) if given]
+        if ignored:
+            raise ReproError("--sweep already streams per worker and "
+                             "prints one table row per trace; it takes no "
+                             + ", ".join(ignored))
+        from .sweep import render_sweep_table, sweep_traces
+        params = {name: getattr(arguments, name)
+                  for name in ("windows", "index", "strict", "chunk_size")}
         with _Profiled(arguments):
-            summaries = sweep_traces(arguments.sweep, config,
-                                     jobs=arguments.jobs,
-                                     use_cache=not arguments.no_cache)
-            print(render_sweep_table(summaries))
-        failed = [s for s in summaries if not s.ok]
+            results = sweep_traces(arguments.sweep, params,
+                                   jobs=arguments.jobs,
+                                   use_cache=not arguments.no_cache)
+            print(render_sweep_table(results))
+        failed = [result for result in results if result.error is not None]
         if failed:
             print(f"\n{len(failed)} trace(s) could not be analyzed",
                   file=sys.stderr)
         return 0
     if not arguments.tracefile:
         raise ReproError("temporal needs a trace file (or --sweep DIR)")
-
-    _check_stream_arguments(arguments)
+    if arguments.jobs is not None:
+        raise ReproError("--jobs applies to --sweep: a single trace's "
+                         "temporal report runs in one process")
     with _Profiled(arguments):
         print(build_report("temporal", arguments.tracefile,
                            vars(arguments))[0])

@@ -269,6 +269,18 @@ def detect_phases(series: Sequence[float], penalty: Optional[float] = None,
     return tuple(phases)
 
 
+def overall_series(series) -> Tuple[float, ...]:
+    """Mean of the finite entries of each column of a (regions, windows)
+    series matrix — the program's imbalance level per window (nan where
+    no region has a finite value)."""
+    stacked = np.array(series, dtype=float)
+    finite = ~np.isnan(stacked)
+    counts = finite.sum(axis=0)
+    sums = np.where(finite, stacked, 0.0).sum(axis=0)
+    means = np.where(counts > 0, sums / np.maximum(counts, 1), np.nan)
+    return tuple(float(value) for value in means)
+
+
 @dataclass(frozen=True)
 class TemporalAnalysis:
     """Trends of every region (and activity) over the windows."""
@@ -311,13 +323,8 @@ class TemporalAnalysis:
 
     def overall_series(self) -> Tuple[float, ...]:
         """Mean of the finite region series per window — the program's
-        imbalance level over time."""
-        stacked = np.array([trend.series for trend in self.trends])
-        finite = ~np.isnan(stacked)
-        counts = finite.sum(axis=0)
-        sums = np.where(finite, stacked, 0.0).sum(axis=0)
-        means = np.where(counts > 0, sums / np.maximum(counts, 1), np.nan)
-        return tuple(float(value) for value in means)
+        imbalance level over time (:func:`overall_series`)."""
+        return overall_series([trend.series for trend in self.trends])
 
     def phases(self, region: Optional[str] = None,
                penalty: Optional[float] = None) -> Tuple[Phase, ...]:

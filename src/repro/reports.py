@@ -4,9 +4,11 @@
 the exact text ``repro analyze`` and ``repro temporal`` print (with
 its renderers :func:`render_analyze_report` and
 :func:`render_temporal_report`) and into the daemon's JSON document.
-The CLI, the daemon's jobs, ``repro self`` and ``repro testbed show``
-all go through it, so a served report is byte-identical to the
-command's output by construction.
+The CLI, the daemon's jobs, ``repro self``, ``repro testbed show`` and
+the workers of ``repro temporal --sweep`` (which cache the temporal
+document) all go through it, so a served report is byte-identical to
+the command's output and a sweep row reads the very numbers ``repro
+temporal`` prints, by construction.
 
 Everything imports the analysis stack when it runs, so importing this
 module costs nothing: ``repro --help`` stays free of numpy.
@@ -52,16 +54,22 @@ def build_report(kind: str, source, params: Mapping) -> Tuple[str, dict]:
     # Each stage imports its analysis after the read, so the modules do
     # not add to the read's memory peak.
     if kind == "temporal":
-        windows, scout = trace_windows(str(source), params["windows"],
-                                       **read)
-        n_events = scout.n_events
-        del scout        # the fold's tensor must not outlive the read
+        from .obs import spans as obspans
+        with obspans.span("temporal_fold", activity="window",
+                          trace=str(source)):
+            windows, scout = trace_windows(str(source), params["windows"],
+                                           **read)
+            n_events, elapsed = scout.n_events, scout.elapsed
+            del scout    # the fold's tensor must not outlive the read
         from .core.temporal import temporal_analysis
-        # Each window is built as the analysis asks for it, then dropped.
-        analysis = temporal_analysis(windows, index=index)
+        # Each window is built as the analysis asks for it, then dropped,
+        # each in its own `window_bin` span.
+        with obspans.span("temporal_trends", activity="computation",
+                          trace=str(source)):
+            analysis = temporal_analysis(windows, index=index)
         text = render_temporal_report(windows, n_events, analysis=analysis,
                                       **flags)
-        return text, _temporal_document(analysis, n_events)
+        return text, _temporal_document(analysis, n_events, elapsed)
     fold = accumulate_trace(source, jobs=params.get("jobs"), **read)
     if flags.get("timeline") or flags.get("export_chrome"):
         flags["trace"] = FoldedTrace(source, fold, **read)
@@ -85,8 +93,9 @@ def build_report(kind: str, source, params: Mapping) -> Tuple[str, dict]:
             report_to_dict(session.analyze(index=index)))
 
 
-def _temporal_document(analysis, n_events: int) -> dict:
-    """The daemon's structured temporal report."""
+def _temporal_document(analysis, n_events: int, elapsed: float) -> dict:
+    """The daemon's structured temporal report, as the sweep caches it;
+    ``elapsed`` is the latest event end, the traced wall clock."""
     trends = {trend.region: {
         "slope": trend.slope, "mean": trend.mean, "final": trend.final,
         "amplification": (None if trend.amplification == float("inf")
@@ -94,7 +103,7 @@ def _temporal_document(analysis, n_events: int) -> dict:
         "series": [float(value) for value in trend.series]}
         for trend in analysis.trends}
     return {"schema": "repro-temporal/1", "n_windows": analysis.n_windows,
-            "n_events": n_events,
+            "n_events": n_events, "elapsed": float(elapsed),
             "drifting": list(analysis.drifting_regions()), "trends": trends}
 
 

@@ -52,7 +52,7 @@ from .store import TraceStore
 
 #: Bump when the payload schema or the analysis semantics change;
 #: part of every report cache key, so stale entries are never served.
-SERVE_CACHE_FORMAT = 1
+SERVE_CACHE_FORMAT = 2
 
 #: Job kinds the daemon runs, mirroring the CLI commands they replicate.
 JOB_KINDS = reports.REPORT_KINDS

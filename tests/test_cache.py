@@ -195,12 +195,10 @@ class TestSweepRewire:
     """The sweep's cache behavior survives the factoring-out."""
 
     def test_trace_key_is_a_content_key(self, tmp_path):
-        from dataclasses import asdict
-
-        from repro.sweep import CACHE_FORMAT, SweepConfig, trace_key
+        from repro.sweep import CACHE_FORMAT, trace_key
         trace = tmp_path / "t.jsonl"
         trace.write_bytes(b'{"rank": 0}\n')
-        config = SweepConfig(n_windows=4)
-        assert trace_key(trace, config) == content_key(
-            "repro-temporal-sweep", CACHE_FORMAT, asdict(config),
-            path=trace)
+        assert trace_key(trace, {"windows": 4, "chunk_size": 9}) \
+            == content_key("repro-temporal-sweep", CACHE_FORMAT,
+                           {"windows": 4, "index": "euclidean",
+                            "strict": False}, path=trace)

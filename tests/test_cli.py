@@ -387,6 +387,61 @@ class TestTemporalCommand:
                          "--windows", "4"]) == 0
 
 
+    @pytest.mark.parametrize("flags", [["--phases"], ["--forecast", "0"],
+                                       ["--heatmap"]],
+                             ids=["phases", "forecast", "heatmap"])
+    def test_sweep_refuses_single_trace_flags(self, tracefile, capsys,
+                                              monkeypatch, flags):
+        """The sweep table has no phase, forecast or heatmap section:
+        the flag exits 2 before any trace is read."""
+        import os
+
+        def unread(*args, **kwargs):
+            raise AssertionError("a trace was read")
+
+        monkeypatch.setattr("repro.sweep.build_report", unread)
+        directory = os.path.dirname(tracefile)
+        assert main(["temporal", "--sweep", directory, *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: --sweep already streams per worker and prints one "
+            f"table row per trace; it takes no {flags[0]}\n")
+        assert not os.path.exists(os.path.join(directory,
+                                               ".repro-temporal-cache"))
+
+    def test_sweep_passes_strict_and_chunk_size_on(self, tracefile, capsys,
+                                                   monkeypatch):
+        import os
+
+        from repro import reports
+        seen = []
+
+        def spy(kind, source, params):
+            seen.append((params["strict"], params["chunk_size"]))
+            return reports.build_report(kind, source, params)
+
+        monkeypatch.setattr("repro.sweep.build_report", spy)
+        directory = os.path.dirname(tracefile)
+        assert main(["temporal", "--sweep", directory, "--chunk-size", "0",
+                     "--no-cache"]) == 2
+        assert "--chunk-size must be at least 1" in capsys.readouterr().err
+        assert main(["temporal", "--sweep", directory, "--strict",
+                     "--chunk-size", "3", "--jobs", "1", "--no-cache"]) == 0
+        assert seen == [(True, 3)]
+
+    def test_jobs_needs_sweep(self, tracefile, capsys, monkeypatch):
+        """A single trace's temporal report starts no worker, so
+        ``--jobs`` without ``--sweep`` exits 2 before the read."""
+        def unread(*args, **kwargs):
+            raise AssertionError("the trace was read")
+
+        monkeypatch.setattr("repro.cli.build_report", unread)
+        assert main(["temporal", tracefile, "--jobs", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--jobs applies to --sweep" in captured.err
+
 class TestStreamFlag:
     """`analyze --stream`: same bytes as the eager path, same exit-code
     contract (0 ok, 1 failed check, 2 usage/data error, 3 internal)."""

@@ -167,7 +167,7 @@ class TestSpans:
         obspans.enable()
         sweep_traces(traces, jobs=2, use_cache=False)
         spans = obspans.drain()
-        for stage in ("sweep_window", "sweep_trends"):
+        for stage in ("temporal_fold", "temporal_trends"):
             workers = [span.worker for span in spans if span.name == stage]
             assert len(workers) == 2
             assert len(set(workers)) == 2
@@ -177,27 +177,46 @@ class TestSpans:
     def test_sweep_bins_each_window_in_a_window_span(self, tmp_path):
         """Windows are built as the trend analysis asks for them, each
         in a ``window_bin`` span (activity ``window``) inside that
-        worker's ``sweep_trends``, so the profile shows binning as
+        worker's ``temporal_trends``, so the profile shows binning as
         windowing."""
         from repro.calibrate import synthesize_paper_trace
-        from repro.sweep import SweepConfig, sweep_traces
+        from repro.sweep import sweep_traces
         traces = [tmp_path / "a.jsonl", tmp_path / "b.jsonl"]
         for trace in traces:
             synthesize_paper_trace(trace)
         obspans.enable()
-        sweep_traces(traces, SweepConfig(n_windows=5), jobs=2,
-                     use_cache=False)
+        sweep_traces(traces, {"windows": 5}, jobs=2, use_cache=False)
         spans = obspans.drain()
         bins = [span for span in spans if span.name == "window_bin"]
         assert len(bins) == 2 * 5
         assert {span.activity for span in bins} == {"window"}
         for trends in (span for span in spans
-                       if span.name == "sweep_trends"):
+                       if span.name == "temporal_trends"):
             inside = [span for span in bins
                       if span.worker == trends.worker]
             assert len(inside) == 5
             assert all(trends.begin <= span.begin <= span.end
                        <= trends.end for span in inside)
+
+    def test_temporal_report_records_its_two_stages(self, tmp_path):
+        """Every temporal report (command, daemon job, sweep worker)
+        records one ``temporal_fold`` and one ``temporal_trends``, the
+        windows binned inside the second."""
+        from repro.calibrate import synthesize_paper_trace
+        from repro.reports import build_report
+        trace = tmp_path / "t.jsonl"
+        synthesize_paper_trace(trace)
+        obspans.enable()
+        build_report("temporal", trace, {"windows": 3})
+        spans = obspans.drain()
+        names = [span.name for span in spans]
+        assert names.count("temporal_fold") == 1
+        [trends] = [span for span in spans
+                    if span.name == "temporal_trends"]
+        bins = [span for span in spans if span.name == "window_bin"]
+        assert len(bins) == 3
+        assert all(trends.begin <= span.begin <= span.end <= trends.end
+                   for span in bins)
 
     def test_shard_spans_agree_under_every_start_method(self, tmp_path):
         from repro.calibrate import synthesize_paper_trace
