@@ -20,15 +20,11 @@ stack.  Subcommands:
 * ``repro faults``              — fault injection as validation: run the
   blame-localization campaign and score precision/recall.
 * ``repro temporal TRACEFILE``  — time-resolved analysis: per-window
-  imbalance trends, drifting regions, phase detection and threshold
-  forecasts.  The trace is decoded once, keeping each event's binning
-  columns, and the windows are built and analysed one at a time;
-  ``--stream`` is accepted and changes nothing.  ``--sweep DIR`` runs
-  the same report over every trace in a directory on ``--jobs``
-  worker processes, caches each trace's document on disk by content
-  and prints one table row per trace; the single-trace sections
-  (``--phases``, ``--forecast``, ``--heatmap``) and ``--stream`` are
-  refused with it, and ``--jobs`` without it.
+  imbalance trends, drifting regions, phases and forecasts, one window
+  built at a time (``--stream`` changes nothing).  ``--sweep DIR`` runs
+  it over every trace in a directory on ``--jobs`` workers, caches
+  each document by content and prints one row per trace; it refuses
+  the text-only sections and ``--stream``, as ``--jobs`` needs it.
 * ``repro self``                — dogfooding: profile the tool's own
   sharded analysis pipeline, print its per-stage timing table and
   imbalance indices, optionally export the spans as a repro trace.
@@ -45,6 +41,10 @@ stack.  Subcommands:
 The trace verbs go from file to report through
 :func:`repro.reports.build_report`, as the daemon's jobs do; the
 handlers here only check arguments and map outcomes to exit codes.
+Each report option is built from its declaration in
+:data:`repro.reports.PARAMS`, and :func:`main` checks its value before
+any work with the check the daemon's 400 comes from
+(``--windows must be at least 1`` / ``windows must be at least 1``).
 Trace files may be JSONL (optionally gzipped) or the compact binary
 format (``.rptb``); the readers sniff the format.  Damaged trace files
 are salvaged with a one-line ``warning: ...`` on stderr by default;
@@ -70,7 +70,8 @@ from typing import List, Optional
 
 from . import __version__
 from .errors import ReproError, TraceWarning
-from .reports import (build_report, render_analyze_report,  # noqa: F401
+from .reports import (PARAMS, REPORT_KINDS, build_report,  # noqa: F401
+                      check_param, param_names, render_analyze_report,
                       render_temporal_report)
 
 #: Default daemon address shared by the submit/fetch verbs (kept in
@@ -93,53 +94,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "analyze", help="analyze a trace file post mortem")
     analyze_cmd.add_argument("tracefile", help="trace written by repro "
                                                "(.jsonl or .jsonl.gz)")
-    analyze_cmd.add_argument("--patterns", action="store_true",
-                             help="also print the per-activity pattern "
-                                  "figures")
-    analyze_cmd.add_argument("--lorenz", metavar="REGION",
-                             help="also print the Lorenz curve of one "
-                                  "region")
-    analyze_cmd.add_argument("--index", default="euclidean",
-                             help="index of dispersion (default: "
-                                  "euclidean)")
-    analyze_cmd.add_argument("--diagnose", action="store_true",
-                             help="also print the automated diagnosis")
-    analyze_cmd.add_argument("--timeline", action="store_true",
-                             help="also print the per-rank ASCII "
-                                  "timeline")
-    analyze_cmd.add_argument("--significance", type=float, metavar="EPS",
-                             help="also report the noise-calibrated "
-                                  "threshold for relative jitter EPS")
-    analyze_cmd.add_argument("--export-chrome", metavar="PATH",
-                             help="also export the trace in Chrome "
-                                  "Trace Event Format (Perfetto)")
-    analyze_cmd.add_argument("--heatmap", action="store_true",
-                             help="also print the per-processor share "
-                                  "heatmap")
-    analyze_cmd.add_argument("--whatif", action="store_true",
-                             help="also print the balancing what-if "
-                                  "table")
-    analyze_cmd.add_argument("--strict", action="store_true",
-                             help="refuse damaged trace files instead "
-                                  "of salvaging their valid prefix")
-    analyze_cmd.add_argument("--drop-missing-ranks", action="store_true",
-                             help="exclude ranks with no recorded "
-                                  "events (e.g. lost from a salvaged "
-                                  "trace) from the analysis")
-    analyze_cmd.add_argument("--stream", action="store_true",
-                             help="accepted for compatibility; no effect, "
-                                  "since analyze always folds the trace "
-                                  "in bounded-memory chunks")
-    analyze_cmd.add_argument("--chunk-size", type=int, default=8192,
-                             metavar="N",
-                             help="events per streamed chunk "
-                                  "(default: 8192)")
-    analyze_cmd.add_argument("--jobs", type=int, default=None,
-                             metavar="J",
-                             help="fan the file out over J worker "
-                                  "processes (sharded map-reduce; "
-                                  "default: sequential)")
-    _add_profile_arguments(analyze_cmd)
+    _add_params(analyze_cmd, *param_names("analyze"))
 
     commands.add_parser(
         "paper", help="reproduce the paper's application example")
@@ -173,9 +128,7 @@ def _build_parser() -> argparse.ArgumentParser:
     counters_cmd.add_argument("tracefile")
     counters_cmd.add_argument("--counter", default="messages",
                               choices=("messages", "bytes", "events"))
-    counters_cmd.add_argument("--strict", action="store_true",
-                              help="refuse damaged trace files instead "
-                                   "of salvaging their valid prefix")
+    _add_params(counters_cmd, "strict")
 
     faults_cmd = commands.add_parser(
         "faults", help="fault injection as validation of the "
@@ -200,41 +153,12 @@ def _build_parser() -> argparse.ArgumentParser:
     temporal_cmd.add_argument("--sweep", metavar="DIR",
                               help="analyze every trace in DIR in "
                                    "parallel instead of one file")
-    temporal_cmd.add_argument("--windows", type=int, default=16,
-                              help="number of equal time windows "
-                                   "(default: 16)")
-    temporal_cmd.add_argument("--index", default="euclidean",
-                              help="index of dispersion (default: "
-                                   "euclidean)")
-    temporal_cmd.add_argument("--phases", action="store_true",
-                              help="also print the change-point phase "
-                                   "segmentation")
-    temporal_cmd.add_argument("--forecast", type=float, metavar="LEVEL",
-                              help="also forecast the window at which "
-                                   "each region's imbalance reaches "
-                                   "LEVEL")
-    temporal_cmd.add_argument("--heatmap", action="store_true",
-                              help="also print the region x window "
-                                   "imbalance heatmap")
-    temporal_cmd.add_argument("--jobs", type=int, default=None,
-                              help="worker processes for --sweep "
-                                   "(default: one per CPU)")
+    _add_params(temporal_cmd, *param_names("temporal"))
+    _add_params(temporal_cmd, "jobs", help="worker processes for --sweep "
+                                          "(default: one per CPU)")
     temporal_cmd.add_argument("--no-cache", action="store_true",
                               help="ignore and do not update the sweep "
                                    "result cache")
-    temporal_cmd.add_argument("--strict", action="store_true",
-                              help="refuse damaged trace files instead "
-                                   "of salvaging their valid prefix")
-    temporal_cmd.add_argument("--stream", action="store_true",
-                              help="accepted and changes nothing: the "
-                                   "trace is decoded once and each "
-                                   "window built in turn (single trace "
-                                   "only)")
-    temporal_cmd.add_argument("--chunk-size", type=int, default=8192,
-                              metavar="N",
-                              help="events per streamed chunk "
-                                   "(default: 8192)")
-    _add_profile_arguments(temporal_cmd)
 
     self_cmd = commands.add_parser(
         "self", help="profile the tool's own pipeline and turn the "
@@ -242,17 +166,10 @@ def _build_parser() -> argparse.ArgumentParser:
     self_cmd.add_argument("tracefile", nargs="?",
                           help="trace to analyze under profiling "
                                "(default: a synthesized paper trace)")
-    self_cmd.add_argument("--jobs", type=int, default=2, metavar="J",
-                          help="shard worker processes for the profiled "
-                               "run (default: 2)")
-    self_cmd.add_argument("--chunk-size", type=int, default=8192,
-                          metavar="N",
-                          help="events per streamed chunk "
-                               "(default: 8192)")
-    self_cmd.add_argument("--index", default="euclidean",
-                          help="index of dispersion for the "
-                               "self-imbalance figures (default: "
-                               "euclidean)")
+    _add_params(self_cmd, "jobs", default=2,
+                help="shard worker processes for the profiled run "
+                     "(default: %(default)s)")
+    _add_params(self_cmd, "chunk_size", "index")
     self_cmd.add_argument("--trace", metavar="PATH", dest="self_trace",
                           help="write the recorded spans as a repro "
                                "trace file (analyzable with "
@@ -328,15 +245,9 @@ def _build_parser() -> argparse.ArgumentParser:
                            help=f"daemon base URL (default: "
                                 f"{_DEFAULT_SERVE_URL})")
     fetch_cmd.add_argument("--kind", default="analyze",
-                           choices=("analyze", "diagnose", "whatif",
-                                    "temporal"),
+                           choices=REPORT_KINDS,
                            help="report kind (default: analyze)")
-    fetch_cmd.add_argument("--index", default="euclidean",
-                           help="index of dispersion (default: "
-                                "euclidean)")
-    fetch_cmd.add_argument("--windows", type=int, default=16,
-                           help="window count for --kind temporal "
-                                "(default: 16)")
+    _add_params(fetch_cmd, "index", "windows")
     fetch_cmd.add_argument("--json", action="store_true",
                            help="print the structured JSON report "
                                 "instead of the rendered text")
@@ -344,15 +255,24 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _add_profile_arguments(command) -> None:
-    """The self-observability flags shared by ``analyze``/``temporal``."""
-    command.add_argument("--profile", action="store_true",
-                         help="record pipeline spans and print the "
-                              "per-stage timing table after the report")
-    command.add_argument("--profile-out", metavar="PATH",
-                         help="write the recorded spans as a repro "
-                              "trace file (implies --profile; analyze "
-                              "it with `repro analyze` or `repro self`)")
+def _flag(name: str) -> str:
+    """A report parameter's command-line spelling."""
+    return "--" + name.replace("_", "-")
+
+
+def _add_params(command, *names: str, **options) -> None:
+    """Add the options of report parameters ``names``, as
+    :data:`repro.reports.PARAMS` declares them; ``options`` override
+    argparse keywords."""
+    for name in names:
+        param = PARAMS[name]
+        if param.type is bool:
+            declared = {"action": "store_true", "help": param.help}
+        else:
+            shown = "" if param.default is None else " (default: %(default)s)"
+            declared = {"type": param.type, "default": param.default,
+                        "metavar": param.metavar, "help": param.help + shown}
+        command.add_argument(_flag(name), **{**declared, **options})
 
 
 def _add_retry_arguments(command) -> None:
@@ -420,16 +340,7 @@ class _Profiled:
         return False
 
 
-def _check_stream_arguments(arguments) -> None:
-    if arguments.chunk_size < 1:
-        raise ReproError("--chunk-size must be at least 1")
-    jobs = getattr(arguments, "jobs", None)
-    if jobs is not None and jobs < 1:
-        raise ReproError("--jobs must be at least 1")
-
-
 def _command_analyze(arguments) -> int:
-    _check_stream_arguments(arguments)
     with _Profiled(arguments):
         print(build_report("analyze", arguments.tracefile,
                            vars(arguments))[0])
@@ -528,7 +439,6 @@ def _streamed_windows(arguments, on_error: str):
     """``(windows, event count)`` of ``repro temporal``: the one decode
     pass, then every window built (the list holds them all)."""
     from .instrument.stream import trace_windows
-    _check_stream_arguments(arguments)
     windows, scout = trace_windows(
         arguments.tracefile, arguments.windows,
         chunk_size=arguments.chunk_size, on_error=on_error)
@@ -536,26 +446,20 @@ def _streamed_windows(arguments, on_error: str):
 
 
 def _command_temporal(arguments) -> int:
-    if arguments.windows < 1:
-        raise ReproError("--windows must be at least 1")
-    _check_stream_arguments(arguments)
     if arguments.sweep:
-        # One check for the single-trace flags, which the one-row-per-
-        # trace table would silently drop.
-        ignored = [flag for flag, given in (
-            ("--phases", arguments.phases),
-            ("--forecast", arguments.forecast is not None),
-            ("--heatmap", arguments.heatmap),
-            ("--stream", arguments.stream)) if given]
+        # One check for the single-trace sections, which the one-row-
+        # per-trace table would silently drop.
+        ignored = [_flag(name) for name in param_names("temporal", "section")
+                   if getattr(arguments, name) != PARAMS[name].default]
+        if arguments.stream:
+            ignored.append("--stream")
         if ignored:
             raise ReproError("--sweep already streams per worker and "
                              "prints one table row per trace; it takes no "
                              + ", ".join(ignored))
         from .sweep import render_sweep_table, sweep_traces
-        params = {name: getattr(arguments, name)
-                  for name in ("windows", "index", "strict", "chunk_size")}
         with _Profiled(arguments):
-            results = sweep_traces(arguments.sweep, params,
+            results = sweep_traces(arguments.sweep, vars(arguments),
                                    jobs=arguments.jobs,
                                    use_cache=not arguments.no_cache)
             print(render_sweep_table(results))
@@ -590,7 +494,6 @@ def _command_self(arguments) -> int:
     from .obs import spans as obspans
     from .obs.selftrace import (render_self_report, self_imbalance,
                                 write_selftrace)
-    _check_stream_arguments(arguments)
 
     with tempfile.TemporaryDirectory(prefix="repro-self-") as workdir:
         if arguments.tracefile:
@@ -632,8 +535,7 @@ def _command_serve(arguments) -> int:
     import signal
     import socket
 
-    from .serve import (DEFAULT_MAX_BODY_BYTES, DEFAULT_MAX_QUEUE,
-                        DEFAULT_REQUEST_TIMEOUT, AnalysisServer)
+    from .serve import AnalysisServer
     if arguments.workers < 1:
         raise ReproError("--workers must be at least 1")
     if not 0 <= arguments.port <= 65535:
@@ -647,22 +549,16 @@ def _command_serve(arguments) -> int:
     if arguments.request_timeout is not None \
             and arguments.request_timeout <= 0:
         raise ReproError("--request-timeout must be positive")
+    # A cap not given keeps the daemon's own default.
+    caps = {name: getattr(arguments, name)
+            for name in ("max_body_bytes", "max_queue", "max_cache_bytes",
+                         "max_store_bytes", "request_timeout")
+            if getattr(arguments, name) is not None}
     try:
         daemon = AnalysisServer(
             arguments.store, host=arguments.host, port=arguments.port,
             workers=arguments.workers, cache_dir=arguments.cache_dir,
-            verbose=arguments.verbose,
-            max_body_bytes=(arguments.max_body_bytes
-                            if arguments.max_body_bytes is not None
-                            else DEFAULT_MAX_BODY_BYTES),
-            max_queue=(arguments.max_queue
-                       if arguments.max_queue is not None
-                       else DEFAULT_MAX_QUEUE),
-            max_cache_bytes=arguments.max_cache_bytes,
-            max_store_bytes=arguments.max_store_bytes,
-            request_timeout=(arguments.request_timeout
-                             if arguments.request_timeout is not None
-                             else DEFAULT_REQUEST_TIMEOUT))
+            verbose=arguments.verbose, **caps)
     except OSError as error:
         raise ReproError(
             f"cannot bind {arguments.host}:{arguments.port}: {error}")
@@ -710,8 +606,6 @@ def _command_submit(arguments) -> int:
 def _command_fetch(arguments) -> int:
     import json as _json
 
-    if arguments.windows < 1:
-        raise ReproError("--windows must be at least 1")
     client = _make_client(arguments)
     target = Path(arguments.trace)
     if target.is_file():
@@ -722,9 +616,8 @@ def _command_fetch(arguments) -> int:
     else:
         raise ReproError(f"{arguments.trace} is neither a readable "
                          "trace file nor a sha256 digest")
-    params = {"index": arguments.index}
-    if arguments.kind == "temporal":
-        params["windows"] = arguments.windows
+    params = {name: getattr(arguments, name)
+              for name in param_names(arguments.kind, served=True)}
     payload = client.report(sha, arguments.kind, **params)
     if arguments.json:
         print(_json.dumps(payload["report"], indent=2, sort_keys=True))
@@ -761,9 +654,9 @@ _OUTPUT_PATHS = {
 }
 
 
-def _validate_file_arguments(arguments) -> None:
-    """Fail fast on unreadable or unwritable file arguments, before any
-    heavy work."""
+def _check_arguments(arguments) -> None:
+    """Fail fast on unreadable or unwritable file arguments and on
+    refused report parameter values, before any heavy work."""
     for dest in _OUTPUT_PATHS.get(arguments.command, ()):
         output = getattr(arguments, dest)
         if output is None:
@@ -774,9 +667,9 @@ def _validate_file_arguments(arguments) -> None:
         if not path.parent.is_dir():
             raise ReproError(f"cannot write {path}: directory "
                              f"{path.parent} does not exist")
-    sweep = getattr(arguments, "sweep", None)
-    if sweep is not None and not Path(sweep).is_dir():
-        raise ReproError(f"sweep directory {sweep} does not exist")
+    for name in PARAMS:
+        if hasattr(arguments, name):
+            check_param(name, getattr(arguments, name), _flag(name))
     tracefile = getattr(arguments, "tracefile", None)
     if tracefile is None:
         return
@@ -812,7 +705,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     arguments = parser.parse_args(argv)
     previous, warnings.formatwarning = warnings.formatwarning, _format_warning
     try:
-        _validate_file_arguments(arguments)
+        _check_arguments(arguments)
         code = _COMMANDS[arguments.command](arguments)
         sys.stdout.flush()
         return code

@@ -7,17 +7,15 @@ import os
 from functools import partial
 from typing import Callable, List, Optional, Sequence
 
-from .errors import ReproError
 from .obs import spans as obspans
+from .reports import check_param
 
 
 def worker_count(jobs: Optional[int]) -> int:
-    """``jobs``, defaulting to one per CPU; fewer than one is an error."""
+    """``jobs``, defaulting to one per CPU; checked as declared."""
     if jobs is None:
         return os.cpu_count() or 1
-    if jobs < 1:
-        raise ReproError(f"--jobs must be at least 1, got {jobs}")
-    return jobs
+    return check_param("jobs", jobs)
 
 
 def _traced(worker: Callable, record: bool, task):

@@ -10,13 +10,17 @@ document) all go through it, so a served report is byte-identical to
 the command's output and a sweep row reads the very numbers ``repro
 temporal`` prints, by construction.
 
+:data:`PARAMS` declares each report parameter once, for every entry
+point, and :func:`check_param` is the one check of a value.
+
 Everything imports the analysis stack when it runs, so importing this
 module costs nothing: ``repro --help`` stays free of numpy.
 """
 
 from __future__ import annotations
 
-from typing import Mapping, Optional, Tuple
+import math
+from typing import Mapping, NamedTuple, Optional, Tuple
 
 from .errors import ReproError
 
@@ -24,33 +28,161 @@ from .errors import ReproError
 #: are ``analyze`` with that section added.
 REPORT_KINDS = ("analyze", "diagnose", "whatif", "temporal")
 
-#: Each renderer's flags, under their command-line names.
-_FLAGS = {"analyze": ("index", "patterns", "lorenz", "diagnose", "heatmap",
-                      "whatif", "significance", "timeline", "export_chrome"),
-          "temporal": ("index", "phases", "forecast", "heatmap")}
+_ANALYZE, _TEMPORAL = ("analyze",), ("temporal",)
+
+
+class Param(NamedTuple):
+    """One report parameter.  ``role``: ``result`` shapes the numbers or
+    the outcome, ``read`` only how the trace is read, ``section`` only a
+    section of text, ``observe`` only the run's own spans.  Values lie
+    in ``[low, high]``, or ``(low, high)`` if ``open``; daemon jobs take
+    it if ``served``, up to ``served_high``."""
+
+    type: type
+    default: object
+    help: str
+    verbs: Tuple[str, ...] = _ANALYZE + _TEMPORAL
+    role: str = "section"
+    metavar: Optional[str] = None
+    low: Optional[float] = None
+    high: Optional[float] = None
+    open: bool = False
+    served: bool = False
+    served_high: Optional[float] = None
+
+
+#: Most windows a served temporal job may ask for: memory does not grow
+#: with the count, but the per-window loop does, and one request must
+#: not hold a daemon worker for long.  A local run holds only its own.
+MAX_WINDOWS = 4096
+
+#: The report parameters; the CLI flag is ``--`` and the dashed name.
+PARAMS = {
+    "index": Param(str, "euclidean", "index of dispersion", role="result",
+                   served=True),
+    "windows": Param(int, 16, "number of equal time windows", _TEMPORAL,
+                     "result", low=1, served=True, served_high=MAX_WINDOWS),
+    "patterns": Param(bool, False, "also print the per-activity pattern "
+                      "figures", _ANALYZE),
+    "lorenz": Param(str, None, "also print the Lorenz curve of one region",
+                    _ANALYZE, metavar="REGION"),
+    "diagnose": Param(bool, False, "also print the automated diagnosis",
+                      _ANALYZE),
+    "timeline": Param(bool, False, "also print the per-rank ASCII timeline",
+                      _ANALYZE),
+    "significance": Param(float, None, "also report the noise-calibrated "
+                          "threshold for relative jitter EPS", _ANALYZE,
+                          metavar="EPS", low=0, high=1, open=True),
+    "export_chrome": Param(str, None, "also export the trace in Chrome "
+                           "Trace Event Format (Perfetto)", _ANALYZE,
+                           metavar="PATH"),
+    "heatmap": Param(bool, False, "also print the heatmap of processor "
+                     "shares (analyze) or of windows (temporal)"),
+    "whatif": Param(bool, False, "also print the balancing what-if table",
+                    _ANALYZE),
+    "phases": Param(bool, False, "also print the change-point phase "
+                    "segmentation", _TEMPORAL),
+    "forecast": Param(float, None, "also forecast the window at which each "
+                      "region's imbalance reaches LEVEL", _TEMPORAL,
+                      metavar="LEVEL"),
+    "strict": Param(bool, False, "refuse damaged trace files instead of "
+                    "salvaging their valid prefix", role="result"),
+    "drop_missing_ranks": Param(bool, False, "exclude ranks with no "
+                                "recorded events (e.g. lost from a "
+                                "salvaged trace)", _ANALYZE, "result"),
+    "chunk_size": Param(int, 8192, "events per streamed chunk", role="read",
+                        metavar="N", low=1),
+    "jobs": Param(int, None, "fan the file out over J worker processes "
+                  "(sharded map-reduce; default: sequential)", _ANALYZE,
+                  "read", "J", low=1),
+    "stream": Param(bool, False, "accepted for compatibility and changes "
+                    "nothing: a trace is always read in bounded-memory "
+                    "chunks", role="read"),
+    "profile": Param(bool, False, "record pipeline spans and print the "
+                     "per-stage timing table after the report",
+                     role="observe"),
+    "profile_out": Param(str, None, "write the recorded spans as a repro "
+                         "trace file (implies --profile; analyze it with "
+                         "`repro analyze` or `repro self`)", role="observe",
+                         metavar="PATH"),
+}
+
+_NOUNS = {int: "an integer", float: "a number", str: "a string",
+          bool: "true or false"}
+
+
+def param_names(kind: str, *roles: str, served: bool = False
+                ) -> Tuple[str, ...]:
+    """The parameters of report ``kind`` in declaration order: those of
+    ``roles`` (default: all), and with ``served`` only the daemon's."""
+    if kind not in REPORT_KINDS:
+        raise ReproError(f"unknown report kind {kind!r}; known: "
+                         + ", ".join(REPORT_KINDS))
+    verb = "temporal" if kind == "temporal" else "analyze"
+    return tuple(name for name, param in PARAMS.items()
+                 if verb in param.verbs and (not roles or param.role in roles)
+                 and (param.served or not served))
+
+
+def check_param(name: str, value, spelling: Optional[str] = None, *,
+                served: bool = False):
+    """``value``, if valid for parameter ``name`` (with the daemon's
+    bounds if ``served``; ``None`` where it is the default), else a
+    :class:`ReproError` naming it ``spelling`` (default: ``name``)."""
+    param, spelling = PARAMS[name], spelling or name
+    if value is None and param.default is None:
+        return value
+    accepted = (int, float) if param.type is float else param.type
+    if not isinstance(value, accepted) or (isinstance(value, bool)
+                                           and param.type is not bool):
+        raise ReproError(f"{spelling} must be {_NOUNS[param.type]}")
+    if param.type is float and not math.isfinite(value):
+        raise ReproError(f"{spelling} must be a finite number")
+    low, high = param.low, (param.served_high if served and param.served_high
+                            else param.high)
+    if param.open:
+        if not low < value < high:
+            raise ReproError(f"{spelling} must lie in ({low:g}, {high:g})")
+    elif low is not None and value < low:
+        raise ReproError(f"{spelling} must be at least {low:g}")
+    elif high is not None and value > high:
+        raise ReproError(f"{spelling} must be at most {high:g}")
+    return value
+
+
+def resolve_params(kind: str, given: Mapping, *roles: str,
+                   served: bool = False, only: bool = False) -> dict:
+    """``given``'s values of ``param_names(kind, *roles, served=served)``,
+    checked, absent ones at their defaults.  Other keys are ignored, or
+    refused with ``only``; an unknown index of dispersion is refused."""
+    names = param_names(kind, *roles, served=served)
+    unknown = sorted(str(name) for name in given if name not in names)
+    if only and unknown:
+        raise ReproError(f"unknown parameter(s) for {kind}: "
+                         + ", ".join(unknown))
+    params = {name: check_param(name, given.get(name, PARAMS[name].default),
+                                served=served)
+              for name in names}
+    if "index" in params:
+        from .core.dispersion import get_index
+        get_index(params["index"])
+    return params
 
 
 def build_report(kind: str, source, params: Mapping) -> Tuple[str, dict]:
     """Read, fold, analyse and render one trace file's report.
 
-    ``kind`` is one of :data:`REPORT_KINDS`.  ``params`` holds the
-    options under their ``repro analyze``/``temporal`` flag names
-    (``vars()`` of a parsed command line, or the daemon's job
-    parameters); an absent flag is off.  Returns the text the command
+    ``kind`` is one of :data:`REPORT_KINDS`.  ``params`` holds its
+    parameters (:func:`resolve_params`; ``vars()`` of a parsed command
+    line, or the daemon's job parameters).  Returns the text the command
     prints, without its final newline, and the JSON document the daemon
     serves.
     """
-    if kind not in REPORT_KINDS:
-        raise ReproError(f"unknown report kind {kind!r}")
-    from .core.dispersion import get_index
-    from .instrument.stream import (DEFAULT_CHUNK_SIZE, FoldedTrace,
-                                    accumulate_trace, trace_windows)
-    verb = "temporal" if kind == "temporal" else "analyze"
-    flags = {name: params[name] for name in _FLAGS[verb] if name in params}
-    index = flags.setdefault("index", "euclidean")
-    get_index(index)     # an unknown index fails before the read
-    read = {"chunk_size": params.get("chunk_size", DEFAULT_CHUNK_SIZE),
-            "on_error": "raise" if params.get("strict") else "salvage"}
+    params = resolve_params(kind, params)
+    from .instrument.stream import (FoldedTrace, accumulate_trace,
+                                    trace_windows)
+    read = {"chunk_size": params["chunk_size"],
+            "on_error": "raise" if params["strict"] else "salvage"}
     # Each stage imports its analysis after the read, so the modules do
     # not add to the read's memory peak.
     if kind == "temporal":
@@ -66,19 +198,19 @@ def build_report(kind: str, source, params: Mapping) -> Tuple[str, dict]:
         # each in its own `window_bin` span.
         with obspans.span("temporal_trends", activity="computation",
                           trace=str(source)):
-            analysis = temporal_analysis(windows, index=index)
+            analysis = temporal_analysis(windows, index=params["index"])
         text = render_temporal_report(windows, n_events, analysis=analysis,
-                                      **flags)
+                                      **params)
         return text, _temporal_document(analysis, n_events, elapsed)
-    fold = accumulate_trace(source, jobs=params.get("jobs"), **read)
-    if flags.get("timeline") or flags.get("export_chrome"):
-        flags["trace"] = FoldedTrace(source, fold, **read)
+    fold = accumulate_trace(source, jobs=params["jobs"], **read)
+    trace = (FoldedTrace(source, fold, **read)
+             if params["timeline"] or params["export_chrome"] else None)
     measurements = fold.finalize()
     del fold         # finalize copied the tensor; keep one alive
     from .core import AnalysisSession
     from .core.report import report_to_dict
     sections = []
-    if params.get("drop_missing_ranks"):
+    if params["drop_missing_ranks"]:
         missing = measurements.missing_processors()
         if missing:
             sections.append("dropping rank(s) with no recorded events: "
@@ -86,11 +218,11 @@ def build_report(kind: str, source, params: Mapping) -> Tuple[str, dict]:
             measurements = measurements.without_missing_processors()
     session = AnalysisSession(measurements)
     if kind != "analyze":
-        flags[kind] = True
-    sections.append(render_analyze_report(measurements, session=session,
-                                          **flags))
+        params[kind] = True
+    sections.append(render_analyze_report(measurements, trace=trace,
+                                          session=session, **params))
     return ("\n\n".join(sections),
-            report_to_dict(session.analyze(index=index)))
+            report_to_dict(session.analyze(index=params["index"])))
 
 
 def _temporal_document(analysis, n_events: int, elapsed: float) -> dict:
@@ -107,16 +239,10 @@ def _temporal_document(analysis, n_events: int, elapsed: float) -> dict:
             "drifting": list(analysis.drifting_regions()), "trends": trends}
 
 
-def render_analyze_report(measurements, *, index: str = "euclidean",
-                          patterns: bool = False,
-                          lorenz: Optional[str] = None,
-                          diagnose: bool = False,
-                          heatmap: bool = False, whatif: bool = False,
-                          significance: Optional[float] = None,
-                          timeline: bool = False,
-                          export_chrome: Optional[str] = None,
-                          trace=None, session=None) -> str:
-    """The exact text ``repro analyze`` prints for this flag set.
+def render_analyze_report(measurements, *, trace=None, session=None,
+                          **params) -> str:
+    """The exact text ``repro analyze`` prints for these ``analyze``
+    parameters (:func:`resolve_params`: absent ones at their defaults).
 
     ``trace`` holds the events behind ``timeline`` and
     ``export_chrome`` (a :class:`~repro.instrument.Tracer` or a
@@ -125,31 +251,33 @@ def render_analyze_report(measurements, *, index: str = "euclidean",
     matrices; by default a fresh one backs every section.
     """
     from .core import AnalysisSession
+    params = resolve_params("analyze", params, only=True)
+    index, significance = params["index"], params["significance"]
     if session is None:
         session = AnalysisSession(measurements)
     analysis = session.analyze(index=index)
     sections = [session.report(index=index)]
-    if patterns:
+    if params["patterns"]:
         from .viz import render_pattern_grid
         sections.extend(render_pattern_grid(grid)
                         for grid in analysis.patterns)
-    if lorenz:
+    if params["lorenz"]:
         from .viz.lorenz import render_region_lorenz
-        sections.append(render_region_lorenz(measurements, lorenz))
-    if diagnose:
+        sections.append(render_region_lorenz(measurements, params["lorenz"]))
+    if params["diagnose"]:
         from .core import render_diagnosis
         sections.append(render_diagnosis(session.diagnosis(index=index)))
-    if timeline:
+    if params["timeline"]:
         from .viz import render_timeline
         sections.append(render_timeline(trace))
-    if export_chrome:
+    if params["export_chrome"]:
         from .instrument import export_chrome_trace
-        count = export_chrome_trace(export_chrome, trace)
-        sections.append(f"exported {count} events to {export_chrome}")
-    if heatmap:
+        count = export_chrome_trace(params["export_chrome"], trace)
+        sections.append(f"exported {count} events to {params['export_chrome']}")
+    if params["heatmap"]:
         from .viz import render_heatmap
         sections.append(render_heatmap(measurements))
-    if whatif:
+    if params["whatif"]:
         from .core import balance_predictions, render_predictions
         sections.append(render_predictions(
             balance_predictions(measurements)))
@@ -173,12 +301,10 @@ def _format_level(value: float) -> str:
     return f"{value:.4g}"
 
 
-def render_temporal_report(windows, n_events: int, *,
-                           index: str = "euclidean",
-                           phases: bool = False,
-                           forecast: Optional[float] = None,
-                           heatmap: bool = False, analysis=None) -> str:
-    """The exact text ``repro temporal`` prints for this flag set.
+def render_temporal_report(windows, n_events: int, /, *, analysis=None,
+                           **params) -> str:
+    """The exact text ``repro temporal`` prints for these ``temporal``
+    parameters (:func:`resolve_params`: absent ones at their defaults).
 
     ``windows`` is the per-window profiles, ``n_events`` the event
     count the header reports; a given ``analysis`` (their
@@ -188,6 +314,8 @@ def render_temporal_report(windows, n_events: int, *,
     """
     from .core.temporal import temporal_analysis
     from .viz import format_table, render_sparkline, render_temporal_heatmap
+    params = resolve_params("temporal", params, only=True)
+    index, forecast = params["index"], params["forecast"]
     if analysis is None:
         analysis = temporal_analysis(windows, index=index)
     drifting = set(analysis.drifting_regions())
@@ -218,7 +346,7 @@ def render_temporal_report(windows, n_events: int, *,
               f"{trend.final:.4g}"]
              for trend in analysis.activity_trends],
             title="Activity imbalance over time"))
-    if phases:
+    if params["phases"]:
         segments = analysis.phases()
         sections.append("\n".join(
             [f"phases (overall imbalance level, "
@@ -232,7 +360,7 @@ def render_temporal_report(windows, n_events: int, *,
             + [f"  {region}: {_format_level(crossing)}"
                for region, crossing
                in analysis.forecast(forecast).items()]))
-    if heatmap:
+    if params["heatmap"]:
         sections.append(render_temporal_heatmap(
             {trend.region: trend.series for trend in analysis.trends}))
     return "\n\n".join(sections)

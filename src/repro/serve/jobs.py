@@ -41,7 +41,6 @@ from typing import Dict, Mapping, Optional
 from .. import reports
 from ..cache import ReportCache, content_key
 from ..core import batch, diagnosis, report, temporal, whatif  # noqa: F401
-from ..core.dispersion import get_index
 from ..errors import ReproError, TraceError, TraceWarning
 from ..instrument import stream  # noqa: F401
 from ..obs import log as obslog
@@ -56,12 +55,6 @@ SERVE_CACHE_FORMAT = 2
 
 #: Job kinds the daemon runs, mirroring the CLI commands they replicate.
 JOB_KINDS = reports.REPORT_KINDS
-
-#: Hard ceiling on requested window counts.  Memory does not grow with
-#: it (a temporal job builds and analyses one window at a time); the
-#: cap bounds the per-window loop, so one request cannot keep a worker
-#: busy for long.
-MAX_WINDOWS = 4096
 
 #: Default bound on jobs in flight (queued + running).  Beyond it the
 #: runner sheds load instead of queueing without limit.
@@ -85,34 +78,14 @@ class ServiceDrainingError(ReproError):
 
 
 def normalize_params(kind: str, params: Optional[Mapping]) -> dict:
-    """Validated, defaulted, canonically-ordered job parameters.
-
-    Raises :class:`ReproError` on an unknown kind, an unknown
-    parameter, an unknown index of dispersion or an out-of-range value
-    — the daemon turns that into an HTTP 400 *before* any work is
-    queued.
+    """Validated, defaulted, canonically-ordered job parameters: the
+    kind's served :data:`repro.reports.PARAMS` (``index``, and
+    ``windows`` for ``temporal``).  Raises :class:`ReproError` on an
+    unknown kind or parameter, an unknown index of dispersion or an
+    out-of-range value — an HTTP 400 *before* any work is queued.
     """
-    if kind not in JOB_KINDS:
-        raise ReproError(
-            f"unknown job kind {kind!r} (one of: {', '.join(JOB_KINDS)})")
-    given = dict(params or {})
-    normalized = {"index": given.pop("index", "euclidean")}
-    if not isinstance(normalized["index"], str) or not normalized["index"]:
-        raise ReproError("index must be a non-empty string")
-    get_index(normalized["index"])
-    if kind == "temporal":
-        windows = given.pop("windows", 16)
-        if not isinstance(windows, int) or isinstance(windows, bool):
-            raise ReproError("windows must be an integer")
-        if not 1 <= windows <= MAX_WINDOWS:
-            raise ReproError(
-                f"windows must be between 1 and {MAX_WINDOWS}")
-        normalized["windows"] = windows
-    if given:
-        raise ReproError(
-            f"unknown parameter(s) for {kind}: "
-            + ", ".join(sorted(str(name) for name in given)))
-    return normalized
+    return reports.resolve_params(kind, params or {}, served=True,
+                                  only=True)
 
 
 def report_key(sha: str, kind: str, params: Mapping) -> str:

@@ -26,8 +26,9 @@ Production hardening (the documented status contract):
 * request bodies above ``max_body_bytes`` are refused with **413**
   before a byte is read, and accepted uploads stream straight into the
   store in bounded chunks;
-* a malformed ``Content-Length`` or an invalid ``timeout`` field is a
-  **400**, and every blocking wait is clamped to ``max_wait_seconds``;
+* a malformed ``Content-Length``, an invalid ``timeout`` or a
+  non-boolean ``wait`` is a **400**, and every blocking wait is clamped
+  to ``max_wait_seconds``;
 * when the bounded job queue is full the daemon sheds load with
   **429** + ``Retry-After`` instead of queueing without limit, and
   answers **503** while draining;
@@ -415,7 +416,9 @@ class _Handler(BaseHTTPRequestHandler):
         params = request.get("params") or {}
         if not isinstance(params, dict):
             raise _HttpError(400, "'params' must be a JSON object")
-        wait = bool(request.get("wait", True))
+        wait = request.get("wait", True)
+        if not isinstance(wait, bool):
+            raise _HttpError(400, f"'wait' must be true or false: {wait!r}")
         timeout = self._wait_seconds(request.get("timeout"))
         try:
             payload = self.service.runner.fetch(

@@ -29,8 +29,8 @@ from typing import List, Mapping, NamedTuple, Optional, Sequence, Union
 from .cache import ReportCache, content_key
 from .errors import ReproError
 from .obs import spans as obspans
-from .pool import map_tasks
-from .reports import build_report
+from .pool import map_tasks, worker_count
+from .reports import PARAMS, build_report, param_names, resolve_params
 
 #: Bump when the cached payload or the analysis semantics change; part
 #: of the cache key, so stale entries are never served.
@@ -38,9 +38,6 @@ CACHE_FORMAT = 2
 
 #: Trace file suffixes a directory sweep picks up.
 TRACE_SUFFIXES = (".jsonl", ".jsonl.gz", ".rptb")
-
-#: ``repro temporal``'s defaults of the parameters a sweep passes on.
-DEFAULT_PARAMS = {"windows": 16, "index": "euclidean", "strict": False}
 
 
 class SweepResult(NamedTuple):
@@ -55,11 +52,11 @@ class SweepResult(NamedTuple):
 
 def trace_key(path: Union[str, Path], params: Mapping) -> str:
     """Content key of one (trace file, document parameters) pair: the
-    trace's bytes and ``params``' ``windows``, ``index`` and ``strict``
-    (absent ones at their defaults)."""
+    trace's bytes and ``params``' ``result`` parameters (``windows``,
+    ``index``, ``strict``; absent ones at their defaults)."""
     return content_key("repro-temporal-sweep", CACHE_FORMAT,
-                       {name: params.get(name, default)
-                        for name, default in DEFAULT_PARAMS.items()},
+                       {name: params.get(name, PARAMS[name].default)
+                        for name in param_names("temporal", "result")},
                        path=path)
 
 
@@ -98,21 +95,20 @@ def sweep_traces(traces: Union[str, Path, Sequence[Union[str, Path]]],
     """Analyze a fleet of traces concurrently.
 
     ``traces`` is a directory (every trace file in it) or an explicit
-    sequence of paths.  ``params`` holds ``repro temporal``'s options
-    under their flag names (``windows``, ``index``, ``strict``,
-    ``chunk_size``; absent ones take the command's defaults), and each
+    sequence of paths.  ``params`` holds ``repro temporal``'s ``result``
+    and ``read`` parameters (``index``, ``windows``, ``strict``,
+    ``chunk_size``; :func:`repro.reports.resolve_params`), and each
     trace's document is ``build_report("temporal", path, params)``'s.
     Results come back in input order.  ``jobs`` caps the worker
     processes (default: one per CPU, never more than the number of
     uncached traces; 1 runs inline).  ``cache_dir`` defaults to
     ``<directory>/.repro-temporal-cache`` for directory sweeps and to
     ``.repro-temporal-cache`` next to the first trace otherwise;
-    ``use_cache=False`` neither reads nor writes it.  An unknown index
-    of dispersion raises before any trace is read.
+    ``use_cache=False`` neither reads nor writes it.  A refused
+    parameter value or an unknown index of dispersion raises before any
+    trace is read.
     """
-    from .core.dispersion import get_index
-    params = {**DEFAULT_PARAMS, **(params or {})}
-    get_index(params["index"])
+    params = resolve_params("temporal", params or {}, "result", "read")
     if isinstance(traces, (str, Path)):
         paths = discover_traces(traces)
         default_cache = Path(traces) / ".repro-temporal-cache"
@@ -146,6 +142,11 @@ def sweep_traces(traces: Union[str, Path, Sequence[Union[str, Path]]],
                     pass    # corrupt entry: recompute
     pending = [position for position, result in enumerate(results)
                if result is None]
+    if len(pending) > 1 and worker_count(jobs) > 1:
+        # Forked workers share these imports instead of each importing.
+        from . import viz  # noqa: F401
+        from .core import batch, temporal  # noqa: F401
+        from .instrument import stream  # noqa: F401
     fresh = map_tasks(_worker, [(str(paths[position]), params)
                                 for position in pending],
                       jobs, "sweep_fanout")

@@ -299,6 +299,20 @@ class TestSalvageFlags:
         assert "unknown index of dispersion 'nope'" in err
         assert "truncated" not in err
 
+    @pytest.mark.parametrize("epsilon", ["2", "0", "1", "-0.5", "nan"])
+    def test_significance_is_refused_before_the_read(
+            self, epsilon, tracefile, tmp_path, capsys):
+        """An epsilon outside (0, 1) exits 2 before the truncated trace
+        is read: its salvage warning never prints."""
+        from tests.test_damage_parity import run_cli
+        cut = self._truncated(tracefile, tmp_path)
+        code, out, err = run_cli(["analyze", cut,
+                                  f"--significance={epsilon}"], capsys)
+        assert (code, out) == (2, "")
+        assert err == ("error: --significance must be a finite number\n"
+                       if epsilon == "nan" else
+                       "error: --significance must lie in (0, 1)\n")
+
 
 class TestFaultsCommand:
     def test_listing_without_campaign(self, capsys):
@@ -342,6 +356,13 @@ class TestTemporalCommand:
 
     def test_bad_window_count(self, tracefile, capsys):
         assert main(["temporal", tracefile, "--windows", "0"]) == 2
+
+    @pytest.mark.parametrize("level", ["nan", "inf", "-inf"])
+    def test_non_finite_forecast_exits_2(self, tracefile, capsys, level):
+        assert main(["temporal", tracefile, f"--forecast={level}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --forecast must be a finite number\n"
 
     def test_missing_sweep_directory(self, tmp_path, capsys):
         assert main(["temporal", "--sweep", str(tmp_path / "nope")]) == 2

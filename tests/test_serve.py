@@ -582,6 +582,22 @@ class TestIngressLimits:
         assert "timeout" in payload["error"]
         assert client.health()["status"] == "ok"
 
+    @pytest.mark.parametrize("wait_json", ['"false"', "0", "1", "null",
+                                           "[]"])
+    def test_non_boolean_report_wait_is_400(self, server, client,
+                                            paper_trace, wait_json):
+        """``"wait": "false"`` is truthy: it must be refused, not
+        taken as a request to block."""
+        sha = client.submit(paper_trace)["sha256"]
+        body = ('{"trace": "%s", "kind": "analyze", '
+                '"wait": %s}' % (sha, wait_json)).encode()
+        status, _, payload = raw_request(server, "POST", "/reports",
+                                         body=body)
+        assert status == 400
+        assert "'wait' must be true or false" in payload["error"]
+        assert client.metrics()["counters"].get("report_cache_misses",
+                                                0) == 0
+
     def test_huge_timeout_is_clamped_not_wedged(self, server, client,
                                                 paper_trace):
         """1e999 parses to +inf in JSON; the server clamps it to its

@@ -193,6 +193,53 @@ class TestSweep:
         with pytest.raises(ReproError):
             sweep_traces([])
 
+    @pytest.mark.parametrize("params,message", [
+        ({"windows": 0}, "windows must be at least 1"),
+        ({"windows": "4"}, "windows must be an integer"),
+        ({"chunk_size": 0}, "chunk_size must be at least 1"),
+        ({"index": "nope"}, "unknown index of dispersion 'nope'")])
+    def test_bad_parameter_is_refused_before_any_trace(
+            self, trace_dir, monkeypatch, params, message):
+        """A refused value raises up front, with the message the CLI and
+        the daemon give, instead of an error row for every trace."""
+        def unread(*args, **kwargs):
+            raise AssertionError("a trace was read")
+
+        monkeypatch.setattr("repro.sweep.build_report", unread)
+        with pytest.raises(ReproError, match=re.escape(message)):
+            sweep_traces(trace_dir, params)
+        assert not (trace_dir / ".repro-temporal-cache").exists()
+
+    def test_workers_import_nothing_after_the_fork(self, trace_dir):
+        """A parallel sweep imports the temporal stack before its pool
+        forks, so no worker task imports a repro module of its own."""
+        from tests.test_imports import _python
+        script = """
+import sys
+from repro import sweep
+
+run = sweep._worker
+
+
+def recording(task):
+    before = set(sys.modules)
+    result = run(task)
+    late = sorted(name for name in set(sys.modules) - before
+                  if name.startswith("repro"))
+    return result, late
+
+
+sweep._worker = recording
+for result, late in sweep.sweep_traces(sys.argv[1], {"windows": 4},
+                                       jobs=2, use_cache=False):
+    assert result.error is None, result.error
+    print(result.path, *late)
+"""
+        completed = _python("-c", script, str(trace_dir))
+        assert completed.returncode == 0, completed.stderr
+        rows = [line.split() for line in completed.stdout.splitlines()]
+        assert [len(row) for row in rows] == [1, 1], rows
+
     def test_corrupt_cache_entry_recomputed(self, trace_dir):
         sweep_traces(trace_dir, {"windows": 4})
         cache = trace_dir / ".repro-temporal-cache"

@@ -306,7 +306,8 @@ def test_daemon_temporal_job_at_max_windows(wide_trace, tmp_path):
     one window at a time: the job completes within the same factor of
     a 16-window job's peak."""
     from repro.cache import ReportCache
-    from repro.serve.jobs import MAX_WINDOWS, JobRunner
+    from repro.reports import MAX_WINDOWS
+    from repro.serve.jobs import JobRunner
     from repro.serve.store import TraceStore
     store = TraceStore(tmp_path / "store")
     meta, _ = store.add_file(wide_trace)
