@@ -20,7 +20,8 @@ out here so every cache in the package behaves identically:
   the cache stores opaque text.  With ``max_bytes`` set the cache is
   **bounded**: every write evicts least-recently-used entries (reads
   refresh recency) until the directory fits under the cap again, so a
-  long-lived daemon's disk footprint stays flat.
+  long-lived daemon's disk footprint stays flat.  The eviction loop is
+  :class:`BoundedDirectory`'s, which the daemon's trace store shares.
 
 :func:`iter_chunks` is the bounded-read primitive under both
 :func:`content_key` and the trace store's hash-while-ingesting path:
@@ -39,9 +40,10 @@ import os
 import tempfile
 import threading
 from pathlib import Path
-from typing import Iterator, Mapping, Optional, Union
+from typing import Iterator, List, Mapping, Optional, Tuple, Union
 
 from . import __version__
+from .reports import SETTINGS, check_param
 
 PathLike = Union[str, Path]
 
@@ -99,7 +101,68 @@ def content_key(namespace: str, version: Union[int, str],
     return digest.hexdigest()
 
 
-class ReportCache:
+class BoundedDirectory:
+    """Entries of a directory, evicted least recently used first while
+    their total size is over ``max_bytes`` (``None``: unbounded).
+
+    An entry is a group of paths (:meth:`_entries` lists them with the
+    recency and the combined size); evicting it unlinks them in order,
+    so a sidecar can go before the bytes it describes.  ``setting``
+    names the :data:`repro.reports.SETTINGS` entry that ``max_bytes``
+    is checked against.
+    """
+
+    def __init__(self, max_bytes: Optional[int], setting: str) -> None:
+        check_param(setting, max_bytes, "max_bytes", table=SETTINGS)
+        self.max_bytes = max_bytes
+        self.evictions = 0
+        self._lock = threading.Lock()
+
+    def _entries(self) -> List[Tuple[float, int, Tuple[Path, ...]]]:
+        """``(mtime, size, paths)`` of every entry."""
+        raise NotImplementedError
+
+    def total_bytes(self) -> int:
+        """Total size of every entry, in bytes."""
+        return sum(size for _, size, _ in self._entries())
+
+    def evict(self, keep: Optional[Path] = None) -> int:
+        """Drop least-recently-used entries until ``max_bytes`` holds;
+        returns how many.  The entry holding ``keep`` (the one just
+        written) is never a victim, so a single oversized entry is
+        stored rather than thrashed."""
+        if self.max_bytes is None:
+            return 0
+        entries = sorted(self._entries(), key=lambda entry: entry[:2])
+        total = sum(size for _, size, _ in entries)
+        evicted = 0
+        for _, size, paths in entries:
+            if total <= self.max_bytes:
+                break
+            if keep in paths:
+                continue
+            try:
+                for path in paths:
+                    path.unlink()
+            except OSError:
+                continue           # lost a concurrent-eviction race
+            total -= size
+            evicted += 1
+        with self._lock:
+            self.evictions += evicted
+        return evicted
+
+    def stats(self) -> dict:
+        """Entry count, size, eviction counter and cap."""
+        with self._lock:
+            evictions = self.evictions
+        entries = self._entries()
+        return {"entries": len(entries),
+                "bytes": sum(size for _, size, _ in entries),
+                "evictions": evictions, "max_bytes": self.max_bytes}
+
+
+class ReportCache(BoundedDirectory):
     """A directory of content-keyed text entries.
 
     Entries are opaque text payloads (JSON, rendered reports, ...)
@@ -114,22 +177,17 @@ class ReportCache:
     ``max_bytes`` caps the directory's total entry size: every
     :meth:`put` evicts least-recently-used entries (a :meth:`get` hit
     refreshes its entry's mtime) until the cap holds again.  The entry
-    just written is never evicted — a single oversized payload is
-    stored rather than thrashed — and a concurrent reader of an entry
+    just written is never evicted, and a concurrent reader of an entry
     being evicted simply scores a miss and recomputes.
     """
 
     def __init__(self, directory: PathLike, suffix: str = ".json",
                  max_bytes: Optional[int] = None) -> None:
-        if max_bytes is not None and max_bytes < 1:
-            raise ValueError("max_bytes must be at least 1")
+        super().__init__(max_bytes, "max_cache_bytes")
         self.directory = Path(directory)
         self.suffix = suffix
-        self.max_bytes = max_bytes
         self.hits = 0
         self.misses = 0
-        self.evictions = 0
-        self._lock = threading.Lock()
 
     def path(self, key: str) -> Path:
         """Where the entry for ``key`` lives (whether or not it exists)."""
@@ -173,38 +231,8 @@ class ReportCache:
             except OSError:
                 pass
             raise
-        self._evict(keep=entry)
+        self.evict(keep=entry)
         return entry
-
-    def _evict(self, keep: Optional[Path] = None) -> None:
-        """Drop LRU entries until the directory fits under ``max_bytes``."""
-        if self.max_bytes is None:
-            return
-        entries = []
-        total = 0
-        for candidate in self.directory.iterdir():
-            if candidate.name.startswith(".") \
-                    or not candidate.name.endswith(self.suffix):
-                continue
-            try:
-                stat = candidate.stat()
-            except OSError:
-                continue           # lost a concurrent-eviction race
-            total += stat.st_size
-            entries.append((stat.st_mtime, stat.st_size, candidate))
-        entries.sort(key=lambda item: item[:2])
-        for _, size, victim in entries:
-            if total <= self.max_bytes:
-                break
-            if keep is not None and victim == keep:
-                continue
-            try:
-                victim.unlink()
-            except OSError:
-                continue
-            total -= size
-            with self._lock:
-                self.evictions += 1
 
     def keys(self) -> Iterator[str]:
         """Keys of every stored entry (unordered)."""
@@ -222,21 +250,19 @@ class ReportCache:
     def __contains__(self, key: str) -> bool:
         return self.path(key).is_file()
 
-    def total_bytes(self) -> int:
-        """Total size of every stored entry, in bytes."""
-        total = 0
+    def _entries(self) -> List[Tuple[float, int, Tuple[Path, ...]]]:
+        entries = []
         for key in self.keys():
+            entry = self.path(key)
             try:
-                total += self.path(key).stat().st_size
+                stat = entry.stat()
             except OSError:
-                continue
-        return total
+                continue           # lost a concurrent-eviction race
+            entries.append((stat.st_mtime, stat.st_size, (entry,)))
+        return entries
 
     def stats(self) -> dict:
         """Hit/miss/eviction counters plus current size and count."""
         with self._lock:
             hits, misses = self.hits, self.misses
-            evictions = self.evictions
-        return {"hits": hits, "misses": misses, "evictions": evictions,
-                "entries": len(self), "bytes": self.total_bytes(),
-                "max_bytes": self.max_bytes}
+        return {"hits": hits, "misses": misses, **super().stats()}

@@ -70,14 +70,12 @@ from typing import List, Optional
 
 from . import __version__
 from .errors import ReproError, TraceWarning
-from .reports import (PARAMS, REPORT_KINDS, build_report,  # noqa: F401
-                      check_param, param_names, render_analyze_report,
-                      render_temporal_report)
+from .reports import (PARAMS, REPORT_KINDS, SETTINGS,  # noqa: F401
+                      build_report, check_param, param_names,
+                      render_analyze_report, render_temporal_report)
 
-#: Default daemon address shared by the submit/fetch verbs (kept in
-#: sync with :data:`repro.serve.client.DEFAULT_URL`, which the CLI must
-#: not import at parse time — subcommand parsing stays lightweight).
-_DEFAULT_SERVE_URL = "http://127.0.0.1:8765"
+#: Every declared option: the report parameters and the service settings.
+_DECLARED = {**PARAMS, **SETTINGS}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -93,7 +91,8 @@ def _build_parser() -> argparse.ArgumentParser:
     analyze_cmd = commands.add_parser(
         "analyze", help="analyze a trace file post mortem")
     analyze_cmd.add_argument("tracefile", help="trace written by repro "
-                                               "(.jsonl or .jsonl.gz)")
+                                               "(.jsonl, .jsonl.gz or "
+                                               ".rptb)")
     _add_params(analyze_cmd, *param_names("analyze"))
 
     commands.add_parser(
@@ -181,11 +180,6 @@ def _build_parser() -> argparse.ArgumentParser:
     serve_cmd = commands.add_parser(
         "serve", help="run the analysis service daemon: HTTP trace "
                       "ingestion, cached report serving, /metrics")
-    serve_cmd.add_argument("--host", default="127.0.0.1",
-                           help="bind address (default: 127.0.0.1)")
-    serve_cmd.add_argument("--port", type=int, default=8765,
-                           help="bind port; 0 picks a free one "
-                                "(default: 8765)")
     serve_cmd.add_argument("--store", default=".repro-serve",
                            metavar="DIR",
                            help="trace store + report cache directory "
@@ -193,30 +187,7 @@ def _build_parser() -> argparse.ArgumentParser:
     serve_cmd.add_argument("--cache-dir", metavar="DIR",
                            help="report cache directory (default: "
                                 "report-cache under --store)")
-    serve_cmd.add_argument("--workers", type=int, default=4,
-                           help="analysis worker threads (default: 4)")
-    serve_cmd.add_argument("--max-body-bytes", type=int,
-                           default=None, metavar="N",
-                           help="largest accepted request body; bigger "
-                                "uploads get HTTP 413 (default: 256 MiB)")
-    serve_cmd.add_argument("--max-queue", type=int, default=None,
-                           metavar="N",
-                           help="jobs in flight before load is shed "
-                                "with HTTP 429 (default: 64)")
-    serve_cmd.add_argument("--max-cache-bytes", type=int, default=None,
-                           metavar="N",
-                           help="report cache size cap; exceeding it "
-                                "evicts least-recently-used reports "
-                                "(default: unbounded)")
-    serve_cmd.add_argument("--max-store-bytes", type=int, default=None,
-                           metavar="N",
-                           help="trace store size cap; exceeding it "
-                                "evicts least-recently-analyzed traces "
-                                "(default: unbounded)")
-    serve_cmd.add_argument("--request-timeout", type=float, default=None,
-                           metavar="SECONDS",
-                           help="per-connection socket timeout guarding "
-                                "against slow-loris peers (default: 60)")
+    _add_params(serve_cmd, *_settings_of("serve"))
     serve_cmd.add_argument("--ready-file", metavar="PATH",
                            help="write 'HOST PORT' here once serving "
                                 "(for scripts and CI)")
@@ -228,22 +199,16 @@ def _build_parser() -> argparse.ArgumentParser:
     submit_cmd.add_argument("tracefile", help="trace to upload "
                                               "(.jsonl, .jsonl.gz or "
                                               ".rptb)")
-    submit_cmd.add_argument("--url", default=_DEFAULT_SERVE_URL,
-                            help=f"daemon base URL (default: "
-                                 f"{_DEFAULT_SERVE_URL})")
     submit_cmd.add_argument("--name", help="display name to store with "
                                            "the trace (default: the "
                                            "file name)")
-    _add_retry_arguments(submit_cmd)
+    _add_params(submit_cmd, *_settings_of("submit"))
 
     fetch_cmd = commands.add_parser(
         "fetch", help="fetch a report from a running analysis daemon")
     fetch_cmd.add_argument("trace",
                            help="trace file (submitted first if needed) "
                                 "or the sha256 digest of a stored trace")
-    fetch_cmd.add_argument("--url", default=_DEFAULT_SERVE_URL,
-                           help=f"daemon base URL (default: "
-                                f"{_DEFAULT_SERVE_URL})")
     fetch_cmd.add_argument("--kind", default="analyze",
                            choices=REPORT_KINDS,
                            help="report kind (default: analyze)")
@@ -251,21 +216,22 @@ def _build_parser() -> argparse.ArgumentParser:
     fetch_cmd.add_argument("--json", action="store_true",
                            help="print the structured JSON report "
                                 "instead of the rendered text")
-    _add_retry_arguments(fetch_cmd)
+    _add_params(fetch_cmd, *_settings_of("fetch"))
     return parser
 
 
 def _flag(name: str) -> str:
-    """A report parameter's command-line spelling."""
+    """A declared option's command-line spelling."""
     return "--" + name.replace("_", "-")
 
 
 def _add_params(command, *names: str, **options) -> None:
-    """Add the options of report parameters ``names``, as
-    :data:`repro.reports.PARAMS` declares them; ``options`` override
+    """Add the options of report parameters or service settings
+    ``names``, as :data:`repro.reports.PARAMS` and
+    :data:`repro.reports.SETTINGS` declare them; ``options`` override
     argparse keywords."""
     for name in names:
-        param = PARAMS[name]
+        param = _DECLARED[name]
         if param.type is bool:
             declared = {"action": "store_true", "help": param.help}
         else:
@@ -275,27 +241,16 @@ def _add_params(command, *names: str, **options) -> None:
         command.add_argument(_flag(name), **{**declared, **options})
 
 
-def _add_retry_arguments(command) -> None:
-    """The client-resilience flags shared by ``submit`` and ``fetch``."""
-    command.add_argument("--retries", type=int, default=2,
-                         help="extra attempts after a connection "
-                              "failure, 429 or 503 (default: 2; "
-                              "0 disables retrying)")
-    command.add_argument("--retry-max-wait", type=float, default=15.0,
-                         metavar="SECONDS",
-                         help="ceiling on one retry backoff sleep, "
-                              "also caps an honored Retry-After "
-                              "(default: 15)")
+def _settings_of(verb: str) -> List[str]:
+    """The service settings ``verb`` takes as options."""
+    return [name for name, setting in SETTINGS.items()
+            if verb in setting.verbs]
 
 
-def _make_client(arguments):
-    from .serve.client import ServeClient
-    if arguments.retries < 0:
-        raise ReproError("--retries must not be negative")
-    if arguments.retry_max_wait < 0:
-        raise ReproError("--retry-max-wait must not be negative")
-    return ServeClient(arguments.url, retries=arguments.retries,
-                       retry_max_wait=arguments.retry_max_wait)
+def _settings(arguments) -> dict:
+    """The service settings a parsed command line holds, by name."""
+    return {name: getattr(arguments, name)
+            for name in _settings_of(arguments.command)}
 
 
 class _Profiled:
@@ -536,29 +491,10 @@ def _command_serve(arguments) -> int:
     import socket
 
     from .serve import AnalysisServer
-    if arguments.workers < 1:
-        raise ReproError("--workers must be at least 1")
-    if not 0 <= arguments.port <= 65535:
-        raise ReproError("--port must be between 0 and 65535")
-    for flag in ("max_body_bytes", "max_queue", "max_cache_bytes",
-                 "max_store_bytes"):
-        value = getattr(arguments, flag)
-        if value is not None and value < 1:
-            raise ReproError(
-                f"--{flag.replace('_', '-')} must be at least 1")
-    if arguments.request_timeout is not None \
-            and arguments.request_timeout <= 0:
-        raise ReproError("--request-timeout must be positive")
-    # A cap not given keeps the daemon's own default.
-    caps = {name: getattr(arguments, name)
-            for name in ("max_body_bytes", "max_queue", "max_cache_bytes",
-                         "max_store_bytes", "request_timeout")
-            if getattr(arguments, name) is not None}
     try:
-        daemon = AnalysisServer(
-            arguments.store, host=arguments.host, port=arguments.port,
-            workers=arguments.workers, cache_dir=arguments.cache_dir,
-            verbose=arguments.verbose, **caps)
+        daemon = AnalysisServer(arguments.store, cache_dir=arguments.cache_dir,
+                                verbose=arguments.verbose,
+                                **_settings(arguments))
     except OSError as error:
         raise ReproError(
             f"cannot bind {arguments.host}:{arguments.port}: {error}")
@@ -594,8 +530,9 @@ def _command_serve(arguments) -> int:
 
 
 def _command_submit(arguments) -> int:
-    meta = _make_client(arguments).submit(arguments.tracefile,
-                                          name=arguments.name)
+    from .serve.client import ServeClient
+    meta = ServeClient(**_settings(arguments)).submit(arguments.tracefile,
+                                                      name=arguments.name)
     verb = "stored" if meta["created"] else "already stored"
     note = " [salvaged]" if meta["salvaged"] else ""
     print(f"{verb} {meta['sha256']} ({meta['events']} events, "
@@ -606,7 +543,8 @@ def _command_submit(arguments) -> int:
 def _command_fetch(arguments) -> int:
     import json as _json
 
-    client = _make_client(arguments)
+    from .serve.client import ServeClient
+    client = ServeClient(**_settings(arguments))
     target = Path(arguments.trace)
     if target.is_file():
         sha = client.submit(target)["sha256"]
@@ -656,7 +594,8 @@ _OUTPUT_PATHS = {
 
 def _check_arguments(arguments) -> None:
     """Fail fast on unreadable or unwritable file arguments and on
-    refused report parameter values, before any heavy work."""
+    refused report parameter or service setting values, before any
+    heavy work."""
     for dest in _OUTPUT_PATHS.get(arguments.command, ()):
         output = getattr(arguments, dest)
         if output is None:
@@ -667,9 +606,10 @@ def _check_arguments(arguments) -> None:
         if not path.parent.is_dir():
             raise ReproError(f"cannot write {path}: directory "
                              f"{path.parent} does not exist")
-    for name in PARAMS:
+    for name in _DECLARED:
         if hasattr(arguments, name):
-            check_param(name, getattr(arguments, name), _flag(name))
+            check_param(name, getattr(arguments, name), _flag(name),
+                        table=_DECLARED)
     tracefile = getattr(arguments, "tracefile", None)
     if tracefile is None:
         return

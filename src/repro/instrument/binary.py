@@ -17,8 +17,9 @@ Layout (little-endian):
 
 The readers decode whole blocks of records with one ``np.frombuffer``
 and find the first invalid record with a vectorized mask.
-:func:`sniff_format` detects which reader a file needs; :func:`read_any`
-dispatches, so tools accept either format.
+:func:`sniff_format` detects which reader a file needs by its bytes
+(gzip too, whatever the file's name); :func:`read_any` dispatches, so
+tools accept either format.
 """
 
 from __future__ import annotations
@@ -227,20 +228,33 @@ def read_binary_trace(path: PathLike,
     return materialize(iter_binary_trace(path, on_error=on_error))
 
 
-def sniff_format(path: PathLike) -> str:
-    """``"binary"``, ``"jsonl"`` or ``"unknown"`` by file signature."""
-    source = Path(path)
-    if not source.exists():
-        raise TraceError(f"trace file {source} does not exist")
-    if source.suffix == ".gz":
-        return "jsonl"
-    with open(source, "rb") as stream:
-        head = stream.read(4)
-    if head == MAGIC:
+def sniff_bytes(head: bytes) -> str:
+    """``"binary"``, ``"gzip"`` (gzipped JSONL), ``"jsonl"`` or
+    ``"unknown"`` by a file's first four bytes: the one format sniffer,
+    which no file name overrules."""
+    if head[:4] == MAGIC:
         return "binary"
+    if head[:2] == b"\x1f\x8b":
+        return "gzip"
     if head[:1] == b"{":
         return "jsonl"
     return "unknown"
+
+
+def sniff_file(path: PathLike) -> str:
+    """:func:`sniff_bytes` of a trace file."""
+    source = Path(path)
+    if not source.exists():
+        raise TraceError(f"trace file {source} does not exist")
+    with open(source, "rb") as stream:
+        return sniff_bytes(stream.read(4))
+
+
+def sniff_format(path: PathLike) -> str:
+    """``"binary"``, ``"jsonl"`` (gzipped or not) or ``"unknown"`` by
+    file signature."""
+    kind = sniff_file(path)
+    return "jsonl" if kind == "gzip" else kind
 
 
 def format_reader(path: PathLike) -> Callable[..., Iterator[EventColumns]]:

@@ -9,7 +9,8 @@ simple and self-describing:
   ``g`` (region), ``a`` (activity), ``b`` (begin), ``e`` (end),
   ``k`` (kind), ``n`` (nbytes), ``p`` (partner).
 
-Files ending in ``.gz`` are transparently gzip-compressed.  Reading
+Files ending in ``.gz`` are written gzip-compressed, and gzip is read
+transparently, recognized by its bytes whatever the file's name.  Reading
 validates the header and every event.  A corrupt or truncated file is
 *salvaged* by default: the valid prefix of events is returned and a
 :class:`~repro.errors.TraceWarning` reports what was lost — a run that
@@ -100,20 +101,24 @@ def scan_trace_span(source: Path, start: int, stop: Optional[int],
 
     Spans that tile the file partition its events exactly once.  Every
     span reads the header, whose rank count bounds every event's rank;
-    gzip is read only as the whole span ``[0, None)``.  Blank lines are
+    gzip, told by its bytes (:func:`~repro.instrument.binary.sniff_bytes`),
+    is read only as the whole span ``[0, None)``.  Blank lines are
     skipped.  A bad line or a damaged stream (a truncated or corrupt
     gzip member) ends the span; the returned
     :class:`~repro.instrument.columns.Scan` reports it.
     """
-    compressed = source.suffix == ".gz"
-    if compressed and (start or stop is not None):
-        raise TraceError(
-            f"trace {source}: byte-range spans require an uncompressed "
-            "trace (gzip streams are not seekable)")
+    from .binary import sniff_bytes   # binary imports this module
     builder = ColumnBuilder()
     kept = 0
     reason = promised = None
-    with (gzip.open if compressed else open)(source, "rb") as stream:
+    with open(source, "rb") as raw:
+        stream = raw
+        if sniff_bytes(raw.peek(4)[:4]) == "gzip":
+            if start or stop is not None:
+                raise TraceError(
+                    f"trace {source}: byte-range spans require an "
+                    "uncompressed trace (gzip streams are not seekable)")
+            stream = gzip.GzipFile(fileobj=raw)
         try:
             promised, ranks = read_header(source, stream)
             if start:

@@ -11,7 +11,7 @@ cache/store/limits extras) into the Prometheus text exposition format
         metrics_path: /metrics
         # the daemon content-negotiates: text/plain -> this format
         static_configs:
-          - targets: ["127.0.0.1:8765"]
+          - targets: ["HOST:PORT"]   # as `repro serve` binds them
 
 Mapping rules (stdlib only, no client library):
 

@@ -11,7 +11,8 @@ the command's output and a sweep row reads the very numbers ``repro
 temporal`` prints, by construction.
 
 :data:`PARAMS` declares each report parameter once, for every entry
-point, and :func:`check_param` is the one check of a value.
+point, :data:`SETTINGS` each setting of the service verbs and of the
+daemon's parts, and :func:`check_param` is the one check of a value.
 
 Everything imports the analysis stack when it runs, so importing this
 module costs nothing: ``repro --help`` stays free of numpy.
@@ -32,11 +33,13 @@ _ANALYZE, _TEMPORAL = ("analyze",), ("temporal",)
 
 
 class Param(NamedTuple):
-    """One report parameter.  ``role``: ``result`` shapes the numbers or
-    the outcome, ``read`` only how the trace is read, ``section`` only a
-    section of text, ``observe`` only the run's own spans.  Values lie
-    in ``[low, high]``, or ``(low, high)`` if ``open``; daemon jobs take
-    it if ``served``, up to ``served_high``."""
+    """One report parameter or service setting.  A parameter's ``role``:
+    ``result`` shapes the numbers or the outcome, ``read`` only how the
+    trace is read, ``section`` only a section of text, ``observe`` only
+    the run's own spans; a setting's: ``limit`` if ``None`` lifts it (in
+    the library), else ``setting``.  Values lie in ``[low, high]``, or
+    ``(low, high)`` if ``open``; daemon jobs take it if ``served``, up
+    to ``served_high``."""
 
     type: type
     default: object
@@ -107,6 +110,48 @@ PARAMS = {
                          metavar="PATH"),
 }
 
+_SERVE, _CLIENT = ("serve",), ("submit", "fetch")
+_HOST, _PORT = "127.0.0.1", 8765
+
+#: The service settings: the options of the verbs they list (none for
+#: a library-only one) and the keywords of the daemon's parts.
+SETTINGS = {
+    "host": Param(str, _HOST, "bind address", _SERVE, "setting"),
+    "port": Param(int, _PORT, "bind port; 0 picks a free one", _SERVE,
+                  "setting", low=0, high=65535),
+    "workers": Param(int, 4, "analysis worker threads", _SERVE, "setting",
+                     low=1),
+    "max_body_bytes": Param(int, 1 << 28, "largest accepted request body; "
+                            "bigger uploads get HTTP 413", _SERVE, "setting",
+                            "N", low=1),
+    "max_queue": Param(int, 64, "jobs in flight before load is shed with "
+                       "HTTP 429", _SERVE, "limit", "N", low=1),
+    "max_cache_bytes": Param(int, None, "report cache size cap; exceeding "
+                             "it evicts least-recently-used reports "
+                             "(default: unbounded)", _SERVE, "limit", "N",
+                             low=1),
+    "max_store_bytes": Param(int, None, "trace store size cap; exceeding "
+                             "it evicts least-recently-analyzed traces "
+                             "(default: unbounded)", _SERVE, "limit", "N",
+                             low=1),
+    "request_timeout": Param(float, 60.0, "per-connection socket timeout "
+                             "guarding against slow-loris peers", _SERVE,
+                             "limit", "SECONDS", low=0, open=True),
+    "max_wait_seconds": Param(float, 600.0, "ceiling on any request's "
+                              "blocking wait for a report", (), "setting",
+                              low=0, open=True),
+    "url": Param(str, f"http://{_HOST}:{_PORT}", "daemon base URL", _CLIENT,
+                 "setting"),
+    "retries": Param(int, 2, "extra attempts after a connection failure, "
+                     "429 or 503; 0 disables retrying", _CLIENT, "setting",
+                     low=0),
+    "retry_max_wait": Param(float, 15.0, "ceiling on one retry backoff "
+                            "sleep, also caps an honored Retry-After",
+                            _CLIENT, "setting", "SECONDS", low=0),
+    "retry_base_wait": Param(float, 0.25, "first retry backoff sleep, "
+                             "doubled per attempt", (), "setting", low=0),
+}
+
 _NOUNS = {int: "an integer", float: "a number", str: "a string",
           bool: "true or false"}
 
@@ -125,12 +170,13 @@ def param_names(kind: str, *roles: str, served: bool = False
 
 
 def check_param(name: str, value, spelling: Optional[str] = None, *,
-                served: bool = False):
-    """``value``, if valid for parameter ``name`` (with the daemon's
-    bounds if ``served``; ``None`` where it is the default), else a
-    :class:`ReproError` naming it ``spelling`` (default: ``name``)."""
-    param, spelling = PARAMS[name], spelling or name
-    if value is None and param.default is None:
+                served: bool = False, table: Mapping[str, Param] = PARAMS):
+    """``value``, if valid for ``table``'s entry ``name`` (with the
+    daemon's bounds if ``served``; ``None`` where it is the default or
+    lifts a limit), else a :class:`ReproError` naming it ``spelling``
+    (default: ``name``)."""
+    param, spelling = table[name], spelling or name
+    if value is None and (param.default is None or param.role == "limit"):
         return value
     accepted = (int, float) if param.type is float else param.type
     if not isinstance(value, accepted) or (isinstance(value, bool)
@@ -140,7 +186,10 @@ def check_param(name: str, value, spelling: Optional[str] = None, *,
         raise ReproError(f"{spelling} must be a finite number")
     low, high = param.low, (param.served_high if served and param.served_high
                             else param.high)
-    if param.open:
+    if param.open and high is None:
+        if not value > low:
+            raise ReproError(f"{spelling} must be greater than {low:g}")
+    elif param.open:
         if not low < value < high:
             raise ReproError(f"{spelling} must lie in ({low:g}, {high:g})")
     elif low is not None and value < low:
@@ -148,6 +197,14 @@ def check_param(name: str, value, spelling: Optional[str] = None, *,
     elif high is not None and value > high:
         raise ReproError(f"{spelling} must be at most {high:g}")
     return value
+
+
+def check_settings(**values) -> None:
+    """Refuse the first of ``values`` (by setting name) that
+    :data:`SETTINGS` refuses: a constructor's one check of its
+    keywords."""
+    for name, value in values.items():
+        check_param(name, value, table=SETTINGS)
 
 
 def resolve_params(kind: str, given: Mapping, *roles: str,

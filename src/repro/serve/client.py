@@ -4,7 +4,7 @@ Programmatic access::
 
     from repro.serve.client import ServeClient
 
-    client = ServeClient("http://127.0.0.1:8765")
+    client = ServeClient()             # the daemon at DEFAULT_URL
     meta = client.submit("trace.jsonl")
     payload = client.report(meta["sha256"], kind="analyze")
     print(payload["text"], end="")     # byte-identical to `repro analyze`
@@ -37,20 +37,21 @@ from typing import Optional, Union
 from ..cache import iter_chunks
 from ..errors import ReproError
 from ..obs.log import new_request_id
+from ..reports import SETTINGS, check_settings
 
 PathLike = Union[str, Path]
 
-DEFAULT_URL = "http://127.0.0.1:8765"
+DEFAULT_URL = SETTINGS["url"].default
 
 #: Extra attempts after the first failed one (connection errors and
 #: retryable statuses only).
-DEFAULT_RETRIES = 2
+DEFAULT_RETRIES = SETTINGS["retries"].default
 
 #: Ceiling on one backoff sleep; also caps an honored ``Retry-After``.
-DEFAULT_RETRY_MAX_WAIT = 15.0
+DEFAULT_RETRY_MAX_WAIT = SETTINGS["retry_max_wait"].default
 
 #: First backoff sleep; doubles per attempt up to the ceiling.
-DEFAULT_RETRY_BASE_WAIT = 0.25
+DEFAULT_RETRY_BASE_WAIT = SETTINGS["retry_base_wait"].default
 
 #: HTTP statuses that signal a transient server condition.
 RETRY_STATUSES = (429, 503)
@@ -91,16 +92,15 @@ class ServeClient:
                  retry_max_wait: float = DEFAULT_RETRY_MAX_WAIT,
                  retry_base_wait: float = DEFAULT_RETRY_BASE_WAIT,
                  sleep=time.sleep, rng=random.random) -> None:
+        check_settings(url=url, retries=retries,
+                       retry_max_wait=retry_max_wait,
+                       retry_base_wait=retry_base_wait)
         self.url = url.rstrip("/")
         if not self.url.startswith(("http://", "https://")):
             raise ReproError(
                 f"service URL must be http(s), got {url!r}")
-        if retries < 0:
-            raise ReproError("retries must not be negative")
-        if retry_max_wait < 0 or retry_base_wait < 0:
-            raise ReproError("retry waits must not be negative")
         self.timeout = timeout
-        self.retries = int(retries)
+        self.retries = retries
         self.retry_max_wait = float(retry_max_wait)
         self.retry_base_wait = float(retry_base_wait)
         # Injection points so tests (and callers embedding the client

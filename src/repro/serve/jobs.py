@@ -58,7 +58,7 @@ JOB_KINDS = reports.REPORT_KINDS
 
 #: Default bound on jobs in flight (queued + running).  Beyond it the
 #: runner sheds load instead of queueing without limit.
-DEFAULT_MAX_QUEUE = 64
+DEFAULT_MAX_QUEUE = reports.SETTINGS["max_queue"].default
 
 
 class QueueFullError(ReproError):
@@ -121,16 +121,15 @@ class JobRunner:
 
     def __init__(self, store: TraceStore, cache: ReportCache,
                  metrics: Optional[ServiceMetrics] = None,
-                 workers: int = 4,
+                 workers: int = reports.SETTINGS["workers"].default,
                  max_queue: Optional[int] = DEFAULT_MAX_QUEUE,
                  logger: Optional[obslog.JsonLogger] = None) -> None:
-        if max_queue is not None and max_queue < 1:
-            raise ReproError("max_queue must be at least 1")
+        reports.check_settings(workers=workers, max_queue=max_queue)
         self.store = store
         self.cache = cache
         self.metrics = metrics or ServiceMetrics()
         self.logger = logger if logger is not None else obslog.NullLogger()
-        self.workers = max(1, workers)
+        self.workers = workers
         self.max_queue = max_queue
         self._executor = ThreadPoolExecutor(
             max_workers=self.workers,

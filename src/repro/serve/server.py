@@ -63,6 +63,7 @@ from ..obs import memory as obsmemory
 from ..obs.log import (JsonLogger, NullLogger, new_request_id,
                        request_scope)
 from ..obs.prom import PROM_CONTENT_TYPE, render_prometheus
+from ..reports import SETTINGS, check_settings
 from .jobs import (DEFAULT_MAX_QUEUE, JobRunner, QueueFullError,
                    ServiceDrainingError)
 from .metrics import ServiceMetrics
@@ -74,22 +75,20 @@ PathLike = Union[str, Path]
 #: able to exhaust server memory); override per daemon with
 #: ``AnalysisServer(max_body_bytes=...)`` / ``repro serve
 #: --max-body-bytes``.
-DEFAULT_MAX_BODY_BYTES = 1 << 28
-#: Backwards-compatible alias for the default body cap.
-MAX_UPLOAD_BYTES = DEFAULT_MAX_BODY_BYTES
+DEFAULT_MAX_BODY_BYTES = SETTINGS["max_body_bytes"].default
 
 #: Default bound on one request's blocking wait for a report.
 DEFAULT_WAIT_SECONDS = 300.0
 
-#: Hard server-side ceiling on any request's blocking wait: whatever a
-#: client asks for is clamped here, so no request can wedge a handler
+#: Default server-side ceiling on any request's blocking wait: whatever
+#: a client asks for is clamped here, so no request can wedge a handler
 #: thread indefinitely.
-MAX_WAIT_SECONDS = 600.0
+MAX_WAIT_SECONDS = SETTINGS["max_wait_seconds"].default
 
 #: Default per-connection socket timeout.  A peer that stops sending
 #: (or reading) for this long — a slow-loris — loses its connection
 #: instead of pinning a handler thread.
-DEFAULT_REQUEST_TIMEOUT = 60.0
+DEFAULT_REQUEST_TIMEOUT = SETTINGS["request_timeout"].default
 
 #: Chunk size for spooling request bodies to the trace store.
 _BODY_CHUNK = 1 << 20
@@ -480,8 +479,9 @@ class AnalysisServer:
     or as a foreground process via ``repro serve``.
     """
 
-    def __init__(self, store_dir: PathLike, host: str = "127.0.0.1",
-                 port: int = 0, workers: int = 4,
+    def __init__(self, store_dir: PathLike,
+                 host: str = SETTINGS["host"].default, port: int = 0,
+                 workers: int = SETTINGS["workers"].default,
                  cache_dir: Optional[PathLike] = None,
                  verbose: bool = False,
                  max_body_bytes: int = DEFAULT_MAX_BODY_BYTES,
@@ -491,19 +491,19 @@ class AnalysisServer:
                  max_wait_seconds: float = MAX_WAIT_SECONDS,
                  request_timeout: Optional[float] = \
                      DEFAULT_REQUEST_TIMEOUT) -> None:
-        if max_body_bytes < 1:
-            raise ReproError("max_body_bytes must be at least 1")
-        if max_wait_seconds <= 0:
-            raise ReproError("max_wait_seconds must be positive")
-        if request_timeout is not None and request_timeout <= 0:
-            raise ReproError("request_timeout must be positive")
+        check_settings(host=host, port=port, workers=workers,
+                       max_body_bytes=max_body_bytes, max_queue=max_queue,
+                       max_cache_bytes=max_cache_bytes,
+                       max_store_bytes=max_store_bytes,
+                       max_wait_seconds=max_wait_seconds,
+                       request_timeout=request_timeout)
         self.store = TraceStore(store_dir, max_bytes=max_store_bytes)
         self.cache = ReportCache(
             Path(cache_dir) if cache_dir is not None
             else Path(store_dir) / "report-cache",
             max_bytes=max_cache_bytes)
         self.metrics = ServiceMetrics()
-        self.workers = max(1, workers)
+        self.workers = workers
         self.max_body_bytes = max_body_bytes
         self.max_wait_seconds = float(max_wait_seconds)
         self.request_timeout = request_timeout

@@ -29,7 +29,8 @@ spools any byte source to disk in fixed-size chunks while hashing it
 materializes in RAM.  With ``max_bytes`` set the store is size-capped:
 each successful ingest evicts least-recently-analyzed traces (reads
 via :meth:`TraceStore.path` refresh recency) until the cap holds, the
-just-ingested trace always surviving.
+just-ingested trace always surviving: the report cache's eviction loop,
+:class:`repro.cache.BoundedDirectory`.
 """
 
 from __future__ import annotations
@@ -39,18 +40,20 @@ import io
 import json
 import os
 import tempfile
-import threading
 import warnings
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import BinaryIO, List, Optional, Tuple, Union
 
-from ..cache import HASH_CHUNK, iter_chunks
+from ..cache import HASH_CHUNK, BoundedDirectory, iter_chunks
 from ..errors import TraceError, TraceWarning
-from ..instrument.binary import MAGIC
+from ..instrument.binary import sniff_bytes
 from ..instrument.stream import accumulate_trace
 
 PathLike = Union[str, Path]
+
+#: The suffix a stored object of each sniffed format gets.
+_SUFFIXES = {"binary": ".rptb", "gzip": ".jsonl.gz"}
 
 
 @dataclass(frozen=True)
@@ -88,26 +91,22 @@ class StoredTrace:
 
 
 def sniff_suffix(data: bytes) -> str:
-    """The file suffix the format sniffer expects for these bytes."""
-    if data[:4] == MAGIC:
-        return ".rptb"
-    if data[:2] == b"\x1f\x8b":
-        return ".jsonl.gz"
-    return ".jsonl"
+    """The file suffix of these bytes' format, as the readers' sniffer
+    (:func:`~repro.instrument.binary.sniff_bytes`) decides it."""
+    return _SUFFIXES.get(sniff_bytes(data), ".jsonl")
 
 
-class TraceStore:
-    """A directory of content-addressed trace files."""
+class TraceStore(BoundedDirectory):
+    """A directory of content-addressed trace files, evicted least
+    recently analyzed first over ``max_bytes``.  Reports already cached
+    for an evicted trace stay cached: only re-analysis under *new*
+    parameters needs a resubmission."""
 
     def __init__(self, directory: PathLike,
                  max_bytes: Optional[int] = None) -> None:
-        if max_bytes is not None and max_bytes < 1:
-            raise ValueError("max_bytes must be at least 1")
+        super().__init__(max_bytes, "max_store_bytes")
         self.directory = Path(directory)
         self.objects = self.directory / "objects"
-        self.max_bytes = max_bytes
-        self.evictions = 0
-        self._lock = threading.Lock()
 
     # ------------------------------------------------------------------
     # Lookup
@@ -119,7 +118,7 @@ class TraceStore:
         """(object path, meta path) of a stored trace, or None."""
         if not self.objects.is_dir():
             return None
-        for suffix in (".jsonl", ".jsonl.gz", ".rptb"):
+        for suffix in (".jsonl", *_SUFFIXES.values()):
             candidate = self.objects / f"{sha}{suffix}"
             if candidate.is_file():
                 return candidate, self._meta_path(sha, suffix)
@@ -240,7 +239,7 @@ class TraceStore:
                              scratch.with_name(scratch.name + ".meta")):
                 if leftover.exists():
                     leftover.unlink()
-        self.evict(keep=sha)
+        self.evict(keep=self.objects / f"{sha}{suffix}")
         return meta, True
 
     def add_bytes(self, data: bytes,
@@ -259,77 +258,19 @@ class TraceStore:
         except OSError as error:
             raise TraceError(f"cannot read {source}: {error}") from error
 
-    # ------------------------------------------------------------------
-    # Bounded storage
-    # ------------------------------------------------------------------
-    def total_bytes(self) -> int:
-        """Bytes held by every published object and its sidecar."""
-        total = 0
-        for _, _, size in self._published():
-            total += size
-        return total
-
-    def _published(self) -> List[Tuple[Path, Path, int]]:
-        """(object, sidecar, combined size) of every published trace."""
+    def _entries(self) -> List[Tuple[float, int, Tuple[Path, ...]]]:
+        """Every published trace: its object's mtime, the combined size
+        and its paths, the sidecar first (the reverse of the publish
+        order, so no reader sees metadata without data)."""
         if not self.objects.is_dir():
             return []
         published = []
         for sidecar in self.objects.glob("*.meta.json"):
             obj = sidecar.with_name(sidecar.name[:-len(".meta.json")])
             try:
-                size = obj.stat().st_size + sidecar.stat().st_size
+                stat = obj.stat()
+                size = stat.st_size + sidecar.stat().st_size
             except OSError:
                 continue           # lost a concurrent-eviction race
-            published.append((obj, sidecar, size))
+            published.append((stat.st_mtime, size, (sidecar, obj)))
         return published
-
-    def evict(self, keep: Optional[str] = None) -> int:
-        """Drop least-recently-analyzed traces until ``max_bytes`` holds.
-
-        Returns the number of traces evicted.  The trace digested
-        ``keep`` (the one an ingest just published) is never a victim,
-        so a single oversized trace is stored rather than thrashed.
-        Reports already cached for an evicted trace stay cached — only
-        re-analysis under *new* parameters needs a resubmission.
-        """
-        if self.max_bytes is None:
-            return 0
-        ranked = []
-        total = 0
-        for obj, sidecar, size in self._published():
-            try:
-                mtime = obj.stat().st_mtime
-            except OSError:
-                continue
-            total += size
-            ranked.append((mtime, size, obj, sidecar))
-        ranked.sort(key=lambda item: item[:2])
-        evicted = 0
-        for _, size, obj, sidecar in ranked:
-            if total <= self.max_bytes:
-                break
-            if keep is not None and obj.name.startswith(keep):
-                continue
-            # Retract in reverse publish order: the sidecar disappears
-            # before the bytes, so no reader sees metadata without data.
-            for victim in (sidecar, obj):
-                try:
-                    victim.unlink()
-                except OSError:
-                    pass
-            total -= size
-            evicted += 1
-        if evicted:
-            with self._lock:
-                self.evictions += evicted
-        return evicted
-
-    def stats(self) -> dict:
-        """Entry count, on-disk size and eviction counter."""
-        with self._lock:
-            evictions = self.evictions
-        published = self._published()
-        return {"entries": len(published),
-                "bytes": sum(size for _, _, size in published),
-                "evictions": evictions,
-                "max_bytes": self.max_bytes}

@@ -25,7 +25,7 @@ from typing import List, Optional, Tuple, Union
 from .core.online import OnlineAccumulator
 from .errors import TraceError
 from .instrument.binary import (read_binary_header, scan_binary_span,
-                                sniff_format)
+                                sniff_file, sniff_format)
 from .instrument.columns import (DEFAULT_CHUNK_SIZE, Scan, judge,
                                  reader_source)
 from .instrument.tracefile import scan_trace_span
@@ -72,7 +72,7 @@ def plan_shards(path: PathLike, n_shards: int) -> List[Shard]:
     if kind not in SHARD_KINDS:
         raise TraceError(f"{source} is in no supported trace format")
     whole = [Shard(path=str(source), kind=kind)]
-    if n_shards == 1 or source.suffix == ".gz":
+    if n_shards == 1 or sniff_file(source) == "gzip":
         return whole
     if kind == "binary":
         with open(source, "rb") as stream:

@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cache import ReportCache, content_key, iter_chunks
+from repro.errors import ReproError
 
 
 class TestContentKey:
@@ -180,7 +181,7 @@ class TestEviction:
         assert cache.stats()["max_bytes"] is None
 
     def test_rejects_nonpositive_cap(self, tmp_path):
-        with pytest.raises(ValueError):
+        with pytest.raises(ReproError):
             ReportCache(tmp_path / "cache", max_bytes=0)
 
     def test_stats_report_size_and_cap(self, tmp_path):

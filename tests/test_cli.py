@@ -170,6 +170,65 @@ class TestBinaryTraceSupport:
         assert main(["analyze", str(trace)]) == 0
 
 
+class TestGzipBySignature:
+    """Gzip is told by its bytes, not by the file's name: a mislabelled
+    trace reads alike under ``analyze``, ``analyze --jobs 2`` and the
+    daemon's store (same events, same salvage flag, same report)."""
+
+    @staticmethod
+    def _read_three_ways(path, tmp_path, capsys):
+        """``(events, salvaged, report text)`` from each entry point."""
+        import warnings
+
+        from repro.errors import TraceWarning
+        from repro.instrument.stream import accumulate_trace
+        from repro.serve import TraceStore, build_report, normalize_params
+        readings = []
+        for jobs in (None, 2):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                argv = ["analyze", str(path)]
+                assert main(argv + (["--jobs", "2"] if jobs else [])) == 0
+                events = accumulate_trace(path, jobs=jobs).n_events
+            salvaged = any(issubclass(entry.category, TraceWarning)
+                           for entry in caught)
+            readings.append((events, salvaged, capsys.readouterr().out))
+        meta, _ = TraceStore(tmp_path / "store").add_bytes(path.read_bytes())
+        stored = TraceStore(tmp_path / "store").path(meta.sha256)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            text = build_report(stored, meta.sha256, "analyze",
+                                normalize_params("analyze", {}))["text"]
+        readings.append((meta.events, meta.salvaged, text))
+        return readings
+
+    @pytest.mark.parametrize("name, packed", [("hidden.jsonl", True),
+                                              ("plain.jsonl.gz", False)])
+    def test_mislabelled_trace_reads_as_its_bytes(self, tracefile, tmp_path,
+                                                  capsys, name, packed):
+        import gzip
+        import pathlib
+        data = pathlib.Path(tracefile).read_bytes()
+        path = tmp_path / name
+        path.write_bytes(gzip.compress(data) if packed else data)
+        assert main(["analyze", tracefile]) == 0
+        expected = (len(data.splitlines()) - 1, False,
+                    capsys.readouterr().out)
+        assert self._read_three_ways(path, tmp_path, capsys) \
+            == [expected] * 3
+
+    def test_damaged_hidden_gzip_salvages_alike(self, tracefile, tmp_path,
+                                                capsys):
+        import gzip
+        import pathlib
+        packed = gzip.compress(pathlib.Path(tracefile).read_bytes())
+        path = tmp_path / "cut.jsonl"
+        path.write_bytes(packed[:-30])
+        readings = self._read_three_ways(path, tmp_path, capsys)
+        assert readings[0][1]            # salvaged, with a warning
+        assert readings == [readings[0]] * 3
+
+
 class TestChromeExportFlag:
     def test_export(self, tracefile, tmp_path, capsys):
         target = tmp_path / "chrome.json"

@@ -994,7 +994,7 @@ class TestClientRetry:
     def test_negative_retry_configuration_rejected(self):
         with pytest.raises(ReproError, match="retries"):
             ServeClient("http://localhost:1", retries=-1)
-        with pytest.raises(ReproError, match="waits"):
+        with pytest.raises(ReproError, match="retry_max_wait"):
             ServeClient("http://localhost:1", retry_max_wait=-1.0)
 
     def test_submit_survives_a_shed_daemon(self, server, paper_trace,
