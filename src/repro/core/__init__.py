@@ -40,7 +40,7 @@ _EXPORTS = {
                      "weakly_majorizes"),
     "measurements": ("DEFAULT_ACTIVITIES", "MeasurementSet"),
     "methodology": ("AnalysisResult", "Methodology", "analyze"),
-    "online": ("OnlineAccumulator",),
+    "online": ("OnlineAccumulator", "TraceLayout"),
     "patterns": ("BANDS", "Band", "PatternGrid", "band_counts", "classify",
                  "pattern_grid"),
     "ranking": ("RankedItem", "RankingResult", "agreement",

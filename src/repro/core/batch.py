@@ -11,8 +11,8 @@ far more than for the paper's 7x4 example.
   *performed* cell into one ``(M, P)`` matrix and applies each
   registered index to many rows per call, in cache-sized blocks.
   Not-performed ("dash") cells are masked out and reported as ``nan``.
-  A time-resolved analysis (:mod:`repro.core.temporal`) builds one per
-  window.
+  A time-resolved analysis (:mod:`repro.core.temporal`) applies the
+  same :func:`index_matrix` to each window's packed rows.
 * :class:`AnalysisSession` — a memoization layer on top of one
   measurement set: views, ranking, efficiency, diagnosis and report
   rendering all reuse the cached standardized tensors and dispersion
@@ -58,6 +58,20 @@ def _blockwise(function, cells: np.ndarray) -> np.ndarray:
         return function(cells)
     return np.concatenate([function(cells[start:start + rows])
                            for start in range(0, len(cells), rows)])
+
+
+def index_matrix(index: str, cells: np.ndarray,
+                 performed: np.ndarray) -> np.ndarray:
+    """The (N, K) ``ID_ij`` matrix of the registered ``index`` over the
+    (M, P) standardized ``cells`` of the ``performed`` mask, nan
+    elsewhere.
+
+    The index runs over one cache-sized block of rows per call; the
+    cells are valid by construction, so the unvalidated function runs.
+    """
+    matrix = np.full(performed.shape, np.nan)
+    matrix[performed] = _blockwise(get_index(index).__wrapped__, cells)
+    return matrix
 
 
 class BatchAnalysis:
@@ -137,16 +151,10 @@ class BatchAnalysis:
 
     def matrix(self, index: str = "euclidean") -> np.ndarray:
         """The (N, K) matrix of ``ID_ij`` under the given index (cached
-        and read-only).
-
-        The registered index over the packed cells, one cache-sized
-        block of rows per call; they are valid by construction, so the
-        unvalidated function runs.
-        """
+        and read-only): :func:`index_matrix` of the packed cells."""
         if index not in self._matrices:
-            function = get_index(index).__wrapped__
             self._matrices[index] = _readonly(
-                self._scatter(_blockwise(function, self.cells)))
+                index_matrix(index, self.cells, self.performed))
         return self._matrices[index]
 
     def matrices(self, names: Optional[Iterable[str]] = None

@@ -10,11 +10,13 @@ built one at a time by :func:`repro.instrument.stream.trace_windows`),
 it
 
 * tracks each region's and each activity's index of dispersion across
-  windows: each window's ``ID_ij`` matrix comes from its own
-  :class:`repro.core.batch.BatchAnalysis` and is reduced by
+  windows: each window's ``ID_ij`` matrix comes from its packed
+  performed rows through :func:`repro.core.batch.index_matrix`, as a
+  whole trace's does, and is reduced by
   :func:`repro.core.views.view_indices`, the very reduction behind the
   whole-trace activity and code-region views; the windows are read
-  once, in order, so only one window needs to exist at a time,
+  once, in order, and none is held once the next is asked for, so
+  only one window exists at a time,
 * fits a linear trend (least squares) per series,
 * flags *drifting* regions — significant positive slope — which a
   one-shot analysis would underestimate,
@@ -26,14 +28,16 @@ it
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..errors import MeasurementError
-from .batch import BatchAnalysis
+from .batch import index_matrix
 from .views import view_indices
+from .window import Window
 
 
 def _finite(series: Sequence[float]) -> np.ndarray:
@@ -359,50 +363,85 @@ def _series_trends(names: Sequence[str], series: np.ndarray, factory):
     return tuple(trends)
 
 
+def _window_views(window, index: str) -> Tuple:
+    """``(regions, activities, region view, activity view)`` of one
+    window under ``index``.
+
+    A window carries its ``t_ij`` matrix and its packed performed rows
+    (a cell is performed where its ``t_ij`` is positive); a bare
+    measurement set gives its ``t_ij``, its performed mask and
+    ``times[performed]``.  Each row is divided by its own sum, as
+    :attr:`BatchAnalysis.cells <repro.core.batch.BatchAnalysis.cells>`
+    divides it, so the views are the window's whole-set views bit for
+    bit.
+    """
+    if isinstance(window, Window):
+        t_ij, rows = window.t_ij, window.rows
+        performed = t_ij > 0.0
+    else:
+        t_ij, performed = window.region_activity_times, window.performed
+        rows = window.times[performed]
+    cells = rows / rows.sum(axis=1, keepdims=True)
+    return (window.regions, window.activities,
+            *view_indices(index_matrix(index, cells, performed), t_ij))
+
+
 def temporal_analysis(windows: Iterable, index: str = "euclidean"
                       ) -> TemporalAnalysis:
     """Analyze a sequence of windows (or bare measurement sets).
 
-    Accepts :class:`repro.instrument.windows.Window` objects or plain
+    Accepts :class:`~repro.core.window.Window` objects or plain
     :class:`~repro.core.measurements.MeasurementSet` instances; all must
-    share region names.  ``windows`` is iterated once, so windows built
-    on demand are analyzed one at a time.  Each window's region and
-    activity indices are exactly its whole-trace views:
+    share region names.  ``windows`` is iterated once, and no window is
+    held once the next is asked for, so windows built on demand are
+    analyzed one at a time.  Each window's region and activity indices
+    are exactly its whole-trace views:
     :func:`~repro.core.views.view_indices` of its ``ID_ij`` matrix under
     its ``t_ij`` weights.  Windows whose activities differ give no
-    activity series.
+    activity series.  The series fill ``(W, N)`` and ``(W, K)`` arrays,
+    sized by the iterable's length where it has one and doubled when
+    the windows outgrow them.
     """
-    first = None
+    labels = None
     same_activities = True
     begin = end = float("nan")
-    region_rows, activity_rows = [], []
+    n_windows = 0
     for window in windows:
-        ms = getattr(window, "measurements", window)
-        if first is None:
-            first = ms
+        regions, activities, region_row, activity_row = _window_views(
+            window, index)
+        if labels is None:
+            labels = regions, activities
             begin = getattr(window, "begin", begin)
-        elif ms.regions != first.regions:
+            capacity = max(operator.length_hint(windows), 64)
+            region_series = np.empty((capacity, len(regions)))
+            activity_series = np.empty((capacity, len(activities)))
+        elif regions != labels[0]:
             raise MeasurementError(
                 "all windows must share the same region names")
         else:
-            same_activities &= ms.activities == first.activities
+            same_activities &= activities == labels[1]
         end = getattr(window, "end", end)
-        region_row, activity_row = view_indices(
-            BatchAnalysis(ms).matrix(index), ms.region_activity_times)
-        region_rows.append(region_row)
-        activity_rows.append(activity_row)
-    if first is None:
+        del window      # the next window is built without this one
+        if n_windows == len(region_series):
+            region_series, activity_series = (
+                np.concatenate((series, np.empty_like(series)))
+                for series in (region_series, activity_series))
+        region_series[n_windows] = region_row
+        if same_activities:
+            activity_series[n_windows] = activity_row
+        n_windows += 1
+    if labels is None:
         raise MeasurementError("need at least one window")
-    activity_names = first.activities if same_activities else ()
-    activity_series = (np.array(activity_rows) if same_activities
-                       else np.empty((len(region_rows), 0)))
+    activity_names = labels[1] if same_activities else ()
+    activity_series = (activity_series[:n_windows] if same_activities
+                       else np.empty((n_windows, 0)))
 
     trends = _series_trends(
-        first.regions, np.array(region_rows),
+        labels[0], region_series[:n_windows],
         lambda name, **fields: RegionTrend(region=name, **fields))
     activity_trends = _series_trends(
         activity_names, activity_series,
         lambda name, **fields: ActivityTrend(activity=name, **fields))
-    return TemporalAnalysis(trends=trends, n_windows=len(region_rows),
+    return TemporalAnalysis(trends=trends, n_windows=n_windows,
                             activity_trends=activity_trends,
                             begin=begin, end=end)

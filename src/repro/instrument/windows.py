@@ -11,13 +11,18 @@ of the interval inside each window is attributed to that window, so the
 windowed tensors sum (over windows) to the whole-trace tensor exactly.
 
 A window is one more axis of the profile's accumulation, built one
-window at a time: :func:`fold_windows` folds the chunks once into an
-:class:`~repro.core.online.OnlineAccumulator`, which fixes the extent
-and layout, and keeps only each event's binning columns — its
-(region, activity) pair, rank, begin and end, about 24 bytes.  The
-windows it returns are then built on demand, each ``(N, K, P)`` tensor
-from those columns as it is asked for, so a temporal run holds one
-window's tensor at a time, whatever the window count.
+window at a time: :func:`fold_windows` folds the chunks once into a
+:class:`~repro.core.online.TraceLayout`, which fixes the extent and
+layout without summing anything, and keeps only each event's binning
+columns — its (region, activity) pair, rank, begin and end, 18 to 24
+bytes.  The windows it returns are then built on demand, as they are
+asked for.  A window holds its profile packed: the ``(N, K)``
+``t_ij`` matrix and the ``(M, P)`` rows of its ``M`` performed cells,
+which is all its analysis reads, so a window costs its performed
+cells, not ``N * K * P``, and a temporal run holds one window at a
+time, whatever the window count.  The dense ``(N, K, P)``
+:attr:`~repro.core.window.Window.measurements` is built from the rows
+only when asked for.
 
 Windows are anchored at the trace's actual ``[begin, end]`` extent, not
 at t=0: a trace whose first event starts at ``t0 > 0`` (a salvaged
@@ -27,30 +32,16 @@ span rather than empty leading windows and misaligned phases.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import (Dict, Iterable, Iterator, List, Optional, Sequence,
                     Tuple)
 
 import numpy as np
 
-from ..core.measurements import MeasurementSet
-from ..core.online import OUTSIDE_REGION, OnlineAccumulator
-from ..errors import TraceError
+from ..core.online import OUTSIDE_REGION, TraceLayout
+from ..core.window import Window
+from ..errors import MeasurementError, TraceError
 from ..obs import spans as obspans
 from .columns import EventColumns
-
-
-@dataclass(frozen=True)
-class Window:
-    """One time window of a trace with its aggregated profile."""
-
-    begin: float
-    end: float
-    measurements: MeasurementSet
-
-    @property
-    def midpoint(self) -> float:
-        return 0.5 * (self.begin + self.end)
 
 
 def equal_edges(begin: float, end: float, n_windows: int) -> List[float]:
@@ -130,11 +121,14 @@ class _Slab:
 
     def sort(self, edges: np.ndarray) -> None:
         # The first window an event can overlap, by binary search on the
-        # edges (one past the last for an event after them).
+        # edges (one past the last for an event after them), narrowed
+        # before the sort so that its int64 order is the one full-width
+        # array alive.
         first = np.searchsorted(edges, self.begin[:self.size],
                                 side="right")
         first -= 1
         np.maximum(first, 0, out=first)
+        first = first.astype(_narrowest(len(edges)))
         self.order = np.argsort(first, kind="stable").astype(np.uint16)
         self.starts = [0, *np.bincount(first, minlength=len(edges))
                        .cumsum().tolist()]
@@ -189,8 +183,17 @@ class _BinningColumns:
                                                                keys)]
 
     def add(self, chunk: EventColumns) -> None:
+        """Keep a chunk's binning columns.  Refuses an event whose times
+        are not finite or that ends before it begins: the one check of
+        the times every window is cut from (its pieces are then finite
+        and positive)."""
         if not len(chunk):
             return
+        if not (np.isfinite(chunk.begin).all()
+                and np.isfinite(chunk.end).all()):
+            raise TraceError("event times must be finite")
+        if (chunk.end < chunk.begin).any():
+            raise TraceError("an event ends before it begins")
         columns = (self._codes(chunk), chunk.rank, chunk.begin, chunk.end)
         types = (_narrowest(len(self.pairs) - 1),
                  _narrowest(int(chunk.rank.max())))
@@ -232,24 +235,28 @@ def fold_windows(chunks: Iterable[EventColumns],
                  boundaries: Optional[Sequence[float]] = None,
                  regions: Optional[Sequence[str]] = None,
                  activities: Optional[Sequence[str]] = None
-                 ) -> Tuple[Iterator[Window], OnlineAccumulator]:
+                 ) -> Tuple[Iterator[Window], TraceLayout]:
     """Window a chunk stream; returns the windows, built on demand, and
-    the accumulator of the one pass over the chunks.
+    the layout of the one pass over the chunks (event count, extent,
+    labels).
 
     That pass fixes the extent (``n_windows`` equal edges, unless
     explicit ``boundaries`` are given) and the whole trace's layout, so
-    every window has the same rows and columns.  Iterating the windows
-    bins each in turn, in a ``window_bin`` span, and drops the
-    unoccupied ones and those with an activity missing from a fixed
-    ``activities``; it raises :class:`~repro.errors.TraceError` at the
-    end when it kept none.  A window's ``T`` is the largest of 0, its
-    last clipped event end and its covered time.
+    every window has the same rows and columns, and checks every
+    event's times once.  Iterating the windows bins each in turn, in a
+    ``window_bin`` span, and drops the unoccupied ones and those with
+    an activity missing from a fixed ``activities``; it raises
+    :class:`~repro.errors.TraceError` at the end when it kept none.  A
+    window's ``T`` is the largest of 0, its last clipped event end and
+    its covered time.
     """
-    scout = OnlineAccumulator(regions=regions)
+    scout = TraceLayout(regions=regions)
     kept = _BinningColumns()
     for chunk in chunks:
-        scout.update(chunk)
-        kept.add(chunk)
+        if len(chunk):
+            kept.add(chunk)
+            scout.update(chunk)
+    chunk = None        # the last chunk is not held through the windows
     if scout.n_events == 0:
         raise TraceError("cannot window an empty trace")
     if boundaries is None:
@@ -257,8 +264,8 @@ def fold_windows(chunks: Iterable[EventColumns],
     regions = scout.regions()
     if not regions:
         raise TraceError("trace contains no annotated regions")
-    if activities is None:
-        activities = scout.activities()
+    activities = (scout.activities() if activities is None
+                  else tuple(activities))
     n_ranks = scout.n_ranks
     edges = _check_edges(boundaries)
     edge_array = np.asarray(edges)
@@ -274,35 +281,47 @@ def fold_windows(chunks: Iterable[EventColumns],
         [-1 if region not in rows else -2 if activity not in columns
          else rows[region] * len(activities) + columns[activity]
          for region, activity in kept.pairs], dtype=np.intp)
-    shape = (len(regions), len(activities), n_ranks)
+    n_cells = len(regions) * len(activities)
+
+    def binned(w: int) -> Optional[Window]:
+        """Window ``w``, or None when it is dropped."""
+        found = kept.overlap(edge_array, w)
+        if found is None:
+            return None
+        codes, ranks, durations, clipped_end = found
+        cells = cell_of[codes]
+        if not cells.size or (cells == -2).any():
+            return None
+        counted = cells >= 0
+        cells = cells[counted]
+        # Each performed cell's row, in (region, activity) order; one
+        # scatter in event order, so every time sums in the order its
+        # events came, as in the dense tensor.
+        performed = np.zeros(n_cells, dtype=bool)
+        performed[cells] = True
+        row_of = np.cumsum(performed) - 1
+        packed = np.zeros((np.count_nonzero(performed), n_ranks))
+        np.add.at(packed.reshape(-1), row_of[cells] * n_ranks
+                  + ranks[counted], durations[counted])
+        t_ij = np.zeros(n_cells)
+        t_ij[performed] = packed.max(axis=1)
+        t_ij = t_ij.reshape(len(regions), len(activities))
+        total = max(0.0, float(clipped_end.max()), float(t_ij.sum()))
+        if total <= 0.0:
+            # A measurement set's T must be positive.
+            raise MeasurementError("total_time must be a positive number")
+        return Window._binned(edges[w], edges[w + 1], regions, activities,
+                              t_ij, packed, total)
 
     def built() -> Iterator[Window]:
         n_kept = 0
         for w in range(len(edges) - 1):
             with obspans.span("window_bin", activity="window", window=w):
-                found = kept.overlap(edge_array, w)
-                if found is None:
-                    continue
-                codes, ranks, durations, clipped_end = found
-                cells = cell_of[codes]
-                if not cells.size or (cells == -2).any():
-                    continue
-                # One scatter in event order: every cell sums in the
-                # order its events came.
-                counted = cells >= 0
-                tensor = np.zeros(shape)
-                np.add.at(tensor.reshape(-1),
-                          cells[counted] * n_ranks + ranks[counted],
-                          durations[counted])
-                preliminary = MeasurementSet(tensor, regions=regions,
-                                             activities=activities)
-                total = max(0.0, float(clipped_end.max()),
-                            preliminary.covered_time)
-                window = Window(begin=edges[w], end=edges[w + 1],
-                                measurements=preliminary
-                                .with_total_time(total))
-            n_kept += 1
-            yield window
+                window = binned(w)
+            if window is not None:
+                n_kept += 1
+                yield window
+                del window      # the next window is built without it
         if not n_kept:
             raise TraceError("no window contains annotated events")
 

@@ -150,6 +150,8 @@ SETTINGS = {
                             _CLIENT, "setting", "SECONDS", low=0),
     "retry_base_wait": Param(float, 0.25, "first retry backoff sleep, "
                              "doubled per attempt", (), "setting", low=0),
+    "timeout": Param(float, 300.0, "socket timeout of each request to the "
+                     "daemon", (), "limit", low=0, open=True),
 }
 
 _NOUNS = {int: "an integer", float: "a number", str: "a string",

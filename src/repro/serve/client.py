@@ -92,7 +92,7 @@ class ServeClient:
                  retry_max_wait: float = DEFAULT_RETRY_MAX_WAIT,
                  retry_base_wait: float = DEFAULT_RETRY_BASE_WAIT,
                  sleep=time.sleep, rng=random.random) -> None:
-        check_settings(url=url, retries=retries,
+        check_settings(url=url, timeout=timeout, retries=retries,
                        retry_max_wait=retry_max_wait,
                        retry_base_wait=retry_base_wait)
         self.url = url.rstrip("/")

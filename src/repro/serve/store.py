@@ -46,7 +46,7 @@ from pathlib import Path
 from typing import BinaryIO, List, Optional, Tuple, Union
 
 from ..cache import HASH_CHUNK, BoundedDirectory, iter_chunks
-from ..errors import TraceError, TraceWarning
+from ..errors import ReproError, TraceError, TraceWarning
 from ..instrument.binary import sniff_bytes
 from ..instrument.stream import accumulate_trace
 
@@ -186,8 +186,13 @@ class TraceStore(BoundedDirectory):
         bytes were already stored (the existing metadata is returned
         untouched).  Raises :class:`TraceError` when the payload is no
         readable trace in any supported format, in which case nothing
-        is published.
+        is published, and :class:`ReproError` before reading anything
+        when ``chunk_size`` is not a positive integer.
         """
+        if (isinstance(chunk_size, bool) or not isinstance(chunk_size, int)
+                or chunk_size < 1):
+            raise ReproError(f"chunk_size must be a positive integer, got "
+                             f"{chunk_size!r}")
         first = stream.read(chunk_size)
         if not first:
             raise TraceError("refusing to store an empty trace")

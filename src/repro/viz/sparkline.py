@@ -39,18 +39,17 @@ def render_sparkline(values: Sequence[float],
     low = float(finite.min()) if lo is None else float(lo)
     high = float(finite.max()) if hi is None else float(hi)
     span = high - low
-    characters = []
-    for value in series:
-        if not np.isfinite(value):
-            characters.append(SPARK_GAP)
-            continue
-        if span <= 0.0:
-            characters.append(SPARK_LEVELS[0])
-            continue
-        level = int((value - low) / span * (len(SPARK_LEVELS) - 1) + 0.5)
-        characters.append(SPARK_LEVELS[min(max(level, 0),
-                                           len(SPARK_LEVELS) - 1)])
-    return "".join(characters)
+    top = len(SPARK_LEVELS) - 1
+    levels = np.zeros(series.size, dtype=np.intp)
+    shown = np.isfinite(series)
+    if span > 0.0:
+        # Rounded half up, then clamped: clamping before the cast to
+        # int (which truncates) gives the same level for every value.
+        scaled = (series[shown] - low) / span * top + 0.5
+        levels[shown] = np.clip(scaled, 0, top).astype(np.intp)
+    glyphs = np.array([*SPARK_LEVELS, SPARK_GAP])
+    levels[~shown] = top + 1
+    return "".join(glyphs[levels].tolist())
 
 
 def render_temporal_heatmap(series_by_name: Mapping[str, Sequence[float]],

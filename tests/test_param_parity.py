@@ -132,7 +132,8 @@ def constructors(tmp_path):
     built["max_cache_bytes"].append(
         (lambda value: ReportCache(tmp_path / "cache", max_bytes=value),
          "max_bytes"))
-    for name in ("url", "retries", "retry_max_wait", "retry_base_wait"):
+    for name in ("url", "retries", "retry_max_wait", "retry_base_wait",
+                 "timeout"):
         built[name] = [(keyword(ServeClient, name), name)]
     return built
 
@@ -147,7 +148,8 @@ def test_the_known_drifts_are_covered():
                  ("max_store_bytes", 0), ("port", 65536),
                  ("max_queue", 0), ("max_body_bytes", 0)]:
         assert case in SETTING_CASES, case
-    for name in ("request_timeout", "max_wait_seconds", "retry_max_wait"):
+    for name in ("request_timeout", "max_wait_seconds", "retry_max_wait",
+                 "timeout"):
         assert any(case == name and value != value
                    for case, value in SETTING_CASES), name
 
@@ -186,6 +188,8 @@ def test_constructors_and_cli_refuse_alike(tmp_path, paper_trace, name,
     ("request_timeout", 0, "request_timeout must be greater than 0"),
     ("max_cache_bytes", 0, "max_cache_bytes must be at least 1"),
     ("retries", -1, "retries must be at least 0"),
+    ("timeout", float("nan"), "timeout must be a finite number"),
+    ("timeout", -1, "timeout must be greater than 0"),
 ])
 def test_refusals_read_as_declared(tmp_path, name, value, message):
     build, _ = constructors(tmp_path)[name][0]

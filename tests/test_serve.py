@@ -792,6 +792,18 @@ class TestStoreEviction:
         assert meta_chunked == meta_eager
         assert chunked.path(meta_chunked.sha256).read_bytes() == data
 
+    @pytest.mark.parametrize("chunk_size", [0, -1, 2.5, True, None])
+    def test_chunk_size_is_checked_before_reading(self, tmp_path,
+                                                  chunk_size):
+        """A chunk size below 1 once refused a trace as empty (0) or
+        read the whole stream before failing (-1)."""
+        stream = io.BytesIO(b'{"format": "repro-trace", "version": 1}\n')
+        with pytest.raises(ReproError,
+                           match="^chunk_size must be a positive integer"):
+            TraceStore(tmp_path / "store").add_stream(stream,
+                                                      chunk_size=chunk_size)
+        assert stream.tell() == 0
+
     def test_add_file_streams_and_dedups(self, tmp_path, paper_trace):
         store = TraceStore(tmp_path / "store")
         meta, created = store.add_file(paper_trace)
