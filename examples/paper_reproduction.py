@@ -12,7 +12,7 @@ import numpy as np
 
 from repro.calibrate import paper_data, reconstruct, verify
 from repro.core import (analyze, pattern_grid, render_breakdown_table,
-                        render_dispersion_table)
+                        render_dispersion_table, report_to_dict)
 from repro.viz import format_table, render_pattern_grid
 
 
@@ -47,10 +47,10 @@ def main() -> None:
     print(report.describe())
     assert report.passed
 
-    print("\n" + render_breakdown_table(measurements))
-
     analysis = analyze(measurements)
-    print("\n" + render_dispersion_table(analysis.activity_view))
+    document = report_to_dict(analysis)
+    print("\n" + render_breakdown_table(document))
+    print("\n" + render_dispersion_table(document))
     print("\n" + table3_comparison(analysis.activity_view))
     print("\n" + table4_comparison(analysis.region_view))
 

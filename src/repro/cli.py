@@ -71,7 +71,7 @@ from typing import List, Optional
 from . import __version__
 from .errors import ReproError, TraceWarning
 from .reports import (PARAMS, REPORT_KINDS, SETTINGS,  # noqa: F401
-                      build_report, check_param, param_names,
+                      build_report, check_param, param_names, render,
                       render_analyze_report, render_temporal_report)
 
 #: Every declared option: the report parameters and the service settings.
@@ -297,8 +297,10 @@ class _Profiled:
 
 def _command_analyze(arguments) -> int:
     with _Profiled(arguments):
-        print(build_report("analyze", arguments.tracefile,
-                           vars(arguments))[0])
+        appendix: List[str] = []
+        document = build_report("analyze", arguments.tracefile,
+                                vars(arguments), appendix)
+        print("\n\n".join([render(document), *appendix]))
     return 0
 
 
@@ -368,7 +370,8 @@ def _command_testbed(arguments) -> int:
         print(f"stored as {entry.trace_id}")
         return 0
     # show
-    print(build_report("analyze", testbed.path(arguments.trace_id), {})[0])
+    print(render(build_report("analyze", testbed.path(arguments.trace_id),
+                              {})))
     return 0
 
 
@@ -429,8 +432,8 @@ def _command_temporal(arguments) -> int:
         raise ReproError("--jobs applies to --sweep: a single trace's "
                          "temporal report runs in one process")
     with _Profiled(arguments):
-        print(build_report("temporal", arguments.tracefile,
-                           vars(arguments))[0])
+        print(render(build_report("temporal", arguments.tracefile,
+                                  vars(arguments))))
     return 0
 
 
@@ -461,7 +464,7 @@ def _command_self(arguments) -> int:
             source = "synthesized paper trace"
         obspans.enable()
         try:
-            build_report("analyze", tracefile, vars(arguments))
+            render(build_report("analyze", tracefile, vars(arguments)))
             spans = obspans.drain()
         finally:
             obspans.disable()

@@ -51,8 +51,8 @@ _EXPORTS = {
                    "render_comparison"),
     "report": ("render_activity_view_table", "render_breakdown_table",
                "render_dispersion_table", "render_full_report",
-               "report_to_dict", "report_to_json",
-               "render_processor_view_table", "render_region_view_table",
+               "report_to_dict", "render_processor_view_table",
+               "render_region_view_table",
                "render_summary"),
     "temporal": ("ActivityTrend", "Phase", "RegionTrend",
                  "TemporalAnalysis", "detect_phases", "temporal_analysis"),

@@ -307,7 +307,5 @@ class AnalysisSession:
         key = ("report", repr(sorted(options.items())))
         if key not in self._cache:
             from .report import render_full_report
-            analysis = self.analyze(**options)
-            with obspans.span("batch_report", activity="render"):
-                self._cache[key] = render_full_report(analysis)
+            self._cache[key] = render_full_report(self.analyze(**options))
         return self._cache[key]

@@ -40,10 +40,6 @@ class Finding:
     where: str
     explanation: str
 
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
-        return f"[{self.severity}] {self.kind} @ {self.where}: " \
-               f"{self.explanation}"
-
 
 def _severity(scaled_index: float, share: float,
               high_index: float = 0.01, high_share: float = 0.10) -> str:

@@ -1,178 +1,172 @@
-"""Text and JSON rendering of analysis results.
+"""The analysis report as a document, and its text.
 
-The text functions turn a :class:`~repro.core.methodology.AnalysisResult`
-(or its parts) into aligned plain-text tables matching the paper's
-Tables 1–4, plus a narrative summary.  Number formatting follows the
-paper: times with two decimals (more where the paper keeps three),
-indices of dispersion with five decimals, dashes for activities a region
-does not perform.
+:func:`report_to_dict` builds the ``repro-report/2`` document of an
+:class:`~repro.core.methodology.AnalysisResult`: the numbers of the
+paper's Tables 1–4, the processor view and the narrative summary's
+facts, exact (unrounded), with zero-based processor indices.  The
+daemon (:mod:`repro.serve`) serves it next to the text, so programmatic
+clients never have to scrape tables.
 
-:func:`report_to_dict` / :func:`report_to_json` serialize the same
-result as a structured, machine-readable document — the payload the
-analysis service daemon (:mod:`repro.serve`) returns next to the
-rendered text, so programmatic clients never have to scrape tables.
-Cells the paper prints as dashes (activities a region does not
-perform) serialize as ``null``; the JSON form is deterministic
-(sorted keys), so equal analyses produce equal bytes.
+The text functions render a document's sections as aligned plain-text
+tables matching the paper's Tables 1–4, plus a narrative summary.
+Number formatting follows the paper: times with two decimals (more
+where the paper keeps three), indices of dispersion with five decimals,
+dashes for activities a region does not perform (nan cells).  The
+document is strict JSON (:func:`repro.reports.strict_json`).
 """
 
 from __future__ import annotations
 
-import json
-from typing import List, Optional
+import math
+from typing import List, Mapping, Optional
 
-import numpy as np
-
-from .measurements import MeasurementSet
 from .methodology import AnalysisResult
-from .views import ActivityView, CodeRegionView
+from ..reports import strict_json
 from ..viz.tables import format_table
 
-_DASH = "-"
 
-
-def _format_time(value: float) -> str:
+def _format_time(value) -> str:
     """Format a wall clock time like the paper: enough decimals to be
     faithful, no trailing noise."""
+    value = float(value)
     if value == 0.0:
-        return _DASH
+        return "-"
     text = f"{value:.3f}"
     if text.endswith("0"):
         text = f"{value:.2f}"
     return text
 
 
-def _format_index(value: float) -> str:
-    if np.isnan(value):
-        return _DASH
+def _format_index(value) -> str:
+    value = float(value)
+    if math.isnan(value):
+        return "-"
     return f"{value:.5f}"
 
 
-def render_breakdown_table(measurements: MeasurementSet) -> str:
+def _matrix_table(document: Mapping, cells: Mapping, fmt, title: str,
+                  overall: Optional[Mapping] = None) -> str:
+    activities = document["program"]["activities"]
+    rows: List[List[str]] = [
+        [region] + ([fmt(overall[region])] if overall else [])
+        + [fmt(cells[region][activity]) for activity in activities]
+        for region in document["program"]["regions"]]
+    return format_table(["region"] + (["overall"] if overall else [])
+                        + list(activities), rows, title=title)
+
+
+def render_breakdown_table(document: Mapping) -> str:
     """Table 1: wall clock time of each region with its activity breakdown."""
-    t_ij = measurements.region_activity_times
-    t_i = measurements.region_times
-    header = ["region", "overall"] + list(measurements.activities)
-    rows: List[List[str]] = []
-    for i, region in enumerate(measurements.regions):
-        row = [region, _format_time(float(t_i[i]))]
-        row += [_format_time(float(t_ij[i, j]))
-                for j in range(measurements.n_activities)]
-        rows.append(row)
-    return format_table(header, rows, title="Wall clock time (s) per region "
-                                            "and activity")
+    breakdown = document["breakdown"]
+    return _matrix_table(document, breakdown["region_activity_times"],
+                         _format_time, "Wall clock time (s) per region and "
+                         "activity", breakdown["region_times"])
 
 
-def render_dispersion_table(view: ActivityView) -> str:
+def render_dispersion_table(document: Mapping) -> str:
     """Table 2: indices of dispersion ``ID_ij``."""
-    measurements = view.measurements
-    header = ["region"] + list(measurements.activities)
-    rows = []
-    for i, region in enumerate(measurements.regions):
-        rows.append([region] + [_format_index(float(view.dispersion[i, j]))
-                                for j in range(measurements.n_activities)])
-    return format_table(header, rows, title="Indices of dispersion ID_ij")
+    return _matrix_table(document, document["dispersion"], _format_index,
+                         "Indices of dispersion ID_ij")
 
 
-def render_activity_view_table(view: ActivityView) -> str:
+def _view_table(view: Mapping, names, header, title: str) -> str:
+    return format_table(header, [
+        [name, _format_index(view[name]["index"]),
+         _format_index(view[name]["scaled_index"])] for name in names],
+        title=title)
+
+
+def render_activity_view_table(document: Mapping) -> str:
     """Table 3: ``ID_A`` and ``SID_A`` per activity."""
-    header = ["activity", "ID_A", "SID_A"]
-    rows = [
-        [activity, _format_index(float(view.index[j])),
-         _format_index(float(view.scaled_index[j]))]
-        for j, activity in enumerate(view.activities)
-    ]
-    return format_table(header, rows, title="Activity view summary")
+    return _view_table(document["activity_view"],
+                       document["program"]["activities"],
+                       ["activity", "ID_A", "SID_A"], "Activity view summary")
 
 
-def render_region_view_table(view: CodeRegionView) -> str:
+def render_region_view_table(document: Mapping) -> str:
     """Table 4: ``ID_C`` and ``SID_C`` per region."""
-    header = ["region", "ID_C", "SID_C"]
-    rows = [
-        [region, _format_index(float(view.index[i])),
-         _format_index(float(view.scaled_index[i]))]
-        for i, region in enumerate(view.regions)
-    ]
-    return format_table(header, rows, title="Code region view summary")
+    return _view_table(document["region_view"],
+                       document["program"]["regions"],
+                       ["region", "ID_C", "SID_C"], "Code region view summary")
 
 
-def render_processor_view_table(result: AnalysisResult) -> str:
+def render_processor_view_table(document: Mapping) -> str:
     """Per-region processor-view table: the most imbalanced processor
     of each region with its ``ID_P`` and own wall clock time."""
-    view = result.processor_view
-    measurements = result.measurements
-    own_times = measurements.processor_region_times()
-    header = ["region", "most imbalanced", "ID_P", "own time (s)"]
-    rows = []
-    for i, region in enumerate(measurements.regions):
-        winner = view.most_imbalanced_processor(region)
-        rows.append([
-            region,
-            f"processor {winner + 1}",
-            _format_index(float(view.dispersion[i, winner])),
-            _format_time(float(own_times[i, winner])),
-        ])
-    return format_table(header, rows, title="Processor view")
+    view = document["processor_view"]
+    rows = [[region, f"processor {view[region]['most_imbalanced'] + 1}",
+             _format_index(view[region]["dispersion"]),
+             _format_time(view[region]["own_time"])]
+            for region in document["program"]["regions"]]
+    return format_table(["region", "most imbalanced", "ID_P", "own time (s)"],
+                        rows, title="Processor view")
 
 
-def render_summary(result: AnalysisResult) -> str:
+def render_summary(document: Mapping) -> str:
     """Narrative summary mirroring the paper's §4 discussion."""
-    measurements = result.measurements
-    breakdown = result.breakdown
-    processor_summary = result.processor_view.summary()
+    program, breakdown = document["program"], document["breakdown"]
+    summary = document["summary"]
     lines = [
         "Top-down analysis summary",
         "=" * 25,
-        f"program wall clock T = {measurements.total_time:.3f} s "
-        f"({measurements.coverage:.1%} covered by {measurements.n_regions} "
-        f"regions, P = {measurements.n_processors} processors)",
-        f"dominant activity: {breakdown.dominant_activity}",
-        f"heaviest region: {breakdown.heaviest_region} "
-        f"({breakdown.heaviest_region_share:.1%} of T)",
+        f"program wall clock T = {program['total_time']:.3f} s "
+        f"({program['coverage']:.1%} covered by {program['n_regions']} "
+        f"regions, P = {program['n_processors']} processors)",
+        f"dominant activity: {breakdown['dominant_activity']}",
+        f"heaviest region: {breakdown['heaviest_region']} "
+        f"({breakdown['heaviest_region_share']:.1%} of T)",
         f"region clusters: " + "; ".join(
-            "{" + ", ".join(group) + "}" for group in result.region_clusters),
+            "{" + ", ".join(group) + "}"
+            for group in summary["region_clusters"]),
         f"most frequently imbalanced processor: "
-        f"processor {processor_summary.most_frequent + 1} "
-        f"(tops {processor_summary.most_frequent_count} regions)",
+        f"processor {summary['most_frequently_imbalanced_processor'] + 1} "
+        f"(tops {summary['most_frequently_imbalanced_count']} regions)",
         f"processor imbalanced for the longest time: "
-        f"processor {processor_summary.longest + 1} "
-        f"({processor_summary.longest_time:.2f} s)",
-        f"most imbalanced activity: "
-        f"{result.activity_view.most_imbalanced()} "
-        f"(scaled: {result.activity_view.most_imbalanced(scaled=True)})",
-        f"most imbalanced region: {result.region_view.most_imbalanced()} "
-        f"(scaled: {result.region_view.most_imbalanced(scaled=True)})",
-        f"tuning candidates: " + (", ".join(result.tuning_candidates) or "none"),
+        f"processor {summary['longest_imbalanced_processor'] + 1} "
+        f"({summary['longest_imbalanced_time']:.2f} s)",
+        f"most imbalanced activity: {summary['most_imbalanced_activity']} "
+        f"(scaled: {summary['most_imbalanced_activity_scaled']})",
+        f"most imbalanced region: {summary['most_imbalanced_region']} "
+        f"(scaled: {summary['most_imbalanced_region_scaled']})",
+        f"tuning candidates: "
+        + (", ".join(summary["tuning_candidates"]) or "none"),
     ]
     return "\n".join(lines)
 
 
-def _cell(value: float) -> Optional[float]:
-    """A matrix cell for JSON: nan (a dash in the tables) becomes None."""
-    return None if np.isnan(value) else float(value)
-
-
 def report_to_dict(result: AnalysisResult) -> dict:
-    """The full report as a JSON-serializable document.
+    """The full report as a strict-JSON document (``repro-report/2``).
 
-    Mirrors the five text sections of :func:`render_full_report` with
-    exact (unrounded) numbers: the Table 1 time breakdown, the Table 2
-    dispersion matrix, the Table 3/4 view summaries, the processor
-    view, and the narrative summary's facts.  Processor indices are
-    zero-based here (the text rendering prints them one-based, as the
-    paper does).
+    Holds every number of the five text sections of
+    :func:`render_full_report` exactly: the Table 1 time breakdown, the
+    Table 2 dispersion matrix (nan where a region does not perform an
+    activity), the Table 3/4 view summaries, the processor view and the
+    narrative summary's facts.  Processor indices are zero-based here
+    (the text prints them one-based, as the paper does).
     """
-    measurements = result.measurements
-    breakdown = result.breakdown
-    processor_summary = result.processor_view.summary()
+    measurements, breakdown = result.measurements, result.breakdown
+    processor_view, processor_summary = (result.processor_view,
+                                         result.processor_view.summary())
     own_times = measurements.processor_region_times()
     regions = list(measurements.regions)
     activities = list(measurements.activities)
-    return {
-        "schema": "repro-report/1",
+
+    def by_region(matrix):
+        return {region: dict(zip(activities, row))
+                for region, row in zip(regions, matrix.tolist())}
+
+    def view_indices(view, names):
+        return {name: {"index": index, "scaled_index": scaled}
+                for name, index, scaled
+                in zip(names, view.index, view.scaled_index)}
+
+    winners = [processor_view.most_imbalanced_processor(region)
+               for region in regions]
+    return strict_json({
+        "schema": "repro-report/2",
         "program": {
-            "total_time": float(measurements.total_time),
-            "coverage": float(measurements.coverage),
+            "total_time": measurements.total_time,
+            "coverage": measurements.coverage,
             "n_regions": measurements.n_regions,
             "n_activities": measurements.n_activities,
             "n_processors": measurements.n_processors,
@@ -180,55 +174,30 @@ def report_to_dict(result: AnalysisResult) -> dict:
             "activities": activities,
         },
         "breakdown": {
-            "region_times": {
-                region: float(measurements.region_times[i])
-                for i, region in enumerate(regions)},
-            "region_activity_times": {
-                region: {activity: float(
-                    measurements.region_activity_times[i, j])
-                    for j, activity in enumerate(activities)}
-                for i, region in enumerate(regions)},
+            "region_times": dict(zip(regions,
+                                     measurements.region_times.tolist())),
+            "region_activity_times":
+                by_region(measurements.region_activity_times),
             "dominant_activity": breakdown.dominant_activity,
             "heaviest_region": breakdown.heaviest_region,
-            "heaviest_region_share":
-                float(breakdown.heaviest_region_share),
+            "heaviest_region_share": breakdown.heaviest_region_share,
         },
-        "dispersion": {
-            region: {activity: _cell(result.activity_view.dispersion[i, j])
-                     for j, activity in enumerate(activities)}
-            for i, region in enumerate(regions)},
-        "activity_view": {
-            activity: {
-                "index": _cell(result.activity_view.index[j]),
-                "scaled_index":
-                    _cell(result.activity_view.scaled_index[j]),
-            } for j, activity in enumerate(activities)},
-        "region_view": {
-            region: {
-                "index": _cell(result.region_view.index[i]),
-                "scaled_index": _cell(result.region_view.scaled_index[i]),
-            } for i, region in enumerate(regions)},
+        "dispersion": by_region(result.activity_view.dispersion),
+        "activity_view": view_indices(result.activity_view, activities),
+        "region_view": view_indices(result.region_view, regions),
         "processor_view": {
-            region: {
-                "most_imbalanced":
-                    result.processor_view.most_imbalanced_processor(region),
-                "dispersion": _cell(result.processor_view.dispersion[
-                    i, result.processor_view.most_imbalanced_processor(
-                        region)]),
-                "own_time": float(own_times[
-                    i, result.processor_view.most_imbalanced_processor(
-                        region)]),
-            } for i, region in enumerate(regions)},
+            region: {"most_imbalanced": winner,
+                     "dispersion": processor_view.dispersion[i, winner],
+                     "own_time": own_times[i, winner]}
+            for i, (region, winner) in enumerate(zip(regions, winners))},
         "summary": {
-            "region_clusters": [list(group)
-                                for group in result.region_clusters],
+            "region_clusters": result.region_clusters,
             "most_frequently_imbalanced_processor":
                 processor_summary.most_frequent,
             "most_frequently_imbalanced_count":
                 processor_summary.most_frequent_count,
             "longest_imbalanced_processor": processor_summary.longest,
-            "longest_imbalanced_time":
-                float(processor_summary.longest_time),
+            "longest_imbalanced_time": processor_summary.longest_time,
             "most_imbalanced_activity":
                 result.activity_view.most_imbalanced(),
             "most_imbalanced_activity_scaled":
@@ -237,31 +206,18 @@ def report_to_dict(result: AnalysisResult) -> dict:
                 result.region_view.most_imbalanced(),
             "most_imbalanced_region_scaled":
                 result.region_view.most_imbalanced(scaled=True),
-            "tuning_candidates": list(result.tuning_candidates),
+            "tuning_candidates": result.tuning_candidates,
         },
-    }
-
-
-def report_to_json(result: AnalysisResult) -> str:
-    """:func:`report_to_dict`, serialized deterministically."""
-    return json.dumps(report_to_dict(result), sort_keys=True)
+    })
 
 
 def render_full_report(result: AnalysisResult) -> str:
-    """Everything: the four tables followed by the narrative summary.
-
-    Accepts an :class:`~repro.core.methodology.AnalysisResult` or an
-    :class:`~repro.core.batch.AnalysisSession` (whose cached default
-    analysis and rendered text are then reused).
-    """
+    """Everything: the four tables followed by the narrative summary,
+    :func:`repro.reports.render` of :func:`report_to_dict`.  An
+    :class:`~repro.core.batch.AnalysisSession` in place of the result
+    gives its cached text."""
     from .batch import AnalysisSession
     if isinstance(result, AnalysisSession):
         return result.report()
-    parts = [
-        render_breakdown_table(result.measurements),
-        render_dispersion_table(result.activity_view),
-        render_activity_view_table(result.activity_view),
-        render_region_view_table(result.region_view),
-        render_summary(result),
-    ]
-    return "\n\n".join(parts)
+    from ..reports import render
+    return render(report_to_dict(result))

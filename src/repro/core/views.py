@@ -215,10 +215,6 @@ class ProcessorView:
             counts[int(p)] += 1
         return counts
 
-    def most_frequently_imbalanced(self) -> int:
-        """Processor topping the most regions (ties broken by lower index)."""
-        return int(np.argmax(self.imbalance_counts()))
-
     def imbalanced_times(self) -> np.ndarray:
         """(P,) wall clock each processor spent in the regions it tops."""
         own_region_times = self.measurements.processor_region_times()
@@ -227,11 +223,6 @@ class ProcessorView:
         for i, p in enumerate(winners):
             times[int(p)] += own_region_times[i, int(p)]
         return times
-
-    def longest_imbalanced(self) -> int:
-        """Processor imbalanced for the longest time (paper's second
-        criterion: largest own wall clock over topped regions)."""
-        return int(np.argmax(self.imbalanced_times()))
 
     def summary(self) -> "ProcessorSummary":
         """Bundle the headline facts of the processor view."""

@@ -25,8 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Tuple
 
-import numpy as np
-
 from ..errors import MeasurementError
 from .measurements import MeasurementSet
 

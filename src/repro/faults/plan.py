@@ -271,11 +271,6 @@ class FaultPlan:
     # Introspection
     # ------------------------------------------------------------------
     @property
-    def degrades_links(self) -> bool:
-        """Whether the plan contains link degradations."""
-        return bool(self._links)
-
-    @property
     def perturbs_messages(self) -> bool:
         """Whether any message delivery can be jittered or dropped."""
         return bool(self._jitters) or bool(self._drops)
@@ -283,13 +278,6 @@ class FaultPlan:
     def crash_for(self, rank: int) -> Optional[RankCrash]:
         """The crash scheduled for ``rank``, if any."""
         return self._crashes.get(rank)
-
-    def faulty_ranks(self) -> Tuple[int, ...]:
-        """Ranks named by any rank-targeted fault, sorted."""
-        ranks = set(self._stragglers) | set(self._crashes)
-        for spec in self._links:
-            ranks.update((spec.src, spec.dst))
-        return tuple(sorted(ranks))
 
     def describe(self) -> str:
         """One line per fault, for reports and logs."""

@@ -20,7 +20,7 @@ import warnings
 from pathlib import Path
 from typing import Iterator, Optional, Tuple, Union
 
-from ..core.online import OnlineAccumulator
+from ..core.online import OnlineAccumulator, TraceLayout
 from ..errors import TraceWarning
 from ..obs import spans as obspans
 from ..shards import shard_accumulate
@@ -112,12 +112,13 @@ class FoldedTrace:
 def trace_windows(path: PathLike, n_windows: int,
                   chunk_size: int = DEFAULT_CHUNK_SIZE,
                   on_error: str = "salvage", reread: bool = False
-                  ) -> Tuple[Iterator[Window], OnlineAccumulator]:
+                  ) -> Tuple[Iterator[Window], TraceLayout]:
     """Slice a trace file into ``n_windows`` equal windows.
 
     Returns the windows, built one at a time as they are iterated
     (:func:`~repro.instrument.windows.fold_windows`), and the
-    accumulator of the one decode pass (event count, extent).
+    :class:`~repro.core.online.TraceLayout` of the one decode pass
+    (labels, event count, extent; no tensor).
     ``reread`` is accepted and changes nothing: no pass reads the file
     again.
     """

@@ -34,7 +34,7 @@ from pathlib import Path
 from typing import Dict, List, Sequence, Tuple, Union
 
 from ..errors import ReproError
-from ..reports import render_analyze_report
+from ..reports import analyze_document, render
 from .spans import Span
 
 PathLike = Union[str, Path]
@@ -96,31 +96,23 @@ def self_imbalance(spans: Sequence[Span],
     """
     import math
 
-    from ..core import AnalysisSession
     from ..instrument import profile
-    session = AnalysisSession(profile(spans_to_tracer(spans)))
-    _, region_view = session.views(index)
-    pairs = []
-    for region, value in zip(session.measurements.regions,
-                             region_view.scaled_index):
-        number = float(value)
-        pairs.append((region, 0.0 if math.isnan(number) else number))
-    return pairs
+    view = analyze_document(profile(spans_to_tracer(spans)),
+                            index=index)["region_view"]
+    values = {stage: float(entry["scaled_index"])
+              for stage, entry in view.items()}
+    return [(stage, 0.0 if math.isnan(value) else value)
+            for stage, value in values.items()]
 
 
 def render_self_report(spans: Sequence[Span],
                        index: str = "euclidean") -> str:
-    """The ``repro self`` verdict: the tool analyzed by the tool.
-
-    A full analysis report over the self-trace (stages as regions,
-    workers as ranks) — rendered by the same
-    :func:`~repro.reports.render_analyze_report` that serves real
-    traces, so the dogfood output carries the exact tables users already
-    know.
-    """
+    """The ``repro self`` verdict: the tool analyzed by the tool, as
+    the full report of the self-trace (stages as regions, workers as
+    ranks) that :func:`~repro.reports.render` gives any trace."""
     from ..instrument import profile
-    measurements = profile(spans_to_tracer(spans))
-    return render_analyze_report(measurements, index=index)
+    return render(analyze_document(profile(spans_to_tracer(spans)),
+                                   index=index))
 
 
 __all__ = ["render_self_report", "self_imbalance", "spans_to_tracer",

@@ -1,18 +1,22 @@
-"""One report pipeline: from a trace file to the text every verb prints.
+"""One report pipeline: from a trace file to a document and its text.
 
-:func:`build_report` reads, folds, analyses and renders a trace into
-the exact text ``repro analyze`` and ``repro temporal`` print (with
-its renderers :func:`render_analyze_report` and
-:func:`render_temporal_report`) and into the daemon's JSON document.
-The CLI, the daemon's jobs, ``repro self``, ``repro testbed show`` and
-the workers of ``repro temporal --sweep`` (which cache the temporal
-document) all go through it, so a served report is byte-identical to
-the command's output and a sweep row reads the very numbers ``repro
-temporal`` prints, by construction.
+:func:`build_report` reads, folds and analyses a trace into one
+document per report kind and parameters, and :func:`render` turns a
+document, and nothing else, into the exact text ``repro analyze`` or
+``repro temporal`` prints.  The CLI, the daemon's jobs, ``repro self``,
+``repro testbed show`` and the workers of ``repro temporal --sweep``
+(which cache the temporal document) all go through it, so a served
+report is byte-identical to the command's output and a sweep row reads
+the very numbers ``repro temporal`` prints, by construction.
 
 :data:`PARAMS` declares each report parameter once, for every entry
 point, :data:`SETTINGS` each setting of the service verbs and of the
 daemon's parts, and :func:`check_param` is the one check of a value.
+
+A document is strict JSON (:func:`strict_json`): a number JSON has no
+literal for is the string :data:`NON_FINITE` names (``"NaN"``,
+``"Infinity"``, ``"-Infinity"``), which ``float()`` reads back, so nan,
++inf and -inf stay distinct.
 
 Everything imports the analysis stack when it runs, so importing this
 module costs nothing: ``repro --help`` stays free of numpy.
@@ -30,6 +34,10 @@ from .errors import ReproError
 REPORT_KINDS = ("analyze", "diagnose", "whatif", "temporal")
 
 _ANALYZE, _TEMPORAL = ("analyze",), ("temporal",)
+
+#: The schema of a temporal document; an analyze document's is
+#: ``repro-report/2`` (:func:`repro.core.report.report_to_dict`).
+TEMPORAL_SCHEMA = "repro-temporal/2"
 
 
 class Param(NamedTuple):
@@ -228,15 +236,32 @@ def resolve_params(kind: str, given: Mapping, *roles: str,
     return params
 
 
-def build_report(kind: str, source, params: Mapping) -> Tuple[str, dict]:
-    """Read, fold, analyse and render one trace file's report.
+#: The string a document holds for each non-finite number, by ``str()``.
+NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
-    ``kind`` is one of :data:`REPORT_KINDS`.  ``params`` holds its
-    parameters (:func:`resolve_params`; ``vars()`` of a parsed command
-    line, or the daemon's job parameters).  Returns the text the command
-    prints, without its final newline, and the JSON document the daemon
-    serves.
-    """
+
+def strict_json(value):
+    """``value`` as ``json.dumps(..., allow_nan=False)`` accepts it: each
+    non-finite number its :data:`NON_FINITE` string (a walk; a round trip
+    through JSON text left the daemon's peak 1.5 MB higher)."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else NON_FINITE[str(value)]
+    if isinstance(value, dict):
+        return {key: strict_json(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [strict_json(item) for item in value]
+    return value
+
+
+def build_report(kind: str, source, params: Mapping,
+                 appendix: Optional[list] = None) -> dict:
+    """Read, fold and analyse one trace file into the document the
+    daemon serves for report ``kind`` (:data:`REPORT_KINDS`) and
+    ``params`` (:func:`resolve_params`; ``vars()`` of a parsed command
+    line, or a job's parameters).  A given ``appendix`` receives the
+    sections that read the trace, not the result (``timeline``,
+    ``export_chrome``), which the CLI prints after :func:`render`'s
+    text."""
     params = resolve_params(kind, params)
     from .instrument.stream import (FoldedTrace, accumulate_trace,
                                     trace_windows)
@@ -248,178 +273,241 @@ def build_report(kind: str, source, params: Mapping) -> Tuple[str, dict]:
         from .obs import spans as obspans
         with obspans.span("temporal_fold", activity="window",
                           trace=str(source)):
-            windows, scout = trace_windows(str(source), params["windows"],
-                                           **read)
-            n_events, elapsed = scout.n_events, scout.elapsed
-            del scout    # the fold's tensor must not outlive the read
+            windows, layout = trace_windows(str(source), params["windows"],
+                                            **read)
         from .core.temporal import temporal_analysis
         # Each window is built as the analysis asks for it, then dropped,
         # each in its own `window_bin` span.
         with obspans.span("temporal_trends", activity="computation",
                           trace=str(source)):
             analysis = temporal_analysis(windows, index=params["index"])
-        text = render_temporal_report(windows, n_events, analysis=analysis,
-                                      **params)
-        return text, _temporal_document(analysis, n_events, elapsed)
+        return temporal_document(analysis, layout.n_events, layout.elapsed,
+                                 **params)
     fold = accumulate_trace(source, jobs=params["jobs"], **read)
-    trace = (FoldedTrace(source, fold, **read)
-             if params["timeline"] or params["export_chrome"] else None)
+    trace = FoldedTrace(source, fold, **read)
     measurements = fold.finalize()
     del fold         # finalize copied the tensor; keep one alive
-    from .core import AnalysisSession
-    from .core.report import report_to_dict
-    sections = []
-    if params["drop_missing_ranks"]:
-        missing = measurements.missing_processors()
-        if missing:
-            sections.append("dropping rank(s) with no recorded events: "
-                            + ", ".join(str(p) for p in missing))
-            measurements = measurements.without_missing_processors()
-    session = AnalysisSession(measurements)
     if kind != "analyze":
         params[kind] = True
-    sections.append(render_analyze_report(measurements, trace=trace,
-                                          session=session, **params))
-    return ("\n\n".join(sections),
-            report_to_dict(session.analyze(index=params["index"])))
+    document = analyze_document(measurements, **params)
+    if appendix is not None and params["timeline"]:
+        from .viz import render_timeline
+        appendix.append(render_timeline(trace))
+    if appendix is not None and params["export_chrome"]:
+        from .instrument import export_chrome_trace
+        count = export_chrome_trace(params["export_chrome"], trace)
+        appendix.append(f"exported {count} events to "
+                        f"{params['export_chrome']}")
+    return document
 
 
-def _temporal_document(analysis, n_events: int, elapsed: float) -> dict:
-    """The daemon's structured temporal report, as the sweep caches it;
-    ``elapsed`` is the latest event end, the traced wall clock."""
-    trends = {trend.region: {
-        "slope": trend.slope, "mean": trend.mean, "final": trend.final,
-        "amplification": (None if trend.amplification == float("inf")
-                          else trend.amplification),
-        "series": [float(value) for value in trend.series]}
-        for trend in analysis.trends}
-    return {"schema": "repro-temporal/1", "n_windows": analysis.n_windows,
-            "n_events": n_events, "elapsed": float(elapsed),
-            "drifting": list(analysis.drifting_regions()), "trends": trends}
+def render(document: Mapping) -> str:
+    """The text of a report document (:func:`build_report`), without its
+    final newline: a function of the document alone."""
+    from .obs import spans as obspans
+    with obspans.span("render_report", activity="render"):
+        if document["schema"] == TEMPORAL_SCHEMA:
+            return render_temporal_report(document)
+        return render_analyze_report(document)
 
 
-def render_analyze_report(measurements, *, trace=None, session=None,
-                          **params) -> str:
-    """The exact text ``repro analyze`` prints for these ``analyze``
-    parameters (:func:`resolve_params`: absent ones at their defaults).
+def _floats(values) -> list:
+    return [float(value) for value in values]
 
-    ``trace`` holds the events behind ``timeline`` and
-    ``export_chrome`` (a :class:`~repro.instrument.Tracer` or a
-    :class:`~repro.instrument.stream.FoldedTrace`).  Passing an
-    existing :class:`~repro.core.AnalysisSession` reuses its cached
-    matrices; by default a fresh one backs every section.
-    """
+
+def _ordered(names, section: Mapping) -> dict:
+    """``section`` in the order of ``names`` (JSON may sort its keys)."""
+    return {name: section[name] for name in names if name in section}
+
+
+def analyze_document(measurements, *, session=None, **params) -> dict:
+    """The document of ``repro analyze`` over a measurement set with
+    these parameters (:func:`resolve_params`): ``report_to_dict`` of
+    its analysis plus the sections they add.  A given
+    :class:`~repro.core.AnalysisSession` of ``measurements`` lends its
+    cached matrices."""
+    from dataclasses import asdict
+
     from .core import AnalysisSession
+    from .core.report import report_to_dict
     params = resolve_params("analyze", params, only=True)
     index, significance = params["index"], params["significance"]
+    dropped = (measurements.missing_processors()
+               if params["drop_missing_ranks"] else ())
+    if dropped:
+        measurements, session = measurements.without_missing_processors(), None
     if session is None:
         session = AnalysisSession(measurements)
     analysis = session.analyze(index=index)
-    sections = [session.report(index=index)]
+    document, sections = report_to_dict(analysis), {}
+    if dropped:
+        sections["dropped_ranks"] = [int(rank) for rank in dropped]
     if params["patterns"]:
-        from .viz import render_pattern_grid
-        sections.extend(render_pattern_grid(grid)
-                        for grid in analysis.patterns)
+        from .viz.ascii_patterns import pattern_rows
+        sections["patterns"] = {grid.activity: pattern_rows(grid)
+                                for grid in analysis.patterns}
     if params["lorenz"]:
-        from .viz.lorenz import render_region_lorenz
-        sections.append(render_region_lorenz(measurements, params["lorenz"]))
+        times = measurements.processor_region_times()[
+            measurements.region_index(params["lorenz"])]
+        sections["lorenz"] = {"region": params["lorenz"],
+                              "processor_times": times.tolist()}
     if params["diagnose"]:
-        from .core import render_diagnosis
-        sections.append(render_diagnosis(session.diagnosis(index=index)))
-    if params["timeline"]:
-        from .viz import render_timeline
-        sections.append(render_timeline(trace))
-    if params["export_chrome"]:
-        from .instrument import export_chrome_trace
-        count = export_chrome_trace(params["export_chrome"], trace)
-        sections.append(f"exported {count} events to {params['export_chrome']}")
+        sections["diagnosis"] = [asdict(finding) for finding
+                                 in session.diagnosis(index=index)]
     if params["heatmap"]:
-        from .viz import render_heatmap
-        sections.append(render_heatmap(measurements))
+        from .viz.heatmap import share_rows
+        sections["heatmap"] = share_rows(measurements)
     if params["whatif"]:
-        from .core import balance_predictions, render_predictions
-        sections.append(render_predictions(
-            balance_predictions(measurements)))
+        from .core import balance_predictions
+        sections["whatif"] = [asdict(prediction) for prediction
+                              in balance_predictions(measurements)]
     if significance is not None:
         from .core import noise_quantile
         threshold = noise_quantile(measurements.n_processors,
                                    epsilon=significance)
-        import numpy as np
-        significant = int((np.nan_to_num(analysis.activity_view.dispersion)
-                           > threshold).sum())
+        sections["significance"] = {
+            "epsilon": significance, "quantile": 0.95,
+            "threshold": threshold, "count": sum(  # a nan cell exceeds none
+                float(cell) > threshold for row in document["dispersion"]
+                .values() for cell in row.values())}
+    document.update(strict_json(sections))
+    return document
+
+
+def render_analyze_report(document, /, *, session=None, **params) -> str:
+    """The exact text ``repro analyze`` prints: each section of an
+    :func:`analyze_document`.  A measurement set in its place (the
+    benchmark suite's call) is built into one first."""
+    if not isinstance(document, Mapping):
+        document = analyze_document(document, session=session, **params)
+    from .core import report
+    program = document["program"]
+    dropped = document.get("dropped_ranks")
+    sections = ["dropping rank(s) with no recorded events: "
+                + ", ".join(map(str, dropped))] if dropped else []
+    sections += [part(document) for part in (
+        report.render_breakdown_table, report.render_dispersion_table,
+        report.render_activity_view_table, report.render_region_view_table,
+        report.render_summary)]
+    if "patterns" in document:
+        from .viz.ascii_patterns import render_pattern_rows
+        sections += [render_pattern_rows(activity, _ordered(
+            program["regions"], rows)) for activity, rows
+            in _ordered(program["activities"], document["patterns"]).items()]
+    if "lorenz" in document:
+        from .viz.lorenz import render_lorenz
+        times = _floats(document["lorenz"]["processor_times"])
+        sections.append(render_lorenz(times, label=(
+            f"Lorenz curve — {document['lorenz']['region']} "
+            f"(P = {len(times)})")))
+    if "diagnosis" in document:
+        from .core.diagnosis import Finding, render_diagnosis
+        sections.append(render_diagnosis(
+            [Finding(**finding) for finding in document["diagnosis"]]))
+    if "heatmap" in document:
+        from .viz.heatmap import render_shares
+        sections.append(render_shares(_ordered(
+            program["regions"], document["heatmap"]), program["n_processors"]))
+    if "whatif" in document:
+        from .core.whatif import BalancePrediction, render_predictions
+        sections.append(render_predictions(
+            [BalancePrediction(**entry) for entry in document["whatif"]]))
+    if "significance" in document:
+        test = document["significance"]
         sections.append(
-            f"noise-calibrated threshold (eps="
-            f"{significance:g}, q=0.95): {threshold:.5f}; "
-            f"{significant} (region, activity) pairs exceed it")
+            f"noise-calibrated threshold (eps={test['epsilon']:g}, "
+            f"q={test['quantile']:g}): {test['threshold']:.5f}; "
+            f"{test['count']} (region, activity) pairs exceed it")
     return "\n\n".join(sections)
 
 
-def _format_level(value: float) -> str:
-    if value == float("inf"):
-        return "never"
-    return f"{value:.4g}"
-
-
-def render_temporal_report(windows, n_events: int, /, *, analysis=None,
-                           **params) -> str:
-    """The exact text ``repro temporal`` prints for these ``temporal``
-    parameters (:func:`resolve_params`: absent ones at their defaults).
-
-    ``windows`` is the per-window profiles, ``n_events`` the event
-    count the header reports; a given ``analysis`` (their
-    ``TemporalAnalysis`` under ``index``) is reused and ``windows`` is
-    not read.  The header's span is the analysis's: from the first
-    window's start to the last one's end.
-    """
-    from .core.temporal import temporal_analysis
-    from .viz import format_table, render_sparkline, render_temporal_heatmap
+def temporal_document(analysis, n_events: int, elapsed: float,
+                      **params) -> dict:
+    """The document of ``repro temporal`` over a ``TemporalAnalysis``
+    with these parameters (:func:`resolve_params`); ``elapsed`` is the
+    latest event end, the traced wall clock."""
     params = resolve_params("temporal", params, only=True)
-    index, forecast = params["index"], params["forecast"]
-    if analysis is None:
-        analysis = temporal_analysis(windows, index=index)
-    drifting = set(analysis.drifting_regions())
+    regions = [trend.region for trend in analysis.trends]
+    activities = [trend.activity for trend in analysis.activity_trends]
 
-    span = analysis.end - analysis.begin
-    sections = [f"time-resolved analysis: {analysis.n_windows} windows "
-                f"over {span:.4g} s ({n_events} events, index {index})"]
-    rows = []
-    for trend in analysis.trends:
-        rows.append([
-            trend.region,
-            render_sparkline(trend.series),
-            f"{trend.slope:+.4g}",
-            f"{trend.mean:.4g}",
-            f"{trend.final:.4g}",
-            f"{trend.amplification:.4g}",
-            "DRIFTING" if trend.region in drifting else "",
-        ])
+    def trends(names, items) -> dict:
+        return {name: {field: getattr(trend, field) for field in (
+            "series", "slope", "intercept", "mean", "final", "amplification")}
+            for name, trend in zip(names, items)}
+
+    document = {
+        "schema": TEMPORAL_SCHEMA, "index": params["index"],
+        "n_windows": analysis.n_windows, "n_events": n_events,
+        "elapsed": float(elapsed), "begin": analysis.begin,
+        "end": analysis.end, "regions": regions, "activities": activities,
+        "drifting": analysis.drifting_regions(), "heatmap": params["heatmap"],
+        "trends": trends(regions, analysis.trends),
+        "activity_trends": trends(activities, analysis.activity_trends)}
+    if params["phases"]:
+        from dataclasses import asdict
+        document["phases"] = [asdict(phase) for phase in analysis.phases()]
+    if params["forecast"] is not None:
+        document["forecast"] = {
+            "level": params["forecast"],
+            "crossings": analysis.forecast(params["forecast"])}
+    return strict_json(document)
+
+
+def render_temporal_report(document, n_events: Optional[int] = None, /,
+                           **params) -> str:
+    """The exact text ``repro temporal`` prints: each section of a
+    :func:`temporal_document`.  Per-window profiles and their event
+    count in its place (the benchmark suite's call) are analysed into
+    one first, ``elapsed`` taken as the last window's end."""
+    from .viz import format_table, render_sparkline, render_temporal_heatmap
+    if not isinstance(document, Mapping):
+        from .core.temporal import temporal_analysis
+        analysis = temporal_analysis(document, index=params.get(
+            "index", PARAMS["index"].default))
+        document = temporal_document(analysis, n_events, analysis.end,
+                                     **params)
+    regions, drifting = document["regions"], set(document["drifting"])
+    series = {region: _floats(document["trends"][region]["series"])
+              for region in regions}
+    span = float(document["end"]) - float(document["begin"])
+    sections = [f"time-resolved analysis: {document['n_windows']} windows "
+                f"over {span:.4g} s ({document['n_events']} events, "
+                f"index {document['index']})"]
+
+    def rows(key: str, names, *fields: str) -> list:
+        trends = document[key]
+        return [[name, render_sparkline(_floats(trends[name]["series"]))]
+                + [format(float(trends[name][field]),
+                          "+.4g" if field == "slope" else ".4g")
+                   for field in fields] for name in names]
+
     sections.append(format_table(
         ["region", "per-window ID", "slope/win", "mean", "final",
          "amplif.", "verdict"],
-        rows, title="Region imbalance over time"))
-    if analysis.activity_trends:
+        [row + ["DRIFTING" if row[0] in drifting else ""] for row in rows(
+            "trends", regions, "slope", "mean", "final", "amplification")],
+        title="Region imbalance over time"))
+    if document["activities"]:
         sections.append(format_table(
             ["activity", "per-window ID", "slope/win", "mean", "final"],
-            [[trend.activity, render_sparkline(trend.series),
-              f"{trend.slope:+.4g}", f"{trend.mean:.4g}",
-              f"{trend.final:.4g}"]
-             for trend in analysis.activity_trends],
-            title="Activity imbalance over time"))
-    if params["phases"]:
-        segments = analysis.phases()
+            rows("activity_trends", document["activities"], "slope", "mean",
+                 "final"), title="Activity imbalance over time"))
+    if "phases" in document:
         sections.append("\n".join(
             [f"phases (overall imbalance level, "
-             f"{len(segments)} segment(s)):"]
-            + [f"  windows {phase.begin:>3d}..{phase.end - 1:<3d} "
-               f"level {phase.mean:.4g}" for phase in segments]))
-    if forecast is not None:
+             f"{len(document['phases'])} segment(s)):"]
+            + [f"  windows {phase['begin']:>3d}..{phase['end'] - 1:<3d} "
+               f"level {float(phase['mean']):.4g}"
+               for phase in document["phases"]]))
+    if "forecast" in document:
+        crossings = _floats(_ordered(
+            regions, document["forecast"]["crossings"]).values())
         sections.append("\n".join(
             [f"forecast: window at which each region reaches "
-             f"ID {forecast:g}"]
-            + [f"  {region}: {_format_level(crossing)}"
-               for region, crossing
-               in analysis.forecast(forecast).items()]))
-    if params["heatmap"]:
-        sections.append(render_temporal_heatmap(
-            {trend.region: trend.series for trend in analysis.trends}))
+             f"ID {document['forecast']['level']:g}"]
+            + [f"  {region}: " + ("never" if crossing == float("inf")
+                                  else f"{crossing:.4g}")
+               for region, crossing in zip(regions, crossings)]))
+    if document["heatmap"]:
+        sections.append(render_temporal_heatmap(series))
     return "\n\n".join(sections)

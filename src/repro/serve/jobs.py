@@ -16,12 +16,12 @@ report goes through :class:`JobRunner`:
 * results are cached *before* the key leaves the in-flight table, so
   there is no window in which a third request could recompute.
 
-Job payloads carry both the rendered text — byte-identical to the
-corresponding CLI command's stdout, because both sides go through
-:func:`repro.reports.build_report` — and the structured JSON document
-it builds.  A failed job produces an
-``error`` payload and is deliberately **not** cached: a transient
-failure (an unreadable store) must not be sticky.
+Job payloads carry the strict-JSON document
+:func:`repro.reports.build_report` builds and its rendered text,
+byte-identical to the corresponding CLI command's stdout because both
+sides render the same document.  A payload that is not strict JSON, or
+a failed job, becomes an ``error`` payload and is deliberately **not**
+cached: a transient failure (an unreadable store) must not be sticky.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ from .store import TraceStore
 
 #: Bump when the payload schema or the analysis semantics change;
 #: part of every report cache key, so stale entries are never served.
-SERVE_CACHE_FORMAT = 2
+SERVE_CACHE_FORMAT = 3
 
 #: Job kinds the daemon runs, mirroring the CLI commands they replicate.
 JOB_KINDS = reports.REPORT_KINDS
@@ -102,17 +102,18 @@ def report_key(sha: str, kind: str, params: Mapping) -> str:
 def build_report(trace_path, sha: str, kind: str, params: Mapping) -> dict:
     """Run one analysis job; returns the ``status: ok`` payload.
 
-    The payload envelope around :func:`repro.reports.build_report`: its
-    ``text`` is byte-identical to the corresponding CLI command's stdout
-    (``repro analyze TRACE [--diagnose|--whatif]`` or ``repro temporal
-    TRACE --windows W``).  Salvage warnings are silenced — ingest
+    The payload envelope around :func:`repro.reports.build_report`'s
+    document (``report``) and its :func:`~repro.reports.render`
+    (``text``), byte-identical to the corresponding CLI command's
+    stdout (``repro analyze TRACE [--diagnose|--whatif]`` or ``repro
+    temporal TRACE --windows W``).  Salvage warnings are silenced — ingest
     already recorded whether the stored trace needed salvaging.
     """
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", TraceWarning)
-        text, document = reports.build_report(kind, trace_path, params)
+        document = reports.build_report(kind, trace_path, params)
     return {"status": "ok", "trace": sha, "kind": kind,
-            "params": dict(params), "text": text + "\n",
+            "params": dict(params), "text": reports.render(document) + "\n",
             "report": document}
 
 
@@ -267,10 +268,14 @@ class JobRunner:
                 payload = build_report(
                     self.store.path(sha), sha, kind, params)
             payload["key"] = key
+            try:
+                entry = json.dumps(payload, sort_keys=True, allow_nan=False)
+            except ValueError as error:     # a non-finite number escaped
+                raise ReproError(f"report is not strict JSON: {error}")
             # Publish to the cache *before* leaving the in-flight
             # table: every moment after submission, the key is either
             # in flight or cached — never recomputable.
-            self.cache.put(key, json.dumps(payload, sort_keys=True))
+            self.cache.put(key, entry)
             self.metrics.count("jobs_computed")
             self.logger.info(
                 "job_done", key=key, trace=sha, kind=kind,

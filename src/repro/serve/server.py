@@ -154,7 +154,8 @@ class _Handler(BaseHTTPRequestHandler):
             # log of the failure alone is enough to find the handler's
             # access-log line.
             payload = {**payload, "request_id": request_id}
-        body = json.dumps(payload, sort_keys=True).encode("utf-8")
+        body = json.dumps(payload, sort_keys=True,
+                          allow_nan=False).encode("utf-8")
         if status >= 400:
             # The request body may be wholly or partly unread (413 is
             # decided *before* reading); drop the connection after the

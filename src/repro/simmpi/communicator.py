@@ -204,34 +204,6 @@ class Communicator:
             raise CommunicatorError("backoff must be non-negative")
         yield Timeout(seconds, context=self._context(POINT_TO_POINT))
 
-    def recv_retry(self, source: int = ANY_SOURCE, tag: int = ANY_TAG,
-                   timeout: float = 1e-3, max_retries: int = 3,
-                   backoff: float = 2.0) -> Generator:
-        """Receive with a timeout and bounded exponential backoff.
-
-        Models a degradation-tolerant receive: the rank polls for the
-        message, and each unsatisfied poll costs one backoff interval
-        (``timeout * backoff**k`` for the k-th retry) before checking
-        again; after ``max_retries`` unsatisfied polls it falls back to
-        a blocking wait.  All bounded waiting is attributed to
-        point-to-point, so retry time lands in the paper's breakdown.
-        """
-        if timeout <= 0.0:
-            raise CommunicatorError("timeout must be positive")
-        if max_retries < 0:
-            raise CommunicatorError("max_retries must be non-negative")
-        if backoff < 1.0:
-            raise CommunicatorError("backoff must be >= 1")
-        request = yield from self.irecv(source, tag)
-        delay = timeout
-        for _ in range(max_retries):
-            if request.completed:
-                break
-            yield Timeout(delay, context=self._context(POINT_TO_POINT))
-            delay *= backoff
-        message = yield from self.wait(request)
-        return message
-
     def sendrecv(self, dest: int, nbytes: int, source: int,
                  sendtag: int = 0, recvtag: int = ANY_TAG) -> Generator:
         """Simultaneous send and receive (deadlock-free exchange)."""

@@ -5,7 +5,7 @@
 trace in a directory and prints one table row per trace:
 
 * :func:`sweep_traces` — multiprocessing fan-out, one worker per trace,
-  each keeping the ``repro-temporal/1`` document the daemon serves for
+  each keeping the ``repro-temporal/2`` document the daemon serves for
   the same trace and parameters, or the error text when the trace
   cannot be analysed (unreadable, spans no time, no annotated regions;
   any damage under ``strict``).  A failure is data, not an abort: the
@@ -34,7 +34,7 @@ from .reports import PARAMS, build_report, param_names, resolve_params
 
 #: Bump when the cached payload or the analysis semantics change; part
 #: of the cache key, so stale entries are never served.
-CACHE_FORMAT = 2
+CACHE_FORMAT = 3
 
 #: Trace file suffixes a directory sweep picks up.
 TRACE_SUFFIXES = (".jsonl", ".jsonl.gz", ".rptb")
@@ -81,8 +81,8 @@ def _worker(task) -> SweepResult:
     # shows whether the fleet's traces were spread evenly.
     with obspans.worker_scope(f"pid-{os.getpid()}"):
         try:
-            return SweepResult(path, build_report("temporal", path,
-                                                  params)[1], None)
+            return SweepResult(path, build_report("temporal", path, params),
+                               None)
         except ReproError as error:
             return SweepResult(path, None, str(error))
 
@@ -154,7 +154,8 @@ def sweep_traces(traces: Union[str, Path, Sequence[Union[str, Path]]],
         results[position] = result
         if use_cache:
             cache.put(keys[position], json.dumps(
-                {"document": result.document, "error": result.error}))
+                {"document": result.document, "error": result.error},
+                allow_nan=False))
     return results
 
 
@@ -169,11 +170,12 @@ def render_sweep_table(results: Sequence[SweepResult]) -> str:
         if document is None:
             rows.append([name, "-", "-", "-", f"error: {result.error}", ""])
             continue
-        trends = document["trends"]
-        steepest = max(trends, key=lambda region: trends[region]["slope"],
+        trends, regions = document["trends"], document["regions"]
+        steepest = max(regions, key=lambda region: trends[region]["slope"],
                        default=None)
         phases = detect_phases(overall_series(
-            [trend["series"] for trend in trends.values()]))
+            [[float(value) for value in trends[region]["series"]]
+             for region in regions]))
         rows.append([
             name,
             str(document["n_windows"]),

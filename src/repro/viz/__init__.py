@@ -1,6 +1,6 @@
 """Plain-text visualization: aligned tables and ASCII pattern figures."""
 
-from .ascii_patterns import BAND_CHARS, render_pattern_grid, render_row
+from .ascii_patterns import BAND_CHARS, render_pattern_grid
 from .heatmap import HEATMAP_LEGEND, render_heatmap
 from .lorenz import gini_summary, render_lorenz, render_region_lorenz
 from .sparkline import (SPARK_GAP, SPARK_LEVELS, render_sparkline,
@@ -11,7 +11,6 @@ from .timeline import ACTIVITY_CHARS, render_timeline
 __all__ = [
     "BAND_CHARS",
     "render_pattern_grid",
-    "render_row",
     "HEATMAP_LEGEND",
     "render_heatmap",
     "SPARK_GAP",

@@ -10,12 +10,13 @@ become characters:
 * `` `` (space, drawn as ``o``) — mid values.
 
 :func:`render_pattern_grid` prints a grid with a legend; loops that do
-not perform the activity are omitted, exactly as in the paper.
+not perform the activity are omitted, exactly as in the paper.  A
+report document holds a grid as :func:`pattern_rows`.
 """
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import Dict, Mapping
 
 from ..core.patterns import Band, PatternGrid
 
@@ -31,16 +32,22 @@ BAND_CHARS: Dict[Band, str] = {
 LEGEND = ("legend: # max   + upper 15%   o mid   - lower 15%   . min")
 
 
-def render_row(bands) -> str:
-    """One region's band row as a cell string like ``[#][+][o]...``."""
-    return "".join(f"[{BAND_CHARS[band]}]" for band in bands)
+def pattern_rows(grid: PatternGrid) -> Dict[str, str]:
+    """Each listed region's band row as a string of :data:`BAND_CHARS`."""
+    return {region: "".join(BAND_CHARS[band] for band in bands)
+            for region, bands in zip(grid.regions, grid.rows)}
+
+
+def render_pattern_rows(activity: str, rows: Mapping[str, str]) -> str:
+    """Render one activity's :func:`pattern_rows` with labels and legend."""
+    width = max((len(region) for region in rows), default=0)
+    lines = [activity, "=" * max(len(activity), 1)]
+    lines += [f"{region.ljust(width)}  " + "".join(f"[{band}]" for band in row)
+              for region, row in rows.items()]
+    lines.append(LEGEND)
+    return "\n".join(lines)
 
 
 def render_pattern_grid(grid: PatternGrid) -> str:
     """Render a whole activity's pattern grid with labels and legend."""
-    width = max((len(region) for region in grid.regions), default=0)
-    lines = [grid.activity, "=" * max(len(grid.activity), 1)]
-    for region, bands in zip(grid.regions, grid.rows):
-        lines.append(f"{region.ljust(width)}  {render_row(bands)}")
-    lines.append(LEGEND)
-    return "\n".join(lines)
+    return render_pattern_rows(grid.activity, pattern_rows(grid))

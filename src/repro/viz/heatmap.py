@@ -16,7 +16,7 @@ normalized against perfect balance so rows are comparable.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Dict, List, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -43,37 +43,38 @@ def _shade(ratio: float) -> str:
     return "#"
 
 
-def render_heatmap(measurements: MeasurementSet,
-                   activity: Optional[str] = None) -> str:
-    """Render the per-processor share heatmap.
-
-    With ``activity`` the grid shows that activity's times; otherwise
-    each region's total per-processor times.  Regions without time in
-    the selected slice are omitted.
-    """
+def share_rows(measurements: MeasurementSet,
+               activity: Optional[str] = None) -> Dict[str, List[float]]:
+    """Each region's per-processor shares of its time (of ``activity``'s
+    time, if given); empty for a region without time in that slice."""
     if activity is not None:
-        j = measurements.activity_index(activity)
-        grid = measurements.times[:, j, :]
-        title = f"share heatmap — {activity}"
+        grid = measurements.times[:, measurements.activity_index(activity), :]
     else:
         grid = measurements.processor_region_times()
-        title = "share heatmap — all activities"
-    n_processors = measurements.n_processors
+    return {region: (row / row.sum()).tolist() if row.sum() > 0.0 else []
+            for region, row in zip(measurements.regions, grid)}
+
+
+def render_heatmap(measurements: MeasurementSet,
+                   activity: Optional[str] = None) -> str:
+    """Render the per-processor share heatmap of ``activity``'s times,
+    or of each region's total per-processor times; regions without time
+    in the selected slice are omitted."""
+    return render_shares(share_rows(measurements, activity),
+                         measurements.n_processors,
+                         f"share heatmap — {activity or 'all activities'}")
+
+
+def render_shares(rows: Mapping[str, Sequence[float]], n_processors: int,
+                  title: str = "share heatmap — all activities") -> str:
+    """Render :func:`share_rows` of ``n_processors`` processors."""
     balanced = 1.0 / n_processors
-    label_width = max(len(region) for region in measurements.regions)
+    label_width = max(len(region) for region in rows)
     lines = [title, "=" * len(title)]
-    plotted = 0
-    for i, region in enumerate(measurements.regions):
-        row = grid[i, :]
-        total = row.sum()
-        if total <= 0.0:
-            continue
-        shares = row / total
-        cells = "".join(_shade(float(share) / balanced)
-                        for share in shares)
-        lines.append(f"{region.ljust(label_width)} |{cells}|")
-        plotted += 1
-    if plotted == 0:
+    lines += [f"{region.ljust(label_width)} |"
+              + "".join(_shade(float(share) / balanced) for share in shares)
+              + "|" for region, shares in rows.items() if shares]
+    if len(lines) == 2:
         raise MeasurementError("nothing to plot: the selected slice is "
                                "entirely zero")
     lines.append(f"{''.ljust(label_width)}  processors 0.."

@@ -6,7 +6,7 @@ import json
 import pytest
 
 from repro.core import (analyze, balance_activity_predictions,
-                        render_processor_view_table)
+                        render_processor_view_table, report_to_dict)
 from repro.errors import MeasurementError, TraceError
 from repro.instrument import Tracer, export_chrome_trace
 
@@ -75,7 +75,8 @@ class TestActivityWhatIf:
 
 class TestProcessorViewTable:
     def test_paper_table(self, paper_measurements):
-        text = render_processor_view_table(analyze(paper_measurements))
+        text = render_processor_view_table(
+            report_to_dict(analyze(paper_measurements)))
         assert "Processor view" in text
         loop1 = [line for line in text.splitlines()
                  if line.startswith("loop 1")][0]

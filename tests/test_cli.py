@@ -828,7 +828,7 @@ class TestServeVerbs:
             assert main(["fetch", tracefile, "--url", daemon.url,
                          "--json"]) == 0
             report = json.loads(capsys.readouterr().out)
-        assert report["schema"] == "repro-report/1"
+        assert report["schema"] == "repro-report/2"
         assert report["program"]["n_processors"] == 4
 
 

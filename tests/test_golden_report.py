@@ -46,10 +46,13 @@ def test_batch_and_scalar_render_identically(paper_measurements):
     from repro.core.views import compute_activity_and_region_views
 
     def render(matrix):
+        from dataclasses import replace
+
+        from repro.core.report import render_dispersion_table, report_to_dict
         activity_view, _ = compute_activity_and_region_views(
             paper_measurements, dispersion=matrix)
-        from repro.core.report import render_dispersion_table
-        return render_dispersion_table(activity_view)
+        return render_dispersion_table(report_to_dict(replace(
+            analyze(paper_measurements), activity_view=activity_view)))
 
     batch_table = render(dispersion_matrix(paper_measurements))
     scalar_table = render(scalar_dispersion_matrix(paper_measurements))

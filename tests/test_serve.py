@@ -159,7 +159,7 @@ class TestByteIdentity:
     def test_structured_report_rides_along(self, client, paper_trace):
         sha = client.submit(paper_trace)["sha256"]
         report = client.report(sha, "analyze")["report"]
-        assert report["schema"] == "repro-report/1"
+        assert report["schema"] == "repro-report/2"
         assert report["program"]["n_processors"] == 16
         assert set(report["dispersion"]) \
             == set(report["program"]["regions"])

@@ -83,9 +83,9 @@ class TestDocument:
         for result in results:
             assert result.error is None
             assert same(result.document, reports.build_report(
-                "temporal", result.path, params)[1])
+                "temporal", result.path, params))
         document = results[0].document
-        assert document["schema"] == "repro-temporal/1"
+        assert document["schema"] == "repro-temporal/2"
         assert document["n_windows"] == params["windows"]
         assert document["n_events"] > 0
         assert document["elapsed"] > 0.0
@@ -122,9 +122,9 @@ class TestDocument:
 
 class TestCachedDocument:
     def test_round_trip_preserves_non_finite_values(self, tmp_path):
-        """A region idle in some windows has nan in its series and an
-        amplification of None; the cached document reads back equal
-        and renders the same row."""
+        """A region idle in some windows has nan in its series, written
+        as its string; the cached document reads back equal and renders
+        the same row."""
         tracer = Tracer()
         tracer.record(0, "early", "computation", 0.0, 1.0)
         tracer.record(1, "early", "computation", 0.0, 2.0)
@@ -135,7 +135,7 @@ class TestCachedDocument:
         cached = sweep_traces(tmp_path, {"windows": 4})
         assert cached[0].cached and not fresh[0].cached
         series = cached[0].document["trends"]["late"]["series"]
-        assert math.isnan(series[0])
+        assert math.isnan(float(series[0]))
         assert same(fresh[0].document, cached[0].document)
         assert render_sweep_table(fresh) == render_sweep_table(
             [cached[0]._replace(cached=False)])

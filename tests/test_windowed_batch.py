@@ -289,7 +289,7 @@ def traced_peak(run):
 
 def test_report_peak_does_not_grow_with_the_window_count(wide_trace):
     def build(windows):
-        text, document = build_report(
+        document = build_report(
             "temporal", wide_trace,
             {"windows": windows, "forecast": 0.5, "heatmap": True})
         assert document["n_windows"] == windows
