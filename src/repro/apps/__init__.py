@@ -5,7 +5,8 @@
 * :mod:`repro.apps.synthetic` — fully parameterized synthetic workloads
   for sweeps and ablations;
 * :mod:`repro.apps.decomposition` — block/weighted domain decomposition;
-* :mod:`repro.apps.imbalance` — deterministic imbalance injectors.
+* :mod:`repro.apps.imbalance` — deterministic imbalance injectors;
+* :mod:`repro.apps.simulate` — :func:`traced_run`, the shared traced run.
 """
 
 from .amr import AMR_REGIONS, AMRConfig, amr_program, run_amr
@@ -23,6 +24,7 @@ from .nbody import (NBODY_REGIONS, NBodyConfig, nbody_program,
                     run_nbody)
 from .pipeline import (PIPELINE_REGIONS, PipelineConfig,
                        pipeline_program, run_pipeline)
+from .simulate import traced_run
 from .imbalance import (BALANCED, Block, Explicit, Injector, LinearGradient,
                         RandomJitter, Straggler, imbalance_of,
                         predicted_dispersion)
@@ -50,5 +52,5 @@ __all__ = [
     "STENCIL_REGIONS", "StencilConfig", "run_stencil",
     "stencil_program",
     "PATTERNS", "RegionSpec", "SyntheticWorkload",
-    "imbalance_sweep_workload",
+    "imbalance_sweep_workload", "traced_run",
 ]

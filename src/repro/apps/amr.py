@@ -18,8 +18,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from ..errors import WorkloadError
-from ..instrument import Tracer, profile
-from ..simmpi import NetworkModel, Simulator
+from ..simmpi import NetworkModel
+from .simulate import traced_run
 
 #: Region names of the AMR workload.
 AMR_REGIONS = ("solve", "flux", "regrid")
@@ -92,8 +92,5 @@ def run_amr(config: Optional[AMRConfig] = None, n_ranks: int = 16,
     Returns ``(result, tracer, measurements)``.
     """
     configuration = config if config is not None else AMRConfig()
-    tracer = Tracer()
-    simulator = Simulator(n_ranks, network=network, trace_sink=tracer.record)
-    result = simulator.run(amr_program, configuration)
-    measurements = profile(tracer, regions=AMR_REGIONS)
-    return result, tracer, measurements
+    return traced_run(amr_program, configuration, n_ranks=n_ranks,
+                      regions=AMR_REGIONS, network=network)

@@ -35,11 +35,10 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from ..errors import WorkloadError
-from ..instrument import Tracer, profile
-from ..simmpi import NetworkModel, SimulationResult, Simulator
+from ..simmpi import NetworkModel
 from .decomposition import weighted_partition
-from .imbalance import (BALANCED, Block, Injector, LinearGradient,
-                        RandomJitter)
+from .imbalance import BALANCED, Block, Injector, LinearGradient
+from .simulate import traced_run
 
 #: The seven loop names, matching the paper's numbering.
 LOOPS: Tuple[str, ...] = tuple(f"loop {i}" for i in range(1, 8))
@@ -204,8 +203,5 @@ def run_cfd(config: Optional[CFDConfig] = None, n_ranks: int = 16,
     ordered 1..7).
     """
     configuration = config if config is not None else CFDConfig()
-    tracer = Tracer()
-    simulator = Simulator(n_ranks, network=network, trace_sink=tracer.record)
-    result = simulator.run(cfd_program, configuration)
-    measurements = profile(tracer, regions=LOOPS)
-    return result, tracer, measurements
+    return traced_run(cfd_program, configuration, n_ranks=n_ranks,
+                      regions=LOOPS, network=network)

@@ -22,8 +22,8 @@ from typing import Optional
 import numpy as np
 
 from ..errors import WorkloadError
-from ..instrument import Tracer, profile
-from ..simmpi import NetworkModel, Simulator
+from ..simmpi import NetworkModel
+from .simulate import traced_run
 
 #: Region names of the checkpoint workload.
 CHECKPOINT_REGIONS = ("solve", "checkpoint")
@@ -89,8 +89,5 @@ def run_checkpoint(config: Optional[CheckpointConfig] = None,
     five activities (the paper's four plus ``i/o``).
     """
     configuration = config if config is not None else CheckpointConfig()
-    tracer = Tracer()
-    simulator = Simulator(n_ranks, network=network, trace_sink=tracer.record)
-    result = simulator.run(checkpoint_program, configuration)
-    measurements = profile(tracer, regions=CHECKPOINT_REGIONS)
-    return result, tracer, measurements
+    return traced_run(checkpoint_program, configuration, n_ranks=n_ranks,
+                      regions=CHECKPOINT_REGIONS, network=network)

@@ -28,8 +28,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from ..errors import WorkloadError
-from ..instrument import Tracer, profile
-from ..simmpi import NetworkModel, Simulator
+from ..simmpi import NetworkModel
+from .simulate import traced_run
 
 #: Region names of the coupled workload.
 COUPLED_REGIONS = ("fluid solve", "structure solve", "couple")
@@ -100,8 +100,5 @@ def run_coupled(config: Optional[CoupledConfig] = None, n_ranks: int = 16,
     Returns ``(result, tracer, measurements)``.
     """
     configuration = config if config is not None else CoupledConfig()
-    tracer = Tracer()
-    simulator = Simulator(n_ranks, network=network, trace_sink=tracer.record)
-    result = simulator.run(coupled_program, configuration)
-    measurements = profile(tracer, regions=COUPLED_REGIONS)
-    return result, tracer, measurements
+    return traced_run(coupled_program, configuration, n_ranks=n_ranks,
+                      regions=COUPLED_REGIONS, network=network)

@@ -34,8 +34,8 @@ from typing import Optional
 import numpy as np
 
 from ..errors import WorkloadError
-from ..instrument import Tracer, profile
-from ..simmpi import ANY_SOURCE, ANY_TAG, NetworkModel, Simulator
+from ..simmpi import ANY_SOURCE, ANY_TAG, NetworkModel
+from .simulate import traced_run
 
 #: Region names of the master-worker workload.
 MASTER_WORKER_REGIONS = ("work", "finalize")
@@ -149,13 +149,9 @@ def run_master_worker(farm: Optional[TaskFarm] = None, n_ranks: int = 16,
         raise WorkloadError(f"policy must be 'static' or 'dynamic', "
                             f"got {policy!r}")
     configuration = farm if farm is not None else TaskFarm()
-    tracer = Tracer()
-    simulator = Simulator(n_ranks, network=network,
-                          trace_sink=tracer.record)
     program = static_program if policy == "static" else dynamic_program
-    result = simulator.run(program, configuration)
-    measurements = profile(tracer, regions=MASTER_WORKER_REGIONS)
-    return result, tracer, measurements
+    return traced_run(program, configuration, n_ranks=n_ranks,
+                      regions=MASTER_WORKER_REGIONS, network=network)
 
 
 def worker_imbalance(measurements) -> float:

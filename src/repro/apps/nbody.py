@@ -24,11 +24,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional
 
-import numpy as np
-
 from ..errors import WorkloadError
-from ..instrument import Tracer, profile
-from ..simmpi import NetworkModel, Simulator
+from ..simmpi import NetworkModel
+from .simulate import traced_run
 
 #: Region names of the N-body workload.
 NBODY_REGIONS = ("forces", "migrate", "rebalance", "diagnostics")
@@ -152,8 +150,5 @@ def run_nbody(config: Optional[NBodyConfig] = None, n_ranks: int = 16,
     (e.g. ``rebalance`` when disabled) yield all-zero rows.
     """
     configuration = config if config is not None else NBodyConfig()
-    tracer = Tracer()
-    simulator = Simulator(n_ranks, network=network, trace_sink=tracer.record)
-    result = simulator.run(nbody_program, configuration)
-    measurements = profile(tracer, regions=NBODY_REGIONS)
-    return result, tracer, measurements
+    return traced_run(nbody_program, configuration, n_ranks=n_ranks,
+                      regions=NBODY_REGIONS, network=network)

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from ..errors import WorkloadError
-from ..instrument import Tracer, profile
-from ..simmpi import NetworkModel, Simulator
+from ..simmpi import NetworkModel
+from .simulate import traced_run
 
 #: Region names of the pipeline workload.
 PIPELINE_REGIONS = ("sweep forward", "sweep backward", "norm")
@@ -78,8 +78,5 @@ def run_pipeline(config: Optional[PipelineConfig] = None, n_ranks: int = 16,
     Returns ``(result, tracer, measurements)``.
     """
     configuration = config if config is not None else PipelineConfig()
-    tracer = Tracer()
-    simulator = Simulator(n_ranks, network=network, trace_sink=tracer.record)
-    result = simulator.run(pipeline_program, configuration)
-    measurements = profile(tracer, regions=PIPELINE_REGIONS)
-    return result, tracer, measurements
+    return traced_run(pipeline_program, configuration, n_ranks=n_ranks,
+                      regions=PIPELINE_REGIONS, network=network)

@@ -19,9 +19,9 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from ..errors import WorkloadError
-from ..instrument import Tracer, profile
-from ..simmpi import NetworkModel, Simulator
+from ..simmpi import NetworkModel
 from .decomposition import block_partition, square_grid
+from .simulate import traced_run
 
 #: Region names of the stencil workload.
 STENCIL_REGIONS = ("halo", "sweep", "residual")
@@ -89,8 +89,5 @@ def run_stencil(config: Optional[StencilConfig] = None, n_ranks: int = 16,
     Returns ``(result, tracer, measurements)``.
     """
     configuration = config if config is not None else StencilConfig()
-    tracer = Tracer()
-    simulator = Simulator(n_ranks, network=network, trace_sink=tracer.record)
-    result = simulator.run(stencil_program, configuration)
-    measurements = profile(tracer, regions=STENCIL_REGIONS)
-    return result, tracer, measurements
+    return traced_run(stencil_program, configuration, n_ranks=n_ranks,
+                      regions=STENCIL_REGIONS, network=network)

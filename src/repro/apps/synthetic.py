@@ -12,15 +12,15 @@ from __future__ import annotations
 
 import zlib
 
-from dataclasses import dataclass, field
-from typing import Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Optional, Tuple
 
 import numpy as np
 
 from ..errors import WorkloadError
-from ..instrument import Tracer, profile
-from ..simmpi import NetworkModel, Simulator
+from ..simmpi import NetworkModel
 from .imbalance import BALANCED, Injector
+from .simulate import traced_run
 
 #: Communication patterns a synthetic region can use.
 PATTERNS = ("none", "neighbour", "allreduce", "alltoall", "barrier",
@@ -123,13 +123,8 @@ class SyntheticWorkload:
 
         Returns ``(result, tracer, measurements)``.
         """
-        tracer = Tracer()
-        simulator = Simulator(n_ranks, network=network,
-                              trace_sink=tracer.record)
-        result = simulator.run(lambda comm: self.program(comm))
-        names = tuple(spec.name for spec in self.regions)
-        measurements = profile(tracer, regions=names)
-        return result, tracer, measurements
+        return traced_run(self.program, n_ranks=n_ranks, network=network,
+                          regions=tuple(spec.name for spec in self.regions))
 
 
 def imbalance_sweep_workload(injector: Injector,

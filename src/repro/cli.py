@@ -169,7 +169,7 @@ def _build_parser() -> argparse.ArgumentParser:
                 help="shard worker processes for the profiled run "
                      "(default: %(default)s)")
     _add_params(self_cmd, "chunk_size", "index")
-    self_cmd.add_argument("--trace", metavar="PATH", dest="self_trace",
+    self_cmd.add_argument("--trace", metavar="PATH", dest="profile_out",
                           help="write the recorded spans as a repro "
                                "trace file (analyzable with "
                                "`repro analyze`)")
@@ -254,19 +254,20 @@ def _settings(arguments) -> dict:
 
 
 class _Profiled:
-    """Span recording around one command, when ``--profile`` asks.
-
-    On success, prints the per-stage timing table after the command's
-    own output and optionally serializes the spans as a repro trace
-    (``--profile-out``) — the dogfooding loop: the profile of an
-    analysis run is itself an analyzable trace.  On failure the spans
-    are dropped; the error message must stay the last thing printed.
+    """The CLI's one span recording around a command: the trace verbs
+    record when ``--profile``/``--profile-out`` ask and then print the
+    per-stage table; ``repro self`` (``table=False``) always records and
+    prints its verdict from :attr:`spans`.  :meth:`write_trace` writes
+    ``--profile-out`` (``self --trace``).  On failure the spans are
+    dropped; the error message must stay the last thing printed.
     """
 
-    def __init__(self, arguments) -> None:
+    def __init__(self, arguments, table: bool = True) -> None:
         self._out = getattr(arguments, "profile_out", None)
-        self._active = bool(getattr(arguments, "profile", False)
+        self._table = table
+        self._active = bool(not table or getattr(arguments, "profile", False)
                             or self._out)
+        self.spans: list = []
 
     def __enter__(self) -> "_Profiled":
         if self._active:
@@ -278,21 +279,24 @@ class _Profiled:
         if not self._active:
             return False
         from .obs import spans as obspans
-        spans = obspans.drain()
+        self.spans = obspans.drain()
         obspans.disable()
-        if exc_type is not None:
+        if exc_type is not None or not self._table:
             return False
-        if spans:
+        if self.spans:
             print()
-            print(obspans.render_span_table(spans))
-            if self._out:
-                from .obs.selftrace import write_selftrace
-                count = write_selftrace(self._out, spans)
-                print(f"\nwrote {count} self-trace events to "
-                      f"{self._out}")
+            print(obspans.render_span_table(self.spans))
+            self.write_trace()
         else:
             print("\n(no pipeline spans were recorded)")
         return False
+
+    def write_trace(self) -> None:
+        """Write the recorded spans as a repro trace, if asked to."""
+        if self._out:
+            from .obs.selftrace import write_selftrace
+            count = write_selftrace(self._out, self.spans)
+            print(f"\nwrote {count} self-trace events to {self._out}")
 
 
 def _command_analyze(arguments) -> int:
@@ -325,12 +329,10 @@ def _command_cfd(arguments) -> int:
           f"({result.messages} messages, {len(tracer)} events)\n")
     print(render_full_report(analyze(measurements)))
     if arguments.trace:
-        if str(arguments.trace).endswith(".rptb"):
-            from .instrument import write_binary_trace
-            count = write_binary_trace(arguments.trace, tracer.events)
-        else:
-            from .instrument import write_tracer
-            count = write_tracer(arguments.trace, tracer)
+        from .instrument import write_binary_trace, write_tracer
+        write = (write_binary_trace if str(arguments.trace).endswith(".rptb")
+                 else write_tracer)
+        count = write(arguments.trace, tracer)
         print(f"\nwrote {count} events to {arguments.trace}")
     return 0
 
@@ -450,8 +452,7 @@ def _command_self(arguments) -> int:
     import tempfile
 
     from .obs import spans as obspans
-    from .obs.selftrace import (render_self_report, self_imbalance,
-                                write_selftrace)
+    from .obs.selftrace import self_document, self_imbalance
 
     with tempfile.TemporaryDirectory(prefix="repro-self-") as workdir:
         if arguments.tracefile:
@@ -462,18 +463,16 @@ def _command_self(arguments) -> int:
             tracefile = str(Path(workdir) / "paper.jsonl")
             synthesize_paper_trace(tracefile)
             source = "synthesized paper trace"
-        obspans.enable()
-        try:
+        with _Profiled(arguments, table=False) as profiled:
             render(build_report("analyze", tracefile, vars(arguments)))
-            spans = obspans.drain()
-        finally:
-            obspans.disable()
 
+    spans = profiled.spans
     fanout = next(item for item in spans if item.name == "shard_fanout")
     print(f"profiled the analysis pipeline over {source} "
           f"({fanout.attributes['jobs']} shard worker(s))\n")
     print(obspans.render_span_table(spans))
-    pairs = self_imbalance(spans, index=arguments.index)
+    document = self_document(spans, index=arguments.index)
+    pairs = self_imbalance(document)
     width = max(len(stage) for stage, _ in pairs)
     print(f"\nper-stage self-imbalance (index {arguments.index}, "
           "scaled by mean duration):")
@@ -481,11 +480,8 @@ def _command_self(arguments) -> int:
         print(f"  {stage:<{width}s}  {value:.4g}")
     if arguments.report:
         print()
-        print(render_self_report(spans, index=arguments.index))
-    if arguments.self_trace:
-        count = write_selftrace(arguments.self_trace, spans)
-        print(f"\nwrote {count} self-trace events to "
-              f"{arguments.self_trace}")
+        print(render(document))
+    profiled.write_trace()
     return 0
 
 
@@ -590,7 +586,7 @@ _OUTPUT_PATHS = {
     "analyze": ("export_chrome", "profile_out"),
     "temporal": ("profile_out",),
     "cfd": ("trace",),
-    "self": ("self_trace",),
+    "self": ("profile_out",),
     "serve": ("ready_file",),
 }
 

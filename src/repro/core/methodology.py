@@ -25,7 +25,7 @@ from .breakdown import ProgramBreakdown, characterize
 from .clustering import cluster_regions
 from .measurements import MeasurementSet
 from .patterns import PatternGrid, _pattern_grids
-from .ranking import RankingResult, rank
+from .ranking import RankingResult
 from .views import ActivityView, CodeRegionView, ProcessorView
 
 
@@ -113,18 +113,10 @@ class Methodology:
         processor_view = session.processor_view()
         activity_view, region_view = session.views(self.index,
                                                    self.weighting)
-        activity_values = {
-            name: float(value) for name, value in
-            zip(measurements.activities, activity_view.scaled_index)
-        }
-        region_values = {
-            name: float(value) for name, value in
-            zip(measurements.regions, region_view.scaled_index)
-        }
-        activity_ranking = rank(activity_values, self.criterion,
-                                **self.criterion_parameters)
-        region_ranking = rank(region_values, self.criterion,
-                              **self.criterion_parameters)
+        activity_ranking, region_ranking = (
+            session.ranking(kind, self.criterion, self.index, self.weighting,
+                            **self.criterion_parameters)
+            for kind in ("activity", "region"))
         return AnalysisResult(
             measurements=measurements,
             breakdown=breakdown,

@@ -32,18 +32,15 @@ perfect.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
-
-import numpy as np
 
 from ..apps.cfd import CFDConfig, cfd_program, LOOPS
 from ..apps.checkpoint import (CHECKPOINT_REGIONS, CheckpointConfig,
                                checkpoint_program)
+from ..apps.simulate import traced_run
 from ..core import analyze
 from ..errors import FaultError
-from ..instrument import Tracer, profile
-from ..simmpi import Simulator
 from .plan import (FaultPlan, LinkDegradation, MessageDrop, RankCrash,
                    RetryPolicy, Straggler)
 
@@ -185,11 +182,9 @@ class CampaignReport:
 def run_case(case: CampaignCase, criterion: str = "maximum",
              **criterion_parameters) -> CaseResult:
     """Inject one fault, analyze the trace, score the blame claims."""
-    tracer = Tracer()
-    simulator = Simulator(case.app.n_ranks, trace_sink=tracer.record,
-                          fault_plan=case.plan)
-    outcome = simulator.run(case.app.program, case.app.config)
-    measurements = profile(tracer, regions=case.app.regions)
+    outcome, _, measurements = traced_run(
+        case.app.program, case.app.config, n_ranks=case.app.n_ranks,
+        regions=case.app.regions, fault_plan=case.plan)
     analysis = analyze(measurements, criterion=criterion,
                        criterion_parameters=criterion_parameters)
     activity = analysis.activity_ranking.ordered[0].name

@@ -27,8 +27,8 @@ from __future__ import annotations
 import os
 import struct
 from pathlib import Path
-from typing import (Callable, Generator, Iterable, Iterator, List, Optional,
-                    Tuple, Union)
+from typing import (Callable, Dict, Generator, Iterable, Iterator, List,
+                    Optional, Tuple, Union)
 
 import numpy as np
 
@@ -52,33 +52,49 @@ RECORD = np.dtype([("rank", "<u4"), ("region", "<u2"), ("activity", "<u2"),
 PathLike = Union[str, Path]
 
 
-def write_binary_trace(path: PathLike,
-                       events: Iterable[TraceEvent]) -> int:
-    """Write events in the binary format; returns the number written."""
-    chunk = EventColumns.from_events(events)
-    if len(chunk.names) > 0xFFFF:
+def write_binary_trace(path: PathLike, source: Iterable) -> int:
+    """Write what a :class:`Tracer` takes (a chunk source or events) in
+    the binary format; returns the number written.  Each chunk's names
+    are re-coded into one string table in order of first use, so chunks
+    write the bytes their events would."""
+    codes: Dict[str, int] = {}
+    blocks = [_records(chunk, codes) for chunk in Tracer(source)]
+    if len(codes) > 0xFFFF:
         raise TraceError("string table overflow (65535 names)")
-    if any("\x00" in name for name in chunk.names):
+    if any("\x00" in name for name in codes):
         raise TraceError("a name contains NUL, the string table separator")
+    records = np.concatenate(blocks) if blocks else np.empty(0, RECORD)
+    table = b"\x00".join(name.encode("utf-8") for name in codes)
+    ranks = int(records["rank"].max()) + 1 if len(records) else 0
+    with open(Path(path), "wb") as stream:
+        stream.write(_HEADER.pack(MAGIC, VERSION, ranks, len(records),
+                                  len(table)))
+        stream.write(table)
+        stream.write(records.tobytes())
+    return len(records)
+
+
+def _records(chunk: EventColumns, codes: Dict[str, int]) -> np.ndarray:
+    """A chunk's binary records, its names coded through ``codes``."""
     # Each integer field's range; the header's rank count is max rank + 1.
     for column, low, high in (("rank", 0, 2 ** 32 - 2),
                               ("nbytes", 0, 2 ** 64 - 1),
                               ("partner", -2 ** 31, 2 ** 31 - 1)):
         values = getattr(chunk, column)
-        if len(chunk) and not low <= values.min() <= values.max() <= high:
+        if not low <= values.min() <= values.max() <= high:
             raise TraceError(f"{column} outside {low}..{high}, the range "
                              "of its binary record field")
+    used, first = np.unique(np.stack([chunk.region, chunk.activity], 1),
+                            return_index=True)
+    recode = np.zeros(len(chunk.names), dtype=np.intp)
+    for code in used[np.argsort(first)].tolist():
+        recode[code] = codes.setdefault(chunk.names[code], len(codes))
     records = np.empty(len(chunk), dtype=RECORD)
     for field in RECORD.names:
         records[field] = getattr(chunk, field)
-    table = b"\x00".join(name.encode("utf-8") for name in chunk.names)
-    ranks = int(chunk.rank.max()) + 1 if len(chunk) else 0
-    with open(Path(path), "wb") as stream:
-        stream.write(_HEADER.pack(MAGIC, VERSION, ranks, len(chunk),
-                                  len(table)))
-        stream.write(table)
-        stream.write(records.tobytes())
-    return len(chunk)
+    records["region"] = recode[chunk.region]
+    records["activity"] = recode[chunk.activity]
+    return records
 
 
 def read_binary_header(source: Path,

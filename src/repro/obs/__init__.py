@@ -29,8 +29,8 @@ verb.
 from .log import (JsonLogger, NullLogger, get_request_id, new_request_id,
                   request_scope, set_request_id)
 from .prom import PROM_CONTENT_TYPE, render_prometheus
-from .selftrace import (render_self_report, self_imbalance,
-                        spans_to_tracer, worker_ranks, write_selftrace)
+from .selftrace import (self_document, self_imbalance, spans_to_tracer,
+                        worker_ranks, write_selftrace)
 from .spans import (Span, StageSummary, absorb, current_worker, disable,
                     drain, enable, is_enabled, render_span_table,
                     set_worker, span, summarize_spans, worker_scope)
@@ -39,7 +39,7 @@ __all__ = [
     "JsonLogger", "NullLogger", "PROM_CONTENT_TYPE", "Span",
     "StageSummary", "absorb", "current_worker", "disable", "drain", "enable",
     "get_request_id", "is_enabled", "new_request_id", "render_prometheus",
-    "render_self_report", "render_span_table", "request_scope",
+    "render_span_table", "request_scope", "self_document",
     "self_imbalance", "set_request_id", "set_worker", "span",
     "spans_to_tracer", "summarize_spans", "worker_ranks", "worker_scope",
     "write_selftrace",

@@ -24,8 +24,8 @@ Every event is ``kind="compute"`` — spans measure wall-clock occupancy
 of a stage, which is the ``t_ijp`` the methodology aggregates.
 
 ``repro self`` drives this end-to-end: run an analysis under
-instrumentation, export the self-trace, analyze it, and report the
-pipeline's own imbalance indices.
+instrumentation, analyze the self-trace once (:func:`self_document`),
+and report the pipeline's own imbalance indices from that document.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from pathlib import Path
 from typing import Dict, List, Sequence, Tuple, Union
 
 from ..errors import ReproError
-from ..reports import analyze_document, render
+from ..reports import analyze_document
 from .spans import Span
 
 PathLike = Union[str, Path]
@@ -85,35 +85,29 @@ def write_selftrace(path: PathLike, spans: Sequence[Span]) -> int:
     return write_tracer(path, spans_to_tracer(spans))
 
 
-def self_imbalance(spans: Sequence[Span],
-                   index: str = "euclidean") -> List[Tuple[str, float]]:
+def self_document(spans: Sequence[Span], index: str = "euclidean") -> dict:
+    """The ``analyze`` document of the spans' profile (stages as
+    regions, workers as ranks): :func:`~repro.reports.render` gives its
+    full report, :func:`self_imbalance` its per-stage indices."""
+    from ..instrument import profile
+    return analyze_document(profile(spans_to_tracer(spans)), index=index)
+
+
+def self_imbalance(document: dict) -> List[Tuple[str, float]]:
     """Per-stage imbalance indices of the pipeline's own execution.
 
-    Returns ``(stage, index_value)`` pairs (region view of the
-    self-trace profile), NaN-free: stages a single worker executed
+    Returns ``(stage, index_value)`` pairs (region view of a
+    :func:`self_document`), NaN-free: stages a single worker executed
     have no dispersion to report and come back as 0.0 by the same
     convention the analysis applies to one-processor measurements.
     """
     import math
 
-    from ..instrument import profile
-    view = analyze_document(profile(spans_to_tracer(spans)),
-                            index=index)["region_view"]
     values = {stage: float(entry["scaled_index"])
-              for stage, entry in view.items()}
+              for stage, entry in document["region_view"].items()}
     return [(stage, 0.0 if math.isnan(value) else value)
             for stage, value in values.items()]
 
 
-def render_self_report(spans: Sequence[Span],
-                       index: str = "euclidean") -> str:
-    """The ``repro self`` verdict: the tool analyzed by the tool, as
-    the full report of the self-trace (stages as regions, workers as
-    ranks) that :func:`~repro.reports.render` gives any trace."""
-    from ..instrument import profile
-    return render(analyze_document(profile(spans_to_tracer(spans)),
-                                   index=index))
-
-
-__all__ = ["render_self_report", "self_imbalance", "spans_to_tracer",
+__all__ = ["self_document", "self_imbalance", "spans_to_tracer",
            "worker_ranks", "write_selftrace"]

@@ -27,12 +27,14 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import random
 import time
 import urllib.error
 import urllib.request
+from contextlib import nullcontext
 from pathlib import Path
-from typing import Optional, Union
+from typing import BinaryIO, Optional, Union
 
 from ..cache import iter_chunks
 from ..errors import ReproError
@@ -130,7 +132,7 @@ class ServeClient:
         return wait
 
     def _request(self, method: str, path: str,
-                 data: Optional[bytes] = None,
+                 data: Union[bytes, BinaryIO, None] = None,
                  content_type: str = "application/json",
                  headers: Optional[dict] = None) -> dict:
         # One correlation ID per *logical* request, minted here when
@@ -141,7 +143,13 @@ class ServeClient:
         if "X-Request-Id" not in headers:
             headers["X-Request-Id"] = new_request_id()
         request_id = headers["X-Request-Id"]
+        streamed = hasattr(data, "seek")
+        if streamed:
+            # Sent in blocks; the daemon takes no chunked bodies.
+            headers["Content-Length"] = str(os.fstat(data.fileno()).st_size)
         for attempt in range(self.retries + 1):
+            if streamed:
+                data.seek(0)
             request = urllib.request.Request(
                 self.url + path, data=data, method=method,
                 headers={"Content-Type": content_type, **headers})
@@ -198,26 +206,24 @@ class ServeClient:
     def submit(self, trace: Union[PathLike, bytes],
                name: Optional[str] = None) -> dict:
         """Upload a trace (path or bytes); returns its stored metadata.
+        A file is streamed from disk, rewound for each retry.
 
         Content-addressed: submitting the same bytes twice is
         idempotent (``created`` is False the second time) — which is
         also what makes retrying a submission safe.
         """
-        if isinstance(trace, bytes):
-            data = trace
-            name = name or ""
-        else:
-            source = Path(trace)
-            try:
-                data = source.read_bytes()
-            except OSError as error:
-                raise ReproError(
-                    f"cannot read {source}: {error}") from error
-            name = source.name if name is None else name
-        payload = self._request(
-            "POST", "/traces", data=data,
-            content_type="application/octet-stream",
-            headers={"X-Trace-Name": name} if name else None)
+        source = None if isinstance(trace, bytes) else Path(trace)
+        try:
+            body = nullcontext(trace) if source is None else open(source, "rb")
+        except OSError as error:
+            raise ReproError(f"cannot read {source}: {error}") from error
+        if name is None:
+            name = "" if source is None else source.name
+        with body as data:
+            payload = self._request(
+                "POST", "/traces", data=data,
+                content_type="application/octet-stream",
+                headers={"X-Trace-Name": name} if name else None)
         return {**payload["trace"], "created": payload["created"]}
 
     def report(self, sha: str, kind: str = "analyze", *,

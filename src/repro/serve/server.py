@@ -26,6 +26,11 @@ Production hardening (the documented status contract):
 * request bodies above ``max_body_bytes`` are refused with **413**
   before a byte is read, and accepted uploads stream straight into the
   store in bounded chunks;
+* a JSON body (``POST /reports``) above :data:`MAX_JSON_BYTES` (1 MiB)
+  or ``max_body_bytes``, whichever is smaller, is refused with **413**
+  before a byte is read, so no handler buffers more than that;
+* a refused connection is closed in stages (:data:`LINGER_SECONDS`),
+  so a client still sending its body reads the answer, not a reset;
 * a malformed ``Content-Length``, an invalid ``timeout`` or a
   non-boolean ``wait`` is a **400**, and every blocking wait is clamped
   to ``max_wait_seconds``;
@@ -90,8 +95,14 @@ MAX_WAIT_SECONDS = SETTINGS["max_wait_seconds"].default
 #: instead of pinning a handler thread.
 DEFAULT_REQUEST_TIMEOUT = SETTINGS["request_timeout"].default
 
-#: Chunk size for spooling request bodies to the trace store.
-_BODY_CHUNK = 1 << 20
+#: Largest JSON request body (``POST /reports``, a few hundred bytes in
+#: practice), or ``max_body_bytes`` if smaller: all a handler buffers.
+MAX_JSON_BYTES = 1 << 20
+
+#: Longest a handler reads and drops what a refused client still sends
+#: before it closes (RFC 9112's staged close): closing on an unread body
+#: resets the connection under a client before it reads the answer.
+LINGER_SECONDS = 2.0
 
 
 class _LimitedReader:
@@ -142,6 +153,19 @@ class _Handler(BaseHTTPRequestHandler):
         self.timeout = self.service.request_timeout
         super().setup()
 
+    def finish(self) -> None:
+        super().finish()
+        if self.close_connection and getattr(self, "_status", 0) >= 400:
+            deadline = time.monotonic() + LINGER_SECONDS
+            try:
+                self.connection.shutdown(socket.SHUT_WR)
+                while (left := deadline - time.monotonic()) > 0:
+                    self.connection.settimeout(left)
+                    if not self.connection.recv(1 << 16):
+                        break      # the peer read the answer and closed
+            except OSError:
+                pass               # gone, or quiet past the deadline
+
     def log_message(self, format, *args):  # noqa: A002 - stdlib signature
         pass       # access logging is structured; see _route
 
@@ -168,6 +192,9 @@ class _Handler(BaseHTTPRequestHandler):
     def _send_body(self, status: int, body: bytes, content_type: str,
                    headers: Optional[dict] = None,
                    request_id: Optional[str] = None) -> None:
+        # Counted first: a client holding the answer sees it counted.
+        self._status = status
+        self.service.metrics.count(f"responses_{status // 100}xx")
         try:
             self.send_response(status)
             self.send_header("Content-Type", content_type)
@@ -184,8 +211,6 @@ class _Handler(BaseHTTPRequestHandler):
             # The peer is gone or too slow to take the answer; there
             # is nobody left to report the failure to.
             self.close_connection = True
-        self._status = status
-        self.service.metrics.count(f"responses_{status // 100}xx")
 
     def _content_length(self) -> int:
         raw = self.headers.get("Content-Length")
@@ -201,31 +226,18 @@ class _Handler(BaseHTTPRequestHandler):
                 400, f"Content-Length must not be negative: {raw!r}")
         return length
 
-    def _body_length(self) -> int:
-        """Validated Content-Length, bounded by the ingress body cap."""
+    def _body_length(self, limit: int) -> int:
+        """Validated Content-Length, at most ``limit`` bytes."""
         length = self._content_length()
-        if length > self.service.max_body_bytes:
+        if length > limit:
             raise _HttpError(
                 413, f"body of {length} bytes exceeds the "
-                     f"{self.service.max_body_bytes}-byte limit")
+                     f"{limit}-byte limit")
         return length
 
-    def _read_body(self) -> bytes:
-        length = self._body_length()
-        if not length:
-            return b""
-        chunks = []
-        remaining = length
-        while remaining:
-            chunk = self.rfile.read(min(remaining, _BODY_CHUNK))
-            if not chunk:
-                break              # peer closed early; use what arrived
-            chunks.append(chunk)
-            remaining -= len(chunk)
-        return b"".join(chunks)
-
     def _json_body(self) -> dict:
-        raw = self._read_body()
+        limit = min(MAX_JSON_BYTES, self.service.max_body_bytes)
+        raw = _LimitedReader(self.rfile, self._body_length(limit)).read()
         try:
             payload = json.loads(raw.decode("utf-8") or "{}")
         except (UnicodeDecodeError, ValueError) as error:
@@ -363,7 +375,7 @@ class _Handler(BaseHTTPRequestHandler):
     def _post_traces(self, rest, query) -> None:
         if rest:
             raise _HttpError(404, "no such endpoint")
-        length = self._body_length()
+        length = self._body_length(self.service.max_body_bytes)
         name = self.headers.get("X-Trace-Name", "")
         try:
             with self.service.metrics.timed("ingest"):
@@ -427,12 +439,12 @@ class _Handler(BaseHTTPRequestHandler):
             # The runner wants trace bytes it does not have — never
             # stored, or evicted with no cached report to fall back on.
             raise _HttpError(404, str(error))
-        if payload.get("status") == "error":
-            self._send_json(422, payload)
-        elif payload.get("status") == "pending":
-            self._send_json(202, payload)
-        else:
-            self._send_json(200, payload)
+        self._send_payload(payload)
+
+    def _send_payload(self, payload: dict) -> None:
+        """A job payload: 422 if the job failed, 202 while pending."""
+        self._send_json({"error": 422, "pending": 202}.get(
+            payload.get("status"), 200), payload)
 
     def _get_reports(self, rest, query) -> None:
         if len(rest) != 1:
@@ -449,12 +461,7 @@ class _Handler(BaseHTTPRequestHandler):
             rest[0], wait=wait is not None, timeout=wait)
         if payload is None:
             raise _HttpError(404, f"no report under key {rest[0]!r}")
-        if payload.get("status") == "error":
-            self._send_json(422, payload)
-        elif payload.get("status") == "pending":
-            self._send_json(202, payload)
-        else:
-            self._send_json(200, payload)
+        self._send_payload(payload)
 
 
 class _Server(ThreadingHTTPServer):

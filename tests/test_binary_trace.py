@@ -212,3 +212,58 @@ class TestSniffAndDispatch:
         assert sniff_format(path) == "unknown"
         with pytest.raises(TraceError):
             read_any(path)
+
+
+class TestChunkSources:
+    """The writer takes chunks as a ``Tracer`` does; each chunk's names
+    are re-coded into the one string table."""
+
+    def test_tracer_of_reader_chunks_writes_its_events_bytes(self,
+                                                             tmp_path):
+        from repro.instrument import Tracer, iter_any
+        first, second = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+        write_trace(first, sample_events())
+        # Other names, and shared ones in another order: the two
+        # reader chunks carry different name tables.
+        write_trace(second, [
+            TraceEvent(2, "loop 9", "i/o", 0.0, 0.5),
+            TraceEvent(3, "loop 2", "computation", 0.5, 1.0),
+            TraceEvent(2, "loop 1", "collective", 1.0, 3.0, kind="recv",
+                       nbytes=8, partner=3),
+        ])
+        tracer = Tracer()
+        tracer.extend(iter_any(first))
+        tracer.extend(iter_any(second))
+        chunks = list(tracer)
+        assert len(chunks) == 2 and chunks[0].names != chunks[1].names
+        from_chunks, from_events = tmp_path / "c.rptb", tmp_path / "e.rptb"
+        assert write_binary_trace(from_chunks, tracer) == 6
+        assert write_binary_trace(from_events, tracer.events) == 6
+        assert from_chunks.read_bytes() == from_events.read_bytes()
+        assert read_binary_trace(from_chunks) == list(tracer.events)
+
+    def test_names_only_a_chunk_table_holds_are_not_written(self,
+                                                             tmp_path):
+        """A selected chunk keeps its whole name table; the file holds
+        only the names its events use."""
+        import numpy as np
+        from repro.instrument import Tracer
+        chunk, = Tracer(sample_events())
+        kept = chunk.select(np.array([False, True, True]))
+        path, expected = tmp_path / "s.rptb", tmp_path / "x.rptb"
+        write_binary_trace(path, [kept])
+        write_binary_trace(expected, sample_events()[1:])
+        assert path.read_bytes() == expected.read_bytes()
+
+    def test_folded_trace_and_chunk_generator(self, tmp_path):
+        from repro.instrument import iter_any
+        from repro.instrument.stream import FoldedTrace, accumulate_trace
+        jsonl = tmp_path / "t.jsonl"
+        write_trace(jsonl, sample_events())
+        expected = tmp_path / "e.rptb"
+        write_binary_trace(expected, sample_events())
+        folded = FoldedTrace(jsonl, accumulate_trace(jsonl), 2, "raise")
+        for source in (folded, iter_any(jsonl, chunk_size=1)):
+            path = tmp_path / "t.rptb"
+            assert write_binary_trace(path, source) == 3
+            assert path.read_bytes() == expected.read_bytes()

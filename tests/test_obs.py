@@ -44,7 +44,7 @@ from repro.obs import (JsonLogger, NullLogger, PROM_CONTENT_TYPE, Span,
 from repro.obs import log as obslog
 from repro.obs import spans as obspans
 from repro.obs.prom import escape_label_value, format_value, metric_name
-from repro.obs.selftrace import self_imbalance
+from repro.obs.selftrace import self_document, self_imbalance
 from repro.serve.metrics import LatencyWindow, ServiceMetrics
 
 
@@ -398,7 +398,7 @@ class TestSelfTrace:
         assert measurements.n_processors == 3
 
     def test_self_imbalance_is_nan_free(self):
-        pairs = self_imbalance(self.SPANS)
+        pairs = self_imbalance(self_document(self.SPANS))
         assert pairs and all(math.isfinite(value) for _, value in pairs)
         by_stage = dict(pairs)
         # Two workers with different durations: some dispersion.
@@ -406,7 +406,7 @@ class TestSelfTrace:
 
     def test_self_imbalance_single_worker_is_zero_not_nan(self):
         spans = [Span("only", 0.0, 1.0, worker="main")]
-        assert self_imbalance(spans) == [("only", 0.0)]
+        assert self_imbalance(self_document(spans)) == [("only", 0.0)]
 
     def test_cli_self_verb_round_trip(self, tmp_path, capsys):
         from repro.cli import main
@@ -469,6 +469,45 @@ class TestSelfTrace:
         assert profiled.startswith(plain.rstrip("\n"))
         assert "Pipeline profile" in profiled
         assert "Pipeline profile" not in plain
+
+
+    def test_cli_self_report_analyzes_the_self_trace_once(
+            self, tmp_path, capsys, monkeypatch):
+        """``repro self --report`` builds one document of its self-trace;
+        the self-imbalance rows and the report text both come from it,
+        in the order: header, stage table, rows, report, written trace."""
+        import repro.obs.selftrace as selftrace
+        from repro.cli import main
+        from repro.instrument import read_trace
+        from repro.reports import render
+        documents = []
+
+        def counted(*args, **kwargs):
+            documents.append(real(*args, **kwargs))
+            return documents[-1]
+
+        real = selftrace.analyze_document
+        monkeypatch.setattr(selftrace, "analyze_document", counted)
+        out = tmp_path / "self.jsonl"
+        assert main(["self", "--jobs", "1", "--report",
+                     "--trace", str(out)]) == 0
+        stdout = capsys.readouterr().out
+        assert len(documents) == 1
+        document, = documents
+        rows = self_imbalance(document)
+        width = max(len(stage) for stage, _ in rows)
+        tail = "".join(
+            ["\nper-stage self-imbalance (index euclidean, scaled by mean "
+             "duration):\n"]
+            + [f"  {stage:<{width}s}  {value:.4g}\n" for stage, value in rows]
+            + ["\n", render(document), "\n\n",
+               f"wrote {len(read_trace(out))} self-trace events to {out}\n"])
+        head = ("profiled the analysis pipeline over synthesized paper "
+                "trace (1 shard worker(s))\n\n")
+        assert stdout.startswith(head) and stdout.endswith(tail)
+        table = stdout[len(head):-len(tail)]
+        assert table.startswith("Pipeline profile")
+        assert "Wall clock time (s) per region and activity" in tail
 
 
 # ----------------------------------------------------------------------

@@ -18,6 +18,7 @@ The load-bearing guarantees:
   cached reports per second.
 """
 
+import hashlib
 import http.client
 import http.server
 import io
@@ -882,10 +883,21 @@ class TestStoreEviction:
 # Client resilience: retry with backoff on 429/503/connection errors
 # ----------------------------------------------------------------------
 class _ScriptedHandler(http.server.BaseHTTPRequestHandler):
-    """Answers from a canned (status, headers, payload) script."""
+    """Answers from a canned (status, headers, payload) script.  Each
+    body is read in small blocks and kept as its length, digest and
+    ``X-Trace-Name`` only."""
 
     def _respond(self):
         self.server.seen.append(f"{self.command} {self.path}")
+        remaining = int(self.headers.get("Content-Length", 0))
+        length, digest = remaining, hashlib.sha256()
+        while remaining:
+            block = self.rfile.read(min(remaining, 1 << 16))
+            digest.update(block)
+            remaining -= len(block)
+        if length:
+            self.server.bodies.append((length, digest.hexdigest(),
+                                       self.headers.get("X-Trace-Name")))
         status, headers, payload = (
             self.server.script.pop(0) if self.server.script
             else (200, {}, {"status": "ok"}))
@@ -909,7 +921,7 @@ class _ScriptedHandler(http.server.BaseHTTPRequestHandler):
 def scripted_service(script):
     httpd = http.server.HTTPServer(("127.0.0.1", 0), _ScriptedHandler)
     httpd.script = list(script)
-    httpd.seen = []
+    httpd.seen, httpd.bodies = [], []
     thread = threading.Thread(target=httpd.serve_forever, daemon=True)
     thread.start()
     try:
@@ -1032,3 +1044,75 @@ class TestClientRetry:
         assert meta["created"]
         assert len(sleeps) == 2
         assert all(wait >= 1.0 for wait in sleeps)
+
+
+# ----------------------------------------------------------------------
+# Bounded buffers: capped JSON bodies, streamed uploads
+# ----------------------------------------------------------------------
+class TestBoundedBodies:
+    #: A scripted ``POST /traces`` answer.
+    STORED = (201, {}, {"trace": {"sha256": "0" * 64}, "created": True})
+
+    def test_json_body_above_the_cap_is_413_unread(self, server):
+        """A default daemon (256 MiB ``max_body_bytes``) refuses a JSON
+        body above ``MAX_JSON_BYTES`` from its Content-Length alone:
+        no body byte is sent, and the answer comes at once."""
+        from repro.serve.server import MAX_JSON_BYTES
+        assert server.max_body_bytes > MAX_JSON_BYTES
+        start = time.monotonic()
+        status, _, payload = raw_request(
+            server, "POST", "/reports",
+            headers={"Content-Length": str(MAX_JSON_BYTES + 1)})
+        assert status == 413
+        assert f"{MAX_JSON_BYTES}-byte limit" in payload["error"]
+        assert time.monotonic() - start < server.request_timeout / 2
+        # A body at the cap is read, and judged as JSON.
+        status, _, payload = raw_request(
+            server, "POST", "/reports",
+            body=b"{}".ljust(MAX_JSON_BYTES))
+        assert status == 400
+        assert "trace" in payload["error"]
+
+    def test_refused_upload_reads_its_answer(self, tmp_path):
+        """A daemon that refuses an upload before reading it keeps
+        reading (and dropping) the body until the client has sent it,
+        so the client gets the 413, not a reset connection."""
+        trace = tmp_path / "big.rptb"
+        trace.write_bytes(os.urandom(4 << 20))
+        with AnalysisServer(tmp_path / "store", port=0,
+                            max_body_bytes=1024) as daemon:
+            client = ServeClient(daemon.url, retries=0)
+            for upload in (trace, trace.read_bytes()):
+                with pytest.raises(ReproError, match="answered 413"):
+                    client.submit(upload)
+
+    def test_submit_streams_the_file(self, tmp_path):
+        """The traced peak of submitting a 4 MB trace stays below a
+        quarter of its size: the file goes out in blocks."""
+        import tracemalloc
+        trace = tmp_path / "big.rptb"
+        trace.write_bytes(os.urandom(4 << 20))
+        with scripted_service([self.STORED]) as (httpd, url):
+            client = ServeClient(url, retries=0)
+            tracemalloc.start()
+            try:
+                meta = client.submit(trace)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert meta["created"]
+        assert httpd.bodies == [(trace.stat().st_size,
+                                 trace_sha256(trace), "big.rptb")]
+        assert peak < trace.stat().st_size / 4, peak
+
+    def test_streamed_submit_rewinds_on_retry(self, tmp_path):
+        trace = tmp_path / "t.jsonl"
+        trace.write_bytes(b"x" * 100_000)
+        sleeps = []
+        with scripted_service([(503, {}, {"error": "draining"}),
+                               self.STORED]) as (httpd, url):
+            meta = patient_client(url, sleeps).submit(trace)
+        assert meta["created"] and sleeps == [0.25]
+        expected = (100_000, trace_sha256(trace), "t.jsonl")
+        assert httpd.bodies == [expected, expected]
+
