@@ -64,7 +64,7 @@ _EXPORTS = {
                "balance_predictions", "excess_by_processor",
                "render_predictions"),
     "significance": ("NoiseModel", "noise_quantile", "p_value"),
-    "standardize": ("balanced_point", "standardize",
+    "standardize": ("balanced_point", "standardize", "standardize_along",
                     "standardize_over_activities",
                     "standardize_over_processors",
                     "standardize_region_profiles"),

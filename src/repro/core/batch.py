@@ -7,16 +7,19 @@ paying validation and dispatch overhead.  That matters for large
 sweeps (parameter studies, trace replays, per-hypothesis re-analysis)
 far more than for the paper's 7x4 example.
 
-* :class:`BatchAnalysis` — packs the standardized slices of every
-  *performed* cell into one ``(M, P)`` matrix and applies each
-  registered index to many rows per call, in cache-sized blocks.
-  Not-performed ("dash") cells are masked out and reported as ``nan``.
-  A time-resolved analysis (:mod:`repro.core.temporal`) applies the
-  same :func:`index_matrix` to each window's packed rows.
+* :class:`BatchAnalysis` — walks the tensor in blocks of whole
+  regions of at most :data:`BLOCK_BYTES`; each block packs and
+  standardizes its own *performed* rows, applies each requested index
+  to many of them per call and writes its slice of the ``(N, K)``
+  matrix.  The processor view walks the same blocks.  No kernel holds
+  a tensor-sized intermediate.  Not-performed ("dash") cells are
+  masked out and reported as ``nan``.  A time-resolved analysis
+  (:mod:`repro.core.temporal`) applies the same :func:`index_matrix`
+  to each window's packed rows.
 * :class:`AnalysisSession` — a memoization layer on top of one
   measurement set: views, ranking, efficiency, diagnosis and report
-  rendering all reuse the cached standardized tensors and dispersion
-  matrices instead of recomputing slices.
+  rendering all reuse the cached dispersion matrices instead of
+  recomputing slices.
 
 The per-cell scalar loop lives on as a test oracle
 (``tests/oracles.py``): the differential suites hold the engine to it
@@ -35,14 +38,15 @@ from ..errors import RankingError
 from ..obs import spans as obspans
 from .dispersion import available_indices, get_index, imbalance_time
 from .measurements import MeasurementSet
-from .standardize import (standardize_over_activities,
+from .standardize import (standardize_along, standardize_over_activities,
                           standardize_over_processors)
 
 
-#: Bytes of packed cells per index call.  An index makes several
-#: passes over its input; a block this size stays in cache between
-#: them, where a whole large sweep would go to memory on every pass.
-BLOCK_BYTES = 1 << 19
+#: Bytes of times per kernel block (at least one region's slice) and
+#: of packed cells per index call.  A kernel makes several passes over
+#: its block; a block this size stays in cache between them, and the
+#: temporaries of a pass stay a few blocks, however large the tensor.
+BLOCK_BYTES = 1 << 17
 
 
 def _readonly(array: np.ndarray) -> np.ndarray:
@@ -60,6 +64,14 @@ def _blockwise(function, cells: np.ndarray) -> np.ndarray:
                            for start in range(0, len(cells), rows)])
 
 
+def _region_blocks(times: np.ndarray) -> Iterable[slice]:
+    """Slices of whole regions of ``times`` of at most
+    :data:`BLOCK_BYTES` each, or one region where a region is larger."""
+    step = max(1, BLOCK_BYTES // max(1, times[0].nbytes))
+    return (slice(start, start + step)
+            for start in range(0, len(times), step))
+
+
 def index_matrix(index: str, cells: np.ndarray,
                  performed: np.ndarray) -> np.ndarray:
     """The (N, K) ``ID_ij`` matrix of the registered ``index`` over the
@@ -75,11 +87,12 @@ def index_matrix(index: str, cells: np.ndarray,
 
 
 class BatchAnalysis:
-    """All registered indices for all cells, in single NumPy passes.
+    """All registered indices for all cells, in blocks of whole regions.
 
-    Standardized tensors, the packed cell matrix and every computed
-    index matrix are cached; cached arrays are returned read-only (copy
-    before mutating).
+    Index matrices, the processor view and the activity totals are
+    cached; the standardized tensors and the packed cells are built
+    only when asked for (no kernel reads them), then cached too.
+    Cached arrays are returned read-only (copy before mutating).
     """
 
     def __init__(self, measurements: MeasurementSet):
@@ -106,7 +119,8 @@ class BatchAnalysis:
 
     @property
     def standardized_over_processors(self) -> np.ndarray:
-        """Cached ``t^_ijp`` standardized across processors."""
+        """``t^_ijp`` standardized across processors (built on first
+        access, then cached)."""
         if self._standardized_p is None:
             self._standardized_p = _readonly(
                 standardize_over_processors(self.measurements))
@@ -114,7 +128,8 @@ class BatchAnalysis:
 
     @property
     def standardized_over_activities(self) -> np.ndarray:
-        """Cached ``t^_ijp`` standardized across activities."""
+        """``t^_ijp`` standardized across activities (built on first
+        access, then cached)."""
         if self._standardized_a is None:
             self._standardized_a = _readonly(
                 standardize_over_activities(self.measurements))
@@ -123,71 +138,82 @@ class BatchAnalysis:
     @property
     def cells(self) -> np.ndarray:
         """(M, P) standardized slices of the performed cells, packed in
-        row-major (region, activity) order.
-
-        Packed straight from the raw tensor and standardized row-wise —
-        dividing each performed row by its own sum is bit-identical to
-        masking the full-tensor standardization, without touching the
-        not-performed cells.
-        """
+        row-major (region, activity) order (built on first access, then
+        cached): the rows every index matrix is a function of."""
         if self._cells is None:
-            if self._standardized_p is not None:
-                packed = self._standardized_p[self.performed].copy()
-            else:
-                packed = self.measurements.times[self.performed]
-                if packed.size:
-                    packed /= packed.sum(axis=1, keepdims=True)
-            self._cells = _readonly(packed)
+            packed = self.measurements.times[self.performed]
+            self._cells = _readonly(standardize_along(packed, out=packed))
         return self._cells
 
     # ------------------------------------------------------------------
-    # Index matrices
+    # Kernels, one block of whole regions at a time
     # ------------------------------------------------------------------
-    def _scatter(self, values: np.ndarray) -> np.ndarray:
-        """Unpack (M,) cell values into an (N, K) matrix, nan elsewhere."""
-        matrix = np.full(self.performed.shape, np.nan)
-        matrix[self.performed] = values
-        return matrix
+    def _row_matrices(self, functions, standardized: bool) -> list:
+        """The (N, K) matrix of each last-axis function of every
+        performed cell's times (divided by their sum where
+        ``standardized``), nan elsewhere.  Each block of regions packs
+        and divides its own rows once for all the functions; every
+        reduction is per row, so each value is the bits it has in the
+        whole packed matrix."""
+        times, performed = self.measurements.times, self.performed
+        matrices = [np.full(performed.shape, np.nan) for _ in functions]
+        for block in _region_blocks(times):
+            mask = performed[block]
+            if mask.any():
+                rows = times[block][mask]
+                if standardized:
+                    standardize_along(rows, out=rows)
+                for function, matrix in zip(functions, matrices):
+                    matrix[block][mask] = function(rows)
+        return matrices
 
     def matrix(self, index: str = "euclidean") -> np.ndarray:
         """The (N, K) matrix of ``ID_ij`` under the given index (cached
-        and read-only): :func:`index_matrix` of the packed cells."""
-        if index not in self._matrices:
-            self._matrices[index] = _readonly(
-                index_matrix(index, self.cells, self.performed))
-        return self._matrices[index]
+        and read-only), computed one block of regions at a time."""
+        return self.matrices((index,))[index]
 
     def matrices(self, names: Optional[Iterable[str]] = None
                  ) -> Dict[str, np.ndarray]:
         """``{index: (N, K) matrix}`` for the given indices (default:
-        every registered index), sharing one packed pass."""
-        if names is None:
-            names = available_indices()
-        return {name: self.matrix(name) for name in names}
+        every registered index), those not yet cached sharing one walk
+        over the blocks."""
+        names = tuple(available_indices() if names is None else names)
+        missing = [name for name in dict.fromkeys(names)
+                   if name not in self._matrices]
+        if missing:
+            functions = [get_index(name).__wrapped__ for name in missing]
+            for name, matrix in zip(missing, self._row_matrices(
+                    functions, standardized=True)):
+                self._matrices[name] = _readonly(matrix)
+        return {name: self._matrices[name] for name in names}
 
     def imbalance_time_matrix(self) -> np.ndarray:
         """(N, K) absolute imbalance times ``max_p - mean_p`` of the raw
         cell times (nan for dash cells)."""
         if self._imbalance_time is None:
-            raw = self.measurements.times[self.performed]
-            self._imbalance_time = _readonly(
-                self._scatter(imbalance_time.__wrapped__(raw)))
+            self._imbalance_time = _readonly(self._row_matrices(
+                [imbalance_time.__wrapped__], standardized=False)[0])
         return self._imbalance_time
 
     def processor_dispersion(self) -> np.ndarray:
-        """(N, P) processor-view indices ``ID_P_ip``, vectorized.
+        """(N, P) processor-view indices ``ID_P_ip``.
 
+        Each block of regions divides every (region, processor) profile
+        by that processor's time in the region and measures its
+        Euclidean distance from the region's average profile.
         Activities a region does not perform contribute exactly zero to
-        the profile distance (their standardized slice is identically
-        zero), so the masked per-region loop and this full-tensor pass
-        agree.
+        the distance (their standardized slice is identically zero), so
+        the masked per-region loop and this pass agree.
         """
         if self._processor_dispersion is None:
-            standardized = self.standardized_over_activities
-            deviations = standardized - standardized.mean(axis=2,
-                                                          keepdims=True)
-            self._processor_dispersion = _readonly(
-                np.sqrt((deviations ** 2).sum(axis=1)))
+            times = self.measurements.times
+            dispersion = np.empty((len(times), times.shape[2]))
+            for block in _region_blocks(times):
+                deviations = standardize_along(times[block], axis=1)
+                deviations -= deviations.mean(axis=2, keepdims=True)
+                np.square(deviations, out=deviations)
+                np.sqrt(deviations.sum(axis=1), out=dispersion[block])
+            self._processor_dispersion = _readonly(dispersion)
         return self._processor_dispersion
 
     def processor_activity_totals(self) -> np.ndarray:

@@ -109,8 +109,17 @@ def get_index(name: str) -> IndexFunction:
 
 
 def _dot(left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """Dot product of matching data sets along the last axis."""
-    return np.einsum("...p,...p->...", left, right)
+    """Dot product of matching data sets along the last axis.
+
+    einsum sums each data set of a batch whole, but a lone data set in
+    pieces of numpy's buffer (8192 elements), which rounds differently.
+    So a lone data set is summed as a batch of two copies of itself:
+    its value does not depend on the data sets it is called with.
+    """
+    if left.ndim > 1 and len(left) > 1:
+        return np.einsum("...p,...p->...", left, right)
+    return np.einsum("...p,...p->...", np.stack((left, left)),
+                     np.stack((right, right)))[0]
 
 
 def _deviations(data: np.ndarray) -> np.ndarray:
@@ -189,7 +198,10 @@ def gini_coefficient(data: np.ndarray) -> np.ndarray:
     """
     _reject_negative(data, "Gini coefficient")
     n = data.shape[-1]
-    ranked = np.sort(data, axis=-1) @ np.arange(1.0, n + 1.0)
+    # Not a BLAS matrix-vector product, which rounds a row differently
+    # with the rows around it in the call.
+    ranked = _dot(np.sort(data, axis=-1),
+                  np.broadcast_to(np.arange(1.0, n + 1.0), data.shape))
     return 2.0 * ranked / (n * data.sum(axis=-1)) - (n + 1.0) / n
 
 

@@ -97,7 +97,7 @@ class Methodology:
         """Run the full methodology on one measurement set.
 
         Pass an :class:`~repro.core.batch.AnalysisSession` to share its
-        cached standardized tensors and dispersion matrices (the session
+        cached dispersion matrices and processor view (the session
         creates one analysis per option set and memoizes it); without
         one, a private session backs this single run.
         """

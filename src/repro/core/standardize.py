@@ -21,7 +21,7 @@ activities; :func:`standardize` on a single vector is stricter.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -58,10 +58,25 @@ def balanced_point(n: int) -> np.ndarray:
     return np.full(n, 1.0 / n)
 
 
-def _standardize_along(tensor: np.ndarray, axis: int) -> np.ndarray:
-    sums = tensor.sum(axis=axis, keepdims=True)
-    safe = np.where(sums > 0.0, sums, 1.0)
-    return np.where(sums > 0.0, tensor / safe, 0.0)
+def standardize_along(values: np.ndarray, axis: int = -1,
+                      out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Each slice of ``values`` along ``axis`` divided by its own sum,
+    into ``out``: a new array by default, where slices that sum to zero
+    stay zero, or ``values`` itself to divide in place (a slice of
+    non-negative times that sums to zero is all zeros already).
+
+    The one row division of the analysis: the whole-tensor
+    standardizations below, the batch engine's region blocks and each
+    time window's packed rows all call it, so a value is the same bits
+    whichever of them computed it.
+    """
+    sums = values.sum(axis=axis, keepdims=True)
+    positive = sums > 0.0
+    if positive.all():
+        return np.divide(values, sums, out=out)
+    if out is None:
+        out = np.zeros_like(values)
+    return np.divide(values, sums, out=out, where=positive)
 
 
 def standardize_over_processors(measurements: MeasurementSet) -> np.ndarray:
@@ -70,7 +85,7 @@ def standardize_over_processors(measurements: MeasurementSet) -> np.ndarray:
     Returns an (N, K, P) array where each performed ``(i, j)`` slice sums
     to one over *p*; not-performed slices are all zeros.
     """
-    return _standardize_along(measurements.times, axis=2)
+    return standardize_along(measurements.times, axis=2)
 
 
 def standardize_over_activities(measurements: MeasurementSet) -> np.ndarray:
@@ -79,7 +94,7 @@ def standardize_over_activities(measurements: MeasurementSet) -> np.ndarray:
     Returns an (N, K, P) array where, for each region *i* and processor
     *p* with any recorded time, the slice over *j* sums to one.
     """
-    return _standardize_along(measurements.times, axis=1)
+    return standardize_along(measurements.times, axis=1)
 
 
 def standardize_region_profiles(measurements: MeasurementSet) -> np.ndarray:
@@ -88,4 +103,4 @@ def standardize_region_profiles(measurements: MeasurementSet) -> np.ndarray:
     Returns an (N, K) array of activity fractions per region — the
     representation the paper clusters.
     """
-    return _standardize_along(measurements.region_activity_times, axis=1)
+    return standardize_along(measurements.region_activity_times, axis=1)

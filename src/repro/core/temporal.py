@@ -36,6 +36,7 @@ import numpy as np
 
 from ..errors import MeasurementError
 from .batch import index_matrix
+from .standardize import standardize_along
 from .views import view_indices
 from .window import Window
 
@@ -370,10 +371,10 @@ def _window_views(window, index: str) -> Tuple:
     A window carries its ``t_ij`` matrix and its packed performed rows
     (a cell is performed where its ``t_ij`` is positive); a bare
     measurement set gives its ``t_ij``, its performed mask and
-    ``times[performed]``.  Each row is divided by its own sum, as
-    :attr:`BatchAnalysis.cells <repro.core.batch.BatchAnalysis.cells>`
-    divides it, so the views are the window's whole-set views bit for
-    bit.
+    ``times[performed]``.  Each row is divided by its own sum
+    (:func:`~repro.core.standardize.standardize_along`, as the batch
+    engine divides it), so the views are the window's whole-set views
+    bit for bit.
     """
     if isinstance(window, Window):
         t_ij, rows = window.t_ij, window.rows
@@ -381,7 +382,7 @@ def _window_views(window, index: str) -> Tuple:
     else:
         t_ij, performed = window.region_activity_times, window.performed
         rows = window.times[performed]
-    cells = rows / rows.sum(axis=1, keepdims=True)
+    cells = standardize_along(rows)
     return (window.regions, window.activities,
             *view_indices(index_matrix(index, cells, performed), t_ij))
 

@@ -264,8 +264,8 @@ def compute_processor_view(measurements: MeasurementSet,
     processor's profile and the average profile over processors (any
     other ``index`` raises :class:`DispersionError`).  Only activities
     the region performs enter the profile (not-performed activities
-    contribute exactly zero, so the batch engine evaluates all regions
-    in one tensor pass).
+    contribute exactly zero, so the batch engine evaluates whole blocks
+    of regions at once).
     """
     if index != "euclidean":
         # Refused before the (N, P) matrix is built, which costs a

@@ -16,6 +16,11 @@ These are the historical per-event loops, kept only as test oracles:
   indices of dispersion written for one data set at a time, and
   :func:`scalar_dispersion_matrix`, the per-cell loop that applies one
   of them to every performed ``(region, activity)`` cell;
+* :func:`whole_tensor_matrix` and
+  :func:`whole_tensor_processor_dispersion` — the batch engine's
+  kernels as whole-tensor expressions, one packed ``(M, P)`` matrix of
+  every performed cell and one standardized ``(N, K, P)`` tensor, as
+  before the engine walked blocks of regions;
 * :class:`ObjectTracer` and the ``object_*`` functions — the trace
   recorder as a list of :class:`TraceEvent` objects, with the filters,
   the linter and the JSONL writer that walked it one object at a time;
@@ -510,6 +515,32 @@ def scalar_dispersion_matrix(measurements: MeasurementSet,
             if performed[i, j]:
                 matrix[i, j] = index_function(standardized[i, j, :])
     return matrix
+
+
+def whole_tensor_matrix(measurements: MeasurementSet, function,
+                        standardized: bool = True) -> np.ndarray:
+    """The (N, K) matrix of a last-axis ``function`` over every
+    performed cell's times, packed into one ``(M, P)`` matrix and (where
+    ``standardized``) divided row by row by their sums, nan elsewhere."""
+    performed = measurements.performed
+    cells = measurements.times[performed]
+    if standardized:
+        cells /= cells.sum(axis=1, keepdims=True)
+    matrix = np.full(performed.shape, np.nan)
+    matrix[performed] = function(cells)
+    return matrix
+
+
+def whole_tensor_processor_dispersion(measurements: MeasurementSet
+                                      ) -> np.ndarray:
+    """The (N, P) processor view ``ID_P_ip`` over the whole tensor
+    standardized across activities."""
+    times = measurements.times
+    sums = times.sum(axis=1, keepdims=True)
+    safe = np.where(sums > 0.0, sums, 1.0)
+    standardized = np.where(sums > 0.0, times / safe, 0.0)
+    deviations = standardized - standardized.mean(axis=2, keepdims=True)
+    return np.sqrt((deviations ** 2).sum(axis=1))
 
 
 class ObjectTracer:
