@@ -21,10 +21,11 @@ stack.  Subcommands:
   blame-localization campaign and score precision/recall.
 * ``repro temporal TRACEFILE``  — time-resolved analysis: per-window
   imbalance trends, drifting regions, phases and forecasts, one window
-  built at a time (``--stream`` changes nothing).  ``--sweep DIR`` runs
-  it over every trace in a directory on ``--jobs`` workers, caches
-  each document by content and prints one row per trace; it refuses
-  the text-only sections and ``--stream``, as ``--jobs`` needs it.
+  built at a time (``--stream`` changes nothing; ``--jobs J`` folds it
+  over J shard workers, as ``analyze`` does).  ``--sweep DIR`` runs it
+  over every trace in a directory on ``--jobs`` workers, caches each
+  document by content and prints one row per trace; it refuses the
+  text-only sections and ``--stream``.
 * ``repro self``                — dogfooding: profile the tool's own
   sharded analysis pipeline, print its per-stage timing table and
   imbalance indices, optionally export the spans as a repro trace.
@@ -153,8 +154,6 @@ def _build_parser() -> argparse.ArgumentParser:
                               help="analyze every trace in DIR in "
                                    "parallel instead of one file")
     _add_params(temporal_cmd, *param_names("temporal"))
-    _add_params(temporal_cmd, "jobs", help="worker processes for --sweep "
-                                          "(default: one per CPU)")
     temporal_cmd.add_argument("--no-cache", action="store_true",
                               help="ignore and do not update the sweep "
                                    "result cache")
@@ -396,8 +395,7 @@ def _command_faults(arguments) -> int:
 
 
 def _streamed_windows(arguments, on_error: str):
-    """``(windows, event count)`` of ``repro temporal``: the one decode
-    pass, then every window built (the list holds them all)."""
+    """``(every window, event count)`` of ``repro temporal``."""
     from .instrument.stream import trace_windows
     windows, scout = trace_windows(
         arguments.tracefile, arguments.windows,
@@ -430,9 +428,6 @@ def _command_temporal(arguments) -> int:
         return 0
     if not arguments.tracefile:
         raise ReproError("temporal needs a trace file (or --sweep DIR)")
-    if arguments.jobs is not None:
-        raise ReproError("--jobs applies to --sweep: a single trace's "
-                         "temporal report runs in one process")
     with _Profiled(arguments):
         print(render(build_report("temporal", arguments.tracefile,
                                   vars(arguments))))

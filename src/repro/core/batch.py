@@ -261,12 +261,13 @@ class AnalysisSession:
         return self._cache[key]
 
     def processor_view(self):
-        """Cached :class:`~repro.core.views.ProcessorView`."""
+        """Cached :class:`~repro.core.views.ProcessorView`, holding the
+        engine's read-only ``(N, P)`` matrix itself."""
         if "processor_view" not in self._cache:
             from .views import ProcessorView
             self._cache["processor_view"] = ProcessorView(
                 measurements=self.measurements,
-                dispersion=self.batch.processor_dispersion().copy())
+                dispersion=self.batch.processor_dispersion())
         return self._cache["processor_view"]
 
     def analyze(self, **options):

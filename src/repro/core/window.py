@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..errors import MeasurementError
 from .measurements import MeasurementSet
 
 
@@ -40,10 +41,32 @@ class Window:
 
     @classmethod
     def _binned(cls, begin: float, end: float, regions: tuple,
-                activities: tuple, t_ij: np.ndarray, rows: np.ndarray,
-                total_time: float) -> "Window":
-        """A window binned from a trace, which keeps no measurement
-        set."""
+                activities: tuple, n_ranks: int, cells: np.ndarray,
+                ranks: np.ndarray, durations: np.ndarray,
+                clipped_end: np.ndarray) -> "Window":
+        """A window binned from its events' flat (region, activity)
+        cells (-1 for time the profile skips), ranks, clipped durations
+        and clipped ends, in event order; it keeps no measurement set.
+        ``T`` is the largest of 0, the last clipped end and the covered
+        time."""
+        counted = cells >= 0
+        cells = cells[counted]
+        # Each performed cell's row, in (region, activity) order; one
+        # scatter in event order, so every time sums in the order its
+        # events came, as in the dense tensor.
+        performed = np.zeros(len(regions) * len(activities), dtype=bool)
+        performed[cells] = True
+        row_of = np.cumsum(performed) - 1
+        rows = np.zeros((np.count_nonzero(performed), n_ranks))
+        np.add.at(rows.reshape(-1), row_of[cells] * n_ranks
+                  + ranks[counted], durations[counted])
+        t_ij = np.zeros(performed.shape)
+        t_ij[performed] = rows.max(axis=1)
+        t_ij = t_ij.reshape(len(regions), len(activities))
+        total_time = max(0.0, float(clipped_end.max()), float(t_ij.sum()))
+        if total_time <= 0.0:
+            # A measurement set's T must be positive.
+            raise MeasurementError("total_time must be a positive number")
         window = cls.__new__(cls)
         window.__dict__.update(begin=begin, end=end, regions=regions,
                                activities=activities, t_ij=t_ij, rows=rows,

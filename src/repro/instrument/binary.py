@@ -147,6 +147,7 @@ def _decode_block(data: bytes, names: Tuple[str, ...], ranks: int,
     blank = np.array([not name for name in names] + [False])
     bad = ((region >= len(names)) | (activity >= len(names))
            | (kind >= len(EVENT_KINDS)) | (records["rank"] >= ranks)
+           | ~np.isfinite(records["begin"]) | ~np.isfinite(records["end"])
            | (records["end"] < records["begin"])
            | blank[np.minimum(activity, len(names))])
     reason = None

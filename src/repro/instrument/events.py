@@ -10,6 +10,7 @@ which is all the profile aggregation needs to build the paper's
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -37,6 +38,8 @@ def check_event(rank: int, activity: str, begin: float, end: float,
                          f"{ranks} ranks")
     if rank >= 1 << 63:
         raise TraceError(f"rank {rank} does not fit in 64 bits")
+    if not (math.isfinite(begin) and math.isfinite(end)):
+        raise TraceError(f"event times must be finite ({begin}, {end})")
     if end < begin:
         raise TraceError(f"event ends before it begins ({begin} > {end})")
     if kind not in EVENT_KINDS:

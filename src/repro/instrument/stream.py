@@ -4,31 +4,29 @@ The readers live with their formats (:mod:`.tracefile`, :mod:`.binary`;
 re-exported here) and yield bounded
 :class:`~repro.instrument.columns.EventColumns` chunks.  On top of
 them, :func:`iter_any` dispatches by format and adds per-chunk decode
-spans, :func:`accumulate_trace` folds a trace into an
-:class:`~repro.core.online.OnlineAccumulator` (the one-shard plan of
-:mod:`repro.shards`, or ``jobs`` shard workers), and
-:func:`trace_windows` windows it in one pass, building each window as
-it is asked for.
-The CLI, the daemon's jobs and ingest, and the sweep workers all go
-through these two folds; :class:`FoldedTrace` re-reads a folded file
-for the renderers that walk every event.
+spans.  The two trace folds every command shares both run the shard
+driver (:func:`repro.shards.shard_accumulate`: the one-shard plan, or
+``jobs`` shard workers): :func:`accumulate_trace` folds a trace into an
+:class:`~repro.core.online.OnlineAccumulator`, and :func:`trace_windows`
+into a :class:`~repro.instrument.windows.WindowFold`, whose windows are
+built as they are asked for.  The CLI, the daemon's jobs and ingest,
+and the sweep workers all go through them; :class:`FoldedTrace`
+re-reads a folded file for the renderers that walk every event.
 """
 
 from __future__ import annotations
 
-import warnings
 from pathlib import Path
 from typing import Iterator, Optional, Tuple, Union
 
 from ..core.online import OnlineAccumulator, TraceLayout
-from ..errors import TraceWarning
 from ..obs import spans as obspans
-from ..shards import shard_accumulate
+from ..shards import plan_shards, read_shard, shard_accumulate
 from .binary import (format_reader, iter_binary_span,  # noqa: F401
                      iter_binary_trace)
 from .columns import DEFAULT_CHUNK_SIZE, EventColumns
 from .tracefile import iter_trace, iter_trace_span  # noqa: F401
-from .windows import Window, fold_windows
+from .windows import Window, WindowFold
 
 PathLike = Union[str, Path]
 
@@ -82,45 +80,38 @@ def accumulate_trace(path: PathLike, chunk_size: int = DEFAULT_CHUNK_SIZE,
                             chunk_size=chunk_size, on_error=on_error)
 
 
-def read_again(path: PathLike, chunk_size: int,
-               on_error: str) -> Iterator[EventColumns]:
-    """:func:`iter_any` again, its salvage warnings silenced: the read
-    before this one already reported them."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", TraceWarning)
-        yield from iter_any(path, chunk_size=chunk_size, on_error=on_error)
-
-
 class FoldedTrace:
     """A folded trace file as a chunk source that knows its extent, as a
     :class:`~repro.instrument.Tracer` does: ``len()``, ``n_ranks`` and
     ``elapsed`` are the ``fold``'s, and each iteration re-reads the file
-    (:func:`read_again`)."""
+    as its one-shard plan, up to the damage the fold judged already."""
 
     def __init__(self, path: PathLike, fold: OnlineAccumulator,
-                 chunk_size: int, on_error: str) -> None:
+                 chunk_size: int) -> None:
         self.n_ranks, self.elapsed = fold.n_ranks, fold.elapsed
-        self._size, self._read = fold.n_events, (path, chunk_size, on_error)
+        self._size, self._read = fold.n_events, (path, chunk_size)
 
     def __len__(self) -> int:
         return self._size
 
     def __iter__(self) -> Iterator[EventColumns]:
-        return read_again(*self._read)
+        path, chunk_size = self._read
+        return read_shard(plan_shards(path, 1)[0], chunk_size, [])
 
 
 def trace_windows(path: PathLike, n_windows: int,
                   chunk_size: int = DEFAULT_CHUNK_SIZE,
-                  on_error: str = "salvage", reread: bool = False
+                  on_error: str = "salvage", reread: bool = False,
+                  jobs: Optional[int] = None
                   ) -> Tuple[Iterator[Window], TraceLayout]:
-    """Slice a trace file into ``n_windows`` equal windows.
-
-    Returns the windows, built one at a time as they are iterated
-    (:func:`~repro.instrument.windows.fold_windows`), and the
-    :class:`~repro.core.online.TraceLayout` of the one decode pass
-    (labels, event count, extent; no tensor).
-    ``reread`` is accepted and changes nothing: no pass reads the file
-    again.
-    """
-    return fold_windows(
-        iter_any(path, chunk_size=chunk_size, on_error=on_error), n_windows)
+    """Slice a trace file into ``n_windows`` equal windows: the
+    windows, built one at a time as they are iterated, and the
+    :class:`~repro.core.online.TraceLayout` (labels, event count,
+    extent; no tensor) of a :class:`~repro.instrument.windows.WindowFold`
+    folded as :func:`accumulate_trace` folds, with ``jobs``.  Every plan
+    gives the same windows, bit for bit.  ``reread`` is accepted and
+    changes nothing: no pass reads the file again."""
+    fold = shard_accumulate(path, jobs=1 if jobs is None else jobs,
+                            chunk_size=chunk_size, on_error=on_error,
+                            fold=WindowFold)
+    return fold.windows(n_windows), fold.layout

@@ -11,16 +11,16 @@ of the interval inside each window is attributed to that window, so the
 windowed tensors sum (over windows) to the whole-trace tensor exactly.
 
 A window is one more axis of the profile's accumulation, built one
-window at a time: :func:`fold_windows` folds the chunks once into a
+window at a time: a :class:`WindowFold` (mergeable, so the shard driver
+folds it) folds the chunks once into a
 :class:`~repro.core.online.TraceLayout`, which fixes the extent and
 layout without summing anything, and keeps only each event's binning
 columns — its (region, activity) pair, rank, begin and end, 18 to 24
-bytes.  The windows it returns are then built on demand, as they are
-asked for.  A window holds its profile packed: the ``(N, K)``
-``t_ij`` matrix and the ``(M, P)`` rows of its ``M`` performed cells,
-which is all its analysis reads, so a window costs its performed
-cells, not ``N * K * P``, and a temporal run holds one window at a
-time, whatever the window count.  The dense ``(N, K, P)``
+bytes.  The windows are then built on demand.  A window holds its
+profile packed: the ``(N, K)`` ``t_ij`` matrix and the ``(M, P)`` rows
+of its ``M`` performed cells, which is all its analysis reads, so a
+window costs its performed cells, not ``N * K * P``, and a temporal run
+holds one window at a time, whatever the window count.  The dense ``(N, K, P)``
 :attr:`~repro.core.window.Window.measurements` is built from the rows
 only when asked for.
 
@@ -39,9 +39,9 @@ import numpy as np
 
 from ..core.online import OUTSIDE_REGION, TraceLayout
 from ..core.window import Window
-from ..errors import MeasurementError, TraceError
+from ..errors import TraceError
 from ..obs import spans as obspans
-from .columns import EventColumns
+from .columns import DEFAULT_CHUNK_SIZE, EventColumns
 
 
 def equal_edges(begin: float, end: float, n_windows: int) -> List[float]:
@@ -120,18 +120,29 @@ class _Slab:
         return offset + take
 
     def sort(self, edges: np.ndarray) -> None:
-        # The first window an event can overlap, by binary search on the
-        # edges (one past the last for an event after them), narrowed
-        # before the sort so that its int64 order is the one full-width
-        # array alive.
-        first = np.searchsorted(edges, self.begin[:self.size],
-                                side="right")
-        first -= 1
-        np.maximum(first, 0, out=first)
-        first = first.astype(_narrowest(len(edges)))
-        self.order = np.argsort(first, kind="stable").astype(np.uint16)
-        self.starts = [0, *np.bincount(first, minlength=len(edges))
-                       .cumsum().tolist()]
+        # A stable counting sort by each event's first window, a chunk at
+        # a time, in place: slab-wide temporaries take fresh pages.
+        step = DEFAULT_CHUNK_SIZE
+        first = np.empty(self.size, _narrowest(len(edges)))
+        for at in range(0, self.size, step):
+            piece = np.searchsorted(
+                edges, self.begin[at:min(at + step, self.size)], "right")
+            piece -= 1
+            first[at:at + step] = np.maximum(piece, 0, out=piece)
+        cursor = np.bincount(first, minlength=len(edges))
+        self.starts = [0, *cursor.cumsum().tolist()]
+        cursor[:] = self.starts[:-1]
+        self.order = np.empty(self.size, np.uint16)
+        for at in range(0, self.size, step):
+            keys = first[at:at + step]
+            local = np.argsort(keys, kind="stable")
+            ordered = keys[local]
+            place = np.searchsorted(ordered, ordered)
+            np.subtract(np.arange(len(local)), place, out=place)
+            place += cursor[ordered]
+            local += at
+            self.order[place] = local
+            cursor += np.bincount(keys, minlength=len(edges))
         self.carry = self.order[:0]
 
     def overlap(self, edges: np.ndarray, w: int
@@ -206,10 +217,6 @@ class _BinningColumns:
                 self.slabs.append(_Slab(types))
             offset = self.slabs[-1].fill(columns, offset)
 
-    def sort(self, edges: np.ndarray) -> None:
-        for slab in self.slabs:
-            slab.sort(edges)
-
     def overlap(self, edges: np.ndarray, w: int
                 ) -> Optional[Tuple[np.ndarray, ...]]:
         """:meth:`_Slab.overlap` over every slab, in event order."""
@@ -230,115 +237,118 @@ def _check_edges(boundaries: Sequence[float]) -> List[float]:
     return edges
 
 
+class WindowFold:
+    """The one pass of windowing: the :class:`TraceLayout` and binning
+    columns of the events folded in.  It merges, so the shard driver
+    (:func:`repro.shards.shard_accumulate`) folds it as it folds a
+    tensor."""
+
+    def __init__(self, regions: Optional[Sequence[str]] = None) -> None:
+        self.layout = TraceLayout(regions=regions)
+        self.kept = _BinningColumns()
+
+    def consume(self, chunks: Iterable[EventColumns]) -> "WindowFold":
+        for chunk in chunks:
+            if len(chunk):
+                self.kept.add(chunk)
+                self.layout.update(chunk)
+        return self
+
+    def merge(self, other: "WindowFold") -> "WindowFold":
+        """This fold, then ``other``'s events (its slabs, their pair codes
+        re-coded into this fold's table, widened where needed): slabs
+        stay in event order, so the windows do not depend on the plan."""
+        self.layout = self.layout.merge(other.layout)
+        pairs = self.kept.pairs
+        recode = np.array([pairs.setdefault(pair, len(pairs))
+                           for pair in other.kept.pairs],
+                          dtype=_narrowest(max(len(pairs) - 1, 0)))
+        for slab in other.kept.slabs:
+            slab.code = recode[slab.code[:slab.size]]
+        self.kept.slabs += other.kept.slabs
+        return self
+
+    def windows(self, n_windows: Optional[int] = None,
+                boundaries: Optional[Sequence[float]] = None,
+                activities: Optional[Sequence[str]] = None
+                ) -> Iterator[Window]:
+        """The windows, built on demand (each in a ``window_bin`` span),
+        over the extent (``n_windows`` equal edges, or ``boundaries``)
+        and layout fixed now.  Unoccupied windows, and those with an
+        activity missing from a fixed ``activities``, are dropped;
+        keeping none raises :class:`~repro.errors.TraceError`."""
+        scout, kept = self.layout, self.kept
+        if scout.n_events == 0:
+            raise TraceError("cannot window an empty trace")
+        if boundaries is None:
+            boundaries = equal_edges(scout.begin, scout.elapsed, n_windows)
+        regions = scout.regions()
+        if not regions:
+            raise TraceError("trace contains no annotated regions")
+        activities = (scout.activities() if activities is None
+                      else tuple(activities))
+        n_ranks = scout.n_ranks
+        edges = _check_edges(boundaries)
+        edge_array = np.asarray(edges)
+        for slab in kept.slabs:
+            slab.sort(edge_array)
+
+        # Each pair's flat (region, activity) cell: -1 for time the
+        # profile skips, -2 for an indexed region with an activity
+        # missing from the layout, which drops every window it touches.
+        rows = {name: i for i, name in enumerate(regions)
+                if name != OUTSIDE_REGION}
+        columns = {name: j for j, name in enumerate(activities)}
+        cell_of = np.array(
+            [-1 if region not in rows else -2 if activity not in columns
+             else rows[region] * len(activities) + columns[activity]
+             for region, activity in kept.pairs], dtype=np.intp)
+
+        def binned(w: int) -> Optional[Window]:
+            """Window ``w``, or None when it is dropped."""
+            found = kept.overlap(edge_array, w)
+            cells = None if found is None else cell_of[found[0]]
+            if cells is None or not cells.size or (cells == -2).any():
+                return None
+            return Window._binned(edges[w], edges[w + 1], regions,
+                                  activities, n_ranks, cells, *found[1:])
+
+        def built() -> Iterator[Window]:
+            n_kept = 0
+            for w in range(len(edges) - 1):
+                with obspans.span("window_bin", activity="window",
+                                  window=w):
+                    window = binned(w)
+                if window is not None:
+                    n_kept += 1
+                    yield window
+                    del window      # the next window is built without it
+            if not n_kept:
+                raise TraceError("no window contains annotated events")
+
+        return built()
+
+
 def fold_windows(chunks: Iterable[EventColumns],
                  n_windows: Optional[int] = None, *,
                  boundaries: Optional[Sequence[float]] = None,
                  regions: Optional[Sequence[str]] = None,
                  activities: Optional[Sequence[str]] = None
                  ) -> Tuple[Iterator[Window], TraceLayout]:
-    """Window a chunk stream; returns the windows, built on demand, and
-    the layout of the one pass over the chunks (event count, extent,
-    labels).
-
-    That pass fixes the extent (``n_windows`` equal edges, unless
-    explicit ``boundaries`` are given) and the whole trace's layout, so
-    every window has the same rows and columns, and checks every
-    event's times once.  Iterating the windows bins each in turn, in a
-    ``window_bin`` span, and drops the unoccupied ones and those with
-    an activity missing from a fixed ``activities``; it raises
-    :class:`~repro.errors.TraceError` at the end when it kept none.  A
-    window's ``T`` is the largest of 0, its last clipped event end and
-    its covered time.
-    """
-    scout = TraceLayout(regions=regions)
-    kept = _BinningColumns()
-    for chunk in chunks:
-        if len(chunk):
-            kept.add(chunk)
-            scout.update(chunk)
-    chunk = None        # the last chunk is not held through the windows
-    if scout.n_events == 0:
-        raise TraceError("cannot window an empty trace")
-    if boundaries is None:
-        boundaries = equal_edges(scout.begin, scout.elapsed, n_windows)
-    regions = scout.regions()
-    if not regions:
-        raise TraceError("trace contains no annotated regions")
-    activities = (scout.activities() if activities is None
-                  else tuple(activities))
-    n_ranks = scout.n_ranks
-    edges = _check_edges(boundaries)
-    edge_array = np.asarray(edges)
-    kept.sort(edge_array)
-
-    # Each pair's flat (region, activity) cell: -1 for time the profile
-    # skips, -2 for an indexed region with an activity missing from the
-    # layout, which drops every window it touches.
-    rows = {name: i for i, name in enumerate(regions)
-            if name != OUTSIDE_REGION}
-    columns = {name: j for j, name in enumerate(activities)}
-    cell_of = np.array(
-        [-1 if region not in rows else -2 if activity not in columns
-         else rows[region] * len(activities) + columns[activity]
-         for region, activity in kept.pairs], dtype=np.intp)
-    n_cells = len(regions) * len(activities)
-
-    def binned(w: int) -> Optional[Window]:
-        """Window ``w``, or None when it is dropped."""
-        found = kept.overlap(edge_array, w)
-        if found is None:
-            return None
-        codes, ranks, durations, clipped_end = found
-        cells = cell_of[codes]
-        if not cells.size or (cells == -2).any():
-            return None
-        counted = cells >= 0
-        cells = cells[counted]
-        # Each performed cell's row, in (region, activity) order; one
-        # scatter in event order, so every time sums in the order its
-        # events came, as in the dense tensor.
-        performed = np.zeros(n_cells, dtype=bool)
-        performed[cells] = True
-        row_of = np.cumsum(performed) - 1
-        packed = np.zeros((np.count_nonzero(performed), n_ranks))
-        np.add.at(packed.reshape(-1), row_of[cells] * n_ranks
-                  + ranks[counted], durations[counted])
-        t_ij = np.zeros(n_cells)
-        t_ij[performed] = packed.max(axis=1)
-        t_ij = t_ij.reshape(len(regions), len(activities))
-        total = max(0.0, float(clipped_end.max()), float(t_ij.sum()))
-        if total <= 0.0:
-            # A measurement set's T must be positive.
-            raise MeasurementError("total_time must be a positive number")
-        return Window._binned(edges[w], edges[w + 1], regions, activities,
-                              t_ij, packed, total)
-
-    def built() -> Iterator[Window]:
-        n_kept = 0
-        for w in range(len(edges) - 1):
-            with obspans.span("window_bin", activity="window", window=w):
-                window = binned(w)
-            if window is not None:
-                n_kept += 1
-                yield window
-                del window      # the next window is built without it
-        if not n_kept:
-            raise TraceError("no window contains annotated events")
-
-    return built(), scout
+    """Window a chunk stream: a :class:`WindowFold`'s one pass over the
+    chunks, then its windows, built on demand; returns them and the
+    pass's layout (event count, extent, labels)."""
+    fold = WindowFold(regions).consume(chunks)
+    return fold.windows(n_windows, boundaries, activities), fold.layout
 
 
 def window_profiles_at(tracer, boundaries: Sequence[float],
                        regions: Optional[Sequence[str]] = None,
                        activities: Optional[Sequence[str]] = None
                        ) -> List[Window]:
-    """Profile the trace between explicit time boundaries.
-
-    ``boundaries`` are strictly increasing times; window k covers
-    ``[boundaries[k], boundaries[k+1])``.  Use this to align windows
-    with known phase boundaries (e.g. time-step starts) instead of the
-    equal slicing of :func:`window_profiles`.
-    """
+    """Profile the trace between strictly increasing time
+    ``boundaries`` (window k covers ``[boundaries[k],
+    boundaries[k+1])``), e.g. to align windows with time-step starts."""
     return list(fold_windows(tracer, boundaries=boundaries,
                              regions=regions, activities=activities)[0])
 
@@ -347,16 +357,10 @@ def window_profiles(tracer, n_windows: int,
                     regions: Optional[Sequence[str]] = None,
                     activities: Optional[Sequence[str]] = None
                     ) -> List[Window]:
-    """Slice a trace into ``n_windows`` equal time windows and profile
-    each.
-
-    Windows cover the trace's occupied extent ``[begin, end]`` — a
-    trace starting at ``t0 > 0`` gets no empty leading windows.  Region
-    and activity orders are fixed across windows (by default: the whole
-    trace's), so the per-window measurement sets are directly
-    comparable.  Windows containing no events are dropped.  ``tracer``
-    is a :class:`~repro.instrument.Tracer` or an iterable of column
-    chunks.
-    """
+    """Slice a trace (a :class:`~repro.instrument.Tracer` or an
+    iterable of column chunks) into ``n_windows`` equal time windows of
+    its occupied extent and profile each.  Region and activity orders
+    are fixed across windows (by default: the whole trace's); windows
+    containing no events are dropped."""
     return list(fold_windows(tracer, n_windows, regions=regions,
                              activities=activities)[0])

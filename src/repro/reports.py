@@ -103,9 +103,10 @@ PARAMS = {
                                 "salvaged trace)", _ANALYZE, "result"),
     "chunk_size": Param(int, 8192, "events per streamed chunk", role="read",
                         metavar="N", low=1),
-    "jobs": Param(int, None, "fan the file out over J worker processes "
-                  "(sharded map-reduce; default: sequential)", _ANALYZE,
-                  "read", "J", low=1),
+    "jobs": Param(int, None, "worker processes: the trace's shards "
+                  "(sharded map-reduce; default: sequential), or the "
+                  "traces of a temporal --sweep (default: one per CPU)",
+                  role="read", metavar="J", low=1),
     "stream": Param(bool, False, "accepted for compatibility and changes "
                     "nothing: a trace is always read in bounded-memory "
                     "chunks", role="read"),
@@ -274,7 +275,7 @@ def build_report(kind: str, source, params: Mapping,
         with obspans.span("temporal_fold", activity="window",
                           trace=str(source)):
             windows, layout = trace_windows(str(source), params["windows"],
-                                            **read)
+                                            jobs=params["jobs"], **read)
         from .core.temporal import temporal_analysis
         # Each window is built as the analysis asks for it, then dropped,
         # each in its own `window_bin` span.
@@ -284,7 +285,7 @@ def build_report(kind: str, source, params: Mapping,
         return temporal_document(analysis, layout.n_events, layout.elapsed,
                                  **params)
     fold = accumulate_trace(source, jobs=params["jobs"], **read)
-    trace = FoldedTrace(source, fold, **read)
+    trace = FoldedTrace(source, fold, read["chunk_size"])
     measurements = fold.finalize()
     del fold         # finalize copied the tensor; keep one alive
     if kind != "analyze":

@@ -3,31 +3,33 @@
 :mod:`repro.sweep` fans *many* traces out over worker processes; this
 module fans *one* trace out: the file is split into shards (byte ranges
 of an uncompressed JSONL trace, record ranges of a binary trace), each
-worker folds its shard into an :class:`~repro.core.online.OnlineAccumulator`,
-and the partial accumulators are merged **in shard order** —
-deterministic, and the merged label ordering equals the whole file's
-first-appearance ordering.  A sequential read is the one-shard plan,
-the span ``[0, None)``, as is any gzip trace (not seekable).
+worker folds its shard (an :class:`~repro.core.online.OnlineAccumulator`,
+or any fold with ``consume(chunks)`` and ``merge(other)``, such as
+:class:`~repro.instrument.windows.WindowFold`), and the partial folds
+are merged **in shard order** — deterministic, and the merged label
+ordering equals the whole file's first-appearance ordering.  A
+sequential read is the one-shard plan, the span ``[0, None)``, as is
+any gzip trace (not seekable).
 
 Shards report damage; the driver judges it once: it merges every shard
 before the first damaged one plus that shard's valid prefix, so every
 plan salvages the same events with the same warning (or raises the
-same error) as a sequential read.  Drives ``repro analyze`` and
-``repro self``.
+same error) as a sequential read.  Drives ``repro analyze``,
+``repro temporal`` and ``repro self``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import List, Optional, Tuple, Union
+from typing import Callable, Iterator, List, Optional, Tuple, Union
 
 from .core.online import OnlineAccumulator
 from .errors import TraceError
 from .instrument.binary import (read_binary_header, scan_binary_span,
                                 sniff_file, sniff_format)
-from .instrument.columns import (DEFAULT_CHUNK_SIZE, Scan, judge,
-                                 reader_source)
+from .instrument.columns import (DEFAULT_CHUNK_SIZE, EventColumns, Scan,
+                                 judge, reader_source)
 from .instrument.tracefile import scan_trace_span
 from .obs import spans as obspans
 from .pool import map_tasks, worker_count
@@ -84,22 +86,28 @@ def plan_shards(path: PathLike, n_shards: int) -> List[Shard]:
             for start, stop in zip(cuts, cuts[1:]) if stop > start] or whole
 
 
-def fold_shard(shard: Shard, chunk_size: int = DEFAULT_CHUNK_SIZE
-               ) -> Tuple[OnlineAccumulator, Scan]:
-    """Fold one shard (the *map* step): an accumulator of the events
-    before the first damage the shard met, and its unjudged
-    :class:`~repro.instrument.columns.Scan`."""
+def read_shard(shard: Shard, chunk_size: int,
+               scans: list) -> Iterator[EventColumns]:
+    """The chunks of one shard up to the first damage it meets, each
+    decoded in a ``stream_decode`` span; its unjudged
+    :class:`~repro.instrument.columns.Scan` is appended to ``scans``."""
     from .instrument.stream import instrument_chunks
     scanner = scan_binary_span if shard.kind == "binary" else scan_trace_span
-    scans = []
 
     def chunks():
         scans.append((yield from scanner(Path(shard.path), shard.start,
                                          shard.stop, chunk_size)))
 
-    accumulator = OnlineAccumulator().consume(
-        instrument_chunks(chunks(), "stream_decode", shard.path))
-    return accumulator, scans[0]
+    return instrument_chunks(chunks(), "stream_decode", shard.path)
+
+
+def fold_shard(shard: Shard, chunk_size: int = DEFAULT_CHUNK_SIZE,
+               fold: Callable = OnlineAccumulator) -> Tuple[object, Scan]:
+    """Fold one shard (the *map* step): a ``fold()`` of the events
+    before the first damage the shard met, and its unjudged
+    :class:`~repro.instrument.columns.Scan`."""
+    scans: list = []
+    return fold().consume(read_shard(shard, chunk_size, scans)), scans[0]
 
 
 def accumulate_shard(shard: Shard, chunk_size: int = DEFAULT_CHUNK_SIZE,
@@ -115,7 +123,7 @@ def accumulate_shard(shard: Shard, chunk_size: int = DEFAULT_CHUNK_SIZE,
 
 
 def _shard_worker(task):
-    index, shard, chunk_size = task
+    index, shard, chunk_size, fold = task
     # Each shard is one logical worker of the self-trace: its spans are
     # labelled shard-N, so `repro self` can ask whether the shard fleet
     # itself is balanced.  In a pool process, map_tasks returns the
@@ -123,33 +131,35 @@ def _shard_worker(task):
     with obspans.worker_scope(f"shard-{index}"):
         with obspans.span("shard_accumulate", kind=shard.kind,
                           start=shard.start, stop=shard.stop):
-            return fold_shard(shard, chunk_size)
+            return fold_shard(shard, chunk_size, fold)
 
 
 def shard_accumulate(path: PathLike, jobs: Optional[int] = None,
                      n_shards: Optional[int] = None,
                      chunk_size: int = DEFAULT_CHUNK_SIZE,
-                     on_error: str = "salvage") -> OnlineAccumulator:
-    """Map-reduce one trace into a merged accumulator (the driver).
+                     on_error: str = "salvage",
+                     fold: Callable = OnlineAccumulator):
+    """Map-reduce one trace into a merged ``fold()`` (the driver).
 
     ``jobs`` caps the worker processes (default: one per CPU, never
     more than the shard count; 1 runs inline); ``n_shards`` defaults to
-    ``jobs``.  The outcome does not depend on the plan: for an intact
-    file it agrees with any other plan to within float rounding.
+    ``jobs``; ``fold`` must pickle for a pool.  The outcome does not
+    depend on the plan: for an intact file an accumulator agrees with
+    any other plan's to within float rounding, and the window fold
+    bit for bit.
     """
     source = reader_source(path, chunk_size, on_error)
     jobs = worker_count(jobs)
     with obspans.span("shard_plan", activity="plan"):
         shards = plan_shards(source, jobs if n_shards is None else n_shards)
     folds = map_tasks(_shard_worker,
-                      [(index, shard, chunk_size)
+                      [(index, shard, chunk_size, fold)
                        for index, shard in enumerate(shards)],
                       jobs, "shard_fanout")
     with obspans.span("shard_merge", activity="merge"):
         merged, kept = None, 0
-        for accumulator, (events, reason, _) in folds:
-            merged = (accumulator if merged is None
-                      else merged.merge(accumulator))
+        for folded, (events, reason, _) in folds:
+            merged = folded if merged is None else merged.merge(folded)
             kept += events
             if reason is not None:
                 break                 # later shards lie past the damage

@@ -98,7 +98,8 @@ def sweep_traces(traces: Union[str, Path, Sequence[Union[str, Path]]],
     sequence of paths.  ``params`` holds ``repro temporal``'s ``result``
     and ``read`` parameters (``index``, ``windows``, ``strict``,
     ``chunk_size``; :func:`repro.reports.resolve_params`), and each
-    trace's document is ``build_report("temporal", path, params)``'s.
+    trace's document is ``build_report("temporal", path, params)``'s,
+    its trace folded inline.
     Results come back in input order.  ``jobs`` caps the worker
     processes (default: one per CPU, never more than the number of
     uncached traces; 1 runs inline).  ``cache_dir`` defaults to
@@ -108,7 +109,10 @@ def sweep_traces(traces: Union[str, Path, Sequence[Union[str, Path]]],
     parameter value or an unknown index of dispersion raises before any
     trace is read.
     """
-    params = resolve_params("temporal", params or {}, "result", "read")
+    # A pool worker is daemonic and starts no pool of its own: each
+    # trace is folded inline.
+    params = {**resolve_params("temporal", params or {}, "result", "read"),
+              "jobs": 1}
     if isinstance(traces, (str, Path)):
         paths = discover_traces(traces)
         default_cache = Path(traces) / ".repro-temporal-cache"

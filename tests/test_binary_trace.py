@@ -262,7 +262,7 @@ class TestChunkSources:
         write_trace(jsonl, sample_events())
         expected = tmp_path / "e.rptb"
         write_binary_trace(expected, sample_events())
-        folded = FoldedTrace(jsonl, accumulate_trace(jsonl), 2, "raise")
+        folded = FoldedTrace(jsonl, accumulate_trace(jsonl), 2)
         for source in (folded, iter_any(jsonl, chunk_size=1)):
             path = tmp_path / "t.rptb"
             assert write_binary_trace(path, source) == 3

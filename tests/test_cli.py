@@ -510,17 +510,31 @@ class TestTemporalCommand:
                      "--chunk-size", "3", "--jobs", "1", "--no-cache"]) == 0
         assert seen == [(True, 3)]
 
-    def test_jobs_needs_sweep(self, tracefile, capsys, monkeypatch):
-        """A single trace's temporal report starts no worker, so
-        ``--jobs`` without ``--sweep`` exits 2 before the read."""
-        def unread(*args, **kwargs):
-            raise AssertionError("the trace was read")
+    def test_sweep_folds_each_trace_inline(self, tracefile, monkeypatch):
+        """A sweep worker is a daemonic pool process, which can start no
+        pool of its own: whatever ``--jobs``, a trace folds inline."""
+        import os
 
-        monkeypatch.setattr("repro.cli.build_report", unread)
-        assert main(["temporal", tracefile, "--jobs", "2"]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert "--jobs applies to --sweep" in captured.err
+        from repro import reports
+        seen = []
+
+        def spy(kind, source, params):
+            seen.append(params["jobs"])
+            return reports.build_report(kind, source, params)
+
+        monkeypatch.setattr("repro.sweep.build_report", spy)
+        assert main(["temporal", "--sweep", os.path.dirname(tracefile),
+                     "--jobs", "2", "--no-cache"]) == 0
+        assert seen == [1]
+
+    def test_jobs_folds_one_trace_to_the_same_bytes(self, tracefile,
+                                                    capsys):
+        """``--jobs`` on a single trace fans its fold out over shard
+        workers, as ``analyze --jobs`` does; the report is unchanged."""
+        assert main(["temporal", tracefile]) == 0
+        sequential = capsys.readouterr()
+        assert main(["temporal", tracefile, "--jobs", "2"]) == 0
+        assert capsys.readouterr() == sequential
 
 class TestStreamFlag:
     """`analyze --stream`: same bytes as the eager path, same exit-code

@@ -165,3 +165,14 @@ class TestProcessorView:
         monkeypatch.setattr(BatchAnalysis, "processor_dispersion", fail)
         with pytest.raises(DispersionError):
             compute_processor_view(tiny_measurements, index="gini")
+
+    def test_session_view_holds_the_engine_matrix(self, tiny_measurements):
+        """The session's processor view shares the batch engine's
+        cached ``(N, P)`` matrix, read-only, instead of a copy."""
+        from repro.core import AnalysisSession
+        session = AnalysisSession(tiny_measurements)
+        view = session.processor_view()
+        assert np.shares_memory(view.dispersion,
+                                session.batch.processor_dispersion())
+        with pytest.raises(ValueError, match="read-only"):
+            view.dispersion[0, 0] = 1.0
