@@ -6,9 +6,13 @@ This package provides that pipeline for the simulated machine:
 
 * :class:`Tracer` — records events as :class:`EventColumns` chunks
   (plugs into the simulator as its trace sink);
-* :func:`write_trace` / :func:`read_trace` — the on-disk trace format;
-* :func:`iter_any` and friends — readers yielding :class:`EventColumns`
-  chunks;
+* :func:`write_trace` / :func:`write_binary_trace` — the two on-disk
+  trace formats (:mod:`.tracefile`, :mod:`.binary`: header, parser,
+  writer);
+* :func:`read_trace`, :func:`iter_any` and friends — the readers
+  (:mod:`.stream`), each one judged shard read of
+  :func:`repro.shards.read_judged`, yielding :class:`EventColumns`
+  chunks or events;
 * :func:`profile` — aggregates a trace into the ``t_ijp``
   :class:`~repro.core.measurements.MeasurementSet` the methodology
   consumes.
@@ -24,15 +28,14 @@ from .._lazy import exported_names, lazy_namespace
 from .profile import profile
 
 _EXPORTS = {
-    "binary": ("read_any", "read_any_tracer", "read_binary_trace",
-               "sniff_format", "write_binary_trace"),
+    "binary": ("sniff_format", "write_binary_trace"),
     "columns": ("EventColumns",),
     "events": ("EVENT_KINDS", "OUTSIDE_REGION", "TraceEvent"),
     "profile": ("profile",),
     "chrome": ("export_chrome_trace",),
     "counters": ("COUNTERS", "count_profile"),
-    "tracefile": ("FORMAT_NAME", "FORMAT_VERSION", "read_trace",
-                  "read_tracer", "write_trace", "write_tracer"),
+    "tracefile": ("FORMAT_NAME", "FORMAT_VERSION", "write_trace",
+                  "write_tracer"),
     "tracer": ("Tracer",),
     "lint": ("LintIssue", "lint_trace"),
     "summary": ("RankUtilization", "render_utilization", "utilization"),
@@ -40,7 +43,9 @@ _EXPORTS = {
                 "filter_regions", "filter_time", "merge", "relabel_region",
                 "shift_time"),
     "stream": ("iter_any", "iter_binary_span", "iter_binary_trace",
-               "iter_trace", "iter_trace_span"),
+               "iter_trace", "iter_trace_span", "read_any",
+               "read_any_tracer", "read_binary_trace", "read_trace",
+               "read_tracer"),
     "windows": ("Window", "equal_edges", "window_profiles",
                 "window_profiles_at"),
 }

@@ -15,11 +15,12 @@ Layout (little-endian):
   ``u32 rank, u16 region_id, u16 activity_id, f64 begin, f64 end,
   u8 kind_id, u64 nbytes, i32 partner`` (packed without padding).
 
-The readers decode whole blocks of records with one ``np.frombuffer``
-and find the first invalid record with a vectorized mask.
-:func:`sniff_format` detects which reader a file needs by its bytes
-(gzip too, whatever the file's name); :func:`read_any` dispatches, so
-tools accept either format.
+This module holds the format alone: the header, the one parser
+(:func:`scan_binary_span`: one ``np.frombuffer`` per block of records,
+the first invalid record found with a vectorized mask), the writer and
+the sniffers, which tell a file's format by its bytes (gzip too,
+whatever the file's name).  The readers are in
+:mod:`repro.instrument.stream`.
 """
 
 from __future__ import annotations
@@ -27,16 +28,13 @@ from __future__ import annotations
 import os
 import struct
 from pathlib import Path
-from typing import (Callable, Dict, Generator, Iterable, Iterator, List,
-                    Optional, Tuple, Union)
+from typing import Dict, Generator, Iterable, Optional, Tuple, Union
 
 import numpy as np
 
 from ..errors import TraceError
-from .columns import (DEFAULT_CHUNK_SIZE, EventColumns, Scan, judge,
-                      materialize, reader_source)
-from .events import EVENT_KINDS, TraceEvent, check_event
-from .tracefile import iter_trace
+from .columns import EventColumns, Scan
+from .events import EVENT_KINDS, check_event
 from .tracer import Tracer
 
 MAGIC = b"RPTB"
@@ -169,20 +167,6 @@ def _decode_block(data: bytes, names: Tuple[str, ...], ranks: int,
                         names=names), reason
 
 
-def iter_binary_trace(path: PathLike,
-                      chunk_size: int = DEFAULT_CHUNK_SIZE,
-                      on_error: str = "salvage") -> Iterator[EventColumns]:
-    """Iterate a binary trace in bounded chunks: the span ``[0, None)``
-    of :func:`iter_binary_span`.
-
-    Damage before the first record (header or string table) raises in
-    both modes.  Trailing NUL padding after the promised records
-    (block-padded archival storage) is not damage — the binary
-    counterpart of the blank lines the JSONL reader skips.
-    """
-    return iter_binary_span(path, 0, None, chunk_size, on_error)
-
-
 def scan_binary_span(source: Path, start: int, stop: Optional[int],
                      chunk_size: int) -> Generator[EventColumns, None, Scan]:
     """Decode the records ``[start, stop)`` (clipped to the promised
@@ -223,28 +207,6 @@ def scan_binary_span(source: Path, start: int, stop: Optional[int],
     return Scan(position - start, reason)
 
 
-def iter_binary_span(path: PathLike, start: int, stop: Optional[int] = None,
-                     chunk_size: int = DEFAULT_CHUNK_SIZE,
-                     on_error: str = "salvage") -> Iterator[EventColumns]:
-    """Iterate the records ``[start, stop)`` of a binary trace, judged as
-    one read: damage (see :func:`scan_binary_span`) salvages the valid
-    prefix with a :class:`~repro.errors.TraceWarning` or raises
-    (``on_error="raise"``, or nothing salvageable)."""
-    source = reader_source(path, chunk_size, on_error)
-    if start < 0 or (stop is not None and stop < start):
-        raise TraceError(f"invalid record span [{start}, {stop})")
-    kept, reason, _ = yield from scan_binary_span(source, start, stop,
-                                                  chunk_size)
-    judge(source, kept, reason, on_error)
-
-
-def read_binary_trace(path: PathLike,
-                      on_error: str = "salvage") -> List[TraceEvent]:
-    """Read a binary trace file, validating every record (see
-    :func:`iter_binary_trace` for the damage semantics)."""
-    return materialize(iter_binary_trace(path, on_error=on_error))
-
-
 def sniff_bytes(head: bytes) -> str:
     """``"binary"``, ``"gzip"`` (gzipped JSONL), ``"jsonl"`` or
     ``"unknown"`` by a file's first four bytes: the one format sniffer,
@@ -272,24 +234,3 @@ def sniff_format(path: PathLike) -> str:
     file signature."""
     kind = sniff_file(path)
     return "jsonl" if kind == "gzip" else kind
-
-
-def format_reader(path: PathLike) -> Callable[..., Iterator[EventColumns]]:
-    """The chunk iterator a trace file needs, chosen by its signature."""
-    kind = sniff_format(path)
-    if kind == "binary":
-        return iter_binary_trace
-    if kind == "jsonl":
-        return iter_trace
-    raise TraceError(f"{path} is in no supported trace format")
-
-
-def read_any(path: PathLike,
-             on_error: str = "salvage") -> List[TraceEvent]:
-    """Read a trace file in whichever supported format it uses."""
-    return materialize(format_reader(path)(path, on_error=on_error))
-
-
-def read_any_tracer(path: PathLike, on_error: str = "salvage") -> Tracer:
-    """Read either format into a fresh :class:`Tracer`."""
-    return Tracer(format_reader(path)(path, on_error=on_error))

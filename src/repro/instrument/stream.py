@@ -1,12 +1,19 @@
-"""Chunked trace iteration and the two trace folds every command shares.
+"""The read layer: every trace reader, and the two trace folds every
+command shares.
 
-The readers live with their formats (:mod:`.tracefile`, :mod:`.binary`;
-re-exported here) and yield bounded
-:class:`~repro.instrument.columns.EventColumns` chunks.  On top of
-them, :func:`iter_any` dispatches by format and adds per-chunk decode
-spans.  The two trace folds every command shares both run the shard
-driver (:func:`repro.shards.shard_accumulate`: the one-shard plan, or
-``jobs`` shard workers): :func:`accumulate_trace` folds a trace into an
+Each reader is the judged shard read (:func:`repro.shards.read_judged`:
+the shard format's one parser, then the one damage policy) of one
+:class:`~repro.shards.Shard`, yielding bounded
+:class:`~repro.instrument.columns.EventColumns` chunks: a byte or
+record span of a known format (:func:`iter_trace_span`,
+:func:`iter_binary_span`), its whole-file span ``[0, None)``
+(:func:`iter_trace`, :func:`read_trace`, :func:`iter_binary_trace`,
+...), or the one-shard plan, whose sniff is the one format dispatch
+(:func:`iter_any`, :func:`read_any`, :func:`read_any_tracer`).
+
+The two trace folds both run the shard driver
+(:func:`repro.shards.shard_accumulate`: the one-shard plan, or ``jobs``
+shard workers): :func:`accumulate_trace` folds a trace into an
 :class:`~repro.core.online.OnlineAccumulator`, and :func:`trace_windows`
 into a :class:`~repro.instrument.windows.WindowFold`, whose windows are
 built as they are asked for.  The CLI, the daemon's jobs and ingest,
@@ -17,57 +24,105 @@ re-reads a folded file for the renderers that walk every event.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Iterator, Optional, Tuple, Union
+from typing import Iterator, List, Optional, Tuple, Union
 
 from ..core.online import OnlineAccumulator, TraceLayout
-from ..obs import spans as obspans
-from ..shards import plan_shards, read_shard, shard_accumulate
-from .binary import (format_reader, iter_binary_span,  # noqa: F401
-                     iter_binary_trace)
-from .columns import DEFAULT_CHUNK_SIZE, EventColumns
-from .tracefile import iter_trace, iter_trace_span  # noqa: F401
+from ..shards import (Shard, plan_shards, read_judged, read_shard,
+                      shard_accumulate)
+from .columns import DEFAULT_CHUNK_SIZE, EventColumns, materialize
+from .events import TraceEvent
+from .tracer import Tracer
 from .windows import Window, WindowFold
 
 PathLike = Union[str, Path]
 
 
-def _spanned_chunks(chunks: Iterator[EventColumns], stage: str,
-                    trace: str) -> Iterator[EventColumns]:
-    """Wrap each ``next()`` of a chunk iterator in a decode span.
+def iter_trace_span(path: PathLike, start: int, stop: Optional[int] = None,
+                    chunk_size: int = DEFAULT_CHUNK_SIZE,
+                    on_error: str = "salvage") -> Iterator[EventColumns]:
+    """Iterate the events of one byte range of a JSONL trace (see
+    :func:`~repro.instrument.tracefile.scan_trace_span`), judged as one
+    read."""
+    return read_judged(Shard(str(path), "jsonl", start, stop), chunk_size,
+                       on_error)
 
-    The span covers the decode work (file reads, JSON/record parsing),
-    not the consumer's fold — the two alternate, so `repro self` can
-    tell whether a slow stream spends its time decoding or
-    accumulating.  StopIteration must be caught inside the ``with``
-    (PEP 479: letting it escape a generator raises RuntimeError).
+
+def iter_trace(path: PathLike, chunk_size: int = DEFAULT_CHUNK_SIZE,
+               on_error: str = "salvage") -> Iterator[EventColumns]:
+    """Iterate a JSONL trace (optionally gzipped) in chunks of at most
+    ``chunk_size`` events, in file order: the span ``[0, None)``.
+
+    Blank lines are not damage and do not count against the header's
+    promised event count.
     """
-    chunks = iter(chunks)
-    while True:
-        with obspans.span(stage, activity="decode", trace=trace) as live:
-            try:
-                chunk = next(chunks)
-            except StopIteration:
-                return
-            live.set(events=len(chunk))
-        yield chunk
+    return iter_trace_span(path, 0, None, chunk_size, on_error)
 
 
-def instrument_chunks(chunks: Iterator[EventColumns], stage: str,
-                      trace: PathLike) -> Iterator[EventColumns]:
-    """Per-chunk decode spans around ``chunks`` — only when span
-    recording is enabled at call time; otherwise the iterator comes
-    back untouched, so the streaming hot loop pays nothing."""
-    if not obspans.is_enabled():
-        return chunks
-    return _spanned_chunks(chunks, stage, str(trace))
+def read_trace(path: PathLike,
+               on_error: str = "salvage") -> List[TraceEvent]:
+    """Read a JSONL trace file back into a list of events.
+
+    ``on_error`` controls what happens when the file is damaged past its
+    header: ``"salvage"`` (the default) returns the valid prefix of
+    events and issues a :class:`~repro.errors.TraceWarning`;
+    ``"raise"`` turns any damage into a :class:`~repro.errors.TraceError`.
+    A missing file, an unreadable header or a damaged file with no
+    salvageable events raises in both modes.
+    """
+    return materialize(iter_trace(path, on_error=on_error))
+
+
+def read_tracer(path: PathLike, on_error: str = "salvage") -> Tracer:
+    """Read a JSONL trace file into a fresh :class:`Tracer`."""
+    return Tracer(iter_trace(path, on_error=on_error))
+
+
+def iter_binary_span(path: PathLike, start: int, stop: Optional[int] = None,
+                     chunk_size: int = DEFAULT_CHUNK_SIZE,
+                     on_error: str = "salvage") -> Iterator[EventColumns]:
+    """Iterate the records ``[start, stop)`` of a binary trace (see
+    :func:`~repro.instrument.binary.scan_binary_span`), judged as one
+    read."""
+    return read_judged(Shard(str(path), "binary", start, stop), chunk_size,
+                       on_error)
+
+
+def iter_binary_trace(path: PathLike,
+                      chunk_size: int = DEFAULT_CHUNK_SIZE,
+                      on_error: str = "salvage") -> Iterator[EventColumns]:
+    """Iterate a binary trace in bounded chunks: the span ``[0, None)``.
+
+    Damage before the first record (header or string table) raises in
+    both modes.  Trailing NUL padding after the promised records
+    (block-padded archival storage) is not damage — the binary
+    counterpart of the blank lines the JSONL reader skips.
+    """
+    return iter_binary_span(path, 0, None, chunk_size, on_error)
+
+
+def read_binary_trace(path: PathLike,
+                      on_error: str = "salvage") -> List[TraceEvent]:
+    """Read a binary trace file, validating every record (see
+    :func:`iter_binary_trace` for the damage semantics)."""
+    return materialize(iter_binary_trace(path, on_error=on_error))
 
 
 def iter_any(path: PathLike, chunk_size: int = DEFAULT_CHUNK_SIZE,
              on_error: str = "salvage") -> Iterator[EventColumns]:
-    """Iterate a trace in whichever supported format it uses."""
-    chunks = format_reader(path)(path, chunk_size=chunk_size,
-                                 on_error=on_error)
-    return instrument_chunks(chunks, "stream_decode", path)
+    """Iterate a trace in whichever supported format it uses: its
+    one-shard plan."""
+    return read_judged(plan_shards(path, 1)[0], chunk_size, on_error)
+
+
+def read_any(path: PathLike,
+             on_error: str = "salvage") -> List[TraceEvent]:
+    """Read a trace file in whichever supported format it uses."""
+    return materialize(iter_any(path, on_error=on_error))
+
+
+def read_any_tracer(path: PathLike, on_error: str = "salvage") -> Tracer:
+    """Read either format into a fresh :class:`Tracer`."""
+    return Tracer(iter_any(path, on_error=on_error))
 
 
 def accumulate_trace(path: PathLike, chunk_size: int = DEFAULT_CHUNK_SIZE,
@@ -101,16 +156,14 @@ class FoldedTrace:
 
 def trace_windows(path: PathLike, n_windows: int,
                   chunk_size: int = DEFAULT_CHUNK_SIZE,
-                  on_error: str = "salvage", reread: bool = False,
-                  jobs: Optional[int] = None
+                  on_error: str = "salvage", jobs: Optional[int] = None
                   ) -> Tuple[Iterator[Window], TraceLayout]:
     """Slice a trace file into ``n_windows`` equal windows: the
     windows, built one at a time as they are iterated, and the
     :class:`~repro.core.online.TraceLayout` (labels, event count,
     extent; no tensor) of a :class:`~repro.instrument.windows.WindowFold`
     folded as :func:`accumulate_trace` folds, with ``jobs``.  Every plan
-    gives the same windows, bit for bit.  ``reread`` is accepted and
-    changes nothing: no pass reads the file again."""
+    gives the same windows, bit for bit."""
     fold = shard_accumulate(path, jobs=1 if jobs is None else jobs,
                             chunk_size=chunk_size, on_error=on_error,
                             fold=WindowFold)

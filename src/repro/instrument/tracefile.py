@@ -10,15 +10,12 @@ simple and self-describing:
   ``k`` (kind), ``n`` (nbytes), ``p`` (partner).
 
 Files ending in ``.gz`` are written gzip-compressed, and gzip is read
-transparently, recognized by its bytes whatever the file's name.  Reading
-validates the header and every event.  A corrupt or truncated file is
-*salvaged* by default: the valid prefix of events is returned and a
-:class:`~repro.errors.TraceWarning` reports what was lost — a run that
-died mid-write should still be analyzable.  ``on_error="raise"``
-restores the strict behaviour, and a file whose header is unreadable
-(nothing salvageable) raises :class:`~repro.errors.TraceError` in both
-modes.  Every reader decodes lines with ``json.loads`` straight into
-:class:`~repro.instrument.columns.EventColumns` chunks.
+transparently, recognized by its bytes whatever the file's name.  This
+module holds the format alone: the header, the one parser
+(:func:`scan_trace_span`, ``json.loads`` per line straight into
+:class:`~repro.instrument.columns.EventColumns` chunks, every event
+validated) and the writers.  The readers, which salvage a damaged
+file's valid prefix or raise, are in :mod:`repro.instrument.stream`.
 """
 
 from __future__ import annotations
@@ -27,11 +24,11 @@ import gzip
 import json
 import zlib
 from pathlib import Path
-from typing import Generator, Iterable, Iterator, List, Optional, Tuple, Union
+from typing import Generator, Iterable, Optional, Tuple, Union
 
 from ..errors import TraceError
-from .columns import (DEFAULT_CHUNK_SIZE, ColumnBuilder, EventColumns, Scan,
-                      judge, materialize, reader_source)
+from .binary import sniff_bytes
+from .columns import ColumnBuilder, EventColumns, Scan
 from .events import TraceEvent, check_event
 from .tracer import Tracer
 
@@ -107,7 +104,6 @@ def scan_trace_span(source: Path, start: int, stop: Optional[int],
     gzip member) ends the span; the returned
     :class:`~repro.instrument.columns.Scan` reports it.
     """
-    from .binary import sniff_bytes   # binary imports this module
     builder = ColumnBuilder()
     kept = 0
     reason = promised = None
@@ -156,49 +152,3 @@ def scan_trace_span(source: Path, start: int, stop: Optional[int],
     if len(builder):
         yield builder.take()
     return Scan(kept, reason, promised)
-
-
-def iter_trace_span(path: PathLike, start: int, stop: Optional[int] = None,
-                    chunk_size: int = DEFAULT_CHUNK_SIZE,
-                    on_error: str = "salvage") -> Iterator[EventColumns]:
-    """Iterate the events of one byte range of a JSONL trace, judged as
-    one read: damage (see :func:`scan_trace_span`) salvages the valid
-    prefix or raises.  Only the whole file, the span ``[0, None)``, is
-    held to its header's promised event count."""
-    source = reader_source(path, chunk_size, on_error)
-    if start < 0 or (stop is not None and stop < start):
-        raise TraceError(f"invalid byte span [{start}, {stop})")
-    kept, reason, promised = yield from scan_trace_span(source, start, stop,
-                                                        chunk_size)
-    whole = start == 0 and stop is None
-    judge(source, kept, reason, on_error, promised if whole else None)
-
-
-def iter_trace(path: PathLike, chunk_size: int = DEFAULT_CHUNK_SIZE,
-               on_error: str = "salvage") -> Iterator[EventColumns]:
-    """Iterate a JSONL trace (optionally gzipped) in chunks of at most
-    ``chunk_size`` events, in file order: the span ``[0, None)``.
-
-    Blank lines are not damage and do not count against the header's
-    promised event count.
-    """
-    return iter_trace_span(path, 0, None, chunk_size, on_error)
-
-
-def read_trace(path: PathLike,
-               on_error: str = "salvage") -> List[TraceEvent]:
-    """Read a trace file back into a list of events.
-
-    ``on_error`` controls what happens when the file is damaged past its
-    header: ``"salvage"`` (the default) returns the valid prefix of
-    events and issues a :class:`~repro.errors.TraceWarning`;
-    ``"raise"`` turns any damage into a :class:`~repro.errors.TraceError`.
-    A missing file, an unreadable header or a damaged file with no
-    salvageable events raises in both modes.
-    """
-    return materialize(iter_trace(path, on_error=on_error))
-
-
-def read_tracer(path: PathLike, on_error: str = "salvage") -> Tracer:
-    """Read a trace file into a fresh :class:`Tracer`."""
-    return Tracer(iter_trace(path, on_error=on_error))

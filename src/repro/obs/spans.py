@@ -40,7 +40,7 @@ import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence
 
 from ..errors import ReproError
 
@@ -197,6 +197,35 @@ def span(name: str, *, worker: Optional[str] = None,
     if not _RECORDER.enabled:
         return _NOOP
     return _LiveSpan(name, worker, activity, attributes)
+
+
+def _spanned_chunks(chunks: Iterator, stage: str, trace: str) -> Iterator:
+    """Wrap each ``next()`` of a chunk iterator in a decode span.
+
+    The span covers the decode work (file reads, JSON/record parsing),
+    not the consumer's fold — the two alternate, so `repro self` can
+    tell whether a slow stream spends its time decoding or
+    accumulating.  StopIteration must be caught inside the ``with``
+    (PEP 479: letting it escape a generator raises RuntimeError).
+    """
+    chunks = iter(chunks)
+    while True:
+        with span(stage, activity="decode", trace=trace) as live:
+            try:
+                chunk = next(chunks)
+            except StopIteration:
+                return
+            live.set(events=len(chunk))
+        yield chunk
+
+
+def instrument_chunks(chunks: Iterator, stage: str, trace) -> Iterator:
+    """Per-chunk decode spans around ``chunks`` — only when span
+    recording is enabled at call time; otherwise the iterator comes
+    back untouched, so the streaming hot loop pays nothing."""
+    if not _RECORDER.enabled:
+        return chunks
+    return _spanned_chunks(chunks, stage, str(trace))
 
 
 # ----------------------------------------------------------------------

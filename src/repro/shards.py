@@ -14,8 +14,10 @@ any gzip trace (not seekable).
 Shards report damage; the driver judges it once: it merges every shard
 before the first damaged one plus that shard's valid prefix, so every
 plan salvages the same events with the same warning (or raises the
-same error) as a sequential read.  Drives ``repro analyze``,
-``repro temporal`` and ``repro self``.
+same error) as a sequential read.  :func:`read_judged` is the one
+judged read of one shard: every trace reader of
+:mod:`repro.instrument.stream` composes it.  Drives ``repro analyze``,
+``repro temporal``, ``repro counters`` and ``repro self``.
 """
 
 from __future__ import annotations
@@ -58,6 +60,11 @@ class Shard:
         if self.kind not in SHARD_KINDS:
             raise TraceError(f"shard kind must be one of {SHARD_KINDS}, "
                              f"got {self.kind!r}")
+        if self.start < 0 or (self.stop is not None
+                              and self.stop < self.start):
+            unit = "record" if self.kind == "binary" else "byte"
+            raise TraceError(
+                f"invalid {unit} span [{self.start}, {self.stop})")
 
 
 def plan_shards(path: PathLike, n_shards: int) -> List[Shard]:
@@ -91,14 +98,28 @@ def read_shard(shard: Shard, chunk_size: int,
     """The chunks of one shard up to the first damage it meets, each
     decoded in a ``stream_decode`` span; its unjudged
     :class:`~repro.instrument.columns.Scan` is appended to ``scans``."""
-    from .instrument.stream import instrument_chunks
     scanner = scan_binary_span if shard.kind == "binary" else scan_trace_span
 
     def chunks():
         scans.append((yield from scanner(Path(shard.path), shard.start,
                                          shard.stop, chunk_size)))
 
-    return instrument_chunks(chunks(), "stream_decode", shard.path)
+    return obspans.instrument_chunks(chunks(), "stream_decode", shard.path)
+
+
+def read_judged(shard: Shard, chunk_size: int = DEFAULT_CHUNK_SIZE,
+                on_error: str = "salvage") -> Iterator[EventColumns]:
+    """The one judged read: the chunks of :func:`read_shard`, then its
+    damage judged (:func:`~repro.instrument.columns.judge`) as one read
+    — the valid prefix salvaged with a warning, or an error.  Only the
+    whole file, the span ``[0, None)``, is held to its header's
+    promised event count."""
+    source = reader_source(shard.path, chunk_size, on_error)
+    scans: list = []
+    yield from read_shard(shard, chunk_size, scans)
+    kept, reason, promised = scans[0]
+    whole = shard.start == 0 and shard.stop is None
+    judge(source, kept, reason, on_error, promised if whole else None)
 
 
 def fold_shard(shard: Shard, chunk_size: int = DEFAULT_CHUNK_SIZE,
@@ -112,14 +133,10 @@ def fold_shard(shard: Shard, chunk_size: int = DEFAULT_CHUNK_SIZE,
 
 def accumulate_shard(shard: Shard, chunk_size: int = DEFAULT_CHUNK_SIZE,
                      on_error: str = "salvage") -> OnlineAccumulator:
-    """Fold one shard on its own: its damage is judged as its span
-    reader (:func:`~repro.instrument.iter_trace_span`,
-    :func:`~repro.instrument.iter_binary_span`) judges it."""
-    source = reader_source(shard.path, chunk_size, on_error)
-    accumulator, (kept, reason, promised) = fold_shard(shard, chunk_size)
-    whole = shard.start == 0 and shard.stop is None
-    judge(source, kept, reason, on_error, promised if whole else None)
-    return accumulator
+    """Fold one shard on its own, its damage judged by
+    :func:`read_judged`."""
+    return OnlineAccumulator().consume(read_judged(shard, chunk_size,
+                                                   on_error))
 
 
 def _shard_worker(task):

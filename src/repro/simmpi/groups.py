@@ -93,28 +93,27 @@ class GroupCommunicator(Communicator):
     # so eager/rendezvous and tracing behave identically)
     # ------------------------------------------------------------------
     def send(self, dest, nbytes, tag=0):
-        yield from self._parent_call(
-            super().send, self.global_rank(dest), nbytes, tag)
+        yield from super().send(self.global_rank(dest), nbytes, tag)
 
     def recv(self, source=ANY_SOURCE, tag=-1):
-        message = yield from self._parent_call(
-            super().recv, self._translate_source(source), tag)
+        message = yield from super().recv(self._translate_source(source),
+                                          tag)
         return message
 
     def isend(self, dest, nbytes, tag=0):
-        request = yield from self._parent_call(
-            super().isend, self.global_rank(dest), nbytes, tag)
+        request = yield from super().isend(self.global_rank(dest), nbytes,
+                                           tag)
         return request
 
     def irecv(self, source=ANY_SOURCE, tag=-1):
-        request = yield from self._parent_call(
-            super().irecv, self._translate_source(source), tag)
+        request = yield from super().irecv(self._translate_source(source),
+                                           tag)
         return request
 
     def sendrecv(self, dest, nbytes, source, sendtag=0, recvtag=-1):
-        message = yield from self._parent_call(
-            super().sendrecv, self.global_rank(dest), nbytes,
-            self._translate_source(source), sendtag, recvtag)
+        message = yield from super().sendrecv(
+            self.global_rank(dest), nbytes, self._translate_source(source),
+            sendtag, recvtag)
         return message
 
     def _internal_send(self, dest, nbytes, tag):
@@ -130,20 +129,6 @@ class GroupCommunicator(Communicator):
         message = yield from super()._internal_sendrecv(
             self.global_rank(dest), nbytes, self.global_rank(source), tag)
         return message
-
-    def _parent_call(self, bound_method, *args):
-        """Run an inherited generator method whose peers were already
-        translated to global ranks.
-
-        The inherited implementations validate peers against
-        ``self._size`` (the *group* size), which the translated global
-        ranks may exceed — so the primitive operations they yield carry
-        global ids directly; validation against the global size happens
-        in the engine.  We bypass the group-size peer check by invoking
-        the plain Communicator implementation with translation done.
-        """
-        result = yield from bound_method(*args)
-        return result
 
     # The group's collectives are the inherited algorithms: they compute
     # partners in group-rank space from self._rank/self._size and emit

@@ -28,7 +28,8 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .errors import TraceError
-from .instrument.tracefile import read_tracer, write_tracer
+from .instrument.stream import read_tracer
+from .instrument.tracefile import write_tracer
 from .instrument.tracer import Tracer
 
 INDEX_NAME = "index.json"

@@ -853,13 +853,13 @@ class TestOneReportPipeline:
     @pytest.fixture()
     def no_event_objects(self, monkeypatch):
         import repro.instrument as instrument
-        import repro.instrument.binary as binary
+        import repro.instrument.stream as stream
         from repro.instrument import TraceEvent
 
         def refuse(*args, **kwargs):
             raise AssertionError("built an event object from a file")
 
-        monkeypatch.setattr(binary, "read_any_tracer", refuse)
+        monkeypatch.setattr(stream, "read_any_tracer", refuse)
         monkeypatch.setattr(instrument, "read_any_tracer", refuse)
         monkeypatch.setattr(Tracer, "__init__", refuse)
         monkeypatch.setattr(TraceEvent, "__init__", refuse)
@@ -883,16 +883,16 @@ class TestOneReportPipeline:
     @pytest.fixture()
     def no_trace_events(self, monkeypatch):
         import repro.instrument as instrument
-        import repro.instrument.binary as binary
+        import repro.instrument.stream as stream
         from repro.instrument import TraceEvent
 
         def refuse(*args, **kwargs):
             raise AssertionError("built a TraceEvent")
 
-        # ``no_event_objects`` patches ``binary`` before the package, so
+        # ``no_event_objects`` patches ``stream`` before the package, so
         # the package can keep its refusing binding after that fixture.
         monkeypatch.setattr(instrument, "read_any_tracer",
-                            binary.read_any_tracer)
+                            stream.read_any_tracer)
         monkeypatch.setattr(TraceEvent, "__init__", refuse)
 
     @pytest.fixture()

@@ -383,6 +383,7 @@ VARIANTS = {
     "analyze": ([], ["--jobs", "2"], ["--stream"], ["--timeline"]),
     "temporal": (["--windows", "4"], ["--windows", "4", "--stream"],
                  ["--windows", "4", "--jobs", "2"]),
+    "counters": (["--counter", "events"],),
 }
 
 
@@ -452,7 +453,7 @@ class TestProcessorAxisBound:
         try:
             for read in (lambda: accumulate_trace(path).finalize(),
                          lambda: accumulate_trace(path, jobs=2).n_ranks,
-                         lambda: trace_windows(path, 4, reread=True)):
+                         lambda: trace_windows(path, 4)):
                 with pytest.raises(TraceError, match=refused):
                     read()
             peak = tracemalloc.get_traced_memory()[1]

@@ -36,7 +36,8 @@ import pytest
 from repro.core import OnlineAccumulator
 from repro.errors import ReproError
 from repro.instrument import TraceEvent, iter_trace, write_trace
-from repro.instrument.stream import instrument_chunks, iter_any
+from repro.instrument.stream import iter_any
+from repro.obs.spans import instrument_chunks
 from repro.obs import (JsonLogger, NullLogger, PROM_CONTENT_TYPE, Span,
                        render_prometheus, render_span_table,
                        spans_to_tracer, summarize_spans, worker_ranks,

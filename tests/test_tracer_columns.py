@@ -19,7 +19,7 @@ from repro.instrument import (EVENT_KINDS, OUTSIDE_REGION, EventColumns,
                               lint_trace, merge, profile, read_trace,
                               relabel_region, shift_time, write_binary_trace,
                               write_trace, write_tracer)
-from repro.instrument.binary import read_binary_trace
+from repro.instrument.stream import read_binary_trace
 
 from .oracles import (ObjectTracer, object_filter_activities,
                       object_filter_events, object_filter_ranks,

@@ -238,7 +238,7 @@ def wide_trace(tmp_path_factory):
 def test_temporal_run_holds_one_windowed_tensor(wide_trace):
     # Warm-up on the same code paths, so no first-time import or cache
     # is charged to the traced stages.
-    warm, scout = trace_windows(wide_trace, 2, reread=True)
+    warm, scout = trace_windows(wide_trace, 2)
     render_temporal_report(warm, scout.n_events, phases=True,
                            forecast=0.5, heatmap=True)
     del warm
@@ -253,7 +253,7 @@ def test_temporal_run_holds_one_windowed_tensor(wide_trace):
     tracemalloc.start()
     try:
         baseline = tracemalloc.get_traced_memory()[0]
-        windows, scout = trace_windows(wide_trace, WINDOWS, reread=True)
+        windows, scout = trace_windows(wide_trace, WINDOWS)
         windowing = tracemalloc.get_traced_memory()[1] - baseline
         tracemalloc.reset_peak()
         text = render_temporal_report(windows, scout.n_events, phases=True,
