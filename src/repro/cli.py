@@ -188,7 +188,7 @@ def _build_parser() -> argparse.ArgumentParser:
                                 "report-cache under --store)")
     _add_params(serve_cmd, *_settings_of("serve"))
     serve_cmd.add_argument("--ready-file", metavar="PATH",
-                           help="write 'HOST PORT' here once serving "
+                           help="write 'HOST PORT' here once listening "
                                 "(for scripts and CI)")
     serve_cmd.add_argument("--verbose", action="store_true",
                            help="log every request to stderr")
@@ -484,7 +484,7 @@ def _command_serve(arguments) -> int:
     import signal
     import socket
 
-    from .serve import AnalysisServer
+    from .serve import AnalysisServer, load_stack
     try:
         daemon = AnalysisServer(arguments.store, cache_dir=arguments.cache_dir,
                                 verbose=arguments.verbose,
@@ -512,6 +512,7 @@ def _command_serve(arguments) -> int:
               f"workers: {daemon.workers})", flush=True)
         if arguments.ready_file:
             Path(arguments.ready_file).write_text(f"{host} {port}\n")
+        load_stack()
         wake.recv(1)
         print(f"shutting down: draining {daemon.runner.in_flight()} "
               "in-flight job(s)", flush=True)

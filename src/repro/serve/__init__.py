@@ -17,6 +17,8 @@ it into a serving system:
   and graceful, job-draining shutdown;
 * :mod:`~repro.serve.metrics` — the counters and p50/p99 latency
   reservoirs behind ``/metrics``;
+* :mod:`~repro.serve.stack` — the one loader of the report stack,
+  which ``repro serve`` runs after it reports ready;
 * :mod:`~repro.serve.client` — the thin urllib client driving
   ``repro submit`` / ``repro fetch``.
 
@@ -39,6 +41,7 @@ _EXPORTS = {
              "JobRunner", "QueueFullError", "ServiceDrainingError",
              "build_report", "normalize_params", "report_key"),
     "metrics": ("LatencyWindow", "ServiceMetrics"),
+    "stack": ("load_stack", "stack_state"),
     "server": ("DEFAULT_MAX_BODY_BYTES", "DEFAULT_REQUEST_TIMEOUT",
                "DEFAULT_WAIT_SECONDS", "MAX_WAIT_SECONDS", "AnalysisServer"),
     "store": ("StoredTrace", "TraceStore"),

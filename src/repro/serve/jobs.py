@@ -34,19 +34,16 @@ from concurrent.futures import Future, ThreadPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeout
 from typing import Dict, Mapping, Optional
 
-# The whole stack the four job kinds run loads with the daemon, before
-# it reports ready, so that no import lands in a first request: the
-# report pipeline imports its stages on demand.  None of it loads
-# numpy.random (clustering seeds from the standard library's random).
+# The stack the four job kinds run loads through .stack, after the
+# daemon reports ready; `reports` itself imports no numpy.
 from .. import reports
 from ..cache import ReportCache, content_key
-from ..core import batch, diagnosis, report, temporal, whatif  # noqa: F401
 from ..errors import ReproError, TraceError, TraceWarning
-from ..instrument import stream  # noqa: F401
 from ..obs import log as obslog
 from ..obs import memory as obsmemory
 from ..obs import spans as obspans
 from .metrics import ServiceMetrics
+from .stack import load_stack
 from .store import TraceStore
 
 #: Bump when the payload schema or the analysis semantics change;
@@ -84,6 +81,7 @@ def normalize_params(kind: str, params: Optional[Mapping]) -> dict:
     unknown kind or parameter, an unknown index of dispersion or an
     out-of-range value — an HTTP 400 *before* any work is queued.
     """
+    load_stack()          # the index check imports core.dispersion
     return reports.resolve_params(kind, params or {}, served=True,
                                   only=True)
 
@@ -109,6 +107,7 @@ def build_report(trace_path, sha: str, kind: str, params: Mapping) -> dict:
     temporal TRACE --windows W``).  Salvage warnings are silenced — ingest
     already recorded whether the stored trace needed salvaging.
     """
+    load_stack()
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", TraceWarning)
         document = reports.build_report(kind, trace_path, params)

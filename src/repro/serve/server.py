@@ -9,7 +9,9 @@ and then served from the shared on-disk cache at memory speed.
 Endpoints (all JSON unless noted):
 
 ====================  =====================================================
-``GET  /healthz``     liveness: ``{"status": "ok", ...}``
+``GET  /healthz``     liveness: ``{"status": "ok", "stack": ...}``;
+                      ``stack`` is ``loaded`` once the job stack has
+                      loaded (:mod:`repro.serve.stack`)
 ``GET  /metrics``     counters, gauges, p50/p99 latencies
 ``GET  /traces``      every stored trace's metadata
 ``GET  /traces/SHA``  one stored trace's metadata
@@ -54,6 +56,7 @@ from __future__ import annotations
 
 import json
 import math
+import selectors
 import socket
 import sys
 import threading
@@ -72,6 +75,7 @@ from ..reports import SETTINGS, check_settings
 from .jobs import (DEFAULT_MAX_QUEUE, JobRunner, QueueFullError,
                    ServiceDrainingError)
 from .metrics import ServiceMetrics
+from .stack import stack_state
 from .store import TraceStore
 
 PathLike = Union[str, Path]
@@ -320,6 +324,7 @@ class _Handler(BaseHTTPRequestHandler):
             "uptime_seconds":
                 self.service.metrics.snapshot()["uptime_seconds"],
             "traces": len(self.service.store),
+            "stack": stack_state(),
         })
 
     def _wants_prometheus(self) -> bool:
@@ -471,7 +476,35 @@ class _Server(ThreadingHTTPServer):
 
     def __init__(self, address, service: "AnalysisServer") -> None:
         self.service = service
+        self._wake, self._woken = socket.socketpair()
+        self._stopped = threading.Event()
         super().__init__(address, _Handler)
+
+    def serve_forever(self) -> None:
+        """Accept until :meth:`shutdown` wakes the loop.  socketserver's
+        own loop polls for a stop every 0.5 s, so an idle daemon took
+        that long to stop."""
+        try:
+            with selectors.DefaultSelector() as selector:
+                selector.register(self, selectors.EVENT_READ)
+                selector.register(self._woken, selectors.EVENT_READ)
+                while True:
+                    ready = {key.fileobj for key, _ in selector.select()}
+                    if self._woken in ready:
+                        break
+                    self._handle_request_noblock()
+        finally:
+            self._stopped.set()
+
+    def shutdown(self) -> None:
+        """Stop :meth:`serve_forever` and wait until it has returned."""
+        self._wake.send(b"\0")
+        self._stopped.wait()
+
+    def server_close(self) -> None:
+        super().server_close()
+        self._wake.close()
+        self._woken.close()
 
 
 class AnalysisServer:

@@ -47,8 +47,7 @@ from typing import BinaryIO, List, Optional, Tuple, Union
 
 from ..cache import HASH_CHUNK, BoundedDirectory, iter_chunks
 from ..errors import ReproError, TraceError, TraceWarning
-from ..instrument.binary import sniff_bytes
-from ..instrument.stream import accumulate_trace
+from .stack import load_stack
 
 PathLike = Union[str, Path]
 
@@ -93,6 +92,7 @@ class StoredTrace:
 def sniff_suffix(data: bytes) -> str:
     """The file suffix of these bytes' format, as the readers' sniffer
     (:func:`~repro.instrument.binary.sniff_bytes`) decides it."""
+    from ..instrument.binary import sniff_bytes
     return _SUFFIXES.get(sniff_bytes(data), ".jsonl")
 
 
@@ -193,6 +193,12 @@ class TraceStore(BoundedDirectory):
                 or chunk_size < 1):
             raise ReproError(f"chunk_size must be a positive integer, got "
                              f"{chunk_size!r}")
+        # Validation reads through the report stack.  A daemon may still
+        # be loading it: wait before reading the upload, since the
+        # daemon's peak memory moves when this thread allocates while
+        # the main thread loads.
+        load_stack()
+        from ..instrument.stream import accumulate_trace
         first = stream.read(chunk_size)
         if not first:
             raise TraceError("refusing to store an empty trace")

@@ -8,17 +8,19 @@ command imports only what it runs.  These tests pin what that promises:
   own submodule is not shadowed by the module once that is imported;
 * every subpackage and top-level module imports first in a fresh
   interpreter, so the graph has no cycles;
-* ``repro --help`` and the service client load no numpy, and the
-  daemon loads its whole report stack at start-up but none of the
-  simulator, calibration or baseline packages — nothing moves into
-  its first request.
+* ``repro --help`` and the service client load no numpy; the daemon
+  is ready before it loads numpy or its report stack, and its stack
+  loader loads that whole stack but none of the simulator, calibration
+  or baseline packages — nothing moves into its first request.
 """
 
 import importlib
 import os
 import pkgutil
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -39,12 +41,22 @@ SHADOWABLE = (
     ("repro.baselines", "percent_imbalance"),
 )
 
+#: Packages no daemon loads, before its stack loads or after.
+NOT_SERVED = ("scipy", "repro.apps", "repro.simmpi", "repro.calibrate",
+              "repro.faults", "repro.baselines")
+
+
+def _env() -> dict:
+    """The environment of a fresh interpreter with this checkout first
+    on its path."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    return env
+
 
 def _python(*args: str) -> subprocess.CompletedProcess:
     """Run a fresh interpreter with this checkout first on its path."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
-    return subprocess.run([sys.executable, *args], env=env,
+    return subprocess.run([sys.executable, *args], env=_env(),
                           capture_output=True, text=True, timeout=120)
 
 
@@ -146,26 +158,104 @@ class TestStartupBudget:
                         "repro.serve.store", "repro.serve.jobs"):
             assert not _within(modules, package), package
 
-    def test_daemon_loads_its_report_stack_and_nothing_else(self):
+    def test_daemon_loads_no_report_stack_before_ready(self):
+        """``repro serve`` reports ready once its socket listens and
+        loads the job stack after that (:mod:`repro.serve.stack`)."""
         modules = _loaded_after("import repro.serve.server")
+        assert "repro.serve.jobs" in modules
+        for package in ("numpy", "repro.core", "repro.instrument",
+                        *NOT_SERVED):
+            assert not _within(modules, package), package
+
+    def test_daemon_loads_its_report_stack_and_nothing_else(self):
+        modules = _loaded_after("import repro.serve.server\n"
+                                "from repro.serve import load_stack\n"
+                                "load_stack()")
         for needed in ("repro.reports", "repro.instrument.stream",
                        "repro.core.batch"):
             assert needed in modules, needed
-        for package in ("scipy", "repro.apps", "repro.simmpi",
-                        "repro.calibrate", "repro.faults",
-                        "repro.baselines"):
+        for package in NOT_SERVED:
             assert not _within(modules, package), package
 
+    def test_concurrent_loaders_import_the_stack_once(self):
+        """Threads that call ``load_stack`` at once return only when the
+        stack is whole, and only one of them runs its imports."""
+        result = _python("-c", """
+import builtins, sys, threading
+from repro.serve import load_stack, stack_state
+sys.setswitchinterval(1e-6)
+importers, real_import = set(), builtins.__import__
+
+def spy(name, globals=None, *args, **kwargs):
+    if (globals or {}).get("__name__") == "repro.serve.stack":
+        importers.add(threading.get_ident())
+    return real_import(name, globals, *args, **kwargs)
+
+builtins.__import__ = spy
+start, whole = threading.Barrier(8), []
+
+def load():
+    start.wait()
+    load_stack()
+    whole.append(hasattr(sys.modules["repro.core.batch"], "BatchAnalysis")
+                 and hasattr(sys.modules["repro.instrument.stream"],
+                             "accumulate_trace"))
+
+threads = [threading.Thread(target=load) for _ in range(8)]
+for thread in threads:
+    thread.start()
+for thread in threads:
+    thread.join(60)
+assert not any(thread.is_alive() for thread in threads)
+print(len(importers), whole.count(True), stack_state())
+""")
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.split() == ["1", "8", "loaded"]
+
+    def test_daemon_says_serving_before_it_imports_numpy(self, tmp_path):
+        """``repro serve -X importtime``, stderr into stdout: the
+        ``serving on`` line comes before any numpy import.  SIGTERM at
+        ready lands during the stack load, which still completes."""
+        ready = tmp_path / "ready.txt"
+        process = subprocess.Popen(
+            [sys.executable, "-X", "importtime", "-m", "repro", "serve",
+             "--port", "0", "--store", str(tmp_path / "store"),
+             "--ready-file", str(ready)],
+            env=_env(), stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
+            text=True)
+        try:
+            deadline = time.monotonic() + 60
+            while not (ready.exists() and ready.read_text().strip()):
+                assert time.monotonic() < deadline, "daemon never ready"
+                assert process.poll() is None, "daemon died on startup"
+                time.sleep(0.01)
+            process.send_signal(signal.SIGTERM)
+            output, _ = process.communicate(timeout=60)
+        finally:
+            if process.poll() is None:
+                process.kill()
+                process.communicate()
+        assert process.returncode == 0, output
+        lines = output.splitlines()
+        serving = [number for number, line in enumerate(lines)
+                   if line.startswith("serving on ")]
+        numpy = [number for number, line in enumerate(lines)
+                 if _within(_imported(line), "numpy")]
+        assert serving and numpy, output
+        assert serving[0] < numpy[0]
+
     def test_no_import_moves_into_the_first_request(self, tmp_path):
-        """Every job kind, run after the daemon's imports, loads no
-        further repro, numpy or scipy module."""
+        """Every job kind, run after the daemon's stack loader, loads
+        no further repro, numpy or scipy module."""
         from repro.calibrate import synthesize_paper_trace
         trace = tmp_path / "paper.jsonl"
         synthesize_paper_trace(trace)
         result = _python("-c", """
 import sys
 import repro.serve.server
+from repro.serve import load_stack
 from repro.serve.jobs import JOB_KINDS, build_report, normalize_params
+load_stack()
 loaded = set(sys.modules)
 for kind in JOB_KINDS:
     build_report(sys.argv[1], "0" * 64, kind, normalize_params(kind, {}))

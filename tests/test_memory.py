@@ -160,6 +160,11 @@ def _gauge(url: str, name: str) -> int:
         return json.load(answer)["gauges"][name]
 
 
+def _stack_loaded(url: str) -> bool:
+    with urllib.request.urlopen(url + "/healthz", timeout=60) as answer:
+        return json.load(answer)["stack"] == "loaded"
+
+
 def _post(url: str, path: str, body: bytes) -> dict:
     request = urllib.request.Request(
         url + path, data=body,
@@ -173,7 +178,9 @@ def _post(url: str, path: str, body: bytes) -> dict:
                     reason="needs glibc's malloc_trim and /proc")
 def test_daemon_returns_to_its_size_at_ready(tmp_path):
     """Cold jobs leave a ``repro serve`` process within
-    :data:`RESIDENT_DRIFT_BYTES` of its resident size at ready."""
+    :data:`RESIDENT_DRIFT_BYTES` of its resident size at ready, read
+    once its job stack has loaded: the daemon reports ready before it
+    loads the stack, and that import is no leak."""
     trace = tmp_path / "wide.rptb"
     _wide_trace(trace)
     ready = tmp_path / "ready.txt"
@@ -191,6 +198,9 @@ def test_daemon_returns_to_its_size_at_ready(tmp_path):
             time.sleep(0.05)
         host, port = ready.read_text().split()
         url = f"http://{host}:{port}"
+        while not _stack_loaded(url):
+            assert time.monotonic() < deadline, "stack never loaded"
+            time.sleep(0.05)
         at_ready = _gauge(url, "resident_bytes")
         sha = _post(url, "/traces", trace.read_bytes())["trace"]["sha256"]
         for kind, params in (("analyze", {}), ("temporal", {"windows": 64}),

@@ -12,12 +12,15 @@ The load-bearing guarantees:
   yesterday's reports from the shared cache without recomputing;
 * shutdown drains in-flight jobs (their results land in the cache) and
   a SIGTERM'd ``repro serve`` process exits cleanly without dropping a
-  submitted trace;
+  submitted trace; an idle daemon stops at once;
+* ``repro serve`` is ready before it loads its job stack, and requests
+  sent the instant it is ready get the CLI's bytes;
 * a cache hit pays a file read and a JSON hop, never the pipeline: a
   daemon under its size caps serves at least :data:`MIN_HIT_RPS`
   cached reports per second.
 """
 
+import gzip
 import hashlib
 import http.client
 import http.server
@@ -26,6 +29,7 @@ import json
 import os
 import signal
 import socket
+import statistics
 import subprocess
 import sys
 import threading
@@ -502,6 +506,80 @@ class TestShutdown:
                 process.communicate()
         assert process.returncode == 0, output
         assert "draining" in output
+
+
+# ----------------------------------------------------------------------
+# Start-up: ready before the job stack loads; a prompt stop
+# ----------------------------------------------------------------------
+class TestStartAndStop:
+    def test_requests_at_ready_get_the_golden_bytes(self, tmp_path,
+                                                    paper_trace):
+        """``repro serve`` reports ready before its job stack loads.
+        Requests sent the instant the ready file appears race the main
+        thread's load: an upload to validate, and analyze and temporal
+        jobs of a trace already stored.  Each answer is the CLI's."""
+        gzipped = tmp_path / "paper.jsonl.gz"
+        gzipped.write_bytes(gzip.compress(Path(paper_trace).read_bytes()))
+        temporal = cli_stdout(["temporal", paper_trace, "--windows", "8"])
+        for start in range(3):
+            store = tmp_path / f"store-{start}"
+            sha = TraceStore(store).add_file(paper_trace)[0].sha256
+            with _serving(store) as client:
+                with ThreadPoolExecutor(3) as pool:
+                    uploaded = pool.submit(client.submit, gzipped)
+                    analyzed = pool.submit(client.report, sha, "analyze")
+                    windowed = pool.submit(client.report, sha, "temporal",
+                                           windows=8)
+                    assert uploaded.result()["created"]
+                    assert analyzed.result()["text"] == GOLDEN.read_text()
+                    assert windowed.result()["text"] == temporal
+                assert client.health()["stack"] == "loaded"
+
+    def test_idle_shutdown_is_prompt(self, tmp_path):
+        """An idle daemon stops at once: socketserver's own accept loop
+        notices a stop only at its next 0.5 s poll."""
+        took = []
+        for attempt in range(5):
+            server = AnalysisServer(tmp_path / f"store-{attempt}", port=0)
+            server.start()
+            ServeClient(server.url).health()
+            started = time.perf_counter()
+            server.shutdown()
+            took.append(time.perf_counter() - started)
+        assert statistics.median(took) < 0.1, took
+
+    def test_healthz_reports_the_stack(self, server, client, paper_trace):
+        assert client.health()["stack"] in ("unloaded", "loading",
+                                            "loaded")
+        client.submit(paper_trace)
+        assert client.health()["stack"] == "loaded"
+
+
+@contextmanager
+def _serving(store: Path):
+    """A ``repro serve`` process on ``store``, from the instant its
+    ready file appears; SIGTERM at the end must drain and exit 0."""
+    ready = store.parent / (store.name + ".ready")
+    process = subprocess.Popen(
+        [sys.executable, "-m", "repro", "serve", "--port", "0",
+         "--store", str(store), "--ready-file", str(ready)],
+        env=_child_env(), stdout=subprocess.PIPE,
+        stderr=subprocess.STDOUT, text=True)
+    try:
+        deadline = time.monotonic() + 60
+        while len(fields := (ready.read_text().split()
+                             if ready.exists() else [])) != 2:
+            assert time.monotonic() < deadline, "daemon never ready"
+            assert process.poll() is None, "daemon died on startup"
+            time.sleep(0.002)
+        yield ServeClient(f"http://{fields[0]}:{fields[1]}", retries=0)
+        process.send_signal(signal.SIGTERM)
+        output, _ = process.communicate(timeout=60)
+        assert process.returncode == 0, output
+    finally:
+        if process.poll() is None:
+            process.kill()
+            process.communicate()
 
 
 def _child_env() -> dict:
